@@ -17,7 +17,6 @@ package repro
 import (
 	"context"
 	"flag"
-	"os"
 	"testing"
 	"time"
 
@@ -33,15 +32,15 @@ import (
 
 const benchSeed = 2014
 
-// runnerParallel is the package-level knob for the experiment drivers'
-// worker pool, mirrored into sim.Parallelism before any benchmark runs.
+// runnerParallel is the experiment drivers' topology-sweep pool width,
+// passed explicitly to every benchmark's driver call.
 var runnerParallel = flag.Int("runner.parallel", 0,
 	"topology tasks evaluated concurrently per experiment (0 = GOMAXPROCS)")
 
-func TestMain(m *testing.M) {
-	flag.Parse()
-	sim.Parallelism = *runnerParallel
-	os.Exit(m.Run())
+// phyOpts is the PHY-figure parameter set for a benchmark run over
+// topos topologies.
+func phyOpts(topos int) sim.PhyOpts {
+	return sim.PhyOpts{Topologies: topos, Seed: benchSeed, Parallelism: *runnerParallel}
 }
 
 // BenchmarkKernelPowerBalanced4x4 is the headline micro-benchmark of the
@@ -65,7 +64,7 @@ func BenchmarkKernelPowerBalanced4x4(b *testing.B) {
 // capacity lost to naive per-antenna power scaling, CAS vs DAS.
 func BenchmarkFig03NaiveScalingDrop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cas, das, err := sim.Fig3NaiveScalingDrop(60, benchSeed)
+		cas, das, err := sim.Fig3NaiveScalingDrop(phyOpts(60))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +76,7 @@ func BenchmarkFig03NaiveScalingDrop(b *testing.B) {
 // BenchmarkFig07LinkSNR regenerates Figure 7: SISO link SNR CDFs.
 func BenchmarkFig07LinkSNR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cas, das := sim.Fig7LinkSNR(60, benchSeed)
+		cas, das := sim.Fig7LinkSNR(phyOpts(60))
 		b.ReportMetric(cas.MustMedian(), "CAS-SNR-dB")
 		b.ReportMetric(das.MustMedian()-cas.MustMedian(), "DAS-gain-dB")
 	}
@@ -92,7 +91,7 @@ func BenchmarkFig09OfficeB(b *testing.B) { benchCapacityCDF(b, sim.OfficeB) }
 func benchCapacityCDF(b *testing.B, o sim.Office) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		cas, midas, err := sim.FigCapacityCDF(o, 4, 60, benchSeed)
+		cas, midas, err := sim.FigCapacityCDF(o, phyOpts(60))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +104,7 @@ func benchCapacityCDF(b *testing.B, o sim.Office) {
 // precoder's gain over naive scaling, on CAS and on DAS.
 func BenchmarkFig10SmartPrecoding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := sim.Fig10SmartPrecoding(60, benchSeed)
+		c, err := sim.Fig10SmartPrecoding(phyOpts(60))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +119,7 @@ func BenchmarkFig10SmartPrecoding(b *testing.B) {
 // precoder against the numerical optimum.
 func BenchmarkFig11OptimalGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := sim.Fig11OptimalGap(10, benchSeed, false)
+		pts, err := sim.Fig11OptimalGap(phyOpts(10), false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func BenchmarkFig11OptimalGap(b *testing.B) {
 // stream ratio CDF.
 func BenchmarkFig12SpatialReuse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := sim.Fig12SpatialReuse(30, benchSeed)
+		res := sim.Fig12SpatialReuse(30, benchSeed, sim.EnvOverrides{}, *runnerParallel)
 		ratios := stats.NewSample()
 		for _, r := range res {
 			ratios.Add(r.Ratio)
@@ -149,7 +148,7 @@ func BenchmarkFig12SpatialReuse(b *testing.B) {
 // BenchmarkFig13Deadzones regenerates Figure 13 / §5.3.3.
 func BenchmarkFig13Deadzones(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := sim.Fig13Deadzones(5, benchSeed)
+		res := sim.Fig13Deadzones(5, benchSeed, sim.EnvOverrides{}, *runnerParallel)
 		b.ReportMetric(100*(1-float64(res.DASDeadspots)/float64(res.CASDeadspots)), "reduction-%")
 	}
 }
@@ -157,7 +156,7 @@ func BenchmarkFig13Deadzones(b *testing.B) {
 // BenchmarkHiddenTerminals regenerates §5.3.4.
 func BenchmarkHiddenTerminals(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := sim.HiddenTerminals(5, benchSeed)
+		res := sim.HiddenTerminals(5, benchSeed, sim.EnvOverrides{}, *runnerParallel)
 		b.ReportMetric(100*(1-float64(res.DASSpots)/float64(res.CASSpots)), "reduction-%")
 	}
 }
@@ -165,7 +164,7 @@ func BenchmarkHiddenTerminals(b *testing.B) {
 // BenchmarkFig14PacketTagging regenerates Figure 14.
 func BenchmarkFig14PacketTagging(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		random, tagged, err := sim.Fig14PacketTagging(60, benchSeed)
+		random, tagged, err := sim.Fig14PacketTagging(phyOpts(60))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +176,7 @@ func BenchmarkFig14PacketTagging(b *testing.B) {
 // BenchmarkFig15EndToEnd regenerates Figure 15: the 3-AP closed-loop
 // MAC+PHY comparison.
 func BenchmarkFig15EndToEnd(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 8, SimTime: 200 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 8, SimTime: 200 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		cas, midas := sim.Fig15EndToEnd(o)
 		_, _, gain := sim.SummarizeGain(cas, midas)
@@ -191,7 +190,7 @@ func BenchmarkFig15EndToEnd(b *testing.B) {
 // (`make bench-smoke` runs it at -benchtime=1x). The reported numbers
 // are the CI-band summary of the MIDAS median capacity.
 func BenchmarkFig15Replicated(b *testing.B) {
-	overrides := scenario.Spec{Topologies: 2, SimTime: scenario.Duration(20 * time.Millisecond), Replicates: 3}
+	overrides := scenario.Spec{Topologies: 2, SimTime: scenario.Duration(20 * time.Millisecond), Replicates: 3, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		res, err := scenario.RunByName(context.Background(), "fig15-replicated", overrides)
 		if err != nil {
@@ -216,7 +215,7 @@ func BenchmarkFig15Replicated(b *testing.B) {
 
 // BenchmarkFig16LargeScale regenerates Figure 16: the 8-AP network.
 func BenchmarkFig16LargeScale(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 10, SimTime: 200 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 10, SimTime: 200 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		cas, midas, err := sim.Fig16LargeScale(o)
 		if err != nil {
@@ -230,7 +229,7 @@ func BenchmarkFig16LargeScale(b *testing.B) {
 // BenchmarkDecomposition reports the §1 gain breakdown (precoding / DAS
 // deployment / MAC).
 func BenchmarkDecomposition(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 6, SimTime: 150 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 6, SimTime: 150 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		res := sim.Decomposition(o)
 		base := res.CAS.MustMedian()
@@ -274,7 +273,7 @@ func BenchmarkAblationScaling(b *testing.B) {
 
 // BenchmarkAblationTagWidth sweeps tag widths 1/2/4 (§3.2.4).
 func BenchmarkAblationTagWidth(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		res := sim.AblationTagWidth([]int{1, 2, 4}, o)
 		b.ReportMetric(res[1].MustMedian(), "width1")
@@ -285,7 +284,7 @@ func BenchmarkAblationTagWidth(b *testing.B) {
 
 // BenchmarkAblationWaitWindow sweeps the opportunistic wait (§3.2.3).
 func BenchmarkAblationWaitWindow(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	windows := []time.Duration{0, 34 * time.Microsecond, 68 * time.Microsecond}
 	for i := 0; i < b.N; i++ {
 		res := sim.AblationWaitWindow(windows, o)
@@ -297,7 +296,7 @@ func BenchmarkAblationWaitWindow(b *testing.B) {
 
 // BenchmarkAblationScheduler compares DRR / round-robin / random (§3.2.5).
 func BenchmarkAblationScheduler(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed}
+	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
 	for i := 0; i < b.N; i++ {
 		res := sim.AblationScheduler(o)
 		b.ReportMetric(res["drr"].MustMedian(), "drr")
@@ -310,7 +309,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 func BenchmarkAblationCorrelation(b *testing.B) {
 	rhos := []float64{0, 0.6, 0.9}
 	for i := 0; i < b.N; i++ {
-		res := sim.AblationCorrelation(rhos, 20, benchSeed)
+		res := sim.AblationCorrelation(rhos, 20, benchSeed, *runnerParallel)
 		b.ReportMetric(res[0].MustMedian(), "rho0.0")
 		b.ReportMetric(res[0.6].MustMedian(), "rho0.6")
 		b.ReportMetric(res[0.9].MustMedian(), "rho0.9")
@@ -321,7 +320,7 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 // (SNR given up vs. area left unsilenced for neighbours' spatial reuse).
 func BenchmarkExtBeamforming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := sim.BeamformingStudy(20, 12, benchSeed)
+		res := sim.BeamformingStudy(20, 12, benchSeed, *runnerParallel)
 		b.ReportMetric(res.SNRFull.MustMedian()-res.SNRLocal.MustMedian(), "SNR-cost-dB")
 		b.ReportMetric(100*(res.SilencedFull.MustMedian()-res.SilencedLocal.MustMedian()), "area-freed-%")
 	}
@@ -331,7 +330,7 @@ func BenchmarkExtBeamforming(b *testing.B) {
 // random DAS antenna placement.
 func BenchmarkExtPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.PlacementStudy(24, 30, benchSeed)
+		res, err := sim.PlacementStudy(24, 30, benchSeed, *runnerParallel)
 		if err != nil {
 			b.Fatal(err)
 		}

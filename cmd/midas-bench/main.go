@@ -58,7 +58,7 @@ var (
 
 // runKernels writes the before/after kernel snapshot (see internal/bench).
 func runKernels() {
-	snap := bench.KernelSnapshot(*rounds, *topos, *seed)
+	snap := bench.KernelSnapshot(*rounds, *topos, *seed, *parallel)
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -94,11 +94,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-replicates must be >= 1 (got %d)\n", *replicates)
 		os.Exit(2)
 	}
-	sim.Parallelism = *parallel
 	if *kernels {
 		// Kernel measurements are single-threaded on purpose: the
-		// snapshot tracks per-core speed, the figure benchmarks inherit
-		// -parallel via sim.Parallelism above.
+		// snapshot tracks per-core speed; only the figure benchmarks
+		// take -parallel.
 		runKernels()
 		return
 	}
@@ -203,8 +202,7 @@ func main() {
 		}
 		// Swept scenarios fan out in the engine's run pool; the engine
 		// splits the spec's -parallel budget between that pool and each
-		// run's inner sweep itself (carried in the task specs, not the
-		// sim.Parallelism global).
+		// run's inner sweep itself (carried in the task specs).
 		res, err := runner.Timed(name, func(r *runner.Result) error {
 			out, err := scenario.Run(context.Background(), sc, spec)
 			if err != nil {

@@ -467,9 +467,9 @@ func (d *driver) doTransient(ctx context.Context, method, url string, reqBody []
 			}
 			// The v1 error envelope mirrors the hint in-band
 			// (retry_after_seconds); prefer it over the header so the hint
-			// survives header-stripping proxies. Plain-text bodies from a
-			// pre-envelope server parse with no hint and fall back to the
-			// header value above.
+			// survives header-stripping proxies. Plain-text bodies (a
+			// proxy's or ServeMux's own) parse with no hint and fall back
+			// to the header value above.
 			if e := api.Parse(body); e.RetryAfterSeconds > 0 {
 				serverWait = time.Duration(e.RetryAfterSeconds) * time.Second
 			}

@@ -9,8 +9,8 @@
 //
 //	midas-serve [-addr host:port] [-workers N] [-queue N] [-cache N]
 //	            [-store-dir DIR] [-store-shared] [-store-max-bytes N]
-//	            [-dispatch-listen host:port] [-min-workers N]
-//	            [-lease-ttl DUR] [-shard-attempts N] [-resume=false]
+//	            [-dispatch-listen host:port] [-lease-ttl DUR]
+//	            [-shard-attempts N] [-resume=false]
 //	            [-log text|json|off] [-pprof]
 //
 //	POST   /v1/jobs             submit a spec (midas-sim -spec schema)
@@ -39,9 +39,9 @@
 // (internal/dispatch) to midas-worker processes, and jobs whose specs
 // expand to multiple runs are sharded across the worker fleet instead
 // of the in-process pool — with byte-identical results, since both
-// paths share the engine's decomposition. When fewer than -min-workers
-// workers are polling, execution transparently falls back in-process,
-// so a coordinator with no fleet degrades to exactly the PR 5 server.
+// paths share the engine's decomposition. While no worker is polling,
+// execution transparently falls back in-process, so a coordinator with
+// no fleet degrades to a plain single-process server.
 //
 // A coordinator with a store additionally journals every dispatched
 // job (spec plus per-shard completion pointers, under
@@ -106,8 +106,6 @@ var (
 
 	dispatchListen = flag.String("dispatch-listen", "",
 		"serve the shard-lease protocol to midas-worker fleets on this address (empty = no coordinator; port 0 picks an ephemeral port)")
-	minWorkers = flag.Int("min-workers", 1,
-		"dispatch multi-run jobs to the fleet only while at least this many workers are polling; below it, jobs run in-process")
 	leaseTTL = flag.Duration("lease-ttl", 30*time.Second,
 		"shard lease deadline; a worker silent this long after taking a shard has it requeued")
 	shardAttempts = flag.Int("shard-attempts", 5,
@@ -149,9 +147,7 @@ func run() error {
 	// Split the machine between the job workers: a spec that does not
 	// pin its own parallelism gets an even share of the cores, so W
 	// concurrent jobs cannot oversubscribe the scheduler W-fold. The
-	// budget travels per job through scenario.RunOptions — nothing
-	// touches the sim.Parallelism process global, which concurrent
-	// jobs would race on.
+	// budget travels per job through scenario.RunOptions.
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -227,8 +223,8 @@ func run() error {
 			Journal:     jn,
 		})
 		defer coord.Close()
-	} else if *minWorkers != 1 || *leaseTTL != 30*time.Second || *shardAttempts != 5 {
-		return errors.New("-min-workers/-lease-ttl/-shard-attempts need -dispatch-listen")
+	} else if *leaseTTL != 30*time.Second || *shardAttempts != 5 {
+		return errors.New("-lease-ttl/-shard-attempts need -dispatch-listen")
 	}
 	runFunc := scenario.RunResolved
 	if coord != nil {
@@ -242,7 +238,7 @@ func run() error {
 			resumeSet[e.SpecHash] = true
 		}
 		runFunc = func(ctx context.Context, sc scenario.Scenario, spec scenario.Spec, opts scenario.RunOptions) (scenario.Result, error) {
-			if (spec.ExpandedRuns() > 1 && coord.LiveWorkers() >= *minWorkers) || resumeSet[spec.CanonicalHash()] {
+			if (spec.ExpandedRuns() > 1 && coord.LiveWorkers() >= 1) || resumeSet[spec.CanonicalHash()] {
 				return coord.Run(ctx, sc, spec, opts)
 			}
 			return scenario.RunResolved(ctx, sc, spec, opts)

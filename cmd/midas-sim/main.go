@@ -1,31 +1,20 @@
-// Command midas-sim runs MIDAS-vs-CAS simulations interactively. It has
-// two modes:
-//
-// Scenario mode (-scenario, -spec or -list) resolves a registered
-// experiment from the internal/scenario registry — every figure of the
-// paper's evaluation plus the beyond-paper workloads — and drives it
-// from a declarative JSON spec. -spec loads a spec file, -set overrides
-// individual fields (a comma-separated value declares a sweep), and the
-// expanded runs execute on the internal/runner pool:
+// Command midas-sim runs one registered experiment of the
+// internal/scenario registry — every figure of the paper's evaluation
+// plus the beyond-paper workloads — from a declarative JSON spec.
+// -spec loads a spec file, -set overrides individual fields (a
+// comma-separated value declares a sweep), and the expanded runs
+// execute on the internal/runner pool:
 //
 //	midas-sim -list
-//	midas-sim -scenario fig12 -seed 7
+//	midas-sim -scenario fig12 -set seed=7
 //	midas-sim -scenario fig15-end -spec examples/office/spec.json -set clients=8
 //	midas-sim -scenario dense-venue -set clients=2,4,8 -format json
-//	midas-sim -scenario fig15-end -replicates 8    # mean ± 95% CI summaries
+//	midas-sim -scenario fig15-end -set replicates=8    # mean ± 95% CI summaries
 //
-// -replicates N (or -set replicates=N) fans every run over N split
-// seeds and reports {mean, stddev, ci95, n} summaries per metric and
-// per series median instead of raw per-replicate output.
-//
-// Legacy mode (no -scenario/-spec) runs one hand-configured network and
-// prints per-AP and network-level results. With -runs N it replicates
-// the scenario over N consecutive seeds on the worker pool (-parallel
-// bounds it); per-replicate output is identical at any -parallel value.
-//
-//	midas-sim [-aps 1|3|8] [-mode midas|cas|both] [-clients N] [-antennas N]
-//	          [-seed S] [-simtime D] [-txop D] [-tagwidth N] [-scheduler drr|rr|random]
-//	          [-runs N] [-parallel N]
+// -set replicates=N fans every run over N split seeds and reports
+// {mean, stddev, ci95, n} summaries per metric and per series median
+// instead of raw per-replicate output. -set parallelism=N bounds the
+// worker pool (0 = GOMAXPROCS); results are identical at any value.
 package main
 
 import (
@@ -33,49 +22,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/channel"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 var (
-	nAPs       = flag.Int("aps", 3, "number of APs: 1, 3 (testbed triangle) or 8 (60×60 m)")
-	mode       = flag.String("mode", "both", "midas, cas or both")
-	clients    = flag.Int("clients", 4, "clients per AP")
-	antennas   = flag.Int("antennas", 4, "antennas per AP")
-	seed       = flag.Int64("seed", 1, "random seed (run r uses seed+r)")
-	simTime    = flag.Duration("simtime", 500*time.Millisecond, "simulated airtime")
-	txop       = flag.Duration("txop", 3*time.Millisecond, "TXOP data-phase duration")
-	tagWidth   = flag.Int("tagwidth", 2, "antennas tagged per packet (MIDAS)")
-	scheduler  = flag.String("scheduler", "drr", "client scheduler: drr, rr or random")
-	runs       = flag.Int("runs", 1, "legacy mode: replicates over consecutive seeds with per-replicate output; in scenario mode an alias for -replicates (split seeds, merged summaries)")
-	parallel   = flag.Int("parallel", 0, "replicates evaluated concurrently (0 = GOMAXPROCS)")
-	replicates = flag.Int("replicates", 1,
-		"scenario-mode: replicate every run over split seeds and report {mean, stddev, ci95, n} summaries instead of raw per-replicate output")
-	memStats = flag.Bool("memstats", false,
-		"report heap allocations per simulated TXOP (single replicate only) — the steady-state precoding path should contribute none")
-
 	scenarioName = flag.String("scenario", "", "run a registered scenario (see -list); unique prefixes resolve")
 	specPath     = flag.String("spec", "", "load scenario overrides from this JSON spec file")
 	listAll      = flag.Bool("list", false, "list registered scenarios and exit")
-	format       = flag.String("format", "text", "scenario-mode output format: text, json or csv")
-	outPath      = flag.String("out", "", "scenario-mode: write results to this file instead of stdout")
+	format       = flag.String("format", "text", "output format: text, json or csv")
+	outPath      = flag.String("out", "", "write results to this file instead of stdout")
 	setFlags     multiFlag
 )
 
 func init() {
 	flag.Var(&setFlags, "set",
-		"scenario-mode spec override key=value (repeatable); a comma-separated value sweeps, e.g. -set clients=2,4,8")
+		"spec override key=value (repeatable); a comma-separated value sweeps, e.g. -set clients=2,4,8")
 }
 
 // multiFlag collects repeated -set flags.
@@ -90,34 +57,9 @@ func main() {
 		listScenarios(os.Stdout)
 		return
 	}
-	if *scenarioName != "" || *specPath != "" || len(setFlags) > 0 {
-		if err := runScenarioMode(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Mirror of the scenario-mode legacy-flag rejection: scenario-only
-	// output flags must not be silently ignored on the legacy path.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "format" || f.Name == "out" || f.Name == "replicates" {
-			fmt.Fprintf(os.Stderr, "-%s applies to scenario mode only (add -scenario or -spec; legacy mode replicates with -runs)\n", f.Name)
-			os.Exit(2)
-		}
-	})
-	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "-runs must be >= 1 (got %d)\n", *runs)
-		os.Exit(2)
-	}
-	if *memStats && *runs != 1 {
-		fmt.Fprintln(os.Stderr, "-memstats needs -runs 1 (per-process counters cannot be split across replicates)")
-		os.Exit(2)
-	}
-	if *mode == "midas" || *mode == "both" {
-		runAll(sim.KindMIDAS, topology.DAS)
-	}
-	if *mode == "cas" || *mode == "both" {
-		runAll(sim.KindCAS, topology.CAS)
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
@@ -140,10 +82,9 @@ func listScenarios(w *os.File) {
 	}
 }
 
-// runScenarioMode resolves the scenario, assembles the override spec
-// from -spec, -set and any explicitly passed shared flags, and renders
-// the result through a runner sink.
-func runScenarioMode() error {
+// run resolves the scenario, assembles the override spec from -spec
+// and -set, and renders the result through a runner sink.
+func run() error {
 	overrides := scenario.Spec{}
 	if *specPath != "" {
 		var err error
@@ -151,55 +92,6 @@ func runScenarioMode() error {
 		if err != nil {
 			return err
 		}
-	}
-	// Shared legacy flags participate when explicitly set, so
-	// `-scenario fig15-end -seed 7 -clients 8` works as expected. Legacy
-	// flags with no spec equivalent are rejected rather than silently
-	// dropped — the run would otherwise not measure what was asked.
-	var flagErr error
-	runsSet, replicatesSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			if *seed == 0 {
-				// Merge treats 0 as "inherit the scenario default", so an
-				// explicit 0 cannot be expressed; refuse it loudly.
-				flagErr = fmt.Errorf("midas-sim: -seed 0 cannot be used in scenario mode (0 means \"inherit\"); pick a nonzero seed")
-				return
-			}
-			overrides.Seed = *seed
-		case "clients":
-			overrides.Clients = *clients
-		case "antennas":
-			overrides.Antennas = *antennas
-		case "simtime":
-			overrides.SimTime = scenario.Duration(*simTime)
-		case "runs", "replicates":
-			// Two spellings of the spec's replicate count (-runs is the
-			// legacy one). 0 would merge as "inherit the scenario
-			// default", so non-positive counts are refused loudly.
-			v := *runs
-			if f.Name == "replicates" {
-				v, replicatesSet = *replicates, true
-			} else {
-				runsSet = true
-			}
-			if v < 1 {
-				flagErr = fmt.Errorf("midas-sim: -%s must be >= 1 (got %d)", f.Name, v)
-				return
-			}
-			overrides.Replicates = v
-		case "parallel":
-			overrides.Parallelism = *parallel
-		case "aps", "mode", "txop", "tagwidth", "scheduler", "memstats":
-			flagErr = fmt.Errorf("midas-sim: -%s applies to legacy mode only and is not part of the scenario spec (use -set, or drop -scenario/-spec)", f.Name)
-		}
-	})
-	if flagErr != nil {
-		return flagErr
-	}
-	if runsSet && replicatesSet && *runs != *replicates {
-		return fmt.Errorf("midas-sim: -runs %d conflicts with -replicates %d (they are the same knob; drop one)", *runs, *replicates)
 	}
 	for _, kv := range setFlags {
 		if err := applySet(&overrides, kv); err != nil {
@@ -243,9 +135,7 @@ func runScenarioMode() error {
 	}
 
 	// The engine splits the spec's parallelism budget between its run
-	// pool and each run's inner topology sweep itself (the task specs
-	// carry the split), so no sim.Parallelism global dance is needed
-	// here anymore.
+	// pool and each run's inner topology sweep itself.
 	res, err := scenario.Run(context.Background(), sc, spec)
 	if err != nil {
 		return err
@@ -281,11 +171,8 @@ var setters = map[string]func(spec *scenario.Spec, key, val string) error{
 	"clients":     func(s *scenario.Spec, k, v string) error { return setCount(&s.Clients, k, v) },
 	"antennas":    func(s *scenario.Spec, k, v string) error { return setCount(&s.Antennas, k, v) },
 	"topologies":  func(s *scenario.Spec, k, v string) error { return setCount(&s.Topologies, k, v) },
-	"topos":       func(s *scenario.Spec, k, v string) error { return setCount(&s.Topologies, k, v) },
 	"replicates":  func(s *scenario.Spec, k, v string) error { return setCount(&s.Replicates, k, v) },
-	"runs":        func(s *scenario.Spec, k, v string) error { return setCount(&s.Replicates, k, v) },
 	"parallelism": func(s *scenario.Spec, k, v string) error { return setInt(&s.Parallelism, k, v) },
-	"parallel":    func(s *scenario.Spec, k, v string) error { return setInt(&s.Parallelism, k, v) },
 	"size": func(s *scenario.Spec, k, v string) error {
 		if err := setCount(&s.Antennas, k, v); err != nil {
 			return err
@@ -426,105 +313,4 @@ func applySet(spec *scenario.Spec, kv string) error {
 		return fmt.Errorf("midas-sim: unknown -set key %q (known: %s)", key, strings.Join(known, ", "))
 	}
 	return set(spec, key, val)
-}
-
-// runResult is one replicate's formatted report plus its headline
-// numbers for cross-replicate statistics.
-type runResult struct {
-	report   string
-	capacity float64
-}
-
-func runAll(kind sim.Kind, tmode topology.Mode) {
-	opts := runner.Options{Parallelism: *parallel}
-	results, err := runner.Map(context.Background(), *runs, opts,
-		func(_ context.Context, r int) (runResult, error) {
-			return runScenario(kind, tmode, *seed+int64(r))
-		})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	caps := stats.NewSample()
-	for _, res := range results {
-		fmt.Print(res.report)
-		caps.Add(res.capacity)
-	}
-	if *runs > 1 {
-		mean, _ := caps.Mean()
-		fmt.Printf("%v over %d runs: capacity median %.2f  mean %.2f bit/s/Hz\n\n",
-			kind, *runs, caps.MustMedian(), mean)
-	}
-}
-
-// runScenario builds and runs one replicate and formats its report. All
-// randomness comes from the replicate's own seed, so replicates are
-// independent tasks for the worker pool.
-func runScenario(kind sim.Kind, tmode topology.Mode, runSeed int64) (runResult, error) {
-	dep, err := deployment(tmode, runSeed)
-	if err != nil {
-		return runResult{}, err
-	}
-	opts := sim.DefaultStationOpts(kind)
-	opts.TXOP = *txop
-	opts.TagWidth = *tagWidth
-	opts.SchedulerName = *scheduler
-	src := rng.New(runSeed + 1000)
-	p := channel.Default()
-	sim.EnsureAssociated(dep, p, src.Split("model"))
-	net := sim.NewNetwork(dep, p, opts, src)
-	var before runtime.MemStats
-	if *memStats {
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-	}
-	net.Run(*simTime)
-	var allocReport string
-	if *memStats {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		mallocs := after.Mallocs - before.Mallocs
-		bytes := after.TotalAlloc - before.TotalAlloc
-		if txops := net.TotalTXOPs(); txops > 0 {
-			allocReport = fmt.Sprintf("memstats: %d heap allocs (%d B) over %d TXOPs = %.1f allocs/TXOP\n",
-				mallocs, bytes, txops, float64(mallocs)/float64(txops))
-		} else {
-			allocReport = fmt.Sprintf("memstats: %d heap allocs (%d B), no TXOPs completed\n", mallocs, bytes)
-		}
-	}
-
-	var b []byte
-	appendf := func(format string, args ...any) {
-		b = fmt.Appendf(b, format, args...)
-	}
-	appendf("=== %v: %d APs, %d antennas × %d clients each, %v simulated (seed %d) ===\n",
-		kind, dep.NumAPs(), *antennas, *clients, *simTime, runSeed)
-	for _, st := range net.Stations {
-		appendf("AP%d: txops=%-4d streams=%-4d collisions=%-3d sounding=%v data=%v delivered=%.2f bit·s/Hz\n",
-			st.ID, st.TXOPs, st.StreamsServed, st.CollidedStarts,
-			st.SoundingOvhd.Round(time.Millisecond), st.AirtimeData.Round(time.Millisecond),
-			st.BitsPerHz)
-	}
-	appendf("network capacity: %.2f bit/s/Hz   mean MU group: %.2f\n%s\n",
-		net.NetworkCapacity(), net.MeanGroupSize(), allocReport)
-	return runResult{report: string(b), capacity: net.NetworkCapacity()}, nil
-}
-
-func deployment(tmode topology.Mode, runSeed int64) (*topology.Deployment, error) {
-	cfg := topology.DefaultConfig(tmode)
-	cfg.ClientsPerAP = *clients
-	cfg.AntennasPerAP = *antennas
-	switch *nAPs {
-	case 1:
-		return topology.SingleAP(cfg, rng.New(runSeed)), nil
-	case 3:
-		return topology.ThreeAPTestbed(cfg, rng.New(runSeed)), nil
-	case 8:
-		ls := topology.DefaultLargeScale(tmode)
-		ls.ClientsPerAP = *clients
-		ls.AntennasPerAP = *antennas
-		return topology.LargeScale(ls, rng.New(runSeed))
-	default:
-		return nil, fmt.Errorf("midas-sim: unsupported AP count %d (want 1, 3 or 8)", *nAPs)
-	}
 }

@@ -8,15 +8,18 @@
 //
 //	{"error": "human message", "code": "machine_code", "retry_after_seconds": N}
 //
-// "error" is always present. "code" is a stable machine-readable
-// discriminator (snake_case; clients branch on it, never on the
-// message). "retry_after_seconds" appears only on backpressure
-// responses and mirrors the Retry-After header — clients behind
-// header-stripping proxies still get the hint.
+// "error" is always present and never empty. "code" is a stable
+// machine-readable discriminator (snake_case; clients branch on it,
+// never on the message). "retry_after_seconds" appears only on
+// backpressure responses and mirrors the Retry-After header — clients
+// behind header-stripping proxies still get the hint.
 //
-// Compatibility: plain-text error bodies from pre-envelope servers are
-// still accepted by Parse for one release; they surface with an empty
-// Code.
+// Not every non-2xx answer passes through Write: Go's http.ServeMux
+// answers unmatched routes itself, in plain text ("404 page not
+// found", "Method Not Allowed"), as when a worker is pointed at the
+// job API listener instead of the dispatch listener. Parse therefore
+// keeps a plain-text branch; such a body surfaces as its trimmed text
+// with an empty Code.
 package api
 
 import (
@@ -32,7 +35,7 @@ type Error struct {
 	// Message is the human-readable description (the "error" key).
 	Message string `json:"error"`
 	// Code is the stable machine-readable discriminator; empty when the
-	// server predates the envelope (plain-text body).
+	// body was not an envelope (e.g. ServeMux's plain-text 404 or 405).
 	Code string `json:"code,omitempty"`
 	// RetryAfterSeconds, when > 0, is how long the server suggests
 	// waiting before retrying — the JSON mirror of the Retry-After
@@ -64,6 +67,10 @@ func WriteRetry(w http.ResponseWriter, status int, code, message string, retryAf
 }
 
 func writeEnvelope(w http.ResponseWriter, status int, e Error) {
+	if e.Message == "" {
+		// Parse reads an empty "error" as "not an envelope".
+		e.Message = http.StatusText(status)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -72,10 +79,10 @@ func writeEnvelope(w http.ResponseWriter, status int, e Error) {
 }
 
 // Parse reads an error response body into an Error. A JSON envelope is
-// decoded as such; anything else (a plain-text body from a pre-envelope
-// server, an empty body) degrades to a message-only Error with no Code,
-// so callers can branch on Code == "" to detect a legacy peer. Parse
-// never returns nil.
+// decoded as such; anything else (a plain-text body such as
+// ServeMux's own 404/405 answers, an empty body) degrades to a
+// message-only Error with no Code. Parse never returns nil, and its
+// Message is never empty.
 func Parse(body []byte) *Error {
 	var e Error
 	if err := json.Unmarshal(body, &e); err == nil && e.Message != "" {

@@ -2,9 +2,11 @@ package api
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestWriteAndParseRoundTrip(t *testing.T) {
@@ -80,4 +82,42 @@ func TestParseNonEnvelopeJSON(t *testing.T) {
 	if e.Code != "" || !strings.Contains(e.Message, "broken") {
 		t.Fatalf("Parse = %+v", e)
 	}
+}
+
+// FuzzParse: Parse accepts any body without panicking and always
+// returns a non-nil Error with a non-empty Message, and every envelope
+// Write or WriteRetry emits parses back to what was written.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(`{"error":"service: job queue full","code":"queue_full","retry_after_seconds":1}`), "service: unknown job", "unknown_job", 0)
+	f.Add([]byte("404 page not found\n"), "Method Not Allowed", "", 3)
+	f.Add([]byte("Method Not Allowed\n"), "", "bad_request", -1)
+	f.Add([]byte(`{"status": "broken"}`), "  ", "x", 1<<40)
+	f.Add([]byte(`{"error":""}`), "é\n\"quoted\"", "proto_unsupported", 30)
+	f.Add([]byte{}, "m", "c", 0)
+	f.Fuzz(func(t *testing.T, body []byte, msg, code string, retry int) {
+		e := Parse(body)
+		if e == nil || e.Message == "" {
+			t.Fatalf("Parse(%q) = %+v, want non-nil with a message", body, e)
+		}
+
+		if !utf8.ValidString(msg) || !utf8.ValidString(code) {
+			return // JSON coerces invalid UTF-8, so those cannot round-trip
+		}
+		const status = http.StatusServiceUnavailable
+		want := Error{Message: msg, Code: code}
+		if msg == "" {
+			want.Message = http.StatusText(status)
+		}
+		rec := httptest.NewRecorder()
+		Write(rec, status, code, msg)
+		if got := Parse(rec.Body.Bytes()); *got != want {
+			t.Fatalf("Write(%q, %q) parsed back as %+v, want %+v", code, msg, *got, want)
+		}
+		want.RetryAfterSeconds = retry
+		rec = httptest.NewRecorder()
+		WriteRetry(rec, status, code, msg, retry)
+		if got := Parse(rec.Body.Bytes()); *got != want {
+			t.Fatalf("WriteRetry(%q, %q, %d) parsed back as %+v, want %+v", code, msg, retry, *got, want)
+		}
+	})
 }

@@ -329,32 +329,34 @@ func kernelCases() []kernelCase {
 }
 
 // figureCases are reduced-scale reproductions of root figure benchmarks,
-// tracking the end-to-end effect of kernel changes.
-func figureCases(topos int, seed int64) []struct {
+// tracking the end-to-end effect of kernel changes. parallel is each
+// figure's topology-sweep pool width (<= 0 selects GOMAXPROCS).
+func figureCases(topos int, seed int64, parallel int) []struct {
 	name string
 	fn   func(b *testing.B)
 } {
+	phy := sim.PhyOpts{Topologies: topos, Seed: seed, Parallelism: parallel}
 	return []struct {
 		name string
 		fn   func(b *testing.B)
 	}{
 		{"Fig03NaiveScalingDrop", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sim.Fig3NaiveScalingDrop(topos, seed); err != nil {
+				if _, _, err := sim.Fig3NaiveScalingDrop(phy); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"Fig10SmartPrecoding", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.Fig10SmartPrecoding(topos, seed); err != nil {
+				if _, err := sim.Fig10SmartPrecoding(phy); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"Fig12SpatialReuse", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim.Fig12SpatialReuse(topos, seed)
+				sim.Fig12SpatialReuse(topos, seed, sim.EnvOverrides{}, parallel)
 			}
 		}},
 		{"Fig15EndToEnd", func(b *testing.B) {
@@ -362,7 +364,7 @@ func figureCases(topos int, seed int64) []struct {
 			if e2eTopos < 1 {
 				e2eTopos = 1
 			}
-			o := sim.E2EOpts{Topologies: e2eTopos, SimTime: 50 * time.Millisecond, Seed: seed}
+			o := sim.E2EOpts{Topologies: e2eTopos, SimTime: 50 * time.Millisecond, Seed: seed, Parallelism: parallel}
 			for i := 0; i < b.N; i++ {
 				sim.Fig15EndToEnd(o)
 			}
@@ -371,10 +373,11 @@ func figureCases(topos int, seed int64) []struct {
 }
 
 // KernelSnapshot measures every before/after kernel pair (and, when
-// figTopos > 0, the reduced-scale figure benchmarks) over the given number
-// of alternating rounds, keeping each side's fastest round — alternation
-// cancels machine-load drift that would bias a one-sided run.
-func KernelSnapshot(rounds, figTopos int, seed int64) *Snapshot {
+// figTopos > 0, the reduced-scale figure benchmarks on topology-sweep
+// pools of the given width) over the given number of alternating
+// rounds, keeping each side's fastest round — alternation cancels
+// machine-load drift that would bias a one-sided run.
+func KernelSnapshot(rounds, figTopos int, seed int64, parallel int) *Snapshot {
 	if rounds < 1 {
 		rounds = 1
 	}
@@ -406,7 +409,7 @@ func KernelSnapshot(rounds, figTopos int, seed int64) *Snapshot {
 		snap.Kernels = append(snap.Kernels, p)
 	}
 	if figTopos > 0 {
-		for _, fc := range figureCases(figTopos, seed) {
+		for _, fc := range figureCases(figTopos, seed, parallel) {
 			f := Figure{Name: fc.name}
 			for r := 0; r < rounds; r++ {
 				m := measure(fc.fn)

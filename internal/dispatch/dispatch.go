@@ -27,8 +27,8 @@
 // harmless: exactly one completion per shard is accepted into the
 // assembly, every other one is a counted no-op. Workers register
 // implicitly by polling; a worker that stops polling ages out of the
-// live set, which is how midas-serve's -min-workers fallback decides
-// between dispatching and running in-process.
+// live set, which is how midas-serve decides between dispatching (at
+// least one live worker) and running in-process.
 package dispatch
 
 import (
@@ -531,7 +531,7 @@ func decodeShardResultFor(hash string, payload []byte) (scenario.Result, error) 
 }
 
 // LiveWorkers counts workers whose last poll is within the worker TTL
-// — the signal midas-serve's -min-workers fallback reads.
+// — the signal midas-serve's in-process fallback reads.
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

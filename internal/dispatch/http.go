@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -284,14 +285,18 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // or abuse, not data.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes a capped JSON request body into v, writing the
-// error response (413 for an oversized body, 400 otherwise) itself;
+// decodeBody decodes a capped JSON request body holding exactly one
+// JSON value into v, writing the error response (413 for an oversized
+// body, 400 otherwise, including trailing data after the value) itself;
 // a non-nil return means the handler should stop.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	err := json.NewDecoder(body).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
 	if err == nil {
-		return nil
+		if dec.Decode(new(json.RawMessage)) == io.EOF {
+			return nil
+		}
+		err = errors.New("trailing data after the JSON value")
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

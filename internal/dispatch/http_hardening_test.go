@@ -3,7 +3,9 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/scenario"
+	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
@@ -33,6 +37,91 @@ func TestBodyCapReturns413(t *testing.T) {
 	}
 	var lr LeaseResponse
 	leaseOne(t, srv.URL, "w", 1, &lr) // normal body still decodes
+}
+
+// TestTrailingBodyDataRejected: a lease or complete body must be
+// exactly one JSON value. Trailing bytes after a valid object answer
+// 400 bad_request and change nothing: no lease is granted and no
+// completion is accepted.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	sc, spec := testSpec(t)
+	reg := telemetry.NewRegistry()
+	c, srv := startCoordinator(t, Config{Telemetry: reg})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := dispatchAsync(ctx, c, sc, spec)
+	t.Cleanup(func() { cancel(); <-done })
+
+	var lr LeaseResponse
+	waitLease(t, srv.URL, "held", &lr)
+	completeURL := srv.URL + "/v1/shards/" + lr.Leases[0].ID + "/complete"
+	before := c.StatusSnapshot()
+
+	for _, tc := range []struct{ name, url, body string }{
+		{"lease+garbage", srv.URL + "/v1/shards/lease", `{"worker":"a","max":1}garbage`},
+		{"lease+second object", srv.URL + "/v1/shards/lease", `{"worker":"a","max":1} {"worker":"b"}`},
+		{"complete+garbage", completeURL, `{"worker":"held","error":"boom"}garbage`},
+	} {
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s -> %d, want 400", tc.name, resp.StatusCode)
+		}
+		if e := api.Parse(body); e.Code != "bad_request" {
+			t.Errorf("%s: code %q, want bad_request (%s)", tc.name, e.Code, e.Message)
+		}
+	}
+	if after := c.StatusSnapshot(); after.PendingShards != before.PendingShards || after.LeasedShards != before.LeasedShards {
+		t.Errorf("rejected bodies changed the queue: before %+v, after %+v", before, after)
+	}
+	if n := counterValue(t, reg, "midas_shards_completed_total", `status="requeued"`); n != 0 {
+		t.Errorf("rejected completion was applied (%v requeued)", n)
+	}
+	// Trailing whitespace is not trailing data: json.Encoder ends every
+	// body it writes with a newline.
+	resp, err := http.Post(srv.URL+"/v1/shards/lease", "application/json", strings.NewReader("{\"worker\":\"a\",\"max\":1}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("newline-terminated lease body -> %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestWrongListenerSurfacesMuxMessage: Go's ServeMux answers unmatched
+// routes in plain text, not in the api envelope. A worker pointed at
+// the job API listener instead of the dispatch listener, or posting to
+// a GET-only dispatch route, must still surface the mux's own message
+// through postJSON and api.Parse, with an empty Code.
+func TestWrongListenerSurfacesMuxMessage(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	jobAPI := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { jobAPI.Close(); _ = svc.Shutdown(context.Background()) })
+	_, coord := startCoordinator(t, Config{})
+
+	for _, tc := range []struct {
+		name, url, status, message string
+	}{
+		{"lease on the job API", jobAPI.URL + "/v1/shards/lease", "404 Not Found", "404 page not found"},
+		{"POST to a GET-only route", coord.URL + "/v1/dispatch/status", "405 Method Not Allowed", "Method Not Allowed"},
+	} {
+		var lr LeaseResponse
+		err := postJSON(context.Background(), http.DefaultClient, tc.url, LeaseRequest{Proto: ProtoVersion, Worker: "w", Max: 1}, &lr)
+		var e *api.Error
+		if !errors.As(err, &e) {
+			t.Fatalf("%s: error %v does not wrap an *api.Error", tc.name, err)
+		}
+		if e.Message != tc.message || e.Code != "" {
+			t.Errorf("%s: parsed %+v, want message %q and no code", tc.name, e, tc.message)
+		}
+		if !strings.Contains(err.Error(), tc.status) {
+			t.Errorf("%s: error %q does not name status %q", tc.name, err, tc.status)
+		}
+	}
 }
 
 // TestLeaseGrantExpiryRace provokes the handleLease/sweeper race under

@@ -308,8 +308,8 @@ func postJSON(ctx context.Context, client *http.Client, url string, body, out an
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		// Parse the unified error envelope rather than sniffing status
-		// text; a plain-text body from a pre-envelope coordinator still
-		// surfaces via api.Parse's fallback.
+		// text; ServeMux's own plain-text 404/405 (a wrong listener or
+		// route) still surfaces via api.Parse's fallback.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("%s: %s: %w", url, resp.Status, api.Parse(msg))
 	}

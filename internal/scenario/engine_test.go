@@ -28,7 +28,7 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cas, das, err := sim.Fig3NaiveScalingDrop(4, defaultSeed)
+		cas, das, err := sim.Fig3NaiveScalingDrop(sim.PhyOpts{Topologies: 4, Seed: defaultSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := sim.Fig12SpatialReuse(4, defaultSeed)
+		direct := sim.Fig12SpatialReuse(4, defaultSeed, sim.EnvOverrides{}, 0)
 		var ratios []float64
 		for _, p := range direct {
 			ratios = append(ratios, p.Ratio)
@@ -106,7 +106,7 @@ func TestSweepExpansionThroughEngine(t *testing.T) {
 	}
 	// The default spec sweeps size over {2,4}; check the size=2 block
 	// against a direct single-point run.
-	direct, _, err := sim.FigCapacityCDF(sim.OfficeA, 2, 3, defaultSeed)
+	direct, _, err := sim.FigCapacityCDF(sim.OfficeA, sim.PhyOpts{Topologies: 3, Seed: defaultSeed, Antennas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,7 @@ func TestEngineParallelismInvariance(t *testing.T) {
 	ctx := context.Background()
 	results := map[int]Result{}
 	for _, par := range []int{1, 8} {
-		old := sim.Parallelism
-		sim.Parallelism = par
 		res, err := RunByName(ctx, "fig9-office-b", Spec{Topologies: 3, Parallelism: par})
-		sim.Parallelism = old
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden figure files from the current code")
@@ -108,10 +106,7 @@ func TestGoldenFigures(t *testing.T) {
 			for _, par := range []int{1, 8} {
 				spec := gf.Spec.clone()
 				spec.Parallelism = par
-				old := sim.Parallelism
-				sim.Parallelism = par
 				res, err := Run(ctx, sc, spec)
-				sim.Parallelism = old
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}

@@ -32,7 +32,7 @@ func TestReplicateAggregationMatchesDirectRuns(t *testing.T) {
 		if r > 0 {
 			seed = root.SplitN("replicate", r).Seed()
 		}
-		direct := sim.Fig12SpatialReuse(2, seed)
+		direct := sim.Fig12SpatialReuse(2, seed, sim.EnvOverrides{}, 0)
 		ratios := stats.NewSample()
 		for _, p := range direct {
 			ratios.Add(p.Ratio)
@@ -85,10 +85,7 @@ func TestReplicateAggregationParallelInvariance(t *testing.T) {
 	ctx := context.Background()
 	results := map[int]Result{}
 	for _, par := range []int{1, 8} {
-		old := sim.Parallelism
-		sim.Parallelism = par
 		res, err := RunByName(ctx, "fig12", Spec{Topologies: 2, Replicates: 4, Seed: 9, Parallelism: par})
-		sim.Parallelism = old
 		if err != nil {
 			t.Fatal(err)
 		}

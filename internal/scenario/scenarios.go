@@ -93,7 +93,7 @@ func init() {
 		about:    "Figure 3: capacity lost to global power scaling under the per-antenna constraint",
 		defaults: baseSpec(60),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			cas, das, err := sim.Fig3NaiveScalingDropOpts(spec.phyOpts())
+			cas, das, err := sim.Fig3NaiveScalingDrop(spec.phyOpts())
 			if err != nil {
 				return err
 			}
@@ -109,7 +109,7 @@ func init() {
 		about:    "Figure 7: SISO link SNR of CAS vs DAS with greedy client→antenna mapping",
 		defaults: baseSpec(60),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			cas, das := sim.Fig7LinkSNROpts(spec.phyOpts())
+			cas, das := sim.Fig7LinkSNR(spec.phyOpts())
 			r.AddSeries("CAS link SNR", "dB", cas)
 			r.AddSeries("DAS link SNR", "dB", das)
 			r.AddMetric("median DAS link gain", das.MustMedian()-cas.MustMedian(), "dB", "paper: ≈5 dB")
@@ -137,7 +137,7 @@ func init() {
 			defaults: defaults,
 			ignores:  []string{KnobRegion},
 			run: func(spec Spec, _ *rng.Source, r *Result) error {
-				cas, midas, err := sim.FigCapacityCDFOpts(office, spec.phyOpts())
+				cas, midas, err := sim.FigCapacityCDF(office, spec.phyOpts())
 				if err != nil {
 					return err
 				}
@@ -156,7 +156,7 @@ func init() {
 		about:    "Figure 10: the power-balanced precoder's gain on CAS and DAS separately",
 		defaults: baseSpec(60),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			c, err := sim.Fig10SmartPrecodingOpts(spec.phyOpts())
+			c, err := sim.Fig10SmartPrecoding(spec.phyOpts())
 			if err != nil {
 				return err
 			}
@@ -183,7 +183,7 @@ func init() {
 				if testbed {
 					label = "testbed (stale optimum)"
 				}
-				pts, err := sim.Fig11OptimalGapOpts(spec.phyOpts(), testbed)
+				pts, err := sim.Fig11OptimalGap(spec.phyOpts(), testbed)
 				if err != nil {
 					return err
 				}
@@ -216,7 +216,7 @@ func init() {
 		about:    "Figure 12: simultaneous streams enabled by per-antenna carrier sensing",
 		defaults: baseSpec(30),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			res := sim.Fig12SpatialReuseOpts(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
+			res := sim.Fig12SpatialReuse(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
 			ratios := stats.NewSample()
 			for _, p := range res {
 				ratios.Add(p.Ratio)
@@ -233,7 +233,7 @@ func init() {
 		about:    "Figure 13: deadzone maps of CAS vs DAS coverage on a 0.5 m grid",
 		defaults: baseSpec(10),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			res := sim.Fig13DeadzonesOpts(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
+			res := sim.Fig13Deadzones(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
 			r.AddMetric("spots measured", float64(res.Spots), "", "")
 			r.AddMetric("CAS deadspots", float64(res.CASDeadspots), "", "")
 			r.AddMetric("DAS deadspots", float64(res.DASDeadspots), "", "")
@@ -252,7 +252,7 @@ func init() {
 		about:    "§5.3.4: hidden-terminal spots between two non-overhearing APs",
 		defaults: baseSpec(10),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			res := sim.HiddenTerminalsOpts(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
+			res := sim.HiddenTerminals(spec.Topologies, spec.Seed, spec.envOverrides(), spec.Parallelism)
 			r.AddMetric("spots measured", float64(res.Spots), "", "")
 			r.AddMetric("CAS hidden-terminal spots", float64(res.CASSpots), "", "")
 			r.AddMetric("DAS hidden-terminal spots", float64(res.DASSpots), "", "")
@@ -269,7 +269,7 @@ func init() {
 		about:    "Figure 14: virtual packet tagging vs a random client pair on 2 of 4 antennas",
 		defaults: baseSpec(60),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			random, tagged, err := sim.Fig14PacketTaggingOpts(spec.phyOpts())
+			random, tagged, err := sim.Fig14PacketTagging(spec.phyOpts())
 			if err != nil {
 				return err
 			}
@@ -399,7 +399,7 @@ func init() {
 		defaults: baseSpec(40),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
 			rhos := []float64{0, 0.3, 0.6, 0.9}
-			corr := sim.AblationCorrelationOpts(rhos, spec.Topologies, spec.Seed, spec.Parallelism)
+			corr := sim.AblationCorrelation(rhos, spec.Topologies, spec.Seed, spec.Parallelism)
 			for _, rho := range rhos {
 				r.AddMetric(fmt.Sprintf("CAS correlation rho %.1f median", rho), corr[rho].MustMedian(), "bit/s/Hz", "")
 			}
@@ -414,7 +414,7 @@ func init() {
 		defaults: baseSpec(60),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
 			for _, win := range []float64{6, 12, 30} {
-				res := sim.BeamformingStudyOpts(spec.Topologies, win, spec.Seed, spec.Parallelism)
+				res := sim.BeamformingStudy(spec.Topologies, win, spec.Seed, spec.Parallelism)
 				r.AddMetric(fmt.Sprintf("window %.0f dB SNR full", win), res.SNRFull.MustMedian(), "dB", "")
 				r.AddMetric(fmt.Sprintf("window %.0f dB SNR local", win), res.SNRLocal.MustMedian(), "dB", "")
 				r.AddMetric(fmt.Sprintf("window %.0f dB silenced area full", win), res.SilencedFull.MustMedian()*100, "%", "")
@@ -430,7 +430,7 @@ func init() {
 		about:    "§7 extension: optimized vs random DAS antenna placement",
 		defaults: baseSpec(30),
 		run: func(spec Spec, _ *rng.Source, r *Result) error {
-			res, err := sim.PlacementStudyOpts(spec.Topologies, 30, spec.Seed, spec.Parallelism)
+			res, err := sim.PlacementStudy(spec.Topologies, 30, spec.Seed, spec.Parallelism)
 			if err != nil {
 				return err
 			}

@@ -493,11 +493,12 @@ func (s Spec) ExpandedRuns() int {
 }
 
 // SplitParallelism returns the worker budget each expanded run should
-// hand its *inner* topology sweep (sim.Parallelism): when the engine's
-// run pool already fans out over several expanded runs, giving every
-// run a full-width inner pool would square the requested bound, so the
-// budget is divided across the concurrent runs instead. For a
-// single-run spec it returns Parallelism unchanged (0 = GOMAXPROCS).
+// hand its *inner* topology sweep, the pool width every sim driver
+// takes explicitly: when the engine's run pool already fans out over
+// several expanded runs, giving every run a full-width inner pool
+// would square the requested bound, so the budget is divided across
+// the concurrent runs instead. For a single-run spec it returns
+// Parallelism unchanged (<= 0 = GOMAXPROCS).
 func (s Spec) SplitParallelism() int {
 	n := s.ExpandedRuns()
 	if n <= 1 {

@@ -127,10 +127,9 @@ type Config struct {
 	// JobParallelism, when > 0, is the engine parallelism handed to a
 	// job whose spec leaves parallelism unset — how a multi-worker
 	// server divides the machine (midas-serve passes
-	// ceil(GOMAXPROCS/workers)) without the racy sim.Parallelism
-	// process-global. A spec that sets its own parallelism keeps it; the
-	// override travels in scenario.RunOptions, never in the spec, so
-	// hashes, sink meta and cached bodies are unaffected.
+	// ceil(GOMAXPROCS/workers)). A spec that sets its own parallelism
+	// keeps it; the override travels in scenario.RunOptions, never in
+	// the spec, so hashes, sink meta and cached bodies are unaffected.
 	JobParallelism int
 	// Telemetry is the registry the service registers its instruments
 	// on (counters, queue-wait/run-duration histograms, job gauges);

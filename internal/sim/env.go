@@ -65,9 +65,8 @@ type PhyOpts struct {
 	Clients    int
 	Env        EnvOverrides
 	// Parallelism bounds the topology-sweep worker pool for this call;
-	// <= 0 falls back to the package-global Parallelism (then
-	// GOMAXPROCS). Per-call so concurrent jobs in one process can run
-	// at different widths without sharing mutable state.
+	// <= 0 selects GOMAXPROCS. Per-call so concurrent jobs in one
+	// process can run at different widths without sharing mutable state.
 	Parallelism int
 }
 

@@ -33,9 +33,8 @@ type E2EOpts struct {
 	VenueWidth, VenueHeight float64
 	VenueAPs                int
 	// Parallelism bounds the topology-sweep worker pool for this call;
-	// <= 0 falls back to the package-global Parallelism (then
-	// GOMAXPROCS). Per-call so concurrent jobs in one process can run
-	// at different widths without sharing mutable state.
+	// <= 0 selects GOMAXPROCS. Per-call so concurrent jobs in one
+	// process can run at different widths without sharing mutable state.
 	Parallelism int
 }
 
@@ -282,13 +281,7 @@ func AblationScheduler(o E2EOpts) map[string]*stats.Sample {
 // AblationCorrelation sweeps the CAS antenna-correlation coefficient —
 // the knob that controls how much channel rank the co-located baseline
 // loses relative to DAS.
-func AblationCorrelation(rhos []float64, topos int, seed int64) map[float64]*stats.Sample {
-	return AblationCorrelationOpts(rhos, topos, seed, 0)
-}
-
-// AblationCorrelationOpts is AblationCorrelation with an explicit
-// sweep-pool width (<= 0 falls back to the Parallelism global).
-func AblationCorrelationOpts(rhos []float64, topos int, seed int64, parallel int) map[float64]*stats.Sample {
+func AblationCorrelation(rhos []float64, topos int, seed int64, parallel int) map[float64]*stats.Sample {
 	type rhoVal struct {
 		ok bool
 		v  float64

@@ -43,15 +43,9 @@ type Fig12Result struct {
 // transmissions are enabled at AP A, then the antennas of AP B that still
 // sense an idle medium are enabled, then AP C's (§5.3.1). The same
 // procedure at AP granularity gives the CAS count. Returns per-topology
-// results; the paper plots the CDF of MIDAS/CAS.
-func Fig12SpatialReuse(topos int, seed int64) []Fig12Result {
-	return Fig12SpatialReuseOpts(topos, seed, EnvOverrides{}, 0)
-}
-
-// Fig12SpatialReuseOpts is Fig12SpatialReuse with environment
-// overrides and an explicit sweep-pool width (<= 0 falls back to the
-// Parallelism global); the zero values reproduce the paper run.
-func Fig12SpatialReuseOpts(topos int, seed int64, env EnvOverrides, parallel int) []Fig12Result {
+// results; the paper plots the CDF of MIDAS/CAS. The zero env and
+// parallel reproduce the paper run.
+func Fig12SpatialReuse(topos int, seed int64, env EnvOverrides, parallel int) []Fig12Result {
 	p := env.Params(channel.Default())
 	csDBm := -82.0
 	return sweep(topos, seed, "fig12", parallel, func(t int, src *rng.Source) Fig12Result {
@@ -122,15 +116,9 @@ const minServiceSNRdB = 4.0
 // Fig13Deadzones reproduces Figure 13 / §5.3.3: a 0.5 m measurement grid
 // over the coverage area; a spot is dead when no AP antenna delivers a
 // usable mean SNR. Averages over `deployments` random DAS layouts (the
-// CAS layout is fixed, as in the paper).
-func Fig13Deadzones(deployments int, seed int64) DeadzoneResult {
-	return Fig13DeadzonesOpts(deployments, seed, EnvOverrides{}, 0)
-}
-
-// Fig13DeadzonesOpts is Fig13Deadzones with environment overrides and
-// an explicit sweep-pool width (<= 0 falls back to the Parallelism
-// global).
-func Fig13DeadzonesOpts(deployments int, seed int64, env EnvOverrides, parallel int) DeadzoneResult {
+// CAS layout is fixed, as in the paper). env adjusts the channel and
+// topology defaults; the zero value keeps the paper's.
+func Fig13Deadzones(deployments int, seed int64, env EnvOverrides, parallel int) DeadzoneResult {
 	p := env.Params(channel.Default())
 	// deadzoneTask is one deployment's tally; the example maps are kept
 	// only for deployment 0, as before.
@@ -205,15 +193,10 @@ type HiddenTerminalResult struct {
 // the two transmitters cannot sense one another. DAS antennas are
 // distributed at 50–75% of the CAS transmission range (§5.3.4), which
 // both widens each AP's sensing footprint and evens out the delivered
-// power — the two effects the paper credits for the reduction.
-func HiddenTerminals(deployments int, seed int64) HiddenTerminalResult {
-	return HiddenTerminalsOpts(deployments, seed, EnvOverrides{}, 0)
-}
-
-// HiddenTerminalsOpts is HiddenTerminals with environment overrides
-// and an explicit sweep-pool width (<= 0 falls back to the
-// Parallelism global).
-func HiddenTerminalsOpts(deployments int, seed int64, env EnvOverrides, parallel int) HiddenTerminalResult {
+// power — the two effects the paper credits for the reduction. env
+// adjusts the channel and topology defaults; the zero value keeps the
+// paper's.
+func HiddenTerminals(deployments int, seed int64, env EnvOverrides, parallel int) HiddenTerminalResult {
 	p := env.Params(channel.Default())
 	const csDBm = -82.0
 	const decodeDBm = -82.0 // conflict-relevant power, not payload decode

@@ -79,14 +79,9 @@ func phyProblem(o Office, mode topology.Mode, antennas, clients int, env EnvOver
 // Fig3NaiveScalingDrop reproduces Figure 3: the CDF of the capacity drop
 // suffered when conventional equal-power ZFBF is forced to meet the
 // per-antenna power constraint by one global scale factor, for CAS and
-// DAS 4×4 topologies.
-func Fig3NaiveScalingDrop(topos int, seed int64) (cas, das *stats.Sample, err error) {
-	return Fig3NaiveScalingDropOpts(PhyOpts{Topologies: topos, Seed: seed})
-}
-
-// Fig3NaiveScalingDropOpts is Fig3NaiveScalingDrop with the full
-// parameter set; the zero optional fields reproduce the paper run.
-func Fig3NaiveScalingDropOpts(o PhyOpts) (cas, das *stats.Sample, err error) {
+// DAS 4×4 topologies. The zero optional fields of o reproduce the paper
+// run.
+func Fig3NaiveScalingDrop(o PhyOpts) (cas, das *stats.Sample, err error) {
 	cas, das = stats.NewSample(), stats.NewSample()
 	for _, mode := range []topology.Mode{topology.CAS, topology.DAS} {
 		out := cas
@@ -125,12 +120,7 @@ func Fig3NaiveScalingDropOpts(o PhyOpts) (cas, das *stats.Sample, err error) {
 // Fig7LinkSNR reproduces Figure 7: the CDF of SISO link SNR for CAS and
 // DAS with the greedy client→antenna mapping of §5.2.1 (strongest pair
 // first, each antenna and client used once).
-func Fig7LinkSNR(topos int, seed int64) (cas, das *stats.Sample) {
-	return Fig7LinkSNROpts(PhyOpts{Topologies: topos, Seed: seed})
-}
-
-// Fig7LinkSNROpts is Fig7LinkSNR with the full parameter set.
-func Fig7LinkSNROpts(o PhyOpts) (cas, das *stats.Sample) {
+func Fig7LinkSNR(o PhyOpts) (cas, das *stats.Sample) {
 	cas, das = stats.NewSample(), stats.NewSample()
 	for _, mode := range []topology.Mode{topology.CAS, topology.DAS} {
 		out := cas
@@ -179,13 +169,8 @@ func greedySISOMap(m *channel.Model) []float64 {
 // FigCapacityCDF reproduces Figures 8 and 9: MU-MIMO sum-capacity CDFs
 // for CAS (baseline precoding) versus MIDAS (DAS + power-balanced
 // precoding) with the given antenna count (2 → "2x2", 4 → "4x4") in the
-// given office.
-func FigCapacityCDF(o Office, antennas, topos int, seed int64) (cas, midas *stats.Sample, err error) {
-	return FigCapacityCDFOpts(o, PhyOpts{Topologies: topos, Seed: seed, Antennas: antennas})
-}
-
-// FigCapacityCDFOpts is FigCapacityCDF with the full parameter set.
-func FigCapacityCDFOpts(o Office, po PhyOpts) (cas, midas *stats.Sample, err error) {
+// given office (po.Antennas).
+func FigCapacityCDF(o Office, po PhyOpts) (cas, midas *stats.Sample, err error) {
 	// One source for both arms: §5.2.2 fixes the clients and varies
 	// only the antenna deployment between CAS and DAS.
 	label := fmt.Sprintf("fig89-%v-%d", o, po.antennas())
@@ -226,13 +211,7 @@ type Fig10Curves struct {
 
 // Fig10SmartPrecoding reproduces Figure 10: the impact of power-balanced
 // precoding on CAS and on DAS separately (4×4, Office B).
-func Fig10SmartPrecoding(topos int, seed int64) (*Fig10Curves, error) {
-	return Fig10SmartPrecodingOpts(PhyOpts{Topologies: topos, Seed: seed})
-}
-
-// Fig10SmartPrecodingOpts is Fig10SmartPrecoding with the full
-// parameter set.
-func Fig10SmartPrecodingOpts(o PhyOpts) (*Fig10Curves, error) {
+func Fig10SmartPrecoding(o PhyOpts) (*Fig10Curves, error) {
 	// [casNaive, casBalanced, dasNaive, dasBalanced] per topology; the
 	// per-mode child streams keep their original labels.
 	vals, err := sweepRootErr(o.Topologies, o.Seed, "fig10", o.Parallelism, func(t int, root *rng.Source) ([4]float64, error) {
@@ -283,12 +262,7 @@ type Fig11Point struct {
 // the testbed-like variant, where the optimiser's answer is applied to a
 // channel that has evolved during its (simulated) seconds-long solve —
 // the effect that let MIDAS beat "optimal" on some testbed topologies.
-func Fig11OptimalGap(topos int, seed int64, testbed bool) ([]Fig11Point, error) {
-	return Fig11OptimalGapOpts(PhyOpts{Topologies: topos, Seed: seed}, testbed)
-}
-
-// Fig11OptimalGapOpts is Fig11OptimalGap with the full parameter set.
-func Fig11OptimalGapOpts(o PhyOpts, testbed bool) ([]Fig11Point, error) {
+func Fig11OptimalGap(o PhyOpts, testbed bool) ([]Fig11Point, error) {
 	opts := precoding.DefaultOptimalOptions()
 	return sweepErr(o.Topologies, o.Seed, "fig11", o.Parallelism, func(t int, src *rng.Source) (Fig11Point, error) {
 		sv := getSolver()
@@ -327,13 +301,7 @@ func Fig11OptimalGapOpts(o PhyOpts, testbed bool) ([]Fig11Point, error) {
 // four antennas available and four backlogged clients; virtual packet
 // tagging selects the client pair versus a random pair, and the CDF of
 // the resulting 2-stream capacity is compared.
-func Fig14PacketTagging(topos int, seed int64) (random, tagged *stats.Sample, err error) {
-	return Fig14PacketTaggingOpts(PhyOpts{Topologies: topos, Seed: seed})
-}
-
-// Fig14PacketTaggingOpts is Fig14PacketTagging with the full parameter
-// set.
-func Fig14PacketTaggingOpts(o PhyOpts) (random, tagged *stats.Sample, err error) {
+func Fig14PacketTagging(o PhyOpts) (random, tagged *stats.Sample, err error) {
 	// The experiment disables two of the antennas and compares client
 	// *pairs*, so degenerate arrays cannot run it.
 	if o.antennas() < 2 || o.clients() < 2 {

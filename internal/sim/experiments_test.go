@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig3ShapeDASDropsMore(t *testing.T) {
-	cas, das, err := Fig3NaiveScalingDrop(30, 3)
+	cas, das, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 30, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestFig3ShapeDASDropsMore(t *testing.T) {
 }
 
 func TestFig7ShapeDASGainsSNR(t *testing.T) {
-	cas, das := Fig7LinkSNR(40, 5)
+	cas, das := Fig7LinkSNR(PhyOpts{Topologies: 40, Seed: 5})
 	mc, md := cas.MustMedian(), das.MustMedian()
 	gain := md - mc
 	if gain < 2 {
@@ -37,7 +37,7 @@ func TestFig7ShapeDASGainsSNR(t *testing.T) {
 func TestFig8And9ShapeMIDASWins(t *testing.T) {
 	for _, o := range []Office{OfficeA, OfficeB} {
 		for _, nAnt := range []int{2, 4} {
-			cas, midas, err := FigCapacityCDF(o, nAnt, 40, 7)
+			cas, midas, err := FigCapacityCDF(o, PhyOpts{Topologies: 40, Seed: 7, Antennas: nAnt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestFig8And9ShapeMIDASWins(t *testing.T) {
 }
 
 func TestFig10ShapePrecodingHelpsDASMore(t *testing.T) {
-	c, err := Fig10SmartPrecoding(40, 11)
+	c, err := Fig10SmartPrecoding(PhyOpts{Topologies: 40, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFig10ShapePrecodingHelpsDASMore(t *testing.T) {
 }
 
 func TestFig11ShapeNearOptimal(t *testing.T) {
-	pts, err := Fig11OptimalGap(12, 13, false)
+	pts, err := Fig11OptimalGap(PhyOpts{Topologies: 12, Seed: 13}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFig11ShapeNearOptimal(t *testing.T) {
 func TestFig11TestbedVariantCanBeat(t *testing.T) {
 	// With the channel moving during the optimiser's long solve, MIDAS
 	// should beat the (stale) optimum on a decent fraction of topologies.
-	pts, err := Fig11OptimalGap(15, 17, true)
+	pts, err := Fig11OptimalGap(PhyOpts{Topologies: 15, Seed: 17}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFig11TestbedVariantCanBeat(t *testing.T) {
 }
 
 func TestFig12ShapeMoreStreams(t *testing.T) {
-	res := Fig12SpatialReuse(30, 19)
+	res := Fig12SpatialReuse(30, 19, EnvOverrides{}, 0)
 	if len(res) != 30 {
 		t.Fatalf("got %d topologies", len(res))
 	}
@@ -144,7 +144,7 @@ func TestFig12ShapeMoreStreams(t *testing.T) {
 }
 
 func TestFig13ShapeFewerDeadzones(t *testing.T) {
-	res := Fig13Deadzones(6, 23)
+	res := Fig13Deadzones(6, 23, EnvOverrides{}, 0)
 	if res.Spots == 0 || res.CASDeadspots == 0 {
 		t.Fatalf("degenerate deadzone result: %+v spots=%d cas=%d",
 			res.MapCols, res.Spots, res.CASDeadspots)
@@ -161,7 +161,7 @@ func TestFig13ShapeFewerDeadzones(t *testing.T) {
 }
 
 func TestHiddenTerminalShape(t *testing.T) {
-	res := HiddenTerminals(6, 29)
+	res := HiddenTerminals(6, 29, EnvOverrides{}, 0)
 	if res.CASSpots == 0 {
 		t.Fatal("expected some CAS hidden-terminal spots")
 	}
@@ -174,7 +174,7 @@ func TestHiddenTerminalShape(t *testing.T) {
 }
 
 func TestFig14ShapeTaggingWins(t *testing.T) {
-	random, tagged, err := Fig14PacketTagging(40, 31)
+	random, tagged, err := Fig14PacketTagging(PhyOpts{Topologies: 40, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAblationWaitWindowRuns(t *testing.T) {
 }
 
 func TestAblationCorrelationMonotoneish(t *testing.T) {
-	res := AblationCorrelation([]float64{0, 0.9}, 30, 61)
+	res := AblationCorrelation([]float64{0, 0.9}, 30, 61, 0)
 	lo := res[0].MustMedian()
 	hi := res[0.9].MustMedian()
 	if hi >= lo {
@@ -267,11 +267,11 @@ func TestAblationCorrelationMonotoneish(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	a, _, err := Fig3NaiveScalingDrop(5, 99)
+	a, _, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 5, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Fig3NaiveScalingDrop(5, 99)
+	b, _, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 5, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

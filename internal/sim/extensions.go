@@ -30,13 +30,7 @@ type BeamformingResult struct {
 // neighbourhood sacrifices little SNR while silencing a much smaller
 // area. windowDB is the neighbourhood window (12 dB default in the
 // paper's spirit of "antennas in the neighbourhood of the client").
-func BeamformingStudy(topos int, windowDB float64, seed int64) *BeamformingResult {
-	return BeamformingStudyOpts(topos, windowDB, seed, 0)
-}
-
-// BeamformingStudyOpts is BeamformingStudy with an explicit sweep-pool
-// width (<= 0 falls back to the Parallelism global).
-func BeamformingStudyOpts(topos int, windowDB float64, seed int64, parallel int) *BeamformingResult {
+func BeamformingStudy(topos int, windowDB float64, seed int64, parallel int) *BeamformingResult {
 	p := channel.Default()
 	csThreshold := stats.Milliwatt(-82)
 	type beamTask struct {
@@ -129,13 +123,7 @@ type PlacementResult struct {
 // PlacementStudy compares random DAS antenna placement against the
 // coverage-optimised placement of internal/topology (§7's open problem),
 // on matched clients and floor plans.
-func PlacementStudy(topos, candidates int, seed int64) (*PlacementResult, error) {
-	return PlacementStudyOpts(topos, candidates, seed, 0)
-}
-
-// PlacementStudyOpts is PlacementStudy with an explicit sweep-pool
-// width (<= 0 falls back to the Parallelism global).
-func PlacementStudyOpts(topos, candidates int, seed int64, parallel int) (*PlacementResult, error) {
+func PlacementStudy(topos, candidates int, seed int64, parallel int) (*PlacementResult, error) {
 	p := channel.Default()
 	// [randCoverage, randCapacity, optCoverage, optCapacity] per topology.
 	perAntenna, noise := p.TxPowerLinear(), p.NoiseLinear()

@@ -5,7 +5,7 @@ import (
 )
 
 func TestBeamformingStudyShape(t *testing.T) {
-	res := BeamformingStudy(40, 12, 83)
+	res := BeamformingStudy(40, 12, 83, 0)
 	if res.SNRFull.N() == 0 {
 		t.Fatal("no beamforming samples")
 	}
@@ -31,8 +31,8 @@ func TestBeamformingStudyShape(t *testing.T) {
 func TestBeamformingWindowMonotone(t *testing.T) {
 	// A wider neighbourhood window can only add antennas: SNR up,
 	// silenced area up.
-	narrow := BeamformingStudy(20, 6, 89)
-	wide := BeamformingStudy(20, 30, 89)
+	narrow := BeamformingStudy(20, 6, 89, 0)
+	wide := BeamformingStudy(20, 30, 89, 0)
 	if wide.SNRLocal.MustMedian() < narrow.SNRLocal.MustMedian()-1e-9 {
 		t.Error("wider window should not lose SNR")
 	}
@@ -42,7 +42,7 @@ func TestBeamformingWindowMonotone(t *testing.T) {
 }
 
 func TestPlacementStudyOptimizedWinsCoverage(t *testing.T) {
-	res, err := PlacementStudy(16, 30, 97)
+	res, err := PlacementStudy(16, 30, 97, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

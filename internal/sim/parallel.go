@@ -12,34 +12,18 @@ import (
 // from the experiment seed and its own index (never from a shared
 // stream) and returns a plain value; the helpers collect results in task
 // order, so aggregated samples are bit-identical to a sequential run at
-// any pool size.
-
-// Parallelism is the package-level *fallback* knob for how many
-// topology tasks the experiment drivers evaluate concurrently when a
-// caller does not pass an explicit per-call width (the drivers' Opts
-// structs and *Opts variants carry one; the legacy bare-signature
-// entry points do not). Values <= 0 (the default) select GOMAXPROCS.
-// Results do not depend on this setting; it only trades wall-clock
-// time for cores. Single-job CLIs expose it as -parallel and the root
-// benchmarks as -runner.parallel; multi-job processes (midas-serve)
-// must NOT touch it — they pass per-job parallelism through
-// scenario.RunOptions instead, precisely because a process-global
-// would race across concurrent jobs.
-var Parallelism int
+// any pool size. Every driver takes its pool width explicitly (a
+// parallel argument or an Opts.Parallelism field); a width <= 0
+// selects GOMAXPROCS.
 
 // OnProgress, when non-nil, observes every completed topology task of
 // every experiment, keyed by the experiment's sweep label. Invocations
 // are serialized per sweep. Used by midas-bench's -progress flag.
 var OnProgress func(label string, p runner.Progress)
 
-// sweepOpts builds the runner options for one inner topology sweep.
-// par is the explicit per-call pool width; <= 0 falls back to the
-// package-global Parallelism (and from there to GOMAXPROCS inside the
-// runner), preserving the legacy single-job behaviour.
+// sweepOpts builds the runner options for one inner topology sweep of
+// par workers (<= 0 selects GOMAXPROCS inside the runner).
 func sweepOpts(label string, par int) runner.Options {
-	if par <= 0 {
-		par = Parallelism
-	}
 	opts := runner.Options{Parallelism: par}
 	if cb := OnProgress; cb != nil {
 		opts.OnDone = func(p runner.Progress) { cb(label, p) }
@@ -48,9 +32,9 @@ func sweepOpts(label string, par int) runner.Options {
 }
 
 // sweepErr runs fn over n topology indices on a pool of par workers
-// (<= 0 falls back to the Parallelism global), handing task t the
-// child stream rng.New(seed).SplitN(label, t), and returns ordered
-// results or the lowest-index task error.
+// (<= 0 selects GOMAXPROCS), handing task t the child stream
+// rng.New(seed).SplitN(label, t), and returns ordered results or the
+// lowest-index task error.
 func sweepErr[T any](n int, seed int64, label string, par int, fn func(t int, src *rng.Source) (T, error)) ([]T, error) {
 	return runner.Sweep(context.Background(), n, seed, label, sweepOpts(label, par),
 		func(_ context.Context, t int, src *rng.Source) (T, error) {

@@ -16,16 +16,6 @@ import (
 // task derives its randomness from (seed, index) alone and results are
 // collected in task order.
 
-// withParallelism runs fn under the given pool size, restoring the
-// package knob afterwards.
-func withParallelism(t *testing.T, n int, fn func()) {
-	t.Helper()
-	old := Parallelism
-	Parallelism = n
-	defer func() { Parallelism = old }()
-	fn()
-}
-
 func sameSamples(t *testing.T, name string, a, b *stats.Sample) {
 	t.Helper()
 	if a.N() != b.N() {
@@ -45,8 +35,8 @@ func sameSamples(t *testing.T, name string, a, b *stats.Sample) {
 func TestFig12ParallelDeterminism(t *testing.T) {
 	const topos, seed = 12, 77
 	var seq, par []Fig12Result
-	withParallelism(t, 1, func() { seq = Fig12SpatialReuse(topos, seed) })
-	withParallelism(t, 8, func() { par = Fig12SpatialReuse(topos, seed) })
+	seq = Fig12SpatialReuse(topos, seed, EnvOverrides{}, 1)
+	par = Fig12SpatialReuse(topos, seed, EnvOverrides{}, 8)
 	if len(seq) != topos || len(par) != topos {
 		t.Fatalf("lengths %d, %d, want %d", len(seq), len(par), topos)
 	}
@@ -64,10 +54,10 @@ func TestFig15ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DES runs are slow")
 	}
-	o := E2EOpts{Topologies: 4, SimTime: 60 * time.Millisecond, Seed: 2014}
-	var seqC, seqM, parC, parM *stats.Sample
-	withParallelism(t, 1, func() { seqC, seqM = Fig15EndToEnd(o) })
-	withParallelism(t, 8, func() { parC, parM = Fig15EndToEnd(o) })
+	o := E2EOpts{Topologies: 4, SimTime: 60 * time.Millisecond, Seed: 2014, Parallelism: 1}
+	seqC, seqM := Fig15EndToEnd(o)
+	o.Parallelism = 8
+	parC, parM := Fig15EndToEnd(o)
 	sameSamples(t, "fig15 CAS", seqC, parC)
 	sameSamples(t, "fig15 MIDAS", seqM, parM)
 }
@@ -77,8 +67,8 @@ func TestFig15ParallelDeterminism(t *testing.T) {
 func TestFig13ParallelDeterminism(t *testing.T) {
 	const deployments, seed = 4, 9
 	var seq, par DeadzoneResult
-	withParallelism(t, 1, func() { seq = Fig13Deadzones(deployments, seed) })
-	withParallelism(t, 8, func() { par = Fig13Deadzones(deployments, seed) })
+	seq = Fig13Deadzones(deployments, seed, EnvOverrides{}, 1)
+	par = Fig13Deadzones(deployments, seed, EnvOverrides{}, 8)
 	if seq.Spots != par.Spots || seq.CASDeadspots != par.CASDeadspots || seq.DASDeadspots != par.DASDeadspots {
 		t.Fatalf("tallies differ: %+v vs %+v", seq, par)
 	}
@@ -97,21 +87,19 @@ func TestFig13ParallelDeterminism(t *testing.T) {
 // that the sweep stops early instead of draining every task.
 func TestSweepErrPropagation(t *testing.T) {
 	var started atomic.Int64
-	withParallelism(t, 4, func() {
-		_, err := sweepErr(10000, 1, "errprop", 0, func(tIdx int, src *rng.Source) (int, error) {
-			started.Add(1)
-			if tIdx >= 2 {
-				return 0, fmt.Errorf("topology %d unsatisfiable", tIdx)
-			}
-			return tIdx, nil
-		})
-		if err == nil {
-			t.Fatal("want error from failing task")
+	_, err := sweepErr(10000, 1, "errprop", 4, func(tIdx int, src *rng.Source) (int, error) {
+		started.Add(1)
+		if tIdx >= 2 {
+			return 0, fmt.Errorf("topology %d unsatisfiable", tIdx)
 		}
-		if !strings.Contains(err.Error(), "unsatisfiable") {
-			t.Fatalf("error %v does not carry the task failure", err)
-		}
+		return tIdx, nil
 	})
+	if err == nil {
+		t.Fatal("want error from failing task")
+	}
+	if !strings.Contains(err.Error(), "unsatisfiable") {
+		t.Fatalf("error %v does not carry the task failure", err)
+	}
 	if n := started.Load(); n > 100 {
 		t.Fatalf("%d tasks ran after early failure, want far fewer than 10000", n)
 	}
