@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test test-race perfbench-check golden examples bench-smoke serve-smoke loadgen-smoke loadgen drain-e2e drain-e2e-full cluster-e2e cluster-e2e-full bench bench-snapshot bench-compare alloc-guard cover fmt
+.PHONY: ci fmt-check vet build test test-race perfbench-check fuzz-smoke golden examples bench-smoke serve-smoke loadgen-smoke loadgen drain-e2e drain-e2e-full cluster-e2e cluster-e2e-full bench bench-snapshot bench-compare alloc-guard cover fmt
 
 # (`test` already runs the golden suite once and `test-race` replays it
 # under the race detector; the explicit `golden` target is for focused
@@ -19,7 +19,7 @@ GO ?= go
 # This exact target is what .github/workflows/ci.yml runs — the
 # workflow is a thin wrapper, so the local gate and the per-commit gate
 # cannot diverge.
-ci: fmt-check vet build test perfbench-check test-race alloc-guard cover bench-smoke serve-smoke loadgen-smoke drain-e2e cluster-e2e examples
+ci: fmt-check vet build test perfbench-check test-race fuzz-smoke alloc-guard cover bench-smoke serve-smoke loadgen-smoke drain-e2e cluster-e2e examples
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -50,6 +50,17 @@ perfbench-check:
 # journal it checkpoints through.
 test-race:
 	$(GO) test -race ./internal/scenario ./internal/runner ./internal/sim ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api
+
+# Short fuzzing pass beyond the seed corpora (which `test` already
+# replays): every Fuzz* target in the module runs for 3s. Go fuzzes
+# one target per invocation, so each gets its own `go test`.
+fuzz-smoke:
+	@set -e; grep -r --include='*_test.go' --exclude-dir=perfbench --exclude-dir=.bench_build \
+		-o '^func Fuzz[A-Za-z0-9_]*' . | sort | while IFS=: read -r file decl; do \
+		pkg=$$(dirname "$$file"); name=$${decl#func }; \
+		echo "fuzz $$pkg $$name"; \
+		$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=3s -parallel=2 "$$pkg"; \
+	done
 
 # The golden-figure regression suite: replay every registered
 # scenario's committed spec at parallelism 1 and 8 and require

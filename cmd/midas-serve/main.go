@@ -44,15 +44,15 @@
 // no fleet degrades to a plain single-process server.
 //
 // A coordinator with a store additionally journals every dispatched
-// job (spec plus per-shard completion pointers, under
-// <store-dir>/journal) and publishes each accepted shard result into
-// the store by the shard spec's content address. On restart the
-// journal's non-terminal jobs are re-admitted automatically (disable
-// with -resume=false): shards whose results are already on disk are
-// answered from the store without re-execution, so a kill -9 mid-sweep
-// costs at most the shards that were in flight. The same addressing
-// means sweeps sharing sweep points — across jobs, restarts or tenants
-// of one store — compute each shared shard exactly once.
+// job (the resolved spec, for re-admission, under <store-dir>/journal)
+// and publishes each accepted shard result into the store by the
+// shard spec's content address. On restart the journal's non-terminal
+// jobs are re-admitted automatically (disable with -resume=false):
+// shards whose results are already on disk are answered from the store
+// without re-execution, so a kill -9 mid-sweep costs at most the
+// shards that were in flight. The same addressing means sweeps sharing
+// sweep points — across jobs, restarts or tenants of one store —
+// compute each shared shard exactly once.
 //
 // With -store-shared, -store-dir may live on a shared filesystem
 // written by several processes at once: sibling coordinators serve
@@ -74,11 +74,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
-
-	"path/filepath"
 
 	"repro/internal/dispatch"
 	"repro/internal/journal"
@@ -230,15 +229,11 @@ func run() error {
 	if coord != nil {
 		// Recovered jobs must route through the coordinator even while no
 		// workers are polling yet: the store prefill answers their
-		// journaled-complete shards immediately, and only the missing
-		// shards wait for the fleet. The in-process fallback would instead
-		// re-run the whole sweep.
-		resumeSet := make(map[string]bool)
-		for _, e := range coord.Recovered() {
-			resumeSet[e.SpecHash] = true
-		}
+		// finished shards immediately, and only the missing shards wait
+		// for the fleet. The in-process fallback would instead re-run the
+		// whole sweep.
 		runFunc = func(ctx context.Context, sc scenario.Scenario, spec scenario.Spec, opts scenario.RunOptions) (scenario.Result, error) {
-			if (spec.ExpandedRuns() > 1 && coord.LiveWorkers() >= 1) || resumeSet[spec.CanonicalHash()] {
+			if (spec.ExpandedRuns() > 1 && coord.LiveWorkers() >= 1) || coord.Resuming(spec.CanonicalHash()) {
 				return coord.Run(ctx, sc, spec, opts)
 			}
 			return scenario.RunResolved(ctx, sc, spec, opts)
@@ -269,8 +264,7 @@ func run() error {
 				continue
 			}
 			log.Info("journaled job re-admitted",
-				"job", jst.ID, "spec_hash", e.SpecHash, "scenario", e.Scenario,
-				"shards", len(e.Shards), "journaled_done", e.DoneCount())
+				"job", jst.ID, "spec_hash", e.SpecHash, "scenario", e.Scenario)
 		}
 	}
 	handler := svc.Handler()

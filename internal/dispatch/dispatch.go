@@ -33,6 +33,7 @@ package dispatch
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -44,8 +45,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-
-	"context"
 )
 
 // Config sizes a Coordinator.
@@ -87,12 +86,12 @@ type Config struct {
 	// jobs, tenants and coordinator restarts execute exactly once.
 	Store *store.Store
 	// Journal, when non-nil, records every dispatched job's resolved
-	// spec plus per-shard completion pointers under the store's
-	// crash-safe write discipline; New loads its surviving entries and
+	// spec, for re-admission: one write when the job is dispatched, one
+	// remove when it ends for good. New loads its surviving entries and
 	// exposes them via Recovered so midas-serve can re-admit
 	// half-finished sweeps after a restart (midas_jobs_resumed_total).
-	// Pair it with Store — the journal names shard results, the store
-	// holds them.
+	// Pair it with Store — the re-admitted job finds its finished
+	// shards there.
 	Journal *journal.Journal
 }
 
@@ -196,7 +195,6 @@ type dJob struct {
 	id       string
 	scName   string
 	spec     scenario.Spec
-	specHash string // CanonicalHash of spec; "" when neither store nor journal is configured
 	shards   []*shard
 	results  []scenario.Result
 	opts     scenario.RunOptions
@@ -293,8 +291,7 @@ func New(cfg Config) *Coordinator {
 		for _, e := range c.recovered {
 			c.resumable[e.SpecHash] = true
 			log.Info("dispatch journal entry recovered",
-				"spec_hash", e.SpecHash, "scenario", e.Scenario,
-				"shards", len(e.Shards), "journaled_done", e.DoneCount())
+				"spec_hash", e.SpecHash, "scenario", e.Scenario)
 		}
 	}
 	c.tel = newInstruments(reg, c)
@@ -311,6 +308,17 @@ func (c *Coordinator) Recovered() []journal.Entry {
 	out := make([]journal.Entry, len(c.recovered))
 	copy(out, c.recovered)
 	return out
+}
+
+// Resuming reports whether specHash names a recovered journal entry
+// that has not been re-dispatched yet. midas-serve routes such a job
+// through the coordinator even while no worker is polling: the store
+// prefill answers its finished shards and only the missing ones wait
+// for the fleet.
+func (c *Coordinator) Resuming(specHash string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resumable[specHash]
 }
 
 // Close stops the sweeper and fails every in-flight job. Idempotent.
@@ -360,49 +368,27 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 	// result already verifies on disk — published by a previous job, a
 	// previous coordinator incarnation, or another tenant of the same
 	// store — is born done instead of leased.
-	var specHash string
 	var hashes []string
 	var prefilled []*scenario.Result
 	nRecovered := 0
-	if c.cfg.Store != nil || c.cfg.Journal != nil {
-		specHash = spec.CanonicalHash()
+	if c.cfg.Store != nil {
 		hashes = make([]string, len(shardSpecs))
+		prefilled = make([]*scenario.Result, len(shardSpecs))
 		for i, ts := range shardSpecs {
 			hashes[i] = ts.CanonicalHash()
+			if env, _, err := scenario.LoadResult(c.cfg.Store, c.log, hashes[i]); err == nil {
+				prefilled[i] = &env.Result
+				nRecovered++
+			}
 		}
 	}
-	if c.cfg.Store != nil {
-		prefilled = make([]*scenario.Result, len(shardSpecs))
-		for i, h := range hashes {
-			payload, ok := c.cfg.Store.Get(h)
-			if !ok {
-				continue
-			}
-			res, derr := decodeShardResultFor(h, payload)
-			if derr != nil {
-				// Verified bytes that don't decode as a result were
-				// persisted by a buggy or future version: quarantine and
-				// recompute, never assemble them.
-				c.log.Warn("stored shard result undecodable, quarantined",
-					"shard_hash", h, "error", derr.Error())
-				c.cfg.Store.Quarantine(h)
-				continue
-			}
-			prefilled[i] = &res
-			nRecovered++
-		}
-	}
+	var specHash string
 	if c.cfg.Journal != nil {
-		done := make([]bool, len(shardSpecs))
-		for i := range done {
-			done[i] = prefilled != nil && prefilled[i] != nil
-		}
+		specHash = spec.CanonicalHash()
 		if jerr := c.cfg.Journal.Record(journal.Entry{
 			SpecHash: specHash,
 			Scenario: sc.Name(),
 			Spec:     spec,
-			Shards:   hashes,
-			Done:     done,
 		}); jerr != nil {
 			// The journal is a resume hint, not a correctness dependency:
 			// losing it costs recomputation after a crash, nothing else.
@@ -422,14 +408,13 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 	}
 	c.nextJob++
 	j := &dJob{
-		id:       fmt.Sprintf("d%06d", c.nextJob),
-		scName:   sc.Name(),
-		spec:     spec,
-		specHash: specHash,
-		results:  make([]scenario.Result, len(shardSpecs)),
-		opts:     opts,
-		total:    len(shardSpecs),
-		done:     make(chan struct{}),
+		id:      fmt.Sprintf("d%06d", c.nextJob),
+		scName:  sc.Name(),
+		spec:    spec,
+		results: make([]scenario.Result, len(shardSpecs)),
+		opts:    opts,
+		total:   len(shardSpecs),
+		done:    make(chan struct{}),
 	}
 	resumed := c.resumable[specHash]
 	if resumed {
@@ -444,10 +429,9 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 		}
 		j.shards[i] = sh
 		if prefilled != nil && prefilled[i] != nil {
-			sh.state = shardDone
-			j.results[i] = *prefilled[i]
-			j.finished++
-			c.tel.recovered.Inc()
+			// When every shard is answered from the store, the job is
+			// born done.
+			c.finishShardLocked(sh, *prefilled[i], c.tel.recovered)
 			continue
 		}
 		heap.Push(&c.pending, sh)
@@ -455,9 +439,8 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 	if resumed {
 		c.tel.resumed.Inc()
 	}
-	if j.finished == j.total {
-		// Every shard answered from the store: the job is born done.
-		close(j.done)
+	if j.total == 0 {
+		close(j.done) // nothing to run; Assemble reports the empty spec
 	}
 	c.jobs[j.id] = j
 	c.mu.Unlock()
@@ -485,8 +468,8 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 		// remains to resume. A coordinator-close failure is the one
 		// exception: that is the restart case the journal exists for, so
 		// its entry stays for the next incarnation.
-		if jerr := c.cfg.Journal.Remove(j.specHash); jerr != nil {
-			c.log.Warn("dispatch journal remove failed", "spec_hash", j.specHash, "error", jerr.Error())
+		if jerr := c.cfg.Journal.Remove(specHash); jerr != nil {
+			c.log.Warn("dispatch journal remove failed", "spec_hash", specHash, "error", jerr.Error())
 		}
 	}
 	if err != nil {
@@ -494,40 +477,6 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 	}
 	// All shards accepted; results are no longer written, safe to read.
 	return scenario.Assemble(j.scName, spec, j.results)
-}
-
-// encodeShardResult/decodeShardResult are the store payload codec for
-// shard results — scenario.ResultEnvelope, the same self-contained
-// spec+result encoding the serving layer persists job-level results
-// with, so a single-run spec's shard entry and its job entry are
-// byte-identical under one address, and any process (a sibling
-// coordinator, the /v1/results/{hash} endpoint) can render the entry
-// without the original submission.
-func encodeShardResult(spec scenario.Spec, res scenario.Result) ([]byte, error) {
-	return scenario.EncodeResultEnvelope(spec, res)
-}
-
-func decodeShardResult(payload []byte) (scenario.Result, error) {
-	env, err := scenario.DecodeResultEnvelope(payload)
-	if err != nil {
-		return scenario.Result{}, err
-	}
-	return env.Result, nil
-}
-
-// decodeShardResultFor additionally pins the envelope to its content
-// address: the embedded spec must hash to the address the payload was
-// stored under, so a blob misfiled (or maliciously republished) under
-// the wrong hash can never be assembled into another spec's result.
-func decodeShardResultFor(hash string, payload []byte) (scenario.Result, error) {
-	env, err := scenario.DecodeResultEnvelope(payload)
-	if err != nil {
-		return scenario.Result{}, err
-	}
-	if got := env.Spec.CanonicalHash(); got != hash {
-		return scenario.Result{}, fmt.Errorf("dispatch: envelope spec hashes to %s, stored under %s", got, hash)
-	}
-	return env.Result, nil
 }
 
 // LiveWorkers counts workers whose last poll is within the worker TTL
@@ -628,46 +577,28 @@ func (c *Coordinator) completeLocked(leaseID, worker string, res *scenario.Resul
 		return "requeued", nil
 	}
 
-	sh.state = shardDone
 	c.retired[leaseID] = "done"
-	j := sh.job
-	j.results[sh.index] = *res
-	j.finished++
 	latency := now.Sub(l.granted)
 	c.tel.leaseLatency.Observe(latency.Seconds())
-	c.tel.completions.With("accepted").Inc()
-
-	finished := j.finished
-	total := j.total
-	jobDone := finished == total
-	if jobDone {
-		close(j.done)
-	}
-	opts := j.opts
+	finished := c.finishShardLocked(sh, *res, c.tel.completions.With("accepted"))
+	total := sh.job.total
+	opts := sh.job.opts
 	index := sh.index
 	shardHash := sh.hash
 	shardSpec := sh.spec
-	specHash := j.specHash
-	// The store publish, journal mark and progress callbacks all run
-	// outside c.mu (the first two do fsync I/O, the callbacks take the
-	// caller's locks — midas-serve's job table) but still serialized
-	// and monotonic: completions are applied one at a time under c.mu
-	// and the returned closure is invoked before the handler returns.
+	// The store publish and progress callbacks run outside c.mu (the
+	// publish does fsync I/O, the callbacks take the caller's locks —
+	// midas-serve's job table) but still serialized and monotonic:
+	// completions are applied one at a time under c.mu and the returned
+	// closure is invoked before the handler returns.
 	after = func() {
-		if c.cfg.Store != nil && shardHash != "" && !direct {
+		if shardHash != "" && !direct {
 			// Idempotent by content address: a duplicate publish after a
 			// requeue race rewrites the identical bytes. A direct publish
 			// skips this — the worker already wrote the blob and the
 			// handler verified it (read-through indexed it in passing).
-			if payload, perr := encodeShardResult(shardSpec, *res); perr != nil {
-				c.log.Warn("shard result encode failed", "shard_hash", shardHash, "error", perr.Error())
-			} else if perr := c.cfg.Store.Put(shardHash, payload); perr != nil {
+			if _, perr := scenario.PublishResult(c.cfg.Store, shardHash, shardSpec, *res); perr != nil {
 				c.log.Warn("shard result publish failed", "shard_hash", shardHash, "error", perr.Error())
-			}
-		}
-		if c.cfg.Journal != nil && specHash != "" {
-			if jerr := c.cfg.Journal.MarkDone(specHash, index); jerr != nil {
-				c.log.Warn("dispatch journal mark failed", "spec_hash", specHash, "shard", index, "error", jerr.Error())
 			}
 		}
 		if opts.OnProgress != nil {
@@ -678,6 +609,22 @@ func (c *Coordinator) completeLocked(leaseID, worker string, res *scenario.Resul
 		}
 	}
 	return "accepted", after
+}
+
+// finishShardLocked is the one shard-done transition: it records res
+// as sh's result, counts it on counter (accepted or recovered), and
+// wakes Run once the job's last shard is in. It returns the job's
+// finished count. Called with c.mu held.
+func (c *Coordinator) finishShardLocked(sh *shard, res scenario.Result, counter *telemetry.Counter) int {
+	j := sh.job
+	sh.state = shardDone
+	j.results[sh.index] = res
+	j.finished++
+	counter.Inc()
+	if j.finished == j.total {
+		close(j.done)
+	}
+	return j.finished
 }
 
 // retireLeaseLocked removes a lease from the live table and tombstones
@@ -742,9 +689,8 @@ func (c *Coordinator) failJobLocked(j *dJob, err error) {
 	}
 	j.err = err
 	close(j.done)
-	for id, l := range c.leases {
+	for _, l := range c.leases {
 		if l.sh.job == j {
-			_ = id
 			c.retireLeaseLocked(l, "cancelled")
 		}
 	}
@@ -783,7 +729,7 @@ func (c *Coordinator) expire(now time.Time) {
 					"lease", l.id, "worker", l.worker,
 					"dispatch_job", l.sh.job.id, "shard", l.sh.index)
 				c.requeueLocked(l.sh, "expired", now)
-				if c.cfg.Store != nil && l.sh.hash != "" && l.sh.state == shardPending {
+				if l.sh.hash != "" && l.sh.state == shardPending {
 					orphaned = append(orphaned, l.sh)
 				}
 			}
@@ -802,15 +748,8 @@ func (c *Coordinator) expire(now time.Time) {
 // window, in which case the recovery quietly stands down (the work is
 // deterministic; whoever wins writes the same result).
 func (c *Coordinator) recoverFromStore(sh *shard) {
-	payload, ok := c.cfg.Store.Get(sh.hash)
-	if !ok {
-		return
-	}
-	res, derr := decodeShardResultFor(sh.hash, payload)
-	if derr != nil {
-		c.log.Warn("stored shard result undecodable, quarantined",
-			"shard_hash", sh.hash, "error", derr.Error())
-		c.cfg.Store.Quarantine(sh.hash)
+	env, _, err := scenario.LoadResult(c.cfg.Store, c.log, sh.hash)
+	if err != nil {
 		return
 	}
 
@@ -823,25 +762,13 @@ func (c *Coordinator) recoverFromStore(sh *shard) {
 	if sh.heapIdx >= 0 {
 		heap.Remove(&c.pending, sh.heapIdx)
 	}
-	sh.state = shardDone
-	j.results[sh.index] = res
-	j.finished++
-	c.tel.recovered.Inc()
-	finished, total, index := j.finished, j.total, sh.index
+	finished := c.finishShardLocked(sh, env.Result, c.tel.recovered)
+	total := j.total
 	opts := j.opts
-	specHash := j.specHash
-	if finished == total {
-		close(j.done)
-	}
 	c.mu.Unlock()
 
 	c.log.Info("dispatch shard recovered from store after lease expiry",
-		"dispatch_job", j.id, "shard", index, "shard_hash", sh.hash)
-	if c.cfg.Journal != nil && specHash != "" {
-		if jerr := c.cfg.Journal.MarkDone(specHash, index); jerr != nil {
-			c.log.Warn("dispatch journal mark failed", "spec_hash", specHash, "shard", index, "error", jerr.Error())
-		}
-	}
+		"dispatch_job", j.id, "shard", sh.index, "shard_hash", sh.hash)
 	if opts.OnProgress != nil {
 		opts.OnProgress(finished, total)
 	}

@@ -239,17 +239,16 @@ func (c *Coordinator) completeDirect(leaseID string, req CompleteRequest, now ti
 		return "resend", nil
 	}
 
-	// A journal-only coordinator hashes its shards without having a
-	// store to verify against, so check both.
-	if expected == "" || c.cfg.Store == nil {
+	// Shards carry a hash only when the coordinator has a store.
+	if expected == "" {
 		return resend("coordinator has no store")
 	}
 	if req.StoredHash != expected {
 		return resend("acknowledged hash does not match the lease")
 	}
-	payload, found := c.cfg.Store.Get(expected)
-	if !found {
-		return resend("blob not found in store")
+	env, payload, err := scenario.LoadResult(c.cfg.Store, c.log, expected)
+	if err != nil {
+		return resend(err.Error())
 	}
 	if req.Digest != "" {
 		sum := sha256.Sum256(payload)
@@ -257,17 +256,12 @@ func (c *Coordinator) completeDirect(leaseID string, req CompleteRequest, now ti
 			return resend("stored payload does not match worker digest")
 		}
 	}
-	res, derr := decodeShardResultFor(expected, payload)
-	if derr != nil {
-		c.cfg.Store.Quarantine(expected)
-		return resend("stored payload undecodable: " + derr.Error())
-	}
 
 	// The lease may have expired (and the shard been recovered or
 	// re-granted) while we were reading the store; completeLocked
 	// classifies that as duplicate/stale, same as any late completion.
 	c.mu.Lock()
-	status, after := c.completeLocked(leaseID, req.Worker, &res, "", true, now)
+	status, after := c.completeLocked(leaseID, req.Worker, &env.Result, "", true, now)
 	c.mu.Unlock()
 	if status == "accepted" {
 		c.tel.direct.With("verified").Inc()

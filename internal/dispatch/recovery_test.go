@@ -106,8 +106,8 @@ func TestJournalResumeAfterRestart(t *testing.T) {
 	if e.SpecHash != spec.CanonicalHash() || e.Scenario != sc.Name() {
 		t.Fatalf("recovered entry %s/%s, want %s/%s", e.SpecHash, e.Scenario, spec.CanonicalHash(), sc.Name())
 	}
-	if len(e.Shards) != 4 || e.DoneCount() != 2 {
-		t.Fatalf("recovered entry has %d shards, %d done; want 4 and 2", len(e.Shards), e.DoneCount())
+	if e.Spec.CanonicalHash() != e.SpecHash {
+		t.Fatalf("recovered entry's spec hashes to %s, want %s", e.Spec.CanonicalHash(), e.SpecHash)
 	}
 
 	// Re-dispatch from the journal entry, exactly as midas-serve does.
@@ -256,7 +256,7 @@ func TestUndecodableShardEntryRecomputed(t *testing.T) {
 	if !ok {
 		t.Fatal("shard entry missing after recompute")
 	}
-	if _, err := decodeShardResult(payload); err != nil {
+	if _, err := scenario.DecodeResultEnvelope(payload); err != nil {
 		t.Errorf("republished shard entry still undecodable: %v", err)
 	}
 }
@@ -276,6 +276,64 @@ func TestStaleDispatchJournalEntryRemoved(t *testing.T) {
 	}
 	if jn.Len() != 0 {
 		t.Fatalf("rejected Run left %d journal entries", jn.Len())
+	}
+}
+
+// journalOpCounter counts the writes and removes that reach a journal
+// backend.
+type journalOpCounter struct {
+	store.Backend
+	writes, removes atomic.Int64
+}
+
+func (b *journalOpCounter) Write(name string, data []byte) error {
+	b.writes.Add(1)
+	return b.Backend.Write(name, data)
+}
+
+func (b *journalOpCounter) Remove(name string) error {
+	b.removes.Add(1)
+	return b.Backend.Remove(name)
+}
+
+// TestJournalWrittenOncePerJob: the journal holds what resume reads —
+// the resolved spec — so a dispatched job costs one entry write when
+// it is enqueued and one remove when it finishes, however many shards
+// it has. Shard completions are recorded by the store alone.
+func TestJournalWrittenOncePerJob(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	be, err := store.OpenDir(filepath.Join(dir, "journal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := &journalOpCounter{Backend: be}
+	jn, err := journal.OpenBackend(cb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, spec := testSpec(t) // 4 shards
+	c, srv := startCoordinator(t, Config{Store: st, Journal: jn})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		_ = RunWorker(ctx, WorkerConfig{
+			Coordinator: srv.URL, ID: "w", Poll: 2 * time.Millisecond, Parallelism: 1,
+		})
+	}()
+	if _, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if w, r := cb.writes.Load(), cb.removes.Load(); w != 1 || r != 1 {
+		t.Errorf("a %d-shard job cost %d journal writes and %d removes, want 1 and 1",
+			len(spec.Shards()), w, r)
+	}
+	if jn.Len() != 0 {
+		t.Errorf("journal holds %d entries after the job finished", jn.Len())
 	}
 }
 

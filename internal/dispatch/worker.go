@@ -226,13 +226,8 @@ func reportShard(client *http.Client, cfg WorkerConfig, log *slog.Logger, l Shar
 	if runErr != nil || cfg.Store == nil || l.Hash == "" {
 		return inline()
 	}
-	payload, err := scenario.EncodeResultEnvelope(l.Spec, res)
+	payload, err := scenario.PublishResult(cfg.Store, l.Hash, l.Spec, res)
 	if err != nil {
-		log.Warn("worker envelope encode failed, sending inline",
-			"worker", cfg.ID, "lease", l.ID, "error", err.Error())
-		return inline()
-	}
-	if err := cfg.Store.Put(l.Hash, payload); err != nil {
 		log.Warn("worker direct publish failed, sending inline",
 			"worker", cfg.ID, "lease", l.ID, "shard_hash", l.Hash, "error", err.Error())
 		return inline()

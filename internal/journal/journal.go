@@ -2,12 +2,13 @@
 // state so a restarted coordinator can resume half-finished sweeps
 // instead of discarding them. One entry per dispatched job, keyed by
 // the resolved spec's content address (scenario.Spec.CanonicalHash):
-// the resolved spec itself, the content address of every shard, and a
-// per-shard completed flag. The entry is written when the job is
-// dispatched, rewritten as shard results reach the durable store, and
-// removed when the job ends for good (done, failed, or cancelled) —
-// but kept when the coordinator shuts down with the job still open,
-// which is exactly the state a restart wants to see.
+// the resolved spec, for re-admission. The entry is written once when
+// the job is dispatched and removed when the job ends for good (done,
+// failed, or cancelled) — but kept when the coordinator shuts down with
+// the job still open, which is exactly the state a restart wants to
+// see. Which shards of a resumed job are already finished is not
+// journaled: the re-admitted job asks the durable result store, which
+// is the record of every published shard.
 //
 // The journal stores its entries through the same Backend seam as the
 // result store (store.Backend), rooted at its own directory —
@@ -21,13 +22,10 @@
 // crash at any instant leaves either the previous entry or the new one
 // — never a torn file reachable under its final name.
 //
-// The Done flags are advisory: recovery consults the durable store
-// itself for each shard address (a publish that landed after the last
-// journal write is still honored), so a stale journal can only cost
-// recomputation, never correctness. The same property is what makes a
-// SHARED journal backend safe: two coordinators on one shared store
-// dir may clobber each other's entry for a spec they both dispatched,
-// or remove it when either finishes — the loser of such a race loses a
+// Entries are advisory resume hints, which is what makes a SHARED
+// journal backend safe: two coordinators on one shared store dir may
+// clobber each other's entry for a spec they both dispatched, or
+// remove it when either finishes — the loser of such a race loses a
 // resume hint, never a result.
 package journal
 
@@ -55,13 +53,13 @@ type Entry struct {
 	// Spec is the resolved spec, verbatim, so a restarted process can
 	// re-dispatch the job without the original submission.
 	Spec scenario.Spec `json:"spec"`
-	// Shards lists each shard spec's content address — the durable-store
-	// key its result is published under — in shard order. Empty when the
-	// coordinator ran without a store (nothing to recover from).
+	// Shards and Done are per-shard store addresses and completion
+	// flags that resume never reads: the coordinator leaves them empty
+	// and never calls MarkDone. They remain only for the benchmark
+	// harness's journal probe (perfbench), which measures the cost of
+	// per-shard entry rewrites.
 	Shards []string `json:"shards,omitempty"`
-	// Done[i] records that shard i's result had reached the store when
-	// the journal was last rewritten (advisory; see the package comment).
-	Done []bool `json:"done,omitempty"`
+	Done   []bool   `json:"done,omitempty"`
 }
 
 func (e Entry) clone() Entry {
@@ -69,17 +67,6 @@ func (e Entry) clone() Entry {
 	cp.Shards = append([]string(nil), e.Shards...)
 	cp.Done = append([]bool(nil), e.Done...)
 	return cp
-}
-
-// DoneCount counts the shards recorded complete.
-func (e Entry) DoneCount() int {
-	n := 0
-	for _, d := range e.Done {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // Journal is a crash-safe journal of open dispatched jobs. All methods
@@ -177,7 +164,7 @@ func (j *Journal) discard(name, why string) {
 
 // Record writes (or overwrites) the entry for e.SpecHash. Called when
 // a job is dispatched; re-recording an already-journaled spec replaces
-// its entry with the fresh shard/done view.
+// its entry.
 func (j *Journal) Record(e Entry) error {
 	if err := e.validate(); err != nil {
 		return err
@@ -192,9 +179,10 @@ func (j *Journal) Record(e Entry) error {
 	return nil
 }
 
-// MarkDone records that shard's result reached the store. A missing
-// entry is a no-op, not an error: the job may have already finished
-// and been removed by the time a late publish lands.
+// MarkDone rewrites the entry with shard flagged done (see
+// Entry.Shards for who still calls it). A missing entry is a no-op,
+// not an error: the job may have already finished and been removed by
+// the time a late publish lands.
 func (j *Journal) MarkDone(specHash string, shard int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // testEntry builds a valid entry around a real resolved spec, so the
 // round trip exercises the same JSON the coordinator journals.
-func testEntry(t *testing.T, seed int64) Entry {
+func testEntry(t testing.TB, seed int64) Entry {
 	t.Helper()
 	sc, err := scenario.Find("fig12-spatial-reuse")
 	if err != nil {
@@ -115,7 +116,7 @@ func TestMarkDonePersists(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("%d entries after reopen, want 1", len(got))
 	}
-	if got[0].DoneCount() != 1 || !got[0].Done[1] {
+	if want := []bool{false, true, false, false}; !reflect.DeepEqual(got[0].Done, want) {
 		t.Fatalf("done flags %v did not survive reopen", got[0].Done)
 	}
 }

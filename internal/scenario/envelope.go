@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+
+	"repro/internal/store"
 )
 
 // ResultEnvelope is the store-tier wire format for a completed result:
@@ -38,9 +41,9 @@ func EncodeResultEnvelope(spec Spec, res Result) ([]byte, error) {
 
 // DecodeResultEnvelope inverts EncodeResultEnvelope, rejecting
 // payloads that are not a consistent envelope — including pre-envelope
-// entries that held a bare Result (the caller quarantines those and
-// recomputes; store entries are a cache, so the migration costs one
-// re-run per legacy entry, never correctness).
+// entries that held a bare Result (LoadResult quarantines those and
+// the caller recomputes; store entries are a cache, so the migration
+// costs one re-run per legacy entry, never correctness).
 func DecodeResultEnvelope(payload []byte) (ResultEnvelope, error) {
 	var env ResultEnvelope
 	if err := json.Unmarshal(payload, &env); err != nil {
@@ -54,4 +57,54 @@ func DecodeResultEnvelope(payload []byte) (ResultEnvelope, error) {
 			env.Spec.Scenario, env.Result.Scenario)
 	}
 	return env, nil
+}
+
+// errNotStored reports that the store holds no result under the
+// requested address (or that there is no store).
+var errNotStored = errors.New("scenario: no result stored under that address")
+
+// LoadResult reads the envelope stored under hash and pins it to that
+// address: the payload must decode as an envelope whose spec hashes to
+// hash, so a blob misfiled (or maliciously republished) under the
+// wrong address is never served as another spec's result. An entry
+// that fails either check was persisted by a buggy, legacy or future
+// version: it is quarantined with a warning on log and the caller
+// recomputes. The raw payload is returned next to the envelope for
+// callers that verify a publisher's digest. A nil st is an empty
+// store.
+func LoadResult(st *store.Store, log *slog.Logger, hash string) (ResultEnvelope, []byte, error) {
+	if st == nil {
+		return ResultEnvelope{}, nil, errNotStored
+	}
+	payload, ok := st.Get(hash)
+	if !ok {
+		return ResultEnvelope{}, nil, errNotStored
+	}
+	env, err := DecodeResultEnvelope(payload)
+	if err == nil {
+		if got := env.Spec.CanonicalHash(); got != hash {
+			err = fmt.Errorf("scenario: envelope spec hashes to %s, stored under %s", got, hash)
+		}
+	}
+	if err != nil {
+		log.Warn("stored result undecodable, quarantined", "spec_hash", hash, "error", err.Error())
+		st.Quarantine(hash)
+		return ResultEnvelope{}, nil, err
+	}
+	return env, payload, nil
+}
+
+// PublishResult writes the canonical envelope for (spec, res) to st
+// under hash — spec's CanonicalHash — and returns the bytes written.
+// Every publisher of an address writes identical bytes, so a duplicate
+// publish is idempotent.
+func PublishResult(st *store.Store, hash string, spec Spec, res Result) ([]byte, error) {
+	payload, err := EncodeResultEnvelope(spec, res)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Put(hash, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
 }

@@ -110,6 +110,22 @@ type Spec struct {
 	Sweep map[string][]float64 `json:"sweep,omitempty"`
 }
 
+// MarshalJSON keeps an empty, non-nil Sweep — the override that
+// cancels a default sweep (see Merge) — which the omitempty tag would
+// drop, so a spec survives a JSON round trip (a journaled spec is
+// re-resolved on resume). Every other spec encodes exactly as the
+// struct tags say.
+func (s Spec) MarshalJSON() ([]byte, error) {
+	type plain Spec
+	if s.Sweep == nil || len(s.Sweep) > 0 {
+		return json.Marshal(plain(s))
+	}
+	return json.Marshal(struct {
+		plain
+		Sweep map[string][]float64 `json:"sweep"`
+	}{plain(s), s.Sweep})
+}
+
 // sweepKeys are the spec fields a sweep may vary, with their setters.
 var sweepKeys = map[string]func(*Spec, float64){
 	"clients":    func(s *Spec, v float64) { s.Clients = int(v) },

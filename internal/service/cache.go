@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"fmt"
 
 	"repro/internal/scenario"
 )
@@ -90,31 +89,3 @@ func (c *resultCache) Put(hash string, spec scenario.Spec, res scenario.Result) 
 
 // Len returns the current entry count.
 func (c *resultCache) Len() int { return c.ll.Len() }
-
-// encodeResult is the store-tier wire format: the self-contained
-// scenario.ResultEnvelope (resolved spec + result, deterministic
-// indented JSON), so the bytes on disk are human-inspectable, decode
-// back to a Result that renders byte-identically to the run that
-// produced it, and carry enough context for a process that never saw
-// the submission — a restarted server, a sibling coordinator, the
-// /v1/results/{hash} endpoint — to render the full response body.
-func encodeResult(spec scenario.Spec, res scenario.Result) ([]byte, error) {
-	return scenario.EncodeResultEnvelope(spec, res)
-}
-
-// decodeResult inverts encodeResult and pins the envelope to its
-// content address: the embedded spec must hash to the address the
-// payload was stored under. Pre-envelope entries (a bare Result) fail
-// here; the caller quarantines them and recomputes — the documented
-// migration cost, one re-run per legacy entry.
-func decodeResult(hash string, payload []byte) (scenario.Spec, scenario.Result, error) {
-	env, err := scenario.DecodeResultEnvelope(payload)
-	if err != nil {
-		return scenario.Spec{}, scenario.Result{}, err
-	}
-	if got := env.Spec.CanonicalHash(); got != hash {
-		return scenario.Spec{}, scenario.Result{}, fmt.Errorf(
-			"service: envelope spec hashes to %s, stored under %s", got, hash)
-	}
-	return env.Spec, env.Result, nil
-}

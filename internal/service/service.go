@@ -395,18 +395,8 @@ func (s *Service) submit(overrides scenario.Spec) (JobStatus, error) {
 		return st, err
 	}
 	var promoted *scenario.Result
-	if payload, ok := s.store.Get(hash); ok {
-		_, res, derr := decodeResult(hash, payload)
-		if derr != nil {
-			// The entry verified at the byte level but does not decode
-			// as a consistent envelope — persisted by a buggy, legacy or
-			// future version. Quarantine it and recompute; never serve it.
-			s.log.Warn("stored result undecodable, quarantined",
-				"spec_hash", hash, "error", derr.Error())
-			s.store.Quarantine(hash)
-		} else {
-			promoted = &res
-		}
+	if env, _, lerr := scenario.LoadResult(s.store, s.log, hash); lerr == nil {
+		promoted = &env.Result
 	}
 	s.mu.Lock()
 	st, _, err = s.admitLocked(sc, spec, hash, promoted, true)
@@ -596,11 +586,7 @@ func (s *Service) runJob(j *job) {
 // tier. Runs on the worker goroutine with no locks held; never
 // propagates failure (the memory tiers still serve the result).
 func (s *Service) persistResult(hash string, spec scenario.Spec, res scenario.Result) {
-	payload, err := encodeResult(spec, res)
-	if err == nil {
-		err = s.store.Put(hash, payload)
-	}
-	if err != nil {
+	if _, err := scenario.PublishResult(s.store, hash, spec, res); err != nil {
 		s.log.Warn("result not persisted to store",
 			"spec_hash", hash, "error", err.Error())
 	}
@@ -753,24 +739,14 @@ func (s *Service) ResultByHash(hash string) (scenario.Result, scenario.Spec, err
 		return res, spec, nil
 	}
 	s.mu.Unlock()
-	if s.store == nil {
-		return scenario.Result{}, scenario.Spec{}, ErrUnknownResult
-	}
-	payload, ok := s.store.Get(hash)
-	if !ok {
-		return scenario.Result{}, scenario.Spec{}, ErrUnknownResult
-	}
-	spec, res, derr := decodeResult(hash, payload)
-	if derr != nil {
-		s.log.Warn("stored result undecodable, quarantined",
-			"spec_hash", hash, "error", derr.Error())
-		s.store.Quarantine(hash)
+	env, _, err := scenario.LoadResult(s.store, s.log, hash)
+	if err != nil {
 		return scenario.Result{}, scenario.Spec{}, ErrUnknownResult
 	}
 	s.mu.Lock()
-	s.cache.Put(hash, spec, res)
+	s.cache.Put(hash, env.Spec, env.Result)
 	s.mu.Unlock()
-	return res, spec, nil
+	return env.Result, env.Spec, nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires,
