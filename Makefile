@@ -172,19 +172,20 @@ bench-compare:
 	$(GO) run ./cmd/midas-benchdiff -base BENCH_PR2.json -new $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS) -metric $(BENCH_METRIC)
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
-# stats accumulators and the scenario/replication engine (wrong numbers
-# type-check fine), the serving layer (lifecycle/caching races
-# surface only under load), and the durable store (crash-safety bugs
-# surface only on the restart after the crash) must stay >= 80%
+# engine's linear algebra, precoders, channel model and simulation
+# drivers, the stats accumulators and the scenario/replication engine
+# (wrong numbers type-check fine), the serving layer (lifecycle/caching
+# races surface only under load), and the durable store (crash-safety
+# bugs surface only on the restart after the crash) must stay >= 80%
 # line-covered, as must the dispatch coordinator (lease-requeue
-# correctness is exactly the kind of logic that rots silently) and the
+# correctness is exactly the kind of logic that rots silently), the
 # job journal (a replay bug only surfaces on the restart after the
-# crash). The
-# per-package totals print either way; a package under its floor fails
-# the target (and `make ci`).
+# crash) and the API error envelope. The per-package totals print
+# either way; a package under its floor fails the target (and
+# `make ci`).
 COVER_FLOOR = 80
 cover:
-	@set -e; for pkg in ./internal/stats ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
+	@set -e; for pkg in ./internal/matrix ./internal/precoding ./internal/channel ./internal/sim ./internal/stats ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
 		profile=$$(mktemp); \
 		$(GO) test -coverprofile=$$profile $$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$profile | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \

@@ -1,10 +1,10 @@
 // Command midas-topo generates and inspects deployments: prints antenna
-// and client placements, validates the paper's placement rules, renders
-// an ASCII map, and optionally records a CSI trace for the deployment.
+// and client placements, validates the paper's placement rules and
+// renders an ASCII map.
 //
 // Usage:
 //
-//	midas-topo [-aps 1|3|8] [-mode das|cas] [-seed S] [-map] [-trace out.csi -frames N]
+//	midas-topo [-aps 1|3|8] [-mode das|cas] [-seed S] [-map]
 package main
 
 import (
@@ -13,28 +13,29 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/channel"
 	"repro/internal/geom"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 var (
-	nAPs     = flag.Int("aps", 1, "number of APs: 1, 3 or 8")
-	mode     = flag.String("mode", "das", "das or cas")
-	seed     = flag.Int64("seed", 1, "random seed")
-	drawMap  = flag.Bool("map", false, "render an ASCII deployment map")
-	traceOut = flag.String("trace", "", "record a CSI trace to this file")
-	frames   = flag.Int("frames", 50, "frames to record with -trace")
+	nAPs    = flag.Int("aps", 1, "number of APs: 1, 3 or 8")
+	mode    = flag.String("mode", "das", "das or cas")
+	seed    = flag.Int64("seed", 1, "random seed")
+	drawMap = flag.Bool("map", false, "render an ASCII deployment map")
 )
 
 func main() {
 	flag.Parse()
-	tmode := topology.DAS
-	if *mode == "cas" {
+	var tmode topology.Mode
+	switch *mode {
+	case "das":
+		tmode = topology.DAS
+	case "cas":
 		tmode = topology.CAS
+	default:
+		fmt.Fprintf(os.Stderr, "midas-topo: unknown -mode %q (want das|cas)\n", *mode)
+		os.Exit(2)
 	}
 	dep, err := build(tmode)
 	if err != nil {
@@ -57,12 +58,6 @@ func main() {
 	}
 	if *drawMap {
 		render(dep)
-	}
-	if *traceOut != "" {
-		if err := record(dep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d CSI frames to %s\n", *frames, *traceOut)
 	}
 }
 
@@ -120,22 +115,6 @@ func render(dep *topology.Deployment) {
 	for _, row := range grid {
 		fmt.Println(string(row))
 	}
-}
-
-func record(dep *topology.Deployment) error {
-	tr, err := sim.RecordDeployment(dep, channel.Default(), *frames, rng.New(*seed+7))
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*traceOut)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.Write(f, tr); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

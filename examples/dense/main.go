@@ -1,26 +1,17 @@
 // Dense: the beyond-paper dense-venue workload — 16 APs in a 104×104 m
 // floor (4× the paper's area), full MAC+PHY discrete-event simulation
 // of CAS versus MIDAS swept over client density, resolved from the
-// scenario registry and driven by a spec file. A CSI trace is then
-// recorded and replayed to show the trace-driven path (Fig 16's
-// methodology).
+// scenario registry and driven by a spec file.
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
-	"repro/internal/channel"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -47,38 +38,4 @@ func main() {
 	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
-
-	// Trace-driven path: record CSI from one large-scale deployment,
-	// round-trip it through the binary format, replay through both
-	// precoders.
-	dep, err := topology.LargeScale(topology.DefaultLargeScale(topology.DAS), rng.New(spec.Seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	p := channel.Default()
-	tr, err := sim.RecordDeployment(dep, p, 40, rng.New(spec.Seed+1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("recorded CSI trace: %d frames, %d clients × %d antennas, %d bytes on disk\n",
-		tr.NumFrames(), len(tr.Clients), len(tr.Antennas), buf.Len())
-	replayed, err := trace.Read(&buf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bal, err := sim.TraceDrivenCapacity(replayed, p, sim.PrecoderPowerBalanced)
-	if err != nil {
-		log.Fatal(err)
-	}
-	naive, err := sim.TraceDrivenCapacity(replayed, p, sim.PrecoderNaive)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bm, _ := bal.Mean()
-	nm, _ := naive.Mean()
-	fmt.Printf("trace replay, mean sum capacity: naive %.2f vs power-balanced %.2f bit/s/Hz\n", nm, bm)
 }

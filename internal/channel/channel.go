@@ -98,17 +98,6 @@ func (p Params) PathLossDB(d float64) float64 {
 	return p.RefLossDB + 10*p.PathLossExp*math.Log10(d)
 }
 
-// MeanRxPowerDBm returns the shadowing- and fading-averaged receive power
-// at distance d for a single transmit antenna at full per-antenna power.
-func (p Params) MeanRxPowerDBm(d float64) float64 {
-	return p.TxPowerDBm - p.PathLossDB(d)
-}
-
-// MeanSNRdB returns the average link SNR at distance d.
-func (p Params) MeanSNRdB(d float64) float64 {
-	return p.MeanRxPowerDBm(d) - p.NoiseFloorDBm
-}
-
 // NoiseLinear returns the noise floor in linear milliwatt units.
 func (p Params) NoiseLinear() float64 { return stats.Milliwatt(p.NoiseFloorDBm) }
 
@@ -281,10 +270,6 @@ func (m *Model) Evolve() {
 	}
 }
 
-// Resample draws a completely fresh fading realisation (new frame far
-// beyond the coherence time).
-func (m *Model) Resample() { m.redraw() }
-
 // Gain returns the instantaneous complex channel gain h_jk from antenna k
 // to client j, in sqrt-milliwatt units per unit transmit amplitude: the
 // received power from power P on antenna k is |h_jk|²·P.
@@ -337,21 +322,6 @@ func (m *Model) SNRdB(j, k int) float64 {
 	g := m.Gain(j, k)
 	p := (real(g)*real(g) + imag(g)*imag(g)) * m.P.TxPowerLinear()
 	return stats.DB(p / m.P.NoiseLinear())
-}
-
-// BestAntennaSNRdB returns the best instantaneous single-antenna SNR for
-// client j across the given antenna subset (nil = all), and the antenna.
-func (m *Model) BestAntennaSNRdB(j int, antennaIdx []int) (int, float64) {
-	if antennaIdx == nil {
-		antennaIdx = identityIndex(len(m.antennas))
-	}
-	best, bestSNR := -1, math.Inf(-1)
-	for _, k := range antennaIdx {
-		if s := m.SNRdB(j, k); s > bestSNR {
-			best, bestSNR = k, s
-		}
-	}
-	return best, bestSNR
 }
 
 // PowerAtPoint returns the received power (linear mW) at an arbitrary

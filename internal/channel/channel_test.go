@@ -42,8 +42,8 @@ func TestRangeAtInvertsSNR(t *testing.T) {
 	p := Default()
 	for _, snr := range []float64{0, 10, 20} {
 		d := p.RangeAt(snr)
-		if got := p.MeanSNRdB(d); math.Abs(got-snr) > 1e-9 {
-			t.Errorf("MeanSNRdB(RangeAt(%v)) = %v", snr, got)
+		if got := p.TxPowerDBm - p.PathLossDB(d) - p.NoiseFloorDBm; math.Abs(got-snr) > 1e-9 {
+			t.Errorf("mean SNR at RangeAt(%v) = %v", snr, got)
 		}
 	}
 }
@@ -106,7 +106,7 @@ func TestFadingMeanPowerMatchesPathLoss(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		g := m.Gain(0, 0)
 		sum += real(g)*real(g) + imag(g)*imag(g)
-		m.Resample()
+		m.redraw()
 	}
 	got := sum / iters
 	d := geom.Pt(8, 0).Dist(geom.Pt(0, 0))
@@ -129,7 +129,7 @@ func TestCorrelationCASVsDAS(t *testing.T) {
 			sum += f0 * cmplx.Conj(f1)
 			p0 += real(f0)*real(f0) + imag(f0)*imag(f0)
 			p1 += real(f1)*real(f1) + imag(f1)*imag(f1)
-			m.Resample()
+			m.redraw()
 		}
 		return cmplx.Abs(sum) / math.Sqrt(p0*p1)
 	}
@@ -192,42 +192,17 @@ func TestSNRDecreasesWithDistance(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		near.Add(m.SNRdB(0, 0))
 		far.Add(m.SNRdB(1, 0))
-		m.Resample()
+		m.redraw()
 	}
 	if near.Mean() <= far.Mean() {
 		t.Errorf("near SNR %v should exceed far SNR %v", near.Mean(), far.Mean())
 	}
 }
 
-func TestBestAntennaSNR(t *testing.T) {
-	p := Default()
-	p.ShadowSigmaDB = 0 // make geometry decisive
-	antennas := []Antenna{
-		{Pos: geom.Pt(0, 0), AP: 0},
-		{Pos: geom.Pt(100, 0), AP: 1},
-	}
-	clients := []geom.Point{geom.Pt(2, 0)}
-	m := NewModel(p, antennas, clients, false, rng.New(19))
-	votes := 0
-	for i := 0; i < 200; i++ {
-		k, snr := m.BestAntennaSNRdB(0, nil)
-		if math.IsInf(snr, 0) {
-			t.Fatal("bad SNR")
-		}
-		if k == 0 {
-			votes++
-		}
-		m.Resample()
-	}
-	if votes < 190 {
-		t.Errorf("nearest antenna should nearly always win: %d/200", votes)
-	}
-}
-
 func TestMeanRxPowerIsFadingFree(t *testing.T) {
 	m := mkModel(false, 23)
 	a := m.MeanRxPower(0, 0)
-	m.Resample()
+	m.redraw()
 	if b := m.MeanRxPower(0, 0); a != b {
 		t.Error("MeanRxPower must not depend on fading state")
 	}

@@ -98,11 +98,6 @@ func (f *ShadowField) Walls(a, b geom.Point) int {
 	return int(math.Abs(ax-bx) + math.Abs(ay-by))
 }
 
-// SameRoom reports whether a and b share an office room.
-func (f *ShadowField) SameRoom(a, b geom.Point) bool {
-	return f.Walls(a, b) == 0
-}
-
 // residualDB is the per-link log-normal residual (furniture, multipath
 // clutter): deterministic in the quantised endpoint pair, symmetric.
 func (f *ShadowField) residualDB(a, b geom.Point) float64 {

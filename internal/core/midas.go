@@ -120,20 +120,6 @@ func (c *Controller) UpdateNAV(antenna int, until time.Duration) {
 	}
 }
 
-// Selection is the outcome of one transmit opportunity.
-type Selection struct {
-	// Antennas are the global antenna indices to transmit from, ordered
-	// by NAV expiry (primary antenna first).
-	Antennas []int
-	// WaitUntil is the absolute time transmission may begin (now when no
-	// opportunistic waiting is needed).
-	WaitUntil time.Duration
-	// Clients are the selected clients, parallel to the antenna order in
-	// which they were chosen (not an antenna-to-client mapping: all
-	// selected antennas jointly precode to all selected clients, §3.2.5).
-	Clients []int
-}
-
 // SelectAntennas performs opportunistic antenna selection (§3.2.3): given
 // that `winner` (global index) just won channel access at time now, return
 // the antennas to engage — all currently idle ones, plus any whose NAV

@@ -86,19 +86,11 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X0 && p.X <= r.X1 && p.Y >= r.Y0 && p.Y <= r.Y1
 }
 
-// Center returns the rectangle's centre point.
-func (r Rect) Center() Point {
-	return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2}
-}
-
 // Width returns the horizontal extent.
 func (r Rect) Width() float64 { return r.X1 - r.X0 }
 
 // Height returns the vertical extent.
 func (r Rect) Height() float64 { return r.Y1 - r.Y0 }
-
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Clamp returns p constrained to lie within r.
 func (r Rect) Clamp(p Point) Point {
@@ -123,13 +115,6 @@ func Grid(rect Rect, spacing float64, f func(Point)) int {
 		}
 	}
 	return n
-}
-
-// GridPoints materialises the grid as a slice.
-func GridPoints(rect Rect, spacing float64) []Point {
-	var pts []Point
-	Grid(rect, spacing, func(p Point) { pts = append(pts, p) })
-	return pts
 }
 
 // MinDist returns the smallest pairwise distance among pts, or +Inf for

@@ -80,34 +80,26 @@ func TestRect(t *testing.T) {
 	if !r.Contains(Pt(2, 1.5)) || r.Contains(Pt(5, 1)) {
 		t.Error("Contains wrong")
 	}
-	if r.Center() != Pt(2, 1.5) {
-		t.Errorf("Center = %v", r.Center())
-	}
-	if r.Area() != 12 || r.Width() != 4 || r.Height() != 3 {
-		t.Errorf("dims wrong: %v %v %v", r.Area(), r.Width(), r.Height())
+	if r.Width() != 4 || r.Height() != 3 {
+		t.Errorf("dims wrong: %v %v", r.Width(), r.Height())
 	}
 	if got := r.Clamp(Pt(-1, 10)); got != Pt(0, 3) {
 		t.Errorf("Clamp = %v", got)
 	}
-	if s := Square(60); s.Area() != 3600 {
-		t.Errorf("Square area = %v", s.Area())
+	if s := Square(60); s != (Rect{0, 0, 60, 60}) {
+		t.Errorf("Square = %+v", s)
 	}
 }
 
 func TestGrid(t *testing.T) {
 	r := Square(1)
-	n := Grid(r, 0.5, func(Point) {})
-	if n != 9 { // 3x3 lattice: 0, .5, 1
-		t.Errorf("grid count = %d, want 9", n)
-	}
-	pts := GridPoints(r, 0.5)
-	if len(pts) != 9 {
-		t.Errorf("GridPoints len = %d", len(pts))
-	}
-	for _, p := range pts {
+	n := Grid(r, 0.5, func(p Point) {
 		if !r.Contains(p) {
 			t.Errorf("grid point %v outside rect", p)
 		}
+	})
+	if n != 9 { // 3x3 lattice: 0, .5, 1
+		t.Errorf("grid count = %d, want 9", n)
 	}
 }
 

@@ -107,30 +107,6 @@ func MulVecInto(dst []complex128, m *Mat, x []complex128) []complex128 {
 	return dst
 }
 
-// HermitianInto computes dst = mᴴ. dst must not alias m.
-func HermitianInto(dst, m *Mat) *Mat {
-	dst.Reuse(m.c, m.r)
-	for i := 0; i < m.r; i++ {
-		for j := 0; j < m.c; j++ {
-			dst.a[j*m.r+i] = cmplx.Conj(m.a[i*m.c+j])
-		}
-	}
-	return dst
-}
-
-// AddScaledInto computes dst = a + k·b for same-shaped a and b. dst may
-// alias a or b.
-func AddScaledInto(dst, a *Mat, k complex128, b *Mat) *Mat {
-	a.mustSameShape(b)
-	if dst != a && dst != b {
-		dst.Reuse(a.r, a.c)
-	}
-	for i := range a.a {
-		dst.a[i] = a.a[i] + k*b.a[i]
-	}
-	return dst
-}
-
 // GramInto computes the Gram matrix dst = m·mᴴ (Rows×Rows) without
 // materialising the Hermitian. Bit-identical to m.Mul(m.Hermitian()).
 func GramInto(dst, m *Mat) *Mat {
@@ -384,165 +360,4 @@ func (w *Workspace) TakeCopy(src *Mat) *Mat {
 	m := w.mats[w.top]
 	w.top++
 	return m.CopyFrom(src)
-}
-
-// LU is a reusable LU factorisation with partial pivoting: P·A = L·U with
-// unit-diagonal L. Factor once, then solve any number of right-hand sides
-// by forward/back substitution — no full inverse is ever materialised.
-// The factor and pivot buffers are retained across Factor calls, so
-// steady-state refactorisation of same-sized systems does not allocate.
-type LU struct {
-	lu   Mat
-	piv  []int
-	perm []int
-}
-
-// Factor decomposes the square matrix a. It returns ErrSingular when a
-// pivot falls below tol times the matrix magnitude (the same criterion as
-// Inverse).
-func (f *LU) Factor(a *Mat) error {
-	if a.r != a.c {
-		return ErrShape
-	}
-	n := a.r
-	f.lu.CopyFrom(a)
-	if cap(f.piv) < n {
-		f.piv = make([]int, n)
-	} else {
-		f.piv = f.piv[:n]
-	}
-	const tol = 1e-13
-	scale := f.lu.FrobeniusNorm()
-	if scale == 0 {
-		return ErrSingular
-	}
-	tolScale2 := tol * scale
-	tolScale2 *= tolScale2
-	for col := 0; col < n; col++ {
-		// Partial pivot on the current column (squared-magnitude
-		// comparisons, as in InverseInto).
-		p := col
-		best := abs2(f.lu.At(col, col))
-		for row := col + 1; row < n; row++ {
-			if v := abs2(f.lu.At(row, col)); v > best {
-				p, best = row, v
-			}
-		}
-		if best <= tolScale2 {
-			return ErrSingular
-		}
-		f.piv[col] = p
-		if p != col {
-			f.lu.swapRows(p, col)
-		}
-		piv := f.lu.At(col, col)
-		for row := col + 1; row < n; row++ {
-			m := f.lu.At(row, col) / piv
-			f.lu.Set(row, col, m)
-			if m == 0 {
-				continue
-			}
-			for j := col + 1; j < n; j++ {
-				f.lu.Set(row, j, f.lu.At(row, j)-m*f.lu.At(col, j))
-			}
-		}
-	}
-	return nil
-}
-
-// SolveVecInto solves A·x = b into dst using the current factorisation.
-// dst and b must have length N; dst may alias b.
-func (f *LU) SolveVecInto(dst, b []complex128) []complex128 {
-	n := f.lu.r
-	if n == 0 || len(dst) != n || len(b) != n {
-		panic(ErrShape)
-	}
-	if &dst[0] != &b[0] {
-		copy(dst, b)
-	}
-	// Apply every recorded row exchange first: the stored multipliers
-	// reflect the fully-pivoted row order, so the RHS must too before any
-	// elimination uses them. Then L⁻¹ (unit lower), then U⁻¹.
-	for col := 0; col < n; col++ {
-		if p := f.piv[col]; p != col {
-			dst[col], dst[p] = dst[p], dst[col]
-		}
-	}
-	for col := 0; col < n; col++ {
-		for row := col + 1; row < n; row++ {
-			dst[row] -= f.lu.At(row, col) * dst[col]
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		dst[col] /= f.lu.At(col, col)
-		for row := 0; row < col; row++ {
-			dst[row] -= f.lu.At(row, col) * dst[col]
-		}
-	}
-	return dst
-}
-
-// SolveMatInto solves A·X = B column-by-column into dst (reshaped to B's
-// shape). dst must not alias b.
-func (f *LU) SolveMatInto(dst, b *Mat) *Mat {
-	n := f.lu.r
-	if b.r != n {
-		panic(ErrShape)
-	}
-	dst.Reuse(n, b.c)
-	// Copy B with the pivot permutation applied: row i of the permuted
-	// system reads row perm[i] of B. Substitution then runs over all
-	// right-hand sides at once, row-major.
-	perm := f.permInto()
-	for i := 0; i < n; i++ {
-		copy(dst.a[i*b.c:(i+1)*b.c], b.a[perm[i]*b.c:(perm[i]+1)*b.c])
-	}
-	for col := 0; col < n; col++ {
-		for row := col + 1; row < n; row++ {
-			m := f.lu.At(row, col)
-			if m == 0 {
-				continue
-			}
-			for j := 0; j < b.c; j++ {
-				dst.a[row*b.c+j] -= m * dst.a[col*b.c+j]
-			}
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		d := f.lu.At(col, col)
-		for j := 0; j < b.c; j++ {
-			dst.a[col*b.c+j] /= d
-		}
-		for row := 0; row < col; row++ {
-			m := f.lu.At(row, col)
-			if m == 0 {
-				continue
-			}
-			for j := 0; j < b.c; j++ {
-				dst.a[row*b.c+j] -= m * dst.a[col*b.c+j]
-			}
-		}
-	}
-	return dst
-}
-
-// permInto expands the pairwise pivot exchanges into an explicit
-// permutation in a buffer retained by the factorisation: perm[i] is the
-// source row of B feeding row i of the permuted system.
-func (f *LU) permInto() []int {
-	n := f.lu.r
-	if cap(f.perm) < n {
-		f.perm = make([]int, n)
-	} else {
-		f.perm = f.perm[:n]
-	}
-	for i := 0; i < n; i++ {
-		f.perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		if p := f.piv[col]; p != col {
-			f.perm[col], f.perm[p] = f.perm[p], f.perm[col]
-		}
-	}
-	return f.perm
 }

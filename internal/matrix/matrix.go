@@ -1,7 +1,7 @@
 // Package matrix implements the dense complex-valued linear algebra needed
 // by MU-MIMO precoding: multiplication, Hermitian transpose, inversion with
 // partial pivoting, the Moore–Penrose pseudoinverse (the closed-form ZFBF
-// precoder, §3.1.1 of the MIDAS paper), QR factorisation, and norms.
+// precoder, §3.1.1 of the MIDAS paper), and norms.
 //
 // Matrices are dense, row-major, and sized at construction. The package is
 // stdlib-only and deterministic.
@@ -75,15 +75,6 @@ func (m *Mat) Set(i, j int, v complex128) { m.a[i*m.c+j] = v }
 func (m *Mat) Row(i int) []complex128 {
 	out := make([]complex128, m.c)
 	copy(out, m.a[i*m.c:(i+1)*m.c])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) []complex128 {
-	out := make([]complex128, m.r)
-	for i := 0; i < m.r; i++ {
-		out[i] = m.At(i, j)
-	}
 	return out
 }
 
@@ -198,17 +189,6 @@ func (m *Mat) MulVec(x []complex128) []complex128 {
 			s += m.a[base+j] * x[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Mat) Transpose() *Mat {
-	out := New(m.c, m.r)
-	for i := 0; i < m.r; i++ {
-		for j := 0; j < m.c; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
 	}
 	return out
 }
@@ -389,152 +369,6 @@ func (m *Mat) PseudoInverse() (*Mat, error) {
 		return nil, fmt.Errorf("pseudoinverse: %w", err)
 	}
 	return g.Mul(h), nil
-}
-
-// Solve returns x with m·x = b for square m by LU factorisation with
-// partial pivoting and forward/back substitution — O(n³/3) instead of the
-// O(n³) full inverse, and without the extra rounding a materialised
-// inverse injects into every solution component.
-func (m *Mat) Solve(b []complex128) ([]complex128, error) {
-	if len(b) != m.r {
-		return nil, ErrShape
-	}
-	var f LU
-	if err := f.Factor(m); err != nil {
-		return nil, err
-	}
-	x := make([]complex128, len(b))
-	return f.SolveVecInto(x, b), nil
-}
-
-// SolveMat returns X with m·X = b for square m, factoring once and
-// substituting every column of b through the shared LU decomposition.
-func (m *Mat) SolveMat(b *Mat) (*Mat, error) {
-	if b.r != m.r {
-		return nil, ErrShape
-	}
-	var f LU
-	if err := f.Factor(m); err != nil {
-		return nil, err
-	}
-	return f.SolveMatInto(New(b.r, b.c), b), nil
-}
-
-// QR computes the thin QR factorisation m = Q·R using modified
-// Gram–Schmidt. Q is r×c with orthonormal columns and R is c×c upper
-// triangular. Requires r >= c.
-func (m *Mat) QR() (q, r *Mat, err error) {
-	if m.r < m.c {
-		return nil, nil, ErrShape
-	}
-	q = m.Clone()
-	r = New(m.c, m.c)
-	for j := 0; j < m.c; j++ {
-		// r_jj = ||q_j||
-		norm := math.Sqrt(q.ColPower(j))
-		r.Set(j, j, complex(norm, 0))
-		if norm < 1e-300 {
-			return nil, nil, ErrSingular
-		}
-		q.ScaleCol(j, 1/norm)
-		for k := j + 1; k < m.c; k++ {
-			// r_jk = q_j ᴴ q_k
-			var dot complex128
-			for i := 0; i < m.r; i++ {
-				dot += cmplx.Conj(q.At(i, j)) * q.At(i, k)
-			}
-			r.Set(j, k, dot)
-			for i := 0; i < m.r; i++ {
-				q.Set(i, k, q.At(i, k)-dot*q.At(i, j))
-			}
-		}
-	}
-	return q, r, nil
-}
-
-// Rank estimates the numerical rank via QR: the count of diagonal entries
-// of R above tol times the largest.
-func (m *Mat) Rank(tol float64) int {
-	a := m
-	if m.r < m.c {
-		a = m.Hermitian()
-	}
-	_, r, err := a.QR()
-	if err != nil {
-		// Fall back: count nonzero rows after elimination is overkill;
-		// a singular QR means rank deficiency appeared at some column.
-		// Redo with column pivoting via greedy norm selection.
-		return m.rankPivoted(tol)
-	}
-	maxDiag := 0.0
-	for i := 0; i < r.Rows(); i++ {
-		if v := cmplx.Abs(r.At(i, i)); v > maxDiag {
-			maxDiag = v
-		}
-	}
-	if maxDiag == 0 {
-		return 0
-	}
-	rank := 0
-	for i := 0; i < r.Rows(); i++ {
-		if cmplx.Abs(r.At(i, i)) > tol*maxDiag {
-			rank++
-		}
-	}
-	return rank
-}
-
-// rankPivoted estimates rank by Gaussian elimination with full pivoting.
-func (m *Mat) rankPivoted(tol float64) int {
-	a := m.Clone()
-	rows, cols := a.r, a.c
-	rank := 0
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
-		return 0
-	}
-	rowUsed := make([]bool, rows)
-	for c := 0; c < cols; c++ {
-		// find pivot row
-		p, best := -1, tol*scale
-		for r := 0; r < rows; r++ {
-			if rowUsed[r] {
-				continue
-			}
-			if v := cmplx.Abs(a.At(r, c)); v > best {
-				p, best = r, v
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		rowUsed[p] = true
-		rank++
-		piv := a.At(p, c)
-		for r := 0; r < rows; r++ {
-			if r == p || rowUsed[r] {
-				continue
-			}
-			f := a.At(r, c) / piv
-			for j := c; j < cols; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(p, j))
-			}
-		}
-	}
-	return rank
-}
-
-// Diag returns the main diagonal as a slice.
-func (m *Mat) Diag() []complex128 {
-	n := m.r
-	if m.c < n {
-		n = m.c
-	}
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = m.At(i, i)
-	}
-	return out
 }
 
 // OffDiagMax returns the largest |a_ij| with i != j — used to verify the

@@ -148,10 +148,3 @@ func Airtime(bytes int, m MCS, nss int) (time.Duration, error) {
 	symbols := math.Ceil(float64(bytes*8+22) / bitsPerSymbol) // +SERVICE/tail
 	return VHTPreamble + time.Duration(symbols)*SymbolDuration, nil
 }
-
-// EffectiveRateMbps returns the PHY data rate of an MCS with nss streams
-// on 80 MHz in Mb/s.
-func EffectiveRateMbps(m MCS, nss int) float64 {
-	return m.BitsPerSymbol * float64(DataSubcarriers80MHz) * float64(nss) /
-		(float64(SymbolDuration) / float64(time.Microsecond))
-}

@@ -102,18 +102,6 @@ func TestAirtimeSymbolQuantised(t *testing.T) {
 	}
 }
 
-func TestEffectiveRateMbps(t *testing.T) {
-	// MCS9 x4 streams on 80 MHz should be in the gigabit class.
-	got := EffectiveRateMbps(Table[9], 4)
-	if got < 1000 || got > 2000 {
-		t.Errorf("MCS9x4 = %v Mb/s, want ~1560", got)
-	}
-	one := EffectiveRateMbps(Table[0], 1)
-	if math.Abs(one-29.25) > 0.01 { // 0.5*234/4 = 29.25 Mb/s
-		t.Errorf("MCS0x1 = %v Mb/s, want 29.25", one)
-	}
-}
-
 func mkH(s *rng.Source, r, c int) *matrix.Mat {
 	h := matrix.New(r, c)
 	for i := 0; i < r; i++ {

@@ -10,7 +10,6 @@ package rng
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 )
 
@@ -101,9 +100,6 @@ func itoa(i int) string {
 	return string(buf[p:])
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
 // Intn returns an integer in [0, n).
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
@@ -123,30 +119,12 @@ func (s *Source) Gauss(mean, std float64) float64 {
 	return mean + std*s.r.NormFloat64()
 }
 
-// LogNormalDB returns a linear-scale multiplicative factor whose dB value
-// is N(0, sigmaDB) — the standard model for shadow fading.
-func (s *Source) LogNormalDB(sigmaDB float64) float64 {
-	return math.Pow(10, s.Gauss(0, sigmaDB)/10)
-}
-
 // ComplexCircular returns a circularly-symmetric complex Gaussian
 // CN(0, variance): real and imaginary parts are independent
 // N(0, variance/2), so E[|z|²] == variance.
 func (s *Source) ComplexCircular(variance float64) complex128 {
 	std := math.Sqrt(variance / 2)
 	return complex(s.Gauss(0, std), s.Gauss(0, std))
-}
-
-// UnitPhasor returns e^{jθ} with θ uniform in [0, 2π).
-func (s *Source) UnitPhasor() complex128 {
-	theta := s.Uniform(0, 2*math.Pi)
-	return cmplx.Exp(complex(0, theta))
-}
-
-// Rayleigh returns the magnitude of a CN(0, 2σ²) draw — a Rayleigh random
-// variable with scale sigma.
-func (s *Source) Rayleigh(sigma float64) float64 {
-	return cmplx.Abs(s.ComplexCircular(2 * sigma * sigma))
 }
 
 // Exp returns an exponential draw with the given mean.
@@ -156,9 +134,6 @@ func (s *Source) Exp(mean float64) float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // PointInDisc returns a uniform point in the disc of the given radius
 // centred at the origin.

@@ -2,7 +2,6 @@ package rng
 
 import (
 	"math"
-	"math/cmplx"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -121,51 +120,6 @@ func TestComplexCircularMoments(t *testing.T) {
 	}
 	if math.Abs(re/n) > 0.02 || math.Abs(im/n) > 0.02 {
 		t.Errorf("mean not ~0: %v %v", re/n, im/n)
-	}
-}
-
-func TestUnitPhasor(t *testing.T) {
-	s := New(17)
-	for i := 0; i < 100; i++ {
-		z := s.UnitPhasor()
-		if math.Abs(cmplx.Abs(z)-1) > 1e-12 {
-			t.Fatalf("|phasor| = %v", cmplx.Abs(z))
-		}
-	}
-}
-
-func TestRayleighMean(t *testing.T) {
-	// E[Rayleigh(sigma)] = sigma*sqrt(pi/2).
-	s := New(19)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Rayleigh(2)
-	}
-	want := 2 * math.Sqrt(math.Pi/2)
-	if got := sum / n; math.Abs(got-want) > 0.03 {
-		t.Errorf("Rayleigh mean = %v, want ~%v", got, want)
-	}
-}
-
-func TestLogNormalDBMedian(t *testing.T) {
-	// Median of a 0-mean log-normal (in dB) is 1 in linear scale.
-	s := New(23)
-	const n = 100001
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = s.LogNormalDB(8)
-	}
-	// count below 1
-	below := 0
-	for _, x := range xs {
-		if x < 1 {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("P(X<1) = %v, want ~0.5", frac)
 	}
 }
 

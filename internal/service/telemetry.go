@@ -22,8 +22,8 @@ import (
 // coalesced onto an in-flight run complete in microseconds; queue wait
 // and engine runs range from sub-millisecond (cached-scale specs) to
 // minutes (full paper figures), so both spans are covered by
-// exponential buckets — the CDFSketch fixed-bucket discipline, shaped
-// for an open-ended range.
+// exponential buckets: bounds fixed up front, each a constant factor
+// above the last, which spans an open-ended range in few buckets.
 var (
 	// 1µs … ~4s in 11 buckets: the submit-path latencies.
 	submitPathBuckets = telemetry.ExponentialBuckets(1e-6, 4, 11)

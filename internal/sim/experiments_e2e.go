@@ -38,11 +38,6 @@ type E2EOpts struct {
 	Parallelism int
 }
 
-// DefaultE2E mirrors §5.4: 60 topologies.
-func DefaultE2E(seed int64) E2EOpts {
-	return E2EOpts{Topologies: 60, SimTime: 300 * time.Millisecond, Seed: seed}
-}
-
 // params is the channel model for this run.
 func (o E2EOpts) params() channel.Params { return o.Env.Params(channel.Default()) }
 

@@ -96,14 +96,6 @@ func (n *Network) TotalStreams() int {
 	return s
 }
 
-// MeanGroupSize returns the mean number of clients per MU transmission.
-func (n *Network) MeanGroupSize() float64 {
-	if n.TotalTXOPs() == 0 {
-		return 0
-	}
-	return float64(n.TotalStreams()) / float64(n.TotalTXOPs())
-}
-
 // airTx assembles a mac.Tx from antenna positions and an encoded frame.
 func airTx(antennas []geom.Point, powerDBm float64, airtime time.Duration, data []byte) mac.Tx {
 	return mac.Tx{Antennas: antennas, PowerDBm: powerDBm, Airtime: airtime, Data: data}

@@ -26,8 +26,8 @@ func TestCASNetworkDeliversTraffic(t *testing.T) {
 	if net.NetworkCapacity() <= 0 {
 		t.Fatal("no capacity delivered")
 	}
-	if net.MeanGroupSize() < 1 || net.MeanGroupSize() > 4 {
-		t.Errorf("mean group size = %v", net.MeanGroupSize())
+	if g := float64(net.TotalStreams()) / float64(net.TotalTXOPs()); g < 1 || g > 4 {
+		t.Errorf("mean group size = %v", g)
 	}
 }
 
@@ -80,19 +80,12 @@ func TestKindAndOfficeStrings(t *testing.T) {
 	}
 }
 
-func TestDefaultE2E(t *testing.T) {
-	o := DefaultE2E(5)
-	if o.Topologies != 60 || o.Seed != 5 || o.SimTime <= 0 {
-		t.Errorf("DefaultE2E = %+v", o)
-	}
-}
-
-func TestMeanGroupSizeZeroWhenIdle(t *testing.T) {
+func TestCapacityZeroWhenIdle(t *testing.T) {
 	cfg := topology.DefaultConfig(topology.CAS)
 	dep := topology.SingleAP(cfg, rng.New(1))
 	net := NewNetwork(dep, channel.Default(), DefaultStationOpts(KindCAS), rng.New(2))
-	if net.MeanGroupSize() != 0 {
-		t.Error("mean group size should be 0 before any TXOP")
+	if net.TotalTXOPs() != 0 {
+		t.Error("no TXOP should complete before the network runs")
 	}
 	if net.NetworkCapacity() != 0 {
 		t.Error("capacity should be 0 at time 0")

@@ -110,23 +110,6 @@ func TestSummaryNaNRejection(t *testing.T) {
 	}
 }
 
-// TestHistogramNaN pins the fix for the NaN bin-index conversion: NaN
-// compares false against both range bounds, so before the guard it
-// reached int((NaN-lo)/w) — an undefined conversion that indexes out of
-// bounds on most platforms.
-func TestHistogramNaN(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(math.NaN())
-	h.Add(5)
-	if h.N() != 1 || h.NaNs() != 1 {
-		t.Errorf("N=%d NaNs=%d, want 1 and 1", h.N(), h.NaNs())
-	}
-	under, over := h.Outliers()
-	if under != 0 || over != 0 {
-		t.Errorf("NaN must not count as an outlier: under=%d over=%d", under, over)
-	}
-}
-
 // TestMedianGainEdgeCases covers the remaining whole-sample helpers on
 // empty input.
 func TestMedianGainEdgeCases(t *testing.T) {

@@ -69,13 +69,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records x with multiplicity k (k >= 1).
-func (s *Summary) AddN(x float64, k int) {
-	for i := 0; i < k; i++ {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations recorded.
 func (s *Summary) N() int { return s.n }
 
@@ -279,68 +272,6 @@ func (c *CDF) Table(points int) string {
 		fmt.Fprintf(&b, "%.4g\t%.4f\n", c.X[j], c.F[j])
 	}
 	return b.String()
-}
-
-// Histogram counts observations into uniform bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	nans   int
-}
-
-// NewHistogram creates a histogram with bins uniform bins spanning [lo,hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation; out-of-range values are tallied
-// separately, as are NaNs — a NaN compares false against both bounds
-// and would otherwise reach the bin index conversion, whose result is
-// undefined (an out-of-bounds panic on most platforms).
-func (h *Histogram) Add(x float64) {
-	if math.IsNaN(x) {
-		h.nans++
-		return
-	}
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	if x >= h.Hi {
-		h.over++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i == len(h.Counts) { // x == Hi after fp rounding
-		i--
-	}
-	h.Counts[i]++
-}
-
-// N returns the total number of in-range observations.
-func (h *Histogram) N() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Outliers returns the number of observations below Lo and at/above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// NaNs returns the number of NaN observations rejected by Add.
-func (h *Histogram) NaNs() int { return h.nans }
-
-// Bin returns the [lo,hi) bounds of bin i.
-func (h *Histogram) Bin(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
 }
 
 // Ratio divides a by b element-wise over paired samples, returning the

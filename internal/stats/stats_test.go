@@ -59,17 +59,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(3.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3.5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Errorf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-}
-
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
 	if s.Var() != 0 || s.Std() != 0 || s.N() != 0 {
@@ -179,36 +168,6 @@ func TestCDFTableSinglePoint(t *testing.T) {
 	if got := NewSample(1, 2, 3).ECDF().Table(1); got != "3\t1.0000\n" {
 		t.Errorf("one-row table = %q, want the maximum row", got)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.N() != 4 {
-		t.Errorf("in-range N = %d, want 4", h.N())
-	}
-	u, o := h.Outliers()
-	if u != 1 || o != 2 {
-		t.Errorf("outliers = %d,%d want 1,2", u, o)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	lo, hi := h.Bin(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("Bin(1) = [%v,%v)", lo, hi)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for invalid bounds")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 func TestRatio(t *testing.T) {

@@ -88,8 +88,8 @@ func (s *Summary) Merge(o Summary) {
 //
 // The estimate is always within [min, max] of the observed data; its
 // error against the exact quantile depends on the input distribution
-// and is not worst-case bounded — use CDFSketch when a hard error bound
-// matters and the value range is known.
+// and is not worst-case bounded — use Sample when an exact order
+// statistic matters.
 type P2Quantile struct {
 	q    float64
 	n    int
@@ -213,132 +213,4 @@ func (p *P2Quantile) Value() float64 {
 		return xs[r-1]
 	}
 	return p.h[2]
-}
-
-// CDFSketch approximates an empirical CDF in bounded memory: a fixed
-// number of uniform buckets over [lo, hi), exact min/max, and tallies
-// for out-of-range observations (attributed to the min/max in quantile
-// queries). Unlike Sample it never materializes observations, so a run
-// of any length costs the same memory.
-//
-// For observations inside [lo, hi) a quantile estimate is within one
-// bucket width above the exact order statistic — the trade-off against
-// the exact Sample path is that one-bucket value resolution.
-type CDFSketch struct {
-	lo, hi   float64
-	counts   []int
-	n        int
-	under    int // observations < lo (counted, valued at min)
-	over     int // observations >= hi (counted, valued at max)
-	nans     int
-	min, max float64
-}
-
-// NewCDFSketch creates a sketch with buckets uniform buckets over
-// [lo, hi).
-func NewCDFSketch(lo, hi float64, buckets int) *CDFSketch {
-	if buckets <= 0 || !(hi > lo) || math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
-		panic("stats: invalid CDF sketch bounds")
-	}
-	return &CDFSketch{lo: lo, hi: hi, counts: make([]int, buckets)}
-}
-
-// Add records one observation. Out-of-range values are tallied at the
-// extremes; NaN and ±Inf are counted separately and otherwise ignored.
-func (c *CDFSketch) Add(x float64) {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		c.nans++
-		return
-	}
-	if c.n == 0 {
-		c.min, c.max = x, x
-	} else {
-		if x < c.min {
-			c.min = x
-		}
-		if x > c.max {
-			c.max = x
-		}
-	}
-	c.n++
-	switch {
-	case x < c.lo:
-		c.under++
-	case x >= c.hi:
-		c.over++
-	default:
-		i := int((x - c.lo) / (c.hi - c.lo) * float64(len(c.counts)))
-		if i == len(c.counts) { // x == hi after fp rounding
-			i--
-		}
-		c.counts[i]++
-	}
-}
-
-// N returns the number of (finite) observations recorded.
-func (c *CDFSketch) N() int { return c.n }
-
-// NaNs returns the number of non-finite observations ignored by Add.
-func (c *CDFSketch) NaNs() int { return c.nans }
-
-// Min and Max return the exact observed extremes (0 if empty).
-func (c *CDFSketch) Min() float64 { return c.min }
-
-// Max returns the largest observation (0 if none).
-func (c *CDFSketch) Max() float64 { return c.max }
-
-// width returns the bucket width.
-func (c *CDFSketch) width() float64 { return (c.hi - c.lo) / float64(len(c.counts)) }
-
-// Quantile returns an estimate of the smallest x with F(x) >= q. For
-// data inside [lo, hi) the estimate is the right edge of the bucket
-// holding the exact order statistic, clamped to the observed max — at
-// most one bucket width above the exact value, never below it. An empty
-// sketch returns NaN; q outside [0, 1] or NaN returns NaN.
-func (c *CDFSketch) Quantile(q float64) float64 {
-	if c.n == 0 || math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	r := int(math.Ceil(q * float64(c.n)))
-	if r < 1 {
-		r = 1
-	}
-	if r <= c.under {
-		return c.min
-	}
-	cum := c.under
-	for i, cnt := range c.counts {
-		cum += cnt
-		if cum >= r {
-			edge := c.lo + float64(i+1)*c.width()
-			return math.Min(edge, c.max)
-		}
-	}
-	return c.max
-}
-
-// CDF renders the sketch as a CDF over the bucket right edges (plus the
-// exact extremes), compatible with CDF.At/Quantile/Table. Empty buckets
-// are skipped, so the result has at most buckets+2 points.
-func (c *CDFSketch) CDF() *CDF {
-	out := &CDF{}
-	if c.n == 0 {
-		return out
-	}
-	total := float64(c.n)
-	cum := 0
-	add := func(x float64, cnt int) {
-		if cnt == 0 {
-			return
-		}
-		cum += cnt
-		out.X = append(out.X, x)
-		out.F = append(out.F, float64(cum)/total)
-	}
-	add(c.min, c.under)
-	for i, cnt := range c.counts {
-		add(math.Min(c.lo+float64(i+1)*c.width(), c.max), cnt)
-	}
-	add(c.max, c.over)
-	return out
 }

@@ -164,86 +164,3 @@ func TestP2QuantileRejectsNonFinite(t *testing.T) {
 		t.Errorf("median = %v, want 2", p.Value())
 	}
 }
-
-func TestCDFSketchQuantileWithinOneBucket(t *testing.T) {
-	rnd := rand.New(rand.NewSource(7))
-	const buckets = 64
-	sk := NewCDFSketch(-4, 4, buckets)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = rnd.NormFloat64() // a few points land outside ±4
-	}
-	for _, x := range xs {
-		sk.Add(x)
-	}
-	sort.Float64s(xs)
-	width := 8.0 / buckets
-	for _, q := range []float64{0, 0.01, 0.1, 0.5, 0.9, 0.99, 1} {
-		r := int(math.Ceil(q * float64(len(xs))))
-		if r < 1 {
-			r = 1
-		}
-		exact := xs[r-1]
-		got := sk.Quantile(q)
-		if got < exact-1e-12 || got > exact+width+1e-12 {
-			t.Errorf("q=%v: sketch %v outside [exact, exact+width] = [%v, %v]", q, got, exact, exact+width)
-		}
-	}
-	if sk.Min() != xs[0] || sk.Max() != xs[len(xs)-1] {
-		t.Errorf("extremes: sketch [%v, %v], exact [%v, %v]", sk.Min(), sk.Max(), xs[0], xs[len(xs)-1])
-	}
-}
-
-func TestCDFSketchCDF(t *testing.T) {
-	sk := NewCDFSketch(0, 10, 10)
-	for _, x := range []float64{-1, 0.5, 0.6, 3.2, 9.9, 12} {
-		sk.Add(x)
-	}
-	c := sk.CDF()
-	if got := c.At(sk.Max()); got != 1 {
-		t.Errorf("F(max) = %v, want 1", got)
-	}
-	if len(c.X) > 12 {
-		t.Errorf("sketch CDF has %d points, want <= buckets+2", len(c.X))
-	}
-	if !sort.Float64sAreSorted(c.X) || !sort.Float64sAreSorted(c.F) {
-		t.Errorf("sketch CDF not monotone: %+v", c)
-	}
-	// Table renders through the shared CDF path.
-	if sk.CDF().Table(5) == "" {
-		t.Error("non-empty sketch must render a table")
-	}
-
-	empty := NewCDFSketch(0, 1, 4)
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Errorf("empty sketch quantile = %v, want NaN", empty.Quantile(0.5))
-	}
-	if got := empty.CDF().Table(3); got != "" {
-		t.Errorf("empty sketch table = %q, want empty", got)
-	}
-}
-
-func TestCDFSketchRejectsNonFinite(t *testing.T) {
-	sk := NewCDFSketch(0, 1, 4)
-	sk.Add(math.NaN())
-	sk.Add(math.Inf(1))
-	sk.Add(0.5)
-	if sk.N() != 1 || sk.NaNs() != 2 {
-		t.Errorf("n=%d nans=%d, want 1 and 2", sk.N(), sk.NaNs())
-	}
-}
-
-func TestNewCDFSketchPanicsOnBadBounds(t *testing.T) {
-	for _, tc := range []struct{ lo, hi float64 }{
-		{1, 1}, {2, 1}, {math.NaN(), 1}, {0, math.Inf(1)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCDFSketch(%v, %v, 4) did not panic", tc.lo, tc.hi)
-				}
-			}()
-			NewCDFSketch(tc.lo, tc.hi, 4)
-		}()
-	}
-}

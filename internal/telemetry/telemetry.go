@@ -4,15 +4,13 @@
 // 0.0.4), so any Prometheus-compatible scraper can consume
 // midas-serve's /metrics without the repo importing a client library.
 //
-// The histogram follows the same bucket discipline as the stats
-// package's CDFSketch (internal/stats): a fixed set of upper bounds
-// chosen up front, one counter per bucket, constant memory per series
-// regardless of observation count. Where the sketch buckets uniformly
-// over a known [lo, hi) to bound quantile error, a latency histogram
-// buckets exponentially over an open range and leaves the quantile
-// estimation to the scraper — the shared idea is that a distribution
-// summarized into fixed buckets is mergeable and memory-bounded, which
-// is what lets a scrape (or a fleet of them) aggregate safely.
+// A histogram's upper bounds are fixed when it is created, with one
+// counter per bucket, so memory per series is constant however many
+// observations arrive. Latency histograms bucket exponentially over an
+// open range and leave quantile estimation to the scraper: a
+// distribution summarized into fixed buckets is mergeable and
+// memory-bounded, which is what lets a scrape (or a fleet of them)
+// aggregate safely.
 //
 // Metrics are identified by name plus an ordered label set. The *Vec
 // types key a family by label values; the plain types are the
@@ -432,11 +430,11 @@ func (r *Registry) NewCounterFunc(name, help string, labels []string, fn func() 
 // ---------------------------------------------------------------------
 // Histogram
 
-// Histogram counts observations into fixed cumulative buckets — the
-// CDFSketch discipline with Prometheus bucket semantics: bucket i
-// counts observations <= Upper[i], an implicit +Inf bucket counts
-// everything, and the sum of observations rides along so scrapers can
-// derive a mean. Memory is constant per series.
+// Histogram counts observations into fixed cumulative buckets with
+// Prometheus bucket semantics: bucket i counts observations <=
+// Upper[i], an implicit +Inf bucket counts everything, and the sum of
+// observations rides along so scrapers can derive a mean. Memory is
+// constant per series.
 type Histogram struct {
 	upper  []float64 // sorted upper bounds, no +Inf
 	counts []atomic.Uint64
@@ -596,8 +594,8 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds start, start+width, … — the
-// CDFSketch's uniform-bucket shape for bounded ranges.
+// LinearBuckets returns n upper bounds start, start+width, … — uniform
+// buckets for a bounded range.
 func LinearBuckets(start, width float64, n int) []float64 {
 	if width <= 0 || n < 1 {
 		panic("telemetry: LinearBuckets wants width > 0, n >= 1")
