@@ -12,8 +12,10 @@
 package channel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/matrix"
@@ -132,10 +134,21 @@ type Model struct {
 	clients  []geom.Point
 	field    *ShadowField
 	shadow   [][]float64 // [client][antenna] linear shadowing factor (cache)
-	correl   bool        // apply CAS correlation within AP groups
 	src      *rng.Source
 	// fading state for Evolve: [client][antenna] normalised CN(0,1) gains
 	fading [][]complex128
+	// corr lists the correlated antenna groups, ordered by AP; empty
+	// without CAS correlation. Fixed at construction.
+	corr  []corrGroup
+	innov []complex128 // Evolve's innovation row, allocated on first use
+}
+
+// corrGroup is one AP's antennas (two or more, in array order) and the
+// Cholesky factor of their exponential correlation matrix, shared by
+// every group of the same size.
+type corrGroup struct {
+	idx []int
+	l   [][]float64
 }
 
 // NewModel builds a channel model. correlated selects CAS-style antenna
@@ -146,8 +159,10 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 		P:        p,
 		antennas: antennas,
 		clients:  clients,
-		correl:   correlated,
 		src:      src.Split("channel"),
+	}
+	if correlated && p.CASCorrelation != 0 {
+		m.corr = corrGroups(antennas, p.CASCorrelation)
 	}
 	m.field = p.NewField(src.Split("shadow").Seed())
 	m.shadow = make([][]float64, len(clients))
@@ -176,44 +191,62 @@ func (m *Model) NumClients() int { return len(m.clients) }
 func (m *Model) redraw() {
 	m.fading = make([][]complex128, len(m.clients))
 	for j := range m.clients {
-		m.fading[j] = m.drawFadingRow()
+		m.fading[j] = make([]complex128, len(m.antennas))
+		m.drawFadingRow(m.fading[j])
 	}
 }
 
-// drawFadingRow returns CN(0,1) fading for one client across all antennas,
-// applying intra-AP correlation when configured.
-func (m *Model) drawFadingRow() []complex128 {
-	f := make([]complex128, len(m.antennas))
+// corrGroups groups antennas by AP, in AP order and array order within
+// an AP, keeping the groups of two or more; groups of one size share one
+// Cholesky factor.
+func corrGroups(antennas []Antenna, rho float64) []corrGroup {
+	order := make([]int, len(antennas))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(antennas[a].AP, antennas[b].AP) })
+	var groups []corrGroup
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && antennas[order[hi]].AP == antennas[order[lo]].AP {
+			hi++
+		}
+		if idx := order[lo:hi]; len(idx) >= 2 {
+			var l [][]float64
+			for _, g := range groups {
+				if len(g.idx) == len(idx) {
+					l = g.l
+					break
+				}
+			}
+			if l == nil {
+				l = choleskyExpCorr(rho, len(idx))
+			}
+			groups = append(groups, corrGroup{idx: idx, l: l})
+		}
+		lo = hi
+	}
+	return groups
+}
+
+// drawFadingRow fills f with CN(0,1) fading for one client across all
+// antennas, applying intra-AP correlation when configured: within each
+// group, the exponential correlation model R_ik = ρ^{|i-k|} via Cholesky.
+// Going down the rows lets each group transform in place, since row i
+// reads only draws 0..i.
+func (m *Model) drawFadingRow(f []complex128) {
 	for k := range f {
 		f[k] = m.src.ComplexCircular(1)
 	}
-	if !m.correl || m.P.CASCorrelation == 0 {
-		return f
-	}
-	// Group antennas by AP and correlate within each group using the
-	// exponential correlation model R_ik = ρ^{|i-k|} via Cholesky.
-	groups := map[int][]int{}
-	for idx, a := range m.antennas {
-		groups[a.AP] = append(groups[a.AP], idx)
-	}
-	for _, idxs := range groups {
-		if len(idxs) < 2 {
-			continue
-		}
-		l := choleskyExpCorr(m.P.CASCorrelation, len(idxs))
-		raw := make([]complex128, len(idxs))
-		for i, idx := range idxs {
-			raw[i] = f[idx]
-		}
-		for i, idx := range idxs {
+	for _, g := range m.corr {
+		for i := len(g.idx) - 1; i >= 0; i-- {
 			var s complex128
 			for q := 0; q <= i; q++ {
-				s += complex(l[i][q], 0) * raw[q]
+				s += complex(g.l[i][q], 0) * f[g.idx[q]]
 			}
-			f[idx] = s
+			f[g.idx[i]] = s
 		}
 	}
-	return f
 }
 
 // choleskyExpCorr returns the lower Cholesky factor of the n×n exponential
@@ -262,8 +295,12 @@ func (m *Model) Evolve() {
 		return
 	}
 	keep := complex(math.Sqrt(1-a*a), 0)
+	if m.innov == nil {
+		m.innov = make([]complex128, len(m.antennas))
+	}
+	innov := m.innov
 	for j := range m.fading {
-		innov := m.drawFadingRow()
+		m.drawFadingRow(innov)
 		for k := range m.fading[j] {
 			m.fading[j][k] = keep*m.fading[j][k] + complex(a, 0)*innov[k]
 		}

@@ -269,3 +269,77 @@ func TestCalibrationMedianSNR(t *testing.T) {
 		t.Errorf("calibration: median CAS SISO SNR = %v dB, want 6–25", med)
 	}
 }
+
+// TestCorrelatedDrawMatchesPerRowConstruction pins the cached groups and
+// factors to the construction they replace (group by AP on every row,
+// factor every group) bit for bit, over initial draws and Evolve steps.
+// The antennas interleave their APs and the groups differ in size, one
+// AP has a single antenna, and two groups share a size.
+func TestCorrelatedDrawMatchesPerRowConstruction(t *testing.T) {
+	aps := []int{2, 0, 2, 1, 0, 2, 3, 0, 2, 4, 4}
+	var ants []Antenna
+	for k, ap := range aps {
+		ants = append(ants, Antenna{Pos: geom.Pt(float64(3*k), float64(ap)), AP: ap})
+	}
+	clients := []geom.Point{geom.Pt(4, 4), geom.Pt(20, -3), geom.Pt(9, 12)}
+	p := Default()
+	m := NewModel(p, ants, clients, true, rng.New(21))
+
+	ref := rng.New(21).Split("channel")
+	refRow := func() []complex128 {
+		f := make([]complex128, len(ants))
+		for k := range f {
+			f[k] = ref.ComplexCircular(1)
+		}
+		groups := map[int][]int{}
+		for idx, a := range ants {
+			groups[a.AP] = append(groups[a.AP], idx)
+		}
+		for _, idxs := range groups {
+			if len(idxs) < 2 {
+				continue
+			}
+			l := choleskyExpCorr(p.CASCorrelation, len(idxs))
+			raw := make([]complex128, len(idxs))
+			for i, idx := range idxs {
+				raw[i] = f[idx]
+			}
+			for i, idx := range idxs {
+				var s complex128
+				for q := 0; q <= i; q++ {
+					s += complex(l[i][q], 0) * raw[q]
+				}
+				f[idx] = s
+			}
+		}
+		return f
+	}
+	want := make([][]complex128, len(clients))
+	for j := range want {
+		want[j] = refRow()
+	}
+	same := func(step int) {
+		t.Helper()
+		for j := range want {
+			for k := range want[j] {
+				g, w := m.fading[j][k], want[j][k]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("step %d: fading[%d][%d] = %v, per-row construction %v", step, j, k, g, w)
+				}
+			}
+		}
+	}
+	same(0)
+	a := p.Doppler
+	keep := complex(math.Sqrt(1-a*a), 0)
+	for step := 1; step <= 5; step++ {
+		m.Evolve()
+		for j := range want {
+			innov := refRow()
+			for k := range want[j] {
+				want[j][k] = keep*want[j][k] + complex(a, 0)*innov[k]
+			}
+		}
+		same(step)
+	}
+}

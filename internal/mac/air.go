@@ -2,7 +2,7 @@ package mac
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/channel"
@@ -62,140 +62,189 @@ type Tx struct {
 // deliberately excluded from the control plane — sensing in the paper's
 // analysis is a property of positions — while the data plane computes
 // SINRs from the full fading channel (see internal/sim).
+//
+// Antennas and clients do not move during a run, so the same positions
+// recur on every medium change. Every position the medium sees is
+// interned as a small integer site, and each (from, to) site pair's link
+// power is computed on first use and cached. The cache holds exactly the
+// value linkPower returns, so answers are bit-identical to computing
+// every link afresh. The shadow field is fixed at construction; P must
+// not change after it either.
 type Air struct {
 	Eng            *Engine
 	P              channel.Params
 	CSThresholdDBm float64
 	DecodeMinDBm   float64
 	CaptureSINRdB  float64
-	// Shadow, when non-nil, applies the deployment's shadow-fading field
-	// to every sensing and control-frame link, making carrier sensing as
-	// local (and as irregular) as the paper's office walls make it.
-	Shadow *channel.ShadowField
 
-	listeners map[int]*Listener
-	nextLis   int
-	active    map[int]*activeTx
+	shadow *channel.ShadowField
+
+	sites map[geom.Point]int // position → site
+	pos   []geom.Point       // site → position
+	links [][]cachedLink     // [from][to] site, grown and filled lazily
+
+	// Registrations and transmissions are kept in ascending id order,
+	// which fixes float summation and delivery order. Unwatch and
+	// Unlisten tombstone their entry (nil fn); ids index the slices.
+	watchers  []watcher
+	listeners []listener
+	active    []*activeTx
 	nextTx    int
-	watchers  map[int]*watcher
-	nextWatch int
+	spare     []*activeTx // ended transmissions, reused by StartTx
 }
 
-// watcher tracks physical carrier-sense edges at one position.
+// cachedLink holds linkPower(from, to, dBm) for the dBm it was computed
+// at.
+type cachedLink struct {
+	dBm, mW float64
+	set     bool
+}
+
+// watcher tracks physical carrier-sense edges at one site.
 type watcher struct {
-	pos  geom.Point
+	site int
 	fn   func(busy bool)
 	busy bool
 }
 
-type activeTx struct {
-	id      int
-	tx      Tx
-	start   time.Duration
-	end     time.Duration
-	overlap map[int]overlapSpan // transmissions that overlapped this one
+type listener struct {
+	site int
+	fn   func(Rx)
 }
 
-// overlapSpan records an interfering transmission and the interval over
-// which it overlaps the owner.
+type activeTx struct {
+	id         int
+	ants       []int // transmitting antenna sites
+	dBm        float64
+	data       []byte
+	start, end time.Duration
+	overlap    []overlapSpan // transmissions that overlapped this one, by id
+	fire       func()        // ends this transmission; bound once per record
+}
+
+// overlapSpan records an interfering transmission's antennas and power
+// and the interval over which it overlaps the owner.
 type overlapSpan struct {
-	tx       Tx
+	ants     []int
+	dBm      float64
 	from, to time.Duration
 }
 
 // NewAir creates a medium bound to the engine with the given propagation
-// parameters and default thresholds.
-func NewAir(eng *Engine, p channel.Params) *Air {
+// parameters and default thresholds. shadow, when non-nil, applies the
+// deployment's shadow-fading field to every sensing and control-frame
+// link, making carrier sensing as local (and as irregular) as the
+// paper's office walls make it.
+func NewAir(eng *Engine, p channel.Params, shadow *channel.ShadowField) *Air {
 	return &Air{
 		Eng:            eng,
 		P:              p,
 		CSThresholdDBm: DefaultCSThresholdDBm,
 		DecodeMinDBm:   DefaultDecodeMinDBm,
 		CaptureSINRdB:  DefaultCaptureSINRdB,
-		listeners:      map[int]*Listener{},
-		active:         map[int]*activeTx{},
-		watchers:       map[int]*watcher{},
+		shadow:         shadow,
+		sites:          map[geom.Point]int{},
 	}
+}
+
+// site interns a position.
+func (a *Air) site(p geom.Point) int {
+	if s, ok := a.sites[p]; ok {
+		return s
+	}
+	s := len(a.pos)
+	a.sites[p] = s
+	a.pos = append(a.pos, p)
+	a.links = append(a.links, nil)
+	return s
+}
+
+// link returns linkPower between two sites, computing it on first use
+// and again only when dBm changes.
+func (a *Air) link(from, to int, dBm float64) float64 {
+	row := a.links[from]
+	if to >= len(row) {
+		row = slices.Grow(row, len(a.pos)-len(row))[:len(a.pos)]
+		a.links[from] = row
+	}
+	l := &row[to]
+	if !l.set || l.dBm != dBm {
+		*l = cachedLink{dBm: dBm, mW: a.linkPower(a.pos[from], a.pos[to], dBm), set: true}
+	}
+	return l.mW
+}
+
+// linkPower is the control-plane link budget: path loss plus the shared
+// shadow field.
+func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
+	return a.P.PowerAtPoint(from, to, powerDBm) * a.shadow.Shadow(from, to)
 }
 
 // Watch registers a physical carrier-sense watcher at pos: fn fires on
 // every busy/idle transition as transmissions start and end. The initial
 // state is reported immediately. Returns the watcher id.
 func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
-	id := a.nextWatch
-	a.nextWatch++
-	w := &watcher{pos: pos, fn: fn, busy: a.Busy(pos)}
-	a.watchers[id] = w
+	w := watcher{site: a.site(pos), fn: fn}
+	w.busy = a.busy(w.site, stats.Milliwatt(a.CSThresholdDBm))
+	a.watchers = append(a.watchers, w)
 	fn(w.busy)
-	return id
+	return len(a.watchers) - 1
 }
 
 // Unwatch removes a watcher.
-func (a *Air) Unwatch(id int) { delete(a.watchers, id) }
+func (a *Air) Unwatch(id int) {
+	if id >= 0 && id < len(a.watchers) {
+		a.watchers[id].fn = nil
+	}
+}
 
 // notifyWatchers re-evaluates every watcher after a medium change, in
 // registration order.
 func (a *Air) notifyWatchers() {
-	ids := make([]int, 0, len(a.watchers))
-	for id := range a.watchers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		w := a.watchers[id]
-		if b := a.Busy(w.pos); b != w.busy {
+	thr := stats.Milliwatt(a.CSThresholdDBm)
+	for i, n := 0, len(a.watchers); i < n; i++ {
+		w := &a.watchers[i]
+		if w.fn == nil {
+			continue
+		}
+		if b := a.busy(w.site, thr); b != w.busy {
 			w.busy = b
 			w.fn(b)
 		}
 	}
 }
 
-// activeIDs returns the active transmission ids in ascending order, so
-// float summation and delivery order are deterministic.
-func (a *Air) activeIDs() []int {
-	ids := make([]int, 0, len(a.active))
-	for id := range a.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // Listen registers a listener and returns its id.
 func (a *Air) Listen(l Listener) int {
-	id := a.nextLis
-	a.nextLis++
-	a.listeners[id] = &l
-	return id
+	a.listeners = append(a.listeners, listener{site: a.site(l.Pos), fn: l.Fn})
+	return len(a.listeners) - 1
 }
 
 // Unlisten removes a listener.
-func (a *Air) Unlisten(id int) { delete(a.listeners, id) }
+func (a *Air) Unlisten(id int) {
+	if id >= 0 && id < len(a.listeners) {
+		a.listeners[id].fn = nil
+	}
+}
 
-// powerFrom returns the strongest-antenna receive power (linear mW) at pos
-// from the given transmission.
-func (a *Air) powerFrom(tx Tx, pos geom.Point) float64 {
+// powerFrom returns the strongest-antenna receive power (linear mW) at
+// site to from antennas transmitting at dBm each.
+func (a *Air) powerFrom(ants []int, dBm float64, to int) float64 {
 	best := 0.0
-	for _, ant := range tx.Antennas {
-		if p := a.linkPower(ant, pos, tx.PowerDBm); p > best {
+	for _, ant := range ants {
+		if p := a.link(ant, to, dBm); p > best {
 			best = p
 		}
 	}
 	return best
 }
 
-// linkPower is the control-plane link budget: path loss plus the shared
-// shadow field.
-func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
-	return a.P.PowerAtPoint(from, to, powerDBm) * a.Shadow.Shadow(from, to)
-}
-
-// sumPowerFrom returns the total receive power at pos from all antennas of
-// the transmission (interference adds across antennas).
-func (a *Air) sumPowerFrom(tx Tx, pos geom.Point) float64 {
+// sumPowerFrom returns the total receive power at site to from all the
+// antennas (interference adds across antennas).
+func (a *Air) sumPowerFrom(ants []int, dBm float64, to int) float64 {
 	sum := 0.0
-	for _, ant := range tx.Antennas {
-		sum += a.linkPower(ant, pos, tx.PowerDBm)
+	for _, ant := range ants {
+		sum += a.link(ant, to, dBm)
 	}
 	return sum
 }
@@ -203,19 +252,29 @@ func (a *Air) sumPowerFrom(tx Tx, pos geom.Point) float64 {
 // PowerAt returns the aggregate active transmit power (linear mW) at pos,
 // excluding transmission id exclude (-1 for none).
 func (a *Air) PowerAt(pos geom.Point, exclude int) float64 {
+	return a.powerAt(a.site(pos), exclude)
+}
+
+func (a *Air) powerAt(to, exclude int) float64 {
 	sum := 0.0
-	for _, id := range a.activeIDs() {
-		if id == exclude {
+	for _, at := range a.active {
+		if at.id == exclude {
 			continue
 		}
-		sum += a.sumPowerFrom(a.active[id].tx, pos)
+		sum += a.sumPowerFrom(at.ants, at.dBm, to)
 	}
 	return sum
 }
 
 // Busy reports whether the medium is physically sensed busy at pos.
 func (a *Air) Busy(pos geom.Point) bool {
-	return a.PowerAt(pos, -1) >= stats.Milliwatt(a.CSThresholdDBm)
+	return a.busy(a.site(pos), stats.Milliwatt(a.CSThresholdDBm))
+}
+
+// busy compares the power at a site with the carrier-sense threshold
+// thr (linear mW).
+func (a *Air) busy(site int, thr float64) bool {
+	return a.powerAt(site, -1) >= thr
 }
 
 // ActiveCount returns the number of in-flight transmissions.
@@ -236,54 +295,69 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	id := a.nextTx
 	a.nextTx++
 	now := a.Eng.Now()
-	at := &activeTx{
-		id:      id,
-		tx:      tx,
-		start:   now,
-		end:     now + tx.Airtime,
-		overlap: map[int]overlapSpan{},
+	at := a.newActive()
+	at.id, at.dBm, at.data = id, tx.PowerDBm, tx.Data
+	at.start, at.end = now, now+tx.Airtime
+	at.ants = at.ants[:0]
+	for _, p := range tx.Antennas {
+		at.ants = append(at.ants, a.site(p))
 	}
-	// Mutual overlap bookkeeping with everything currently active.
-	for _, oid := range a.activeIDs() {
-		other := a.active[oid]
-		to := at.end
-		if other.end < to {
-			to = other.end
-		}
-		other.overlap[id] = overlapSpan{tx: tx, from: now, to: to}
-		at.overlap[oid] = overlapSpan{tx: other.tx, from: now, to: to}
+	// Mutual overlap bookkeeping with everything currently active. Ids
+	// only grow, so appending keeps every overlap list in id order.
+	at.overlap = at.overlap[:0]
+	for _, other := range a.active {
+		to := min(at.end, other.end)
+		other.addOverlap(at, now, to)
+		at.addOverlap(other, now, to)
 	}
-	a.active[id] = at
-	a.Eng.Schedule(tx.Airtime, func() { a.endTx(at) })
+	a.active = append(a.active, at)
+	a.Eng.Schedule(tx.Airtime, at.fire)
 	a.notifyWatchers()
 	return id, nil
 }
 
+// newActive returns a transmission record, reusing an ended one if any.
+func (a *Air) newActive() *activeTx {
+	if n := len(a.spare); n > 0 {
+		at := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		return at
+	}
+	at := &activeTx{}
+	at.fire = func() { a.endTx(at) }
+	return at
+}
+
+// addOverlap appends other to at's overlap list, reusing the span's
+// antenna buffer from earlier uses of the record.
+func (at *activeTx) addOverlap(other *activeTx, from, to time.Duration) {
+	n := len(at.overlap)
+	at.overlap = slices.Grow(at.overlap, 1)[:n+1]
+	sp := &at.overlap[n]
+	sp.ants = append(sp.ants[:0], other.ants...)
+	sp.dBm, sp.from, sp.to = other.dBm, from, to
+}
+
 func (a *Air) endTx(at *activeTx) {
-	delete(a.active, at.id)
+	if i := slices.Index(a.active, at); i >= 0 {
+		a.active = slices.Delete(a.active, i, i+1)
+	}
 	a.notifyWatchers()
 	noise := a.P.NoiseLinear()
 	minPower := stats.Milliwatt(a.DecodeMinDBm)
-	lisIDs := make([]int, 0, len(a.listeners))
-	for id := range a.listeners {
-		lisIDs = append(lisIDs, id)
-	}
-	sort.Ints(lisIDs)
-	oids := make([]int, 0, len(at.overlap))
-	for oid := range at.overlap {
-		oids = append(oids, oid)
-	}
-	sort.Ints(oids)
-	for _, lid := range lisIDs {
-		l := a.listeners[lid]
-		sig := a.powerFrom(at.tx, l.Pos)
+	for i, n := 0, len(a.listeners); i < n; i++ {
+		l := a.listeners[i]
+		if l.fn == nil {
+			continue
+		}
+		sig := a.powerFrom(at.ants, at.dBm, l.site)
 		interf := 0.0
-		for _, oid := range oids {
-			interf += a.sumPowerFrom(at.overlap[oid].tx, l.Pos)
+		for _, sp := range at.overlap {
+			interf += a.sumPowerFrom(sp.ants, sp.dBm, l.site)
 		}
 		sinr := stats.DB(sig / (noise + interf))
 		rx := Rx{
-			Data:      at.tx.Data,
+			Data:      at.data,
 			PowerDBm:  stats.DBm(sig),
 			SINRdB:    sinr,
 			Decodable: sig >= minPower && sinr >= a.CaptureSINRdB,
@@ -291,8 +365,10 @@ func (a *Air) endTx(at *activeTx) {
 			Start:     at.start,
 			End:       at.end,
 		}
-		l.Fn(rx)
+		l.fn(rx)
 	}
+	at.data = nil
+	a.spare = append(a.spare, at)
 }
 
 // DecodeRange returns the free-space distance at which a single antenna
@@ -313,25 +389,26 @@ func (a *Air) CSRange() float64 {
 // so far. The MU-MIMO data plane samples this just before a burst ends to
 // include other-cell interference in its stream SINRs.
 func (a *Air) OverlapInterference(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
-	if !ok {
+	at := a.lookup(id)
+	if at == nil {
 		return 0
 	}
+	to := a.site(pos)
 	sum := 0.0
-	for _, oid := range overlapIDs(at) {
-		sum += a.sumPowerFrom(at.overlap[oid].tx, pos)
+	for _, sp := range at.overlap {
+		sum += a.sumPowerFrom(sp.ants, sp.dBm, to)
 	}
 	return sum
 }
 
-// overlapIDs returns an active transmission's overlapper ids in order.
-func overlapIDs(at *activeTx) []int {
-	ids := make([]int, 0, len(at.overlap))
-	for id := range at.overlap {
-		ids = append(ids, id)
+// lookup returns the active transmission id, or nil.
+func (a *Air) lookup(id int) *activeTx {
+	for _, at := range a.active {
+		if at.id == id {
+			return at
+		}
 	}
-	sort.Ints(ids)
-	return ids
+	return nil
 }
 
 // WeightedInterference returns the time-averaged interference power
@@ -341,17 +418,17 @@ func overlapIDs(at *activeTx) []int {
 // long data burst's Shannon rate; control-frame decoding keeps the
 // worst-case OverlapInterference.
 func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
-	if !ok {
+	at := a.lookup(id)
+	if at == nil {
 		return 0
 	}
 	dur := at.end - at.start
 	if dur <= 0 {
 		return 0
 	}
+	to := a.site(pos)
 	sum := 0.0
-	for _, oid := range overlapIDs(at) {
-		sp := at.overlap[oid]
+	for _, sp := range at.overlap {
 		frac := float64(sp.to-sp.from) / float64(dur)
 		if frac < 0 {
 			frac = 0
@@ -359,7 +436,7 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 		if frac > 1 {
 			frac = 1
 		}
-		sum += a.sumPowerFrom(sp.tx, pos) * frac
+		sum += a.sumPowerFrom(sp.ants, sp.dBm, to) * frac
 	}
 	return sum
 }
@@ -367,8 +444,8 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 // OverlapCount returns the number of transmissions that have overlapped
 // the active transmission id so far.
 func (a *Air) OverlapCount(id int) int {
-	at, ok := a.active[id]
-	if !ok {
+	at := a.lookup(id)
+	if at == nil {
 		return 0
 	}
 	return len(at.overlap)
@@ -377,9 +454,9 @@ func (a *Air) OverlapCount(id int) int {
 // TxSignalAt returns the strongest-antenna receive power (linear mW) at
 // pos from the active transmission id, or 0 if it is not active.
 func (a *Air) TxSignalAt(id int, pos geom.Point) float64 {
-	at, ok := a.active[id]
-	if !ok {
+	at := a.lookup(id)
+	if at == nil {
 		return 0
 	}
-	return a.powerFrom(at.tx, pos)
+	return a.powerFrom(at.ants, at.dBm, a.site(pos))
 }

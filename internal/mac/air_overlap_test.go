@@ -103,9 +103,9 @@ func TestAirWithShadowField(t *testing.T) {
 	// free-space one, and Busy must follow the field.
 	e := NewEngine()
 	p := channel.Default()
-	free := NewAir(e, p)
-	walled := NewAir(e, p)
-	walled.Shadow = p.NewField(12345)
+	field := p.NewField(12345)
+	free := NewAir(e, p, nil)
+	walled := NewAir(e, p, field)
 	tx := Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: time.Second}
 	free.StartTx(tx)
 	walled.StartTx(tx)
@@ -115,7 +115,7 @@ func TestAirWithShadowField(t *testing.T) {
 	if pf == pw {
 		t.Error("shadow field should change the link budget")
 	}
-	if w := walled.Shadow.Walls(geom.Pt(0, 0), pos); w > 0 && pw >= pf {
+	if w := field.Walls(geom.Pt(0, 0), pos); w > 0 && pw >= pf {
 		t.Errorf("power through %d walls (%v) should be below free space (%v)", w, pw, pf)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 func newTestAir() (*Engine, *Air) {
 	e := NewEngine()
-	return e, NewAir(e, channel.Default())
+	return e, NewAir(e, channel.Default(), nil)
 }
 
 func TestBusyReflectsActiveTx(t *testing.T) {
@@ -196,8 +196,9 @@ func TestMultiAntennaTxPower(t *testing.T) {
 		PowerDBm: 20,
 	}
 	pos := geom.Pt(1, 0)
-	best := a.powerFrom(tx, pos)
-	sum := a.sumPowerFrom(tx, pos)
+	ants := []int{a.site(tx.Antennas[0]), a.site(tx.Antennas[1])}
+	best := a.powerFrom(ants, tx.PowerDBm, a.site(pos))
+	sum := a.sumPowerFrom(ants, tx.PowerDBm, a.site(pos))
 	if best >= sum {
 		t.Error("sum power should exceed best-antenna power")
 	}

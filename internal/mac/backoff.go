@@ -17,23 +17,26 @@ type Backoff struct {
 	eng     *Engine
 	src     *rng.Source
 	granted func()
+	tickFn  func() // b.tick, bound once so scheduling a slot allocates nothing
 
 	cw        int
 	slotsLeft int
-	timer     *Timer
+	timer     Timer
 	running   bool
 	busy      bool
 }
 
 // NewBackoff creates a contender. `granted` fires when backoff completes.
 func NewBackoff(eng *Engine, params EDCAParams, src *rng.Source, granted func()) *Backoff {
-	return &Backoff{
+	b := &Backoff{
 		Params:  params,
 		eng:     eng,
 		src:     src,
 		granted: granted,
 		cw:      params.CWMin,
 	}
+	b.tickFn = b.tick
+	return b
 }
 
 // Start begins a contention cycle: draw a backoff counter and, if the
@@ -54,10 +57,8 @@ func (b *Backoff) Running() bool { return b.running }
 // (physical or virtual carrier sense); it freezes the countdown.
 func (b *Backoff) MediumBusy() {
 	b.busy = true
-	if b.timer != nil {
-		b.timer.Cancel()
-		b.timer = nil
-	}
+	b.timer.Cancel()
+	b.timer = Timer{}
 }
 
 // MediumIdle must be called when the medium becomes idle again; the
@@ -77,10 +78,8 @@ func (b *Backoff) resume() {
 	if b.busy {
 		return
 	}
-	if b.timer != nil {
-		b.timer.Cancel()
-	}
-	b.timer = b.eng.Schedule(b.Params.AIFS(), b.tick)
+	b.timer.Cancel()
+	b.timer = b.eng.Schedule(b.Params.AIFS(), b.tickFn)
 }
 
 // tick consumes one idle backoff slot, granting at zero.
@@ -90,12 +89,12 @@ func (b *Backoff) tick() {
 	}
 	if b.slotsLeft <= 0 {
 		b.running = false
-		b.timer = nil
+		b.timer = Timer{}
 		b.granted()
 		return
 	}
 	b.slotsLeft--
-	b.timer = b.eng.Schedule(SlotTime, b.tick)
+	b.timer = b.eng.Schedule(SlotTime, b.tickFn)
 }
 
 // Collision doubles the contention window (up to CWMax) and starts a new
@@ -119,8 +118,6 @@ func (b *Backoff) CW() int { return b.cw }
 // Stop aborts the current cycle.
 func (b *Backoff) Stop() {
 	b.running = false
-	if b.timer != nil {
-		b.timer.Cancel()
-		b.timer = nil
-	}
+	b.timer.Cancel()
+	b.timer = Timer{}
 }

@@ -38,18 +38,18 @@ type Network struct {
 // noise; the deployment carries its own placement randomness.
 func NewNetwork(dep *topology.Deployment, p channel.Params, opts StationOpts, src *rng.Source) *Network {
 	eng := mac.NewEngine()
+	model := dep.Model(p, src.Split("model"))
 	n := &Network{
-		Eng:      eng,
-		Air:      mac.NewAir(eng, p),
+		Eng: eng,
+		// Sensing and payload propagate through the same walls.
+		Air:      mac.NewAir(eng, p, model.Field()),
 		Dep:      dep,
-		Model:    dep.Model(p, src.Split("model")),
+		Model:    model,
 		P:        p,
 		src:      src,
 		noiseLin: p.NoiseLinear(),
 		txPowLin: p.TxPowerLinear(),
 	}
-	// Sensing and payload propagate through the same walls.
-	n.Air.Shadow = n.Model.Field()
 	for ap := range dep.APs {
 		n.Stations = append(n.Stations, newStation(n, ap, opts))
 	}
