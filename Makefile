@@ -145,10 +145,11 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # The zero-allocation guards for the precoding hot path and the DES
-# event engine and medium, run explicitly so a CI log shows them even
+# event engine and medium, plus the guard that deriving a random stream
+# never seeds a generator, run explicitly so a CI log shows them even
 # though `make test` also covers them.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc' -v ./internal/precoding ./internal/matrix ./internal/mac
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestSplitDoesNotSeed' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/rng
 
 # Re-measure the kernel micro-benchmarks (before/after pairs against the
 # frozen pre-workspace implementations in internal/bench) plus reduced-
@@ -173,8 +174,8 @@ bench-compare:
 	$(GO) run ./cmd/midas-benchdiff -base BENCH_PR2.json -new $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS) -metric $(BENCH_METRIC)
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
-# engine's linear algebra, precoders, channel model, event engine and
-# medium, and simulation drivers, the stats accumulators and the scenario/replication engine
+# engine's random streams, linear algebra, precoders, channel model,
+# AP decision layer, event engine and medium, and simulation drivers, the stats accumulators and the scenario/replication engine
 # (wrong numbers type-check fine), the serving layer (lifecycle/caching
 # races surface only under load), and the durable store (crash-safety
 # bugs surface only on the restart after the crash) must stay >= 80%
@@ -186,7 +187,7 @@ bench-compare:
 # `make ci`).
 COVER_FLOOR = 80
 cover:
-	@set -e; for pkg in ./internal/matrix ./internal/precoding ./internal/channel ./internal/mac ./internal/sim ./internal/stats ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
+	@set -e; for pkg in ./internal/rng ./internal/matrix ./internal/precoding ./internal/channel ./internal/core ./internal/mac ./internal/sim ./internal/stats ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
 		profile=$$(mktemp); \
 		$(GO) test -coverprofile=$$profile $$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$profile | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \

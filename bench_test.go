@@ -1,5 +1,6 @@
 // Package repro's root benchmark harness: one benchmark per table/figure
-// of the MIDAS paper's evaluation (§5), per DESIGN.md's experiment index.
+// of the MIDAS paper's evaluation (§5), per the scenario registry (README
+// "Scenarios").
 // Each benchmark regenerates its figure's data at a reduced-but-meaningful
 // scale and reports the headline metric (median capacities, gains, spot
 // counts) through b.ReportMetric, so `go test -bench=. -benchmem` yields
@@ -239,7 +240,7 @@ func BenchmarkDecomposition(b *testing.B) {
 
 // BenchmarkAblationScaling compares the three power-constraint strategies
 // on one DAS problem set: global scaling (naive), per-column reverse
-// water-filling (MIDAS) and the numerical optimum (DESIGN.md §5).
+// water-filling (MIDAS) and the numerical optimum.
 func BenchmarkAblationScaling(b *testing.B) {
 	probs := make([]precoding.Problem, 20)
 	src := rng.New(benchSeed)

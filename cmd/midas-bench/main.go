@@ -8,8 +8,7 @@
 // machine-readable perf/result tracking, or flat CSV rows. Results are
 // bit-identical at any -parallel value for a given -seed. -topos,
 // -seed and -simtime override the scenarios' own defaults only when
-// explicitly passed. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured comparisons.
+// explicitly passed. README's "Scenarios" section lists the experiments.
 //
 // Usage:
 //

@@ -3,12 +3,12 @@
 // Rayleigh small-scale fading, with spatial correlation across co-located
 // (CAS) antennas and independent fading across distributed (DAS) antennas.
 //
-// The paper's WARP testbed is replaced by this statistical model (see
-// DESIGN.md §2): every MIDAS mechanism consumes only the complex gains
-// h_jk from antenna k to client j, and the model reproduces the two
-// structural properties those mechanisms exploit — the large path-loss
-// disparity across distributed antennas, and the higher-rank channel
-// matrices that uncorrelated DAS fading produces.
+// The paper's WARP testbed is replaced by this statistical model: every
+// MIDAS mechanism consumes only the complex gains h_jk from antenna k to
+// client j, and the model reproduces the two structural properties those
+// mechanisms exploit — the large path-loss disparity across distributed
+// antennas, and the higher-rank channel matrices that uncorrelated DAS
+// fading produces.
 package channel
 
 import (
@@ -23,9 +23,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Params configures the propagation model. ParamsDefault matches the
-// calibration targets in DESIGN.md §6 (CAS SISO median SNR ≈ 10–15 dB at
-// enterprise-office distances; DAS median gain ≈ +5 dB).
+// Params configures the propagation model. Default matches these
+// calibration targets: CAS SISO median SNR ≈ 10–15 dB at
+// enterprise-office distances; DAS median gain ≈ +5 dB.
 type Params struct {
 	// CarrierGHz is the carrier frequency; 802.11ac operates at 5 GHz.
 	CarrierGHz float64
@@ -127,14 +127,20 @@ type Antenna struct {
 // Model generates channel realisations for a fixed set of antennas and
 // clients. Shadowing is drawn once per (antenna, client) pair at
 // construction — it models obstacles, which do not change across frames —
-// while small-scale fading can be redrawn or evolved per frame.
+// while small-scale fading can be redrawn or evolved per frame. The
+// parameters and positions are fixed at construction too, so every
+// static per-link value is computed once there.
 type Model struct {
-	P        Params
+	p        Params
 	antennas []Antenna
 	clients  []geom.Point
 	field    *ShadowField
-	shadow   [][]float64 // [client][antenna] linear shadowing factor (cache)
 	src      *rng.Source
+	// amp and mean are the static per-link values, [client·antennas +
+	// antenna]: the path-loss-and-shadowing amplitude Gain scales fading
+	// by, and MeanRxPower's fading-averaged receive power.
+	amp  []float64
+	mean []float64
 	// fading state for Evolve: [client][antenna] normalised CN(0,1) gains
 	fading [][]complex128
 	// corr lists the correlated antenna groups, ordered by AP; empty
@@ -156,7 +162,7 @@ type corrGroup struct {
 // The source is split internally; the caller's stream is not advanced.
 func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated bool, src *rng.Source) *Model {
 	m := &Model{
-		P:        p,
+		p:        p,
 		antennas: antennas,
 		clients:  clients,
 		src:      src.Split("channel"),
@@ -165,16 +171,24 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 		m.corr = corrGroups(antennas, p.CASCorrelation)
 	}
 	m.field = p.NewField(src.Split("shadow").Seed())
-	m.shadow = make([][]float64, len(clients))
+	txPow := p.TxPowerLinear()
+	m.amp = make([]float64, len(clients)*len(antennas))
+	m.mean = make([]float64, len(clients)*len(antennas))
 	for j := range clients {
-		m.shadow[j] = make([]float64, len(antennas))
 		for k := range antennas {
-			m.shadow[j][k] = m.field.Shadow(antennas[k].Pos, clients[j])
+			shadow := m.field.Shadow(antennas[k].Pos, clients[j])
+			pathGain := stats.Linear(-p.PathLossDB(antennas[k].Pos.Dist(clients[j])))
+			i := m.link(j, k)
+			m.amp[i] = math.Sqrt(pathGain * shadow)
+			m.mean[i] = txPow * pathGain * shadow
 		}
 	}
 	m.redraw()
 	return m
 }
+
+// link is the index of the (client j, antenna k) pair in amp and mean.
+func (m *Model) link(j, k int) int { return j*len(m.antennas) + k }
 
 // Field returns the shadow-fading field underlying this model, so the
 // medium (mac.Air) can sense through the same walls the data plane fades
@@ -290,7 +304,7 @@ func choleskyExpCorr(rho float64, n int) [][]float64 {
 // Gauss–Markov model with the configured Doppler. With Doppler 0 this is
 // a no-op.
 func (m *Model) Evolve() {
-	a := m.P.Doppler
+	a := m.p.Doppler
 	if a == 0 {
 		return
 	}
@@ -311,9 +325,7 @@ func (m *Model) Evolve() {
 // to client j, in sqrt-milliwatt units per unit transmit amplitude: the
 // received power from power P on antenna k is |h_jk|²·P.
 func (m *Model) Gain(j, k int) complex128 {
-	d := m.antennas[k].Pos.Dist(m.clients[j])
-	pl := stats.Linear(-m.P.PathLossDB(d)) * m.shadow[j][k]
-	return complex(math.Sqrt(pl), 0) * m.fading[j][k]
+	return complex(m.amp[m.link(j, k)], 0) * m.fading[j][k]
 }
 
 // Matrix returns the |clients|×|antennas| channel matrix H with entries
@@ -348,17 +360,14 @@ func identityIndex(n int) []int {
 // linear mW at client j from antenna k at full per-antenna power. This is
 // the long-term RSSI that MIDAS's virtual packet tagging ranks antennas by
 // (§3.2.4).
-func (m *Model) MeanRxPower(j, k int) float64 {
-	d := m.antennas[k].Pos.Dist(m.clients[j])
-	return m.P.TxPowerLinear() * stats.Linear(-m.P.PathLossDB(d)) * m.shadow[j][k]
-}
+func (m *Model) MeanRxPower(j, k int) float64 { return m.mean[m.link(j, k)] }
 
 // SNRdB returns the instantaneous single-antenna link SNR in dB from
 // antenna k to client j at full per-antenna power.
 func (m *Model) SNRdB(j, k int) float64 {
 	g := m.Gain(j, k)
-	p := (real(g)*real(g) + imag(g)*imag(g)) * m.P.TxPowerLinear()
-	return stats.DB(p / m.P.NoiseLinear())
+	p := (real(g)*real(g) + imag(g)*imag(g)) * m.p.TxPowerLinear()
+	return stats.DB(p / m.p.NoiseLinear())
 }
 
 // PowerAtPoint returns the received power (linear mW) at an arbitrary

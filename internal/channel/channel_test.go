@@ -110,10 +110,54 @@ func TestFadingMeanPowerMatchesPathLoss(t *testing.T) {
 	}
 	got := sum / iters
 	d := geom.Pt(8, 0).Dist(geom.Pt(0, 0))
-	want := stats.Linear(-m.P.PathLossDB(d)) * m.shadow[0][0]
+	want := stats.Linear(-m.p.PathLossDB(d)) * m.field.Shadow(geom.Pt(0, 0), geom.Pt(8, 0))
 	if math.Abs(got/want-1) > 0.1 {
 		t.Errorf("mean |h|² = %v, want ~%v", got, want)
 	}
+}
+
+// TestCachedLinkValuesMatchDirect pins Gain, Matrix and MeanRxPower,
+// which read values cached at construction, bit for bit to the direct
+// path-loss-and-shadowing expressions, for correlated (CAS) and
+// independent (DAS) models and after the fading evolves.
+func TestCachedLinkValuesMatchDirect(t *testing.T) {
+	for _, correlated := range []bool{true, false} {
+		m := mkModel(correlated, 23)
+		p := Default()
+		check := func(stage string) {
+			h := m.Matrix(nil, nil)
+			for j, c := range m.clients {
+				for k, a := range m.antennas {
+					d := a.Pos.Dist(c)
+					shadow := m.field.Shadow(a.Pos, c)
+					pl := stats.Linear(-p.PathLossDB(d)) * shadow
+					gain := complex(math.Sqrt(pl), 0) * m.fading[j][k]
+					mean := p.TxPowerLinear() * stats.Linear(-p.PathLossDB(d)) * shadow
+					for what, pair := range map[string][2]complex128{
+						"Gain":   {m.Gain(j, k), gain},
+						"Matrix": {h.At(j, k), gain},
+					} {
+						if !sameBits(pair[0], pair[1]) {
+							t.Fatalf("correlated=%v %s: %s(%d,%d) = %v, direct %v", correlated, stage, what, j, k, pair[0], pair[1])
+						}
+					}
+					if got := m.MeanRxPower(j, k); math.Float64bits(got) != math.Float64bits(mean) {
+						t.Fatalf("correlated=%v %s: MeanRxPower(%d,%d) = %v, direct %v", correlated, stage, j, k, got, mean)
+					}
+				}
+			}
+		}
+		check("initial")
+		for i := 0; i < 3; i++ {
+			m.Evolve()
+		}
+		check("after Evolve")
+	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 func TestCorrelationCASVsDAS(t *testing.T) {
@@ -247,7 +291,7 @@ func TestCholeskyExpCorr(t *testing.T) {
 	}
 }
 
-// Calibration test (DESIGN.md §6): with the default parameters, a client
+// Calibration test (the targets documented on Params): with the default parameters, a client
 // at enterprise-office distances sees a usable median SNR.
 func TestCalibrationMedianSNR(t *testing.T) {
 	p := Default()

@@ -195,13 +195,13 @@ func TestTagAntennasTieBreak(t *testing.T) {
 	}
 }
 
-func newTestController() *Controller {
+func newTestController(rssi RSSIProvider) *Controller {
 	cfg := DefaultConfig([]int{100, 101, 102, 103})
-	return NewController(cfg)
+	return NewController(cfg, rssi)
 }
 
 func TestControllerLocalIndex(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	if i, ok := c.LocalIndex(102); !ok || i != 2 {
 		t.Errorf("LocalIndex(102) = %d,%v", i, ok)
 	}
@@ -211,7 +211,7 @@ func TestControllerLocalIndex(t *testing.T) {
 }
 
 func TestControllerNAVPerAntenna(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	c.UpdateNAV(100, 500*time.Microsecond)
 	c.UpdateNAV(999, time.Second) // foreign antenna ignored
 	if !c.Navs.Busy(0, 0) {
@@ -225,7 +225,7 @@ func TestControllerNAVPerAntenna(t *testing.T) {
 }
 
 func TestSelectAntennasAllIdle(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	ants, wait := c.SelectAntennas(101, 0, nil)
 	if !reflect.DeepEqual(ants, []int{100, 101, 102, 103}) {
 		t.Errorf("antennas = %v", ants)
@@ -236,7 +236,7 @@ func TestSelectAntennasAllIdle(t *testing.T) {
 }
 
 func TestSelectAntennasOpportunisticWait(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	now := 100 * time.Microsecond
 	// Antenna 1 busy, expiring within DIFS; antenna 2 busy far beyond.
 	c.UpdateNAV(101, now+20*time.Microsecond)
@@ -252,7 +252,7 @@ func TestSelectAntennasOpportunisticWait(t *testing.T) {
 }
 
 func TestSelectAntennasOrderIsNAVExpiry(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	now := time.Millisecond
 	c.UpdateNAV(100, now+30*time.Microsecond)
 	c.UpdateNAV(103, now+10*time.Microsecond)
@@ -264,7 +264,7 @@ func TestSelectAntennasOrderIsNAVExpiry(t *testing.T) {
 }
 
 func TestSelectAntennasForeignWinner(t *testing.T) {
-	c := newTestController()
+	c := newTestController(nil)
 	ants, _ := c.SelectAntennas(999, 0, nil)
 	if ants != nil {
 		t.Errorf("foreign winner should yield nil, got %v", ants)
@@ -274,7 +274,7 @@ func TestSelectAntennasForeignWinner(t *testing.T) {
 func TestSelectAntennasMaxStreams(t *testing.T) {
 	cfg := DefaultConfig([]int{100, 101, 102, 103})
 	cfg.MaxStreams = 2
-	c := NewController(cfg)
+	c := NewController(cfg, nil)
 	ants, _ := c.SelectAntennas(100, 0, nil)
 	if len(ants) != 2 {
 		t.Errorf("antennas = %v, want 2", ants)
@@ -282,11 +282,11 @@ func TestSelectAntennasMaxStreams(t *testing.T) {
 }
 
 func TestEnqueueTagsPackets(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{
 		{5, 100}: 0.1, {5, 101}: 9.0, {5, 102}: 4.0, {5, 103}: 2.0,
 	}
-	c.Enqueue(Packet{Client: 5, Size: 100}, rssi)
+	c := newTestController(rssi)
+	c.Enqueue(Packet{Client: 5, Size: 100})
 	p, ok := c.Queue.Head(5)
 	if !ok {
 		t.Fatal("packet not queued")
@@ -296,8 +296,52 @@ func TestEnqueueTagsPackets(t *testing.T) {
 	}
 }
 
+// countingRSSI counts the mean-power lookups a ranking makes.
+type countingRSSI struct {
+	fakeRSSI
+	calls map[int]int
+}
+
+func (c countingRSSI) MeanRxPower(client, antenna int) float64 {
+	c.calls[client]++
+	return c.fakeRSSI.MeanRxPower(client, antenna)
+}
+
+// TestEnqueueRanksEachClientOnce pins the tag cache: a client is ranked
+// on its first packet only, later packets reuse that ranking, and each
+// client keeps its own tags.
+func TestEnqueueRanksEachClientOnce(t *testing.T) {
+	rssi := countingRSSI{
+		fakeRSSI: fakeRSSI{
+			{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
+			{1, 100}: 1, {1, 101}: 1, {1, 102}: 9, {1, 103}: 8,
+		},
+		calls: map[int]int{},
+	}
+	c := newTestController(rssi)
+	for i := 0; i < 3; i++ {
+		c.Enqueue(Packet{Client: 0})
+		c.Enqueue(Packet{Client: 1})
+	}
+	first := rssi.calls[0]
+	if first == 0 {
+		t.Fatal("client 0 was never ranked")
+	}
+	c.Enqueue(Packet{Client: 0})
+	if rssi.calls[0] != first {
+		t.Errorf("client 0 re-ranked: %d lookups, want %d", rssi.calls[0], first)
+	}
+	for cl, want := range map[int][]int{0: {100, 101}, 1: {102, 103}} {
+		for c.Queue.LenFor(cl) > 0 {
+			p, _ := c.Queue.Pop(cl)
+			if !reflect.DeepEqual(p.Tags, want) {
+				t.Fatalf("client %d tags = %v, want %v", cl, p.Tags, want)
+			}
+		}
+	}
+}
+
 func TestSelectClientsRespectsTagsAndDistinctness(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{
 		// client 0 prefers antennas 100,101; client 1 prefers 101,102;
 		// client 2 prefers 102,103; client 3 prefers 103,100.
@@ -306,8 +350,9 @@ func TestSelectClientsRespectsTagsAndDistinctness(t *testing.T) {
 		{2, 100}: 1, {2, 101}: 1, {2, 102}: 9, {2, 103}: 8,
 		{3, 100}: 8, {3, 101}: 1, {3, 102}: 1, {3, 103}: 9,
 	}
+	c := newTestController(rssi)
 	for cl := 0; cl < 4; cl++ {
-		c.Enqueue(Packet{Client: cl, Size: 1500}, rssi)
+		c.Enqueue(Packet{Client: cl, Size: 1500})
 	}
 	clients := c.SelectClients([]int{100, 101, 102, 103})
 	if len(clients) != 4 {
@@ -323,11 +368,11 @@ func TestSelectClientsRespectsTagsAndDistinctness(t *testing.T) {
 }
 
 func TestSelectClientsTagFilteringExcludes(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{
 		{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
 	}
-	c.Enqueue(Packet{Client: 0, Size: 100}, rssi)
+	c := newTestController(rssi)
+	c.Enqueue(Packet{Client: 0, Size: 100})
 	// Only antennas 102,103 available: client 0's tags (100,101) miss.
 	clients := c.SelectClients([]int{102, 103})
 	if len(clients) != 0 {
@@ -341,10 +386,10 @@ func TestSelectClientsTagFilteringExcludes(t *testing.T) {
 }
 
 func TestDequeueAndFinishTXOP(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{{0, 100}: 2, {0, 101}: 1, {1, 100}: 2, {1, 101}: 1}
-	c.Enqueue(Packet{Client: 0, Size: 100}, rssi)
-	c.Enqueue(Packet{Client: 1, Size: 200}, rssi)
+	c := newTestController(rssi)
+	c.Enqueue(Packet{Client: 0, Size: 100})
+	c.Enqueue(Packet{Client: 1, Size: 200})
 	pkts := c.Dequeue([]int{0})
 	if len(pkts) != 1 || pkts[0].Client != 0 {
 		t.Fatalf("Dequeue = %+v", pkts)

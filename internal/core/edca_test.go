@@ -48,15 +48,15 @@ func TestPrimaryACPriorityOrder(t *testing.T) {
 }
 
 func TestSelectClientsEDCAPrimaryFirst(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{
 		{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
 		{1, 100}: 8, {1, 101}: 9, {1, 102}: 1, {1, 103}: 1,
 	}
+	c := newTestController(rssi)
 	// Client 0 queues a background packet, client 1 a voice packet; both
 	// tag antennas 100/101.
-	c.Enqueue(Packet{Client: 0, TID: 1, Size: 100}, rssi)
-	c.Enqueue(Packet{Client: 1, TID: 6, Size: 100}, rssi)
+	c.Enqueue(Packet{Client: 0, TID: 1, Size: 100})
+	c.Enqueue(Packet{Client: 1, TID: 6, Size: 100})
 	// With voice primary, antenna 100 must serve the voice client first
 	// even though the background client has equal standing otherwise.
 	clients := c.SelectClientsEDCA([]int{100, 101}, mac.ACVoice)
@@ -72,15 +72,15 @@ func TestSelectClientsEDCAPrimaryFirst(t *testing.T) {
 }
 
 func TestSelectClientsEDCASecondaryFillsGroup(t *testing.T) {
-	c := newTestController()
 	rssi := fakeRSSI{
 		{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
 		{1, 100}: 1, {1, 101}: 1, {1, 102}: 9, {1, 103}: 8,
 	}
+	c := newTestController(rssi)
 	// Only one voice client; a best-effort client tagged elsewhere tops
 	// up the group from the secondary class (§3.3).
-	c.Enqueue(Packet{Client: 0, TID: 6, Size: 100}, rssi)
-	c.Enqueue(Packet{Client: 1, TID: 0, Size: 100}, rssi)
+	c.Enqueue(Packet{Client: 0, TID: 6, Size: 100})
+	c.Enqueue(Packet{Client: 1, TID: 0, Size: 100})
 	clients := c.SelectClientsEDCA([]int{100, 102}, mac.ACVoice)
 	if len(clients) != 2 {
 		t.Fatalf("clients = %v, want both classes served", clients)
@@ -91,15 +91,15 @@ func TestSelectClientsEDCAMatchesPlainWhenOneClass(t *testing.T) {
 	// With a single traffic class the EDCA variant must agree with the
 	// §3.2.5 selection.
 	mk := func() (*Controller, fakeRSSI) {
-		c := newTestController()
 		rssi := fakeRSSI{
 			{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
 			{1, 100}: 1, {1, 101}: 9, {1, 102}: 8, {1, 103}: 1,
 			{2, 100}: 1, {2, 101}: 1, {2, 102}: 9, {2, 103}: 8,
 			{3, 100}: 8, {3, 101}: 1, {3, 102}: 1, {3, 103}: 9,
 		}
+		c := newTestController(rssi)
 		for cl := 0; cl < 4; cl++ {
-			c.Enqueue(Packet{Client: cl, TID: 0, Size: 100}, rssi)
+			c.Enqueue(Packet{Client: cl, TID: 0, Size: 100})
 		}
 		return c, rssi
 	}

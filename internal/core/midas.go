@@ -77,10 +77,18 @@ type Controller struct {
 
 	// local maps a global antenna index to its position in Cfg.Antennas.
 	local map[int]int
+	// rssi ranks antennas for tagging; tags caches each client's ranking.
+	// A client's tags depend only on the client, the fixed antenna set,
+	// the tag width and static mean powers, so each client is ranked once
+	// and its packets share one slice (Queue only reads Packet.Tags).
+	rssi RSSIProvider
+	tags map[int][]int
 }
 
-// NewController builds a controller with one NAV per antenna.
-func NewController(cfg Config) *Controller {
+// NewController builds a controller with one NAV per antenna that tags
+// packets by rssi's mean receive powers, which must not change over the
+// controller's lifetime. rssi may be nil when cfg.TagWidth is 0.
+func NewController(cfg Config, rssi RSSIProvider) *Controller {
 	if cfg.MaxStreams <= 0 || cfg.MaxStreams > len(cfg.Antennas) {
 		cfg.MaxStreams = len(cfg.Antennas)
 	}
@@ -92,6 +100,8 @@ func NewController(cfg Config) *Controller {
 		Navs:  mac.NewTable(len(cfg.Antennas)),
 		Queue: NewQueue(),
 		local: make(map[int]int, len(cfg.Antennas)),
+		rssi:  rssi,
+		tags:  map[int][]int{},
 	}
 	for i, a := range cfg.Antennas {
 		c.local[a] = i
@@ -107,8 +117,13 @@ func (c *Controller) LocalIndex(antenna int) (int, bool) {
 }
 
 // Enqueue tags the packet with the client's best antennas and queues it.
-func (c *Controller) Enqueue(p Packet, rssi RSSIProvider) {
-	p.Tags = TagAntennas(rssi, p.Client, c.Cfg.Antennas, c.Cfg.TagWidth)
+func (c *Controller) Enqueue(p Packet) {
+	tags, ok := c.tags[p.Client]
+	if !ok {
+		tags = TagAntennas(c.rssi, p.Client, c.Cfg.Antennas, c.Cfg.TagWidth)
+		c.tags[p.Client] = tags
+	}
+	p.Tags = tags
 	c.Queue.Push(p)
 }
 

@@ -204,15 +204,6 @@ func (m *Mat) Hermitian() *Mat {
 	return out
 }
 
-// Conj returns the element-wise complex conjugate.
-func (m *Mat) Conj() *Mat {
-	out := New(m.r, m.c)
-	for i := range m.a {
-		out.a[i] = cmplx.Conj(m.a[i])
-	}
-	return out
-}
-
 // FrobeniusNorm returns sqrt(Σ|a_ij|²).
 func (m *Mat) FrobeniusNorm() float64 {
 	s := 0.0

@@ -105,14 +105,6 @@ func TestHermitian(t *testing.T) {
 	}
 }
 
-func TestTransposeConj(t *testing.T) {
-	a := FromRows([][]complex128{{1 + 1i, 2i}})
-	cj := a.Conj()
-	if cj.At(0, 0) != 1-1i {
-		t.Errorf("Conj = %v", cj)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	a := FromRows([][]complex128{{3, 4}, {0, 0}})
 	if got := a.FrobeniusNorm(); got != 5 {

@@ -16,24 +16,43 @@ import (
 // Source is a deterministic random stream. It wraps math/rand with the
 // distributions the wireless models need.
 //
-// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) mutate
-// the underlying stream and are NOT safe for concurrent use — each
-// goroutine must own the Sources it draws from. Split and SplitN,
+// A Source records only its seed until its first draw, which builds the
+// generator (math/rand's own stream for that seed, seeded on demand; see
+// lagged). Splitting and reading Seed therefore never build one, so a
+// chain like src.Split("model").Split("shadow").Seed() costs only the
+// hash mix.
+//
+// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) build
+// and then mutate the underlying stream and are NOT safe for concurrent
+// use — each goroutine must own the Sources it draws from, and the
+// generator is built lazily by that single owner. Split and SplitN,
 // however, read only the immutable seed recorded at construction, so
 // any number of goroutines may derive children from one shared parent
 // concurrently, and sibling children may be consumed from different
 // goroutines. This is the discipline the internal/runner worker pool
 // relies on: one root Source per experiment, one Split child per task.
 type Source struct {
+	// r is nil until the first draw; only the owner builds it.
 	r *rand.Rand
 	// seed is immutable after New; Split derives children from it
 	// without touching r, which is what makes concurrent splitting safe.
 	seed int64
 }
 
-// New returns a Source seeded with seed.
+// New returns a Source seeded with seed. The generator is built on the
+// first draw.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Source{seed: seed}
+}
+
+// gen returns the generator, building it on first use.
+func (s *Source) gen() *rand.Rand {
+	if s.r == nil {
+		g := &lagged{}
+		g.Seed(s.seed)
+		s.r = rand.New(g)
+	}
+	return s.r
 }
 
 // Seed returns the seed this source was created with.
@@ -101,22 +120,22 @@ func itoa(i int) string {
 }
 
 // Intn returns an integer in [0, n).
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.gen().Intn(n) }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.gen().Float64() }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + (hi-lo)*s.gen().Float64()
 }
 
 // Norm returns a standard normal draw.
-func (s *Source) Norm() float64 { return s.r.NormFloat64() }
+func (s *Source) Norm() float64 { return s.gen().NormFloat64() }
 
 // Gauss returns a normal draw with the given mean and standard deviation.
 func (s *Source) Gauss(mean, std float64) float64 {
-	return mean + std*s.r.NormFloat64()
+	return mean + std*s.gen().NormFloat64()
 }
 
 // ComplexCircular returns a circularly-symmetric complex Gaussian
@@ -127,13 +146,8 @@ func (s *Source) ComplexCircular(variance float64) complex128 {
 	return complex(s.Gauss(0, std), s.Gauss(0, std))
 }
 
-// Exp returns an exponential draw with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	return s.r.ExpFloat64() * mean
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.gen().Perm(n) }
 
 // PointInDisc returns a uniform point in the disc of the given radius
 // centred at the origin.

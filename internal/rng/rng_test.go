@@ -123,18 +123,6 @@ func TestComplexCircularMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(29)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += s.Exp(4)
-	}
-	if got := sum / n; math.Abs(got-4) > 0.1 {
-		t.Errorf("Exp mean = %v, want ~4", got)
-	}
-}
-
 func TestPointInDisc(t *testing.T) {
 	s := New(31)
 	inside := 0

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/rng"
@@ -9,27 +10,38 @@ import (
 
 // TestShardsAssembleMatchesRunResolved pins the distribution contract:
 // executing a resolved spec's Shards() one by one — in any process, at
-// any parallelism — and feeding the ordered results to Assemble yields
-// byte-identical output to the single-process RunResolved of the same
-// spec. internal/dispatch is built on exactly this property.
+// any parallelism, in any completion order — and feeding the ordered
+// results to Assemble yields byte-identical output to the
+// single-process RunResolved of the same spec. internal/dispatch is
+// built on exactly this property. fig12-spatial-reuse covers the sweep
+// and replicate layouts; every registered scenario then runs at golden
+// scale with 2 replicates, its shards executed in a shuffled order.
 func TestShardsAssembleMatchesRunResolved(t *testing.T) {
-	cases := []struct {
+	type shardCase struct {
 		name      string
+		scenario  string
 		overrides Spec
-	}{
-		{"unswept", Spec{Topologies: 3, Seed: 11}},
-		{"swept", Spec{Topologies: 2, Seed: 11, Sweep: map[string][]float64{"seed": {21, 22, 23}}}},
-		{"replicated", Spec{Topologies: 2, Seed: 11, Replicates: 3}},
-		{"swept-replicated", Spec{Topologies: 2, Seed: 11, Replicates: 2,
+	}
+	cases := []shardCase{
+		{"unswept", "fig12-spatial-reuse", Spec{Topologies: 3, Seed: 11}},
+		{"swept", "fig12-spatial-reuse", Spec{Topologies: 2, Seed: 11, Sweep: map[string][]float64{"seed": {21, 22, 23}}}},
+		{"replicated", "fig12-spatial-reuse", Spec{Topologies: 2, Seed: 11, Replicates: 3}},
+		{"swept-replicated", "fig12-spatial-reuse", Spec{Topologies: 2, Seed: 11, Replicates: 2,
 			Sweep: map[string][]float64{"seed": {31, 32}}}},
-		{"single-labelled-point", Spec{Topologies: 2, Seed: 11, Sweep: map[string][]float64{"seed": {41}}}},
+		{"single-labelled-point", "fig12-spatial-reuse", Spec{Topologies: 2, Seed: 11, Sweep: map[string][]float64{"seed": {41}}}},
 	}
-	sc, err := Find("fig12-spatial-reuse")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range Names() {
+		o := goldenOverrides(name)
+		o.Replicates = 2
+		cases = append(cases, shardCase{"golden-replicated/" + name, name, o})
 	}
+	shuffle := rand.New(rand.NewSource(17))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			sc, err := Find(tc.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
 			spec, err := Resolve(sc, tc.overrides)
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +56,8 @@ func TestShardsAssembleMatchesRunResolved(t *testing.T) {
 				t.Fatalf("Shards() returned %d shards, ExpandedRuns says %d", len(shards), want)
 			}
 			results := make([]Result, len(shards))
-			for i, sh := range shards {
+			for _, i := range shuffle.Perm(len(shards)) {
+				sh := shards[i]
 				if sh.Sweep != nil {
 					t.Fatalf("shard %d still carries a sweep", i)
 				}

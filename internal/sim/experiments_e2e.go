@@ -13,7 +13,8 @@ import (
 
 // This file implements the end-to-end experiments: the 3-AP testbed CDF
 // of Figure 15, the 8-AP large-scale simulation of Figure 16, and the
-// decomposition/ablation variants DESIGN.md §5 calls for.
+// decomposition/ablation variants registered beside them (README
+// "Scenarios").
 
 // E2EOpts configures an end-to-end run. Every field past Seed is
 // optional; zero values reproduce the paper configuration.
@@ -114,7 +115,7 @@ func Fig15EndToEnd(o E2EOpts) (cas, midas *stats.Sample) {
 // CAS versus full MIDAS. The region is 52×52 m rather than the paper's
 // 60×60 m: our multi-wall model isolates cells faster than their building
 // did, and the denser region restores the inter-cell coupling their
-// deployment had (see EXPERIMENTS.md).
+// deployment had.
 func Fig16LargeScale(o E2EOpts) (cas, midas *stats.Sample, err error) {
 	p := o.params()
 	res, err := sweepErr(o.Topologies, o.Seed, "fig16", o.Parallelism, func(t int, src *rng.Source) (arm2, error) {

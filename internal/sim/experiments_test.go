@@ -46,7 +46,7 @@ func TestFig8And9ShapeMIDASWins(t *testing.T) {
 			// band; the 2×2 gain is attenuated because uniformly-placed
 			// clients can sit behind both of only two distributed
 			// antennas, where the testbed's office/corridor clients did
-			// not (see EXPERIMENTS.md).
+			// not.
 			min := 0.2
 			if nAnt == 2 {
 				min = 0.0

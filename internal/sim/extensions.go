@@ -10,8 +10,8 @@ import (
 )
 
 // Extension studies beyond the paper's evaluation: the §7 discussion
-// items, quantified. These back the Benchmark* ablations DESIGN.md §5
-// lists and the `midas-bench -figure ablations` output.
+// items, quantified. These back the root package's Benchmark* ablations
+// and the `midas-bench -figure ablations` output.
 
 // BeamformingResult compares full-array and localized single-user
 // beamforming (§7 "Beamforming").

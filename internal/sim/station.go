@@ -162,7 +162,7 @@ func newStation(net *Network, id int, opts StationOpts) *Station {
 		} else if opts.TagWidth > 0 {
 			cfg.TagWidth = opts.TagWidth
 		}
-		st.midas = core.NewController(cfg)
+		st.midas = core.NewController(cfg, st.net.Model)
 	} else {
 		st.cas = core.NewCASController(st.antennas, sched, 0)
 	}
@@ -182,7 +182,7 @@ func (st *Station) fillQueues() {
 				Enqueued: st.net.Eng.Now(),
 			}
 			if st.midas != nil {
-				st.midas.Enqueue(p, st.net.Model)
+				st.midas.Enqueue(p)
 			} else {
 				st.cas.Enqueue(p)
 			}

@@ -119,7 +119,9 @@ sleep 1
 # covers them — every one must finish and stay collectable. The anchor
 # jobs queue behind the probes on the single worker and keep the drain
 # (and the listener) open while the probe results are collected; they
-# are deliberately never polled.
+# are deliberately never polled. Each anchor is 16× a probe's size so
+# its engine time (about 0.2 s on a 2-vCPU host) outlasts collecting
+# the probes by a wide margin.
 n=0
 probe_ids=""
 while [ $n -lt "$probes" ]; do
@@ -129,7 +131,7 @@ while [ $n -lt "$probes" ]; do
 done
 n=0
 while [ $n -lt "$probes" ]; do
-    submit_spec $((8000 + n)) 256 "$tmp/anchor$n.json" || fail "anchor $n rejected"
+    submit_spec $((8000 + n)) 4096 "$tmp/anchor$n.json" || fail "anchor $n rejected"
     n=$((n + 1))
 done
 echo "drain-e2e: $probes probes accepted:$probe_ids (+$probes anchors)"
