@@ -39,9 +39,11 @@
 // (internal/dispatch) to midas-worker processes, and jobs whose specs
 // expand to multiple runs are sharded across the worker fleet instead
 // of the in-process pool — with byte-identical results, since both
-// paths share the engine's decomposition. While no worker is polling,
+// paths share the engine's decomposition. While no worker is live,
 // execution transparently falls back in-process, so a coordinator with
-// no fleet degrades to a plain single-process server.
+// no fleet degrades to a plain single-process server. An idle
+// worker's lease request parks at the coordinator until a shard is
+// ready, so a sweep starts the moment it is submitted.
 //
 // A coordinator with a store additionally journals every dispatched
 // job (the resolved spec, for re-admission, under <store-dir>/journal)
@@ -178,7 +180,7 @@ func run() error {
 	reg := telemetry.NewRegistry()
 
 	// With -dispatch-listen, multi-run jobs go to the worker fleet via
-	// the coordinator — unless too few workers are polling, in which
+	// the coordinator — unless no worker is live, in which
 	// case (and for single-run specs, which have nothing to shard) the
 	// job runs in-process exactly as before. Both paths share the
 	// engine's decomposition, so the choice never shows in the bytes.
@@ -228,7 +230,7 @@ func run() error {
 	runFunc := scenario.RunResolved
 	if coord != nil {
 		// Recovered jobs must route through the coordinator even while no
-		// workers are polling yet: the store prefill answers their
+		// workers are live yet: the store prefill answers their
 		// finished shards immediately, and only the missing shards wait
 		// for the fleet. The in-process fallback would instead re-run the
 		// whole sweep.
@@ -325,7 +327,11 @@ func run() error {
 	// The dispatch listener outlives the job drain on purpose: draining
 	// jobs may be distributed, and killing the lease protocol under
 	// them would only force every shard through the requeue machinery.
+	// The jobs are settled by now, so closing the coordinator first
+	// costs nothing and answers every parked lease request ("closed"),
+	// which Shutdown would otherwise wait out for the whole hold.
 	if dsrv != nil {
+		coord.Close()
 		if err := dsrv.Shutdown(httpCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}

@@ -1,17 +1,18 @@
 // Command midas-worker is the execution half of distributed sweep
-// serving: it polls a midas-serve coordinator (its -dispatch-listen
+// serving: it asks a midas-serve coordinator (its -dispatch-listen
 // address) for shard leases, runs each shard through the same engine
 // call the in-process pool makes, and publishes the results. Because
 // every shard result is fully determined by its spec, workers are
 // stateless and disposable — kill -9 one mid-shard and its leases
 // expire back into the queue for someone else, with the merged result
 // unchanged byte for byte (scripts/cluster-e2e.sh proves exactly
-// that).
+// that). An idle worker's lease request parks at the coordinator
+// until a shard is ready (dispatch protocol 2), so a submitted sweep
+// starts at once and there is no polling interval to tune.
 //
 //	midas-worker -coordinator http://host:port [-id NAME]
 //	             [-parallelism N] [-max-batch N] [-max-shards N]
-//	             [-poll DUR] [-store-dir DIR] [-store-shared]
-//	             [-log text|json|off]
+//	             [-store-dir DIR] [-store-shared] [-log text|json|off]
 //
 // With -store-dir the worker is a first-class store citizen: each
 // completed shard's result envelope is written directly into the
@@ -34,8 +35,8 @@
 //
 // SIGINT/SIGTERM exit gracefully: the shard in flight finishes and is
 // published (completion is idempotent), then the loop returns. A
-// coordinator restart is survived by polling until the new incarnation
-// answers.
+// coordinator restart is survived by retrying, with backoff, until the
+// new incarnation answers.
 package main
 
 import (
@@ -57,9 +58,8 @@ var (
 	coordinator = flag.String("coordinator", "", "coordinator dispatch URL, e.g. http://127.0.0.1:9091 (required)")
 	id          = flag.String("id", "", "worker name in leases and metrics (default host-pid)")
 	parallelism = flag.Int("parallelism", 0, "inner parallelism for each shard (0 = GOMAXPROCS); never affects results")
-	maxBatch    = flag.Int("max-batch", 1, "shards to request per poll (coordinator may cap)")
+	maxBatch    = flag.Int("max-batch", 1, "shards to request per lease request (coordinator may cap)")
 	maxShards   = flag.Int("max-shards", 0, "exit after completing N shards (0 = run until signalled)")
-	poll        = flag.Duration("poll", 200*time.Millisecond, "idle re-poll interval when no work is available")
 	storeDir    = flag.String("store-dir", "",
 		"durable result store directory shared with the coordinator: shard results are published here directly and acknowledged by hash (empty = post results inline)")
 	storeShared = flag.Bool("store-shared", false,
@@ -155,7 +155,6 @@ func run() error {
 		Parallelism:      par,
 		MaxBatch:         *maxBatch,
 		MaxShards:        *maxShards,
-		Poll:             *poll,
 		Store:            st,
 		HoldAfterPublish: hold,
 		Log:              log,

@@ -97,7 +97,6 @@ func TestDirectPublishVerified(t *testing.T) {
 				Coordinator: srv.URL,
 				ID:          fmt.Sprintf("direct%d", w),
 				Parallelism: 1 + w,
-				Poll:        5 * time.Millisecond,
 				Store:       wst,
 			})
 		}(w, wst)
@@ -139,7 +138,7 @@ func TestDirectPublishDisjointStoreFallsBackInline(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "stray", Poll: 2 * time.Millisecond,
+			Coordinator: srv.URL, ID: "stray",
 			Parallelism: 1, Store: wst,
 		})
 	}()
@@ -237,7 +236,7 @@ func TestDirectPublishUnverifiableAsksResend(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
 		})
 	}()
 	out := <-done
@@ -338,7 +337,7 @@ func TestWorkerHoldAfterPublishWindow(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "holder", Poll: 2 * time.Millisecond,
+			Coordinator: srv.URL, ID: "holder",
 			Parallelism: 1, Store: wst,
 			HoldAfterPublish: func() { held <- struct{}{} },
 		})
@@ -365,52 +364,36 @@ func TestWorkerHoldAfterPublishWindow(t *testing.T) {
 	assertSameResult(t, want, out.res)
 }
 
-// TestProtoUnsupportedRejected: both dispatch endpoints reject a
-// request claiming a protocol newer than the coordinator speaks, with
-// the unified error envelope and code "proto_unsupported"; version 0
-// (the field omitted — a pre-versioning worker) is still served.
+// TestProtoUnsupportedRejected: both dispatch endpoints refuse a
+// request claiming a protocol newer than the coordinator speaks, or
+// carrying no version at all (the pre-versioning wire format), with
+// the unified error envelope and code "proto_unsupported".
 func TestProtoUnsupportedRejected(t *testing.T) {
 	_, srv := startCoordinator(t, Config{})
-	futures := []struct {
+	for _, f := range []struct {
 		url  string
 		body string
 	}{
 		{srv.URL + "/v1/shards/lease", `{"proto": 99, "worker": "timetraveler"}`},
 		{srv.URL + "/v1/shards/nosuch/complete", `{"proto": 99, "worker": "timetraveler", "error": "x"}`},
-	}
-	for _, f := range futures {
+		{srv.URL + "/v1/shards/lease", `{"worker": "elder"}`},
+		{srv.URL + "/v1/shards/nosuch/complete", `{"worker": "elder", "error": "x"}`},
+		{srv.URL + "/v1/shards/lease", `{"proto": 0, "worker": "elder"}`},
+	} {
 		resp, err := http.Post(f.url, "application/json", strings.NewReader(f.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var e api.Error
 		if derr := json.NewDecoder(resp.Body).Decode(&e); derr != nil {
-			t.Fatalf("POST %s: non-envelope error body: %v", f.url, derr)
+			t.Fatalf("POST %s %s: non-envelope error body: %v", f.url, f.body, derr)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with proto 99: status %d, want 400", f.url, resp.StatusCode)
+			t.Errorf("POST %s %s: status %d, want 400", f.url, f.body, resp.StatusCode)
 		}
 		if e.Code != "proto_unsupported" {
-			t.Errorf("POST %s with proto 99: code %q, want proto_unsupported", f.url, e.Code)
+			t.Errorf("POST %s %s: code %q, want proto_unsupported", f.url, f.body, e.Code)
 		}
-	}
-
-	// Version 0: no proto field at all still gets a lease response.
-	resp, err := http.Post(srv.URL+"/v1/shards/lease", "application/json",
-		strings.NewReader(`{"worker": "elder"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proto-0 lease request: status %d, want 200", resp.StatusCode)
-	}
-	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.Proto != ProtoVersion {
-		t.Errorf("proto-0 response advertises proto %d, want %d", lr.Proto, ProtoVersion)
 	}
 }

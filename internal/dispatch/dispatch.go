@@ -11,13 +11,19 @@
 //
 // The protocol is a pull-based work queue in the reconcile-loop /
 // requeue-with-backoff style of the Kubernetes controllers: workers
-// poll
+// ask
 //
-//	POST /v1/shards/lease             {"worker": id, "max": n}
+//	POST /v1/shards/lease             {"proto": 2, "worker": id, "max": n}
 //
 // for shard batches and report each one with
 //
-//	POST /v1/shards/{lease}/complete  {"worker": id, "result": {...}}
+//	POST /v1/shards/{lease}/complete  {"proto": 2, "worker": id, "result": {...}}
+//
+// A lease request that finds nothing ready parks at the coordinator
+// (a long poll) until a shard becomes leasable, the hold (half the
+// worker TTL) runs out, or the coordinator closes — so a submitted
+// sweep starts the moment it is enqueued, with no idle polling
+// interval in between.
 //
 // A lease that misses its deadline is requeued — its worker may have
 // died mid-shard — and any late completion under the dead lease id is
@@ -26,9 +32,10 @@
 // serving layer caches), double *execution* after a requeue race is
 // harmless: exactly one completion per shard is accepted into the
 // assembly, every other one is a counted no-op. Workers register
-// implicitly by polling; a worker that stops polling ages out of the
-// live set, which is how midas-serve decides between dispatching (at
-// least one live worker) and running in-process.
+// implicitly by asking for leases, and a parked request keeps its
+// worker registered; a worker that stops asking ages out of the live
+// set, which is how midas-serve decides between dispatching (at least
+// one live worker) and running in-process.
 package dispatch
 
 import (
@@ -63,8 +70,10 @@ type Config struct {
 	// 250ms (base) and 15s (max).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// WorkerTTL is how long after its last poll a worker still counts
-	// as live; <= 0 selects 15s.
+	// WorkerTTL is how long after its last lease request a worker
+	// still counts as live; <= 0 selects 15s. A parked lease request is
+	// held for at most half of it, and every wake refreshes the
+	// worker's stamp, so a parked worker never ages out.
 	WorkerTTL time.Duration
 	// MaxBatch caps the shards granted to one lease request regardless
 	// of what the worker asks for; <= 0 selects 4.
@@ -255,9 +264,12 @@ type Coordinator struct {
 	workers   map[string]time.Time
 	nextJob   int
 	nextLease int
-	closed    bool
-	stop      chan struct{}
-	stopped   sync.WaitGroup
+	// ready is closed (and replaced) whenever a shard is pushed onto
+	// pending, waking every parked lease request to try a grant.
+	ready   chan struct{}
+	closed  bool
+	stop    chan struct{} // closed by Close: releases the sweeper and parked lease requests
+	stopped sync.WaitGroup
 }
 
 // retiredKeep bounds the dead-lease tombstone table that classifies
@@ -284,6 +296,7 @@ func New(cfg Config) *Coordinator {
 		leases:    make(map[string]*lease),
 		retired:   make(map[string]string),
 		workers:   make(map[string]time.Time),
+		ready:     make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
 	if cfg.Journal != nil {
@@ -436,6 +449,7 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 		}
 		heap.Push(&c.pending, sh)
 	}
+	c.signalReadyLocked()
 	if resumed {
 		c.tel.resumed.Inc()
 	}
@@ -479,8 +493,9 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 	return scenario.Assemble(j.scName, spec, j.results)
 }
 
-// LiveWorkers counts workers whose last poll is within the worker TTL
-// — the signal midas-serve's in-process fallback reads.
+// LiveWorkers counts workers whose last lease request (or parked
+// request's wake) is within the worker TTL — the signal midas-serve's
+// in-process fallback reads.
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -498,6 +513,99 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 		}
 	}
 	return n
+}
+
+// lease grants worker up to max ready shards, as the wire snapshots
+// its response carries. An empty grant parks — without holding c.mu —
+// and retries whenever a shard is pushed onto pending or the earliest
+// backing-off shard's readyAt arrives, until a grant succeeds or the
+// hold (half the worker TTL) runs out; every retry refreshes the
+// worker's liveness stamp. It returns ErrClosed once the coordinator
+// closes, parked or not, and ctx's error when the client goes away —
+// handing any shards it had just granted straight back to pending.
+func (c *Coordinator) lease(ctx context.Context, worker string, max int) ([]ShardLease, error) {
+	holdEnd := time.Now().Add(c.cfg.workerTTL() / 2)
+	for {
+		now := time.Now()
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrClosed
+		}
+		c.workers[worker] = now
+		granted := c.grantLocked(worker, max, now)
+		if len(granted) > 0 && ctx.Err() != nil {
+			// The client left while parked, or in the instant the grant
+			// woke it: nobody will run these shards, so return them now
+			// rather than at lease expiry.
+			for _, l := range granted {
+				c.abandonLocked(l)
+			}
+			c.mu.Unlock()
+			return nil, ctx.Err()
+		}
+		if len(granted) > 0 || !now.Before(holdEnd) {
+			// Snapshot every wire field while the lock is held: the moment
+			// it drops, the sweeper may expire a lease, requeue its shard
+			// and re-grant it, mutating sh.attempts (and the rest of the
+			// lease bookkeeping) under a concurrent reader.
+			out := make([]ShardLease, 0, len(granted))
+			for _, l := range granted {
+				out = append(out, ShardLease{
+					ID:       l.id,
+					Job:      l.sh.job.id,
+					Shard:    l.sh.index,
+					Attempt:  l.sh.attempts,
+					Deadline: l.deadline,
+					Spec:     l.sh.spec,
+					Hash:     l.sh.hash,
+				})
+			}
+			c.mu.Unlock()
+			return out, nil
+		}
+		// An empty grant leaves pending either empty or headed by a live
+		// shard still backing off: wake at its readyAt, or at the end of
+		// the hold, whichever is first.
+		wake := holdEnd
+		if len(c.pending) > 0 && c.pending[0].readyAt.Before(wake) {
+			wake = c.pending[0].readyAt
+		}
+		ready := c.ready
+		c.mu.Unlock()
+
+		timer := time.NewTimer(wake.Sub(now))
+		select {
+		case <-ready:
+		case <-timer.C:
+		case <-c.stop:
+		case <-ctx.Done():
+		}
+		timer.Stop()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// signalReadyLocked wakes every parked lease request after shards
+// were pushed onto pending. Called with c.mu held.
+func (c *Coordinator) signalReadyLocked() {
+	close(c.ready)
+	c.ready = make(chan struct{})
+}
+
+// abandonLocked undoes a grant nobody received: the lease is retired
+// (a stray completion under it is stale) and its shard goes back to
+// pending as it was — the attempt never started, so it costs neither
+// backoff nor attempt budget. Called with c.mu held.
+func (c *Coordinator) abandonLocked(l *lease) {
+	c.retireLeaseLocked(l, "abandoned")
+	c.tel.requeues.With("abandoned").Inc()
+	l.sh.state = shardPending
+	l.sh.attempts--
+	heap.Push(&c.pending, l.sh)
+	c.signalReadyLocked()
 }
 
 // grantLocked pops up to max ready shards and turns each into a lease
@@ -667,6 +775,7 @@ func (c *Coordinator) requeueLocked(sh *shard, reason string, now time.Time) {
 	sh.state = shardPending
 	sh.readyAt = now.Add(backoff)
 	heap.Push(&c.pending, sh)
+	c.signalReadyLocked()
 	c.log.Info("dispatch shard requeued",
 		"dispatch_job", j.id, "shard", sh.index, "reason", reason,
 		"attempt", sh.attempts, "backoff", backoff.String())

@@ -84,7 +84,6 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 				Coordinator: srv.URL,
 				ID:          fmt.Sprintf("w%d", w),
 				Parallelism: 1 + w, // different widths must not matter
-				Poll:        5 * time.Millisecond,
 			})
 		}(w)
 	}
@@ -132,6 +131,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	c, srv := startCoordinator(t, Config{
 		LeaseTTL:    30 * time.Millisecond,
 		BackoffBase: time.Millisecond,
+		WorkerTTL:   20 * time.Millisecond, // the empty lease below parks 10ms
 		Telemetry:   reg,
 	})
 
@@ -161,7 +161,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
 		})
 	}()
 
@@ -200,7 +200,7 @@ func TestWorkerCrashMidShard(t *testing.T) {
 	crashed := make(chan struct{})
 	go func() {
 		_ = RunWorker(context.Background(), WorkerConfig{
-			Coordinator: srv.URL, ID: "crasher", Poll: time.Millisecond, MaxBatch: 1,
+			Coordinator: srv.URL, ID: "crasher", MaxBatch: 1,
 			Run: func(context.Context, scenario.Spec) (scenario.Result, error) {
 				close(crashed)
 				select {} // the crash: worker gone, shard still leased
@@ -213,7 +213,7 @@ func TestWorkerCrashMidShard(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "survivor", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "survivor", Parallelism: 1,
 		})
 	}()
 
@@ -253,7 +253,7 @@ func TestDuplicateCompletionAfterRequeue(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
 		})
 	}()
 	out := <-done
@@ -268,13 +268,13 @@ func TestDuplicateCompletionAfterRequeue(t *testing.T) {
 	}
 	var cr CompleteResponse
 	postForTest(t, srv.URL+"/v1/shards/"+slow.ID+"/complete",
-		CompleteRequest{Worker: "slowpoke", Result: &res}, &cr)
+		CompleteRequest{Proto: ProtoVersion, Worker: "slowpoke", Result: &res}, &cr)
 	if cr.Status != "stale" && cr.Status != "duplicate" {
 		t.Fatalf("late completion status = %q, want stale or duplicate", cr.Status)
 	}
 	// Re-report the same id again: still classified, still discarded.
 	postForTest(t, srv.URL+"/v1/shards/"+slow.ID+"/complete",
-		CompleteRequest{Worker: "slowpoke", Result: &res}, &cr)
+		CompleteRequest{Proto: ProtoVersion, Worker: "slowpoke", Result: &res}, &cr)
 	if cr.Status != "stale" && cr.Status != "duplicate" {
 		t.Fatalf("repeat completion status = %q", cr.Status)
 	}
@@ -317,7 +317,7 @@ func TestCoordinatorRestartStalePublish(t *testing.T) {
 	}
 	var cr CompleteResponse
 	postForTest(t, srv2.URL+"/v1/shards/"+old.ID+"/complete",
-		CompleteRequest{Worker: "w1", Result: &res}, &cr)
+		CompleteRequest{Proto: ProtoVersion, Worker: "w1", Result: &res}, &cr)
 	if cr.Status != "stale" {
 		t.Fatalf("cross-incarnation completion status = %q, want stale", cr.Status)
 	}
@@ -326,7 +326,7 @@ func TestCoordinatorRestartStalePublish(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv2.URL, ID: "w2", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv2.URL, ID: "w2", Parallelism: 1,
 		})
 	}()
 	out := <-done2
@@ -351,7 +351,7 @@ func TestRetryBudgetExhaustionFailsJob(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "doomed", Poll: time.Millisecond,
+			Coordinator: srv.URL, ID: "doomed",
 			Run: func(_ context.Context, _ scenario.Spec) (scenario.Result, error) {
 				attempts.Add(1)
 				return scenario.Result{}, fmt.Errorf("synthetic shard failure")
@@ -439,7 +439,7 @@ func TestSingleRunSpecDispatches(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "solo", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "solo", Parallelism: 1,
 		})
 	}()
 	got, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{})
@@ -456,7 +456,7 @@ func TestSingleRunSpecDispatches(t *testing.T) {
 func leaseOne(t *testing.T, base, worker string, max int, out *LeaseResponse) {
 	t.Helper()
 	*out = LeaseResponse{}
-	postForTest(t, base+"/v1/shards/lease", LeaseRequest{Worker: worker, Max: max}, out)
+	postForTest(t, base+"/v1/shards/lease", LeaseRequest{Proto: ProtoVersion, Worker: worker, Max: max}, out)
 }
 
 // waitLease polls until one lease is granted.

@@ -33,10 +33,12 @@ func fuzzJob(f *testing.F) (scenario.Scenario, scenario.Spec) {
 
 // fuzzCoordinator starts a fresh coordinator holding one dispatched
 // 2-shard job, so every fuzz input meets the same state. The lease TTL
-// is long enough that no lease expires mid-input.
+// is long enough that no lease expires mid-input; the worker TTL is
+// short, so a lease request that finds nothing grantable parks for
+// 5ms, not for the default hold of 7.5s.
 func fuzzCoordinator(t *testing.T, sc scenario.Scenario, spec scenario.Spec) *Coordinator {
 	t.Helper()
-	c := New(Config{LeaseTTL: time.Minute})
+	c := New(Config{LeaseTTL: time.Minute, WorkerTTL: 10 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := dispatchAsync(ctx, c, sc, spec)
 	t.Cleanup(func() { cancel(); <-done; c.Close() })

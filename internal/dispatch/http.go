@@ -16,24 +16,25 @@ import (
 
 // ProtoVersion is the dispatch wire protocol this coordinator speaks.
 // Version 1 added the "proto" field itself plus worker direct-publish
-// (ShardLease.Hash, CompleteRequest.StoredHash/Digest). Requests that
-// omit "proto" (version 0, the pre-versioning wire format) are
-// accepted for one release; requests claiming a HIGHER version than
-// the coordinator speaks are rejected with code "proto_unsupported" —
-// a newer worker must not silently degrade against an older
-// coordinator.
-const ProtoVersion = 1
+// (ShardLease.Hash, CompleteRequest.StoredHash/Digest); version 2
+// parks a lease request that finds nothing ready (a long poll). Every
+// request must carry a version from 1 to ProtoVersion: a request
+// without one, or claiming a newer one, is refused with code
+// "proto_unsupported" — so a newer worker never silently degrades
+// against an older coordinator (it backs off on the refusal instead of
+// spinning on immediate empty grants).
+const ProtoVersion = 2
 
 // Wire types of the lease protocol. Specs and results ride as their
 // canonical JSON forms — the same encoding the serving API and the
 // durable store use — so a worker's completion is exactly the payload
 // a single-process run would have produced.
 
-// LeaseRequest asks the coordinator for up to Max shard leases.
-// Polling is also the worker's liveness heartbeat: an empty grant
+// LeaseRequest asks the coordinator for up to Max shard leases. The
+// request is also the worker's liveness heartbeat: an empty grant
 // still refreshes its TTL in the live set.
 type LeaseRequest struct {
-	Proto  int    `json:"proto,omitempty"`
+	Proto  int    `json:"proto"`
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
 }
@@ -55,9 +56,11 @@ type ShardLease struct {
 	Hash string `json:"hash,omitempty"`
 }
 
-// LeaseResponse carries the granted batch, possibly empty. An empty
-// grant carries no poll hint: the worker re-polls on its own idle
-// interval, and that polling doubles as its liveness heartbeat.
+// LeaseResponse carries the granted batch, possibly empty. A request
+// that finds nothing ready parks at the coordinator until a shard is,
+// for at most half the coordinator's worker TTL; an empty answer means
+// that hold ran out. The worker asks again at once, and the parked
+// request doubles as its liveness heartbeat.
 type LeaseResponse struct {
 	Proto  int          `json:"proto"`
 	Leases []ShardLease `json:"leases"`
@@ -73,7 +76,7 @@ type LeaseResponse struct {
 //     request.
 //   - Error: the shard itself failed on the worker.
 type CompleteRequest struct {
-	Proto  int              `json:"proto,omitempty"`
+	Proto  int              `json:"proto"`
 	Worker string           `json:"worker"`
 	Result *scenario.Result `json:"result,omitempty"`
 	// StoredHash acknowledges a direct publish: the content address the
@@ -118,13 +121,12 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// checkProto rejects requests from a future protocol major. Version 0
-// (the field omitted — a pre-versioning peer) is accepted for one
-// release.
+// checkProto refuses a request whose protocol version this
+// coordinator does not speak: a newer one, or none at all.
 func checkProto(w http.ResponseWriter, proto int) bool {
-	if proto > ProtoVersion {
+	if proto < 1 || proto > ProtoVersion {
 		api.Write(w, http.StatusBadRequest, "proto_unsupported",
-			fmt.Sprintf("dispatch: protocol version %d not supported (max %d)", proto, ProtoVersion))
+			fmt.Sprintf("dispatch: protocol version %d not supported (want 1..%d)", proto, ProtoVersion))
 		return false
 	}
 	return true
@@ -142,39 +144,20 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		api.Write(w, http.StatusBadRequest, "bad_request", "lease request needs a worker id")
 		return
 	}
-	now := time.Now()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	leases, err := c.lease(r.Context(), req.Worker, req.Max)
+	if errors.Is(err, ErrClosed) {
 		api.Write(w, http.StatusServiceUnavailable, "closed", "coordinator closed")
 		return
 	}
-	c.workers[req.Worker] = now
-	granted := c.grantLocked(req.Worker, req.Max, now)
-	// Snapshot every wire and log field while the lock is held: the
-	// moment it drops, the sweeper may expire a lease, requeue its
-	// shard and re-grant it, mutating sh.attempts (and the rest of the
-	// lease bookkeeping) under a concurrent reader.
-	resp := LeaseResponse{Proto: ProtoVersion, Leases: make([]ShardLease, 0, len(granted))}
-	for _, l := range granted {
-		resp.Leases = append(resp.Leases, ShardLease{
-			ID:       l.id,
-			Job:      l.sh.job.id,
-			Shard:    l.sh.index,
-			Attempt:  l.sh.attempts,
-			Deadline: l.deadline,
-			Spec:     l.sh.spec,
-			Hash:     l.sh.hash,
-		})
+	if err != nil {
+		return // the client went away while parked; nobody reads a reply
 	}
-	c.mu.Unlock()
-
-	for _, sl := range resp.Leases {
+	for _, sl := range leases {
 		c.log.Info("dispatch shard leased",
 			"lease", sl.ID, "worker", req.Worker,
 			"dispatch_job", sl.Job, "shard", sl.Shard, "attempt", sl.Attempt)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, LeaseResponse{Proto: ProtoVersion, Leases: leases})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -305,7 +288,5 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -23,7 +23,8 @@ import (
 // TestBodyCapReturns413: dispatch POST bodies over 1MiB are rejected
 // with 413 on both endpoints, and regular-size requests still land.
 func TestBodyCapReturns413(t *testing.T) {
-	_, srv := startCoordinator(t, Config{})
+	// A short worker TTL bounds the empty lease's park to 5ms.
+	_, srv := startCoordinator(t, Config{WorkerTTL: 10 * time.Millisecond})
 	huge := []byte(`{"worker":"` + strings.Repeat("a", 2<<20) + `"}`)
 	for _, path := range []string{"/v1/shards/lease", "/v1/shards/xyz/complete"} {
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(huge))
@@ -82,7 +83,7 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 	}
 	// Trailing whitespace is not trailing data: json.Encoder ends every
 	// body it writes with a newline.
-	resp, err := http.Post(srv.URL+"/v1/shards/lease", "application/json", strings.NewReader("{\"worker\":\"a\",\"max\":1}\n"))
+	resp, err := http.Post(srv.URL+"/v1/shards/lease", "application/json", strings.NewReader("{\"proto\":2,\"worker\":\"a\",\"max\":1}\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +138,7 @@ func TestLeaseGrantExpiryRace(t *testing.T) {
 		BackoffBase:   time.Nanosecond,
 		BackoffMax:    2 * time.Millisecond,
 		MaxAttempts:   1 << 30,
+		WorkerTTL:     4 * time.Millisecond, // an empty grant parks 2ms, not 7.5s
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := dispatchAsync(ctx, c, sc, spec)
@@ -153,7 +155,7 @@ func TestLeaseGrantExpiryRace(t *testing.T) {
 				var lr LeaseResponse
 				_ = postJSON(context.Background(), http.DefaultClient,
 					srv.URL+"/v1/shards/lease",
-					LeaseRequest{Worker: fmt.Sprintf("g%d", g), Max: 4}, &lr)
+					LeaseRequest{Proto: ProtoVersion, Worker: fmt.Sprintf("g%d", g), Max: 4}, &lr)
 			}
 		}(g)
 	}
@@ -191,7 +193,7 @@ func TestWorkerShutdownAbandonsBatch(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "quitter", Poll: time.Millisecond, MaxBatch: 4,
+			Coordinator: srv.URL, ID: "quitter", MaxBatch: 4,
 			Run: func(_ context.Context, s scenario.Spec) (scenario.Result, error) {
 				if runs.Add(1) == 1 {
 					cancel() // shutdown arrives with the first shard in flight
@@ -252,7 +254,7 @@ func TestCompletePublishDeadlineBoundsShutdown(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Poll: time.Millisecond,
+			Coordinator: srv.URL, ID: "w",
 			Run: func(_ context.Context, _ scenario.Spec) (scenario.Result, error) {
 				cancelAt = time.Now()
 				cancel()

@@ -57,7 +57,7 @@ func completeLease(t *testing.T, base, worker string, l ShardLease) string {
 	}
 	var cr CompleteResponse
 	postForTest(t, base+"/v1/shards/"+l.ID+"/complete",
-		CompleteRequest{Worker: worker, Result: &res}, &cr)
+		CompleteRequest{Proto: ProtoVersion, Worker: worker, Result: &res}, &cr)
 	return cr.Status
 }
 
@@ -124,7 +124,7 @@ func TestJournalResumeAfterRestart(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv2.URL, ID: "late", Poll: 2 * time.Millisecond,
+			Coordinator: srv2.URL, ID: "late",
 			Run: func(rctx context.Context, s scenario.Spec) (scenario.Result, error) {
 				runs.Add(1)
 				s.Parallelism = 1
@@ -188,7 +188,7 @@ func TestSharedSweepPointsRecoveredFromStore(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Poll: 2 * time.Millisecond,
+			Coordinator: srv.URL, ID: "w",
 			Run: func(rctx context.Context, s scenario.Spec) (scenario.Result, error) {
 				runs.Add(1)
 				s.Parallelism = 1
@@ -239,7 +239,7 @@ func TestUndecodableShardEntryRecomputed(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "w", Parallelism: 1,
 		})
 	}()
 	got, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{})
@@ -322,7 +322,7 @@ func TestJournalWrittenOncePerJob(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Poll: 2 * time.Millisecond, Parallelism: 1,
+			Coordinator: srv.URL, ID: "w", Parallelism: 1,
 		})
 	}()
 	if _, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{}); err != nil {
@@ -384,7 +384,7 @@ func TestCompletionClassificationAfterExpiry(t *testing.T) {
 	report := func(leaseID string) string {
 		var cr CompleteResponse
 		postForTest(t, srv.URL+"/v1/shards/"+leaseID+"/complete",
-			CompleteRequest{Worker: "late", Result: &res}, &cr)
+			CompleteRequest{Proto: ProtoVersion, Worker: "late", Result: &res}, &cr)
 		return cr.Status
 	}
 	if got := report(fresh.ID); got != "accepted" {

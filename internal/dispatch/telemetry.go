@@ -37,7 +37,7 @@ func newInstruments(reg *telemetry.Registry, c *Coordinator) *instruments {
 		leased: reg.NewCounter("midas_shards_leased_total",
 			"Shard leases granted to workers (re-leases after requeue included)."),
 		requeues: reg.NewCounterVec("midas_shard_requeues_total",
-			"Shards returned to the queue, by reason (expired, failed).", "reason"),
+			"Shards returned to the queue, by reason (expired, failed, abandoned).", "reason"),
 		completions: reg.NewCounterVec("midas_shards_completed_total",
 			"Shard completion reports, by status (accepted, requeued, duplicate, stale).", "status"),
 		recovered: reg.NewCounter("midas_shards_recovered_total",
@@ -61,7 +61,7 @@ func newInstruments(reg *telemetry.Registry, c *Coordinator) *instruments {
 		in.direct.With(o)
 	}
 	reg.NewGaugeFunc("midas_workers_live",
-		"Workers that polled for a lease within the worker TTL.",
+		"Workers that asked for a lease, or were parked waiting for one, within the worker TTL.",
 		nil, func() []telemetry.GaugeSample {
 			return []telemetry.GaugeSample{{Value: float64(c.LiveWorkers())}}
 		})

@@ -31,18 +31,16 @@ type WorkerConfig struct {
 	// worker's own core allowance; <= 0 keeps what the lease carried.
 	// Results never depend on it.
 	Parallelism int
-	// MaxBatch is how many shards to request per poll; <= 0 lets the
+	// MaxBatch is how many shards to request at a time; <= 0 lets the
 	// coordinator pick (its MaxBatch cap applies either way).
 	MaxBatch int
 	// MaxShards, when > 0, exits the loop after completing that many
 	// shards — the cluster-e2e script uses it to stage a worker that
 	// does a fixed amount of work and stops.
 	MaxShards int
-	// Poll is the idle re-poll interval when a lease request returns no
-	// work; <= 0 selects 200ms.
-	Poll time.Duration
 	// Client issues the HTTP calls; nil uses a client with a 30s
-	// timeout.
+	// timeout. Its timeout must outlast the coordinator's lease hold
+	// (half its worker TTL), or an idle parked request times out.
 	Client *http.Client
 	// Log receives per-shard lifecycle lines; nil discards them.
 	Log *slog.Logger
@@ -67,13 +65,6 @@ type WorkerConfig struct {
 	HoldAfterPublish func()
 }
 
-func (cfg WorkerConfig) poll() time.Duration {
-	if cfg.Poll > 0 {
-		return cfg.Poll
-	}
-	return 200 * time.Millisecond
-}
-
 // runShard is the default WorkerConfig.Run: the same sc.Run call
 // RunResolved's pool makes for this task, which is what keeps a
 // distributed run byte-identical to a local one.
@@ -85,14 +76,16 @@ func runShard(_ context.Context, spec scenario.Spec) (scenario.Result, error) {
 	return sc.Run(spec, rng.New(spec.Seed))
 }
 
-// RunWorker polls the coordinator for shard leases, executes each
+// RunWorker asks the coordinator for shard leases, executes each
 // shard, and reports completions until ctx is cancelled or MaxShards
-// is reached. A shard in flight when ctx fires is finished and
-// reported anyway (the final publish uses its own context): orderly
-// shutdown wastes no lease TTL. Returns nil on clean exit; transport
-// errors are retried with backoff, never fatal — a worker outliving a
-// coordinator restart just keeps polling until the new incarnation
-// answers.
+// is reached. A lease request that finds nothing ready parks: the
+// coordinator holds it until a shard is ready, so an empty answer
+// means the hold ran out and the worker asks again at once. A shard in
+// flight when ctx fires is finished and reported anyway (the final
+// publish uses its own context): orderly shutdown wastes no lease TTL.
+// Returns nil on clean exit; transport errors and refusals are retried
+// with backoff, never fatal — a worker outliving a coordinator restart
+// just keeps asking until the new incarnation answers.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Coordinator == "" {
 		return errors.New("dispatch: worker needs a coordinator URL")
@@ -116,8 +109,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	completed := 0
 	protoLogged := false
 	// Transport-failure backoff, reset by any successful exchange.
-	const idleBackoffMax = 5 * time.Second
-	backoff := cfg.poll()
+	const backoffBase, backoffMax = 200 * time.Millisecond, 5 * time.Second
+	backoff := backoffBase
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -129,34 +122,22 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			if ctx.Err() != nil {
 				return nil
 			}
-			log.Warn("worker lease poll failed", "worker", cfg.ID, "error", err.Error())
+			log.Warn("worker lease request failed", "worker", cfg.ID, "error", err.Error())
 			if !sleepCtx(ctx, backoff) {
 				return nil
 			}
-			if backoff *= 2; backoff > idleBackoffMax {
-				backoff = idleBackoffMax
+			if backoff *= 2; backoff > backoffMax {
+				backoff = backoffMax
 			}
 			continue
 		}
 		if !protoLogged {
-			// Negotiated = min(ours, theirs); a proto-0 response is a
-			// pre-versioning coordinator (field absent).
-			negotiated := resp.Proto
-			if negotiated > ProtoVersion {
-				negotiated = ProtoVersion
-			}
 			log.Info("worker negotiated dispatch protocol",
-				"worker", cfg.ID, "proto", negotiated,
+				"worker", cfg.ID, "proto", min(resp.Proto, ProtoVersion),
 				"coordinator_proto", resp.Proto, "direct_publish", cfg.Store != nil)
 			protoLogged = true
 		}
-		backoff = cfg.poll()
-		if len(resp.Leases) == 0 {
-			if !sleepCtx(ctx, cfg.poll()) {
-				return nil
-			}
-			continue
-		}
+		backoff = backoffBase
 		for li, l := range resp.Leases {
 			if ctx.Err() != nil {
 				// Shutdown mid-batch: abandon the remaining leases — their

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/channel"
+	"repro/internal/matrix"
 	"repro/internal/precoding"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -319,13 +321,30 @@ func Fig14PacketTagging(o PhyOpts) (random, tagged *stats.Sample, err error) {
 		tagClients := tagDrivenPair(m, dep, avail)
 		randClients := randomPair(src, m.NumClients())
 		p := o.Env.Params(officeParams(OfficeB))
-		capOf := func(clients []int) (float64, error) {
+		var capOf func(clients []int) (float64, error)
+		capOf = func(clients []int) (float64, error) {
 			sub := precoding.Problem{
 				H:               m.Matrix(clients, avail),
 				PerAntennaPower: p.TxPowerLinear(),
 				Noise:           p.NoiseLinear(),
 			}
 			v, _, err := sv.PowerBalanced(sub)
+			if errors.Is(err, matrix.ErrSingular) && len(clients) > 1 {
+				// The pair cannot be zero-forced: both clients hear the
+				// available antennas in so nearly the same proportion
+				// (one antenna tens of dB above the other for both) that
+				// their channels are collinear to working precision. The
+				// AP then serves the better of the two alone.
+				best := 0.0
+				for _, c := range clients {
+					r, err := capOf([]int{c})
+					if err != nil {
+						return 0, err
+					}
+					best = max(best, r)
+				}
+				return best, nil
+			}
 			if err != nil {
 				return 0, err
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -183,6 +184,28 @@ func TestFig14ShapeTaggingWins(t *testing.T) {
 		t.Errorf("Fig14: tagging median gain %.0f%%, want ≥15%% (paper ≈50%%)", gain*100)
 	}
 	t.Logf("Fig14: random %.1f tagged %.1f (+%.0f%%)", mr, mt, gain*100)
+}
+
+// TestFig14CollinearPairServesOneClient: at this seed topology 5 draws
+// a client pair whose channels on the two available antennas are
+// collinear to working precision, so zero-forcing has no solution. The
+// experiment must still produce every topology's point, crediting that
+// pair with the better single client's capacity.
+func TestFig14CollinearPairServesOneClient(t *testing.T) {
+	random, tagged, err := Fig14PacketTagging(PhyOpts{Topologies: 8, Seed: 26656402802})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if random.N() != 8 || tagged.N() != 8 {
+		t.Fatalf("got %d random and %d tagged points, want 8 each", random.N(), tagged.N())
+	}
+	for _, s := range []*stats.Sample{random, tagged} {
+		for _, v := range s.Values() {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("capacity %v, want a positive finite rate", v)
+			}
+		}
+	}
 }
 
 func TestFig15ShapeEndToEnd(t *testing.T) {

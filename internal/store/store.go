@@ -37,9 +37,12 @@
 // incorrectly ordered ones.
 //
 // Eviction is LRU by access time under a byte budget. Access times
-// live in memory and are persisted as hints (at Close and every few
-// dozen touches): losing the manifest — a kill -9 skips Close — only
-// degrades the next process's eviction order to blob mod-times, never
+// live in memory and are persisted as hints: at Close, and whenever
+// the touches since the last flush reach the larger of 64 and the
+// entry count. A flush rewrites every entry's hint, so that cadence
+// keeps hint upkeep amortized O(1) per touch however large the store
+// grows. Losing the manifest — a kill -9 skips Close — only degrades
+// the next process's eviction order to blob mod-times, never
 // correctness. On a shared backend each process writes its own
 // manifest-<nonce>.json and every opener merges all of them, newest
 // hint per entry, so siblings never clobber each other's hints.
@@ -78,10 +81,11 @@ const (
 	manifestVersion   = 1
 	// manifestFlushEvery bounds how stale the persisted atime hints can
 	// get while the process runs: the manifest is rewritten after this
-	// many touches — Puts and Gets both move atimes, so both count —
-	// and always at Close. Counting only Puts was a real bug: a long
-	// read-heavy run that died by kill -9 lost every eviction hint
-	// accumulated since its last write.
+	// many touches, or after one touch per entry once the store holds
+	// more — Puts and Gets both move atimes, so both count — and always
+	// at Close. Counting only Puts was a real bug: a long read-heavy run
+	// that died by kill -9 lost every eviction hint accumulated since
+	// its last write.
 	manifestFlushEvery = 64
 )
 
@@ -167,7 +171,8 @@ type Store struct {
 	bytes   int64
 	stats   Stats // counter fields only; Entries/Bytes derived in Stats()
 	// touchesSinceFlush counts atime movements (Puts and Gets) since
-	// the manifest was last persisted; at manifestFlushEvery it flushes.
+	// the manifest was last persisted; at max(manifestFlushEvery,
+	// entries) it flushes.
 	touchesSinceFlush int
 	manifestDirty     bool
 }
@@ -384,12 +389,14 @@ func (s *Store) Put(hash string, payload []byte) error {
 }
 
 // touchLocked counts one atime movement toward the periodic manifest
-// flush and flushes when the cadence is reached. Called with s.mu held
-// by every path that reorders the LRU (Put and Get alike — eviction
-// hints age just as fast under reads as under writes).
+// flush and flushes when the cadence is reached: a flush costs one
+// hint per entry, so it waits for at least as many touches as there
+// are entries. Called with s.mu held by every path that reorders the
+// LRU (Put and Get alike — eviction hints age just as fast under reads
+// as under writes).
 func (s *Store) touchLocked() {
 	s.touchesSinceFlush++
-	if s.touchesSinceFlush >= manifestFlushEvery {
+	if s.touchesSinceFlush >= max(manifestFlushEvery, s.ll.Len()) {
 		s.flushManifestLocked()
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -477,6 +478,93 @@ func TestManifestWriteFaultSkipsFlush(t *testing.T) {
 	s.Close()
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatalf("Close did not flush the manifest once writes recovered: %v", err)
+	}
+}
+
+func TestManifestRoundTrip(t *testing.T) {
+	// loadManifests decodes a flushed manifest to exactly the index's
+	// atimes, whatever the store's size.
+	for _, n := range []int{0, 1, manifestFlushEvery + 7} {
+		dir := t.TempDir()
+		s := mustOpen(t, Config{Dir: dir})
+		for i := 0; i < n; i++ {
+			if err := s.Put(hashOf(fmt.Sprintf("rt-%d-%d", n, i)), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.mu.Lock()
+		want := make(map[string]int64, s.ll.Len())
+		for el := s.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*entry)
+			want[e.hash] = e.atime
+		}
+		s.manifestDirty = true // an empty store writes its manifest too
+		s.flushManifestLocked()
+		s.mu.Unlock()
+
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatalf("n=%d: manifest not written: %v", n, err)
+		}
+		var m manifest
+		if err := json.Unmarshal(data, &m); err != nil || m.Version != manifestVersion {
+			t.Fatalf("n=%d: manifest %q does not decode as version %d: %v", n, data, manifestVersion, err)
+		}
+		infos, err := s.be.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.loadManifests(infos)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: decoded %d hints, index holds %d", n, len(got), len(want))
+		}
+		for h, at := range want {
+			if got[h] != at {
+				t.Fatalf("n=%d: hint for %s = %d, index atime %d", n, h[:8], got[h], at)
+			}
+		}
+	}
+}
+
+func TestManifestCadenceScalesWithEntries(t *testing.T) {
+	// A flush rewrites every entry's hint, so a store holding N > 64
+	// entries flushes once per N touches, not once per 64.
+	const n = 3 * manifestFlushEvery
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	for i := 0; i < n; i++ {
+		if err := s.Put(hashOf(fmt.Sprintf("c-%d", i)), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	var manifestWrites int
+	s2 := mustOpen(t, Config{Dir: dir, Faults: &FaultFS{
+		WriteFile: func(path string) error {
+			if strings.HasPrefix(filepath.Base(path), manifestName) {
+				manifestWrites++
+			}
+			return nil
+		},
+	}})
+	if got := s2.Stats().Entries; got != n {
+		t.Fatalf("reopened store holds %d entries, want %d", got, n)
+	}
+	h := hashOf("c-0")
+	for i := 0; i < n-1; i++ {
+		if _, ok := s2.Get(h); !ok {
+			t.Fatal("Get")
+		}
+	}
+	if manifestWrites != 0 {
+		t.Fatalf("manifest flushed after %d touches of a %d-entry store (%d writes)", n-1, n, manifestWrites)
+	}
+	if _, ok := s2.Get(h); !ok {
+		t.Fatal("Get")
+	}
+	if manifestWrites != 1 {
+		t.Fatalf("%d touches of a %d-entry store wrote %d manifests, want 1", n, n, manifestWrites)
 	}
 }
 

@@ -40,6 +40,12 @@
 # hit (cached=true, cache_tier=store, zero engine runs), byte-identical
 # to A's body, including via GET /v1/results/{hash}.
 #
+# Phase 5 — shutdown latency: an idle worker's lease request is parked
+# at the coordinator, so SIGTERM to a coordinator with a live, idle
+# worker must still print "midas-serve stopped" within 1s — closing the
+# coordinator answers the parked request instead of leaving the
+# listener shutdown to wait out the hold.
+#
 # Environment knobs:
 #   CLUSTER_E2E_FULL  non-empty = full scale (nightly); default is the
 #                     short CI mode (make cluster-e2e)
@@ -80,9 +86,9 @@ trap cleanup EXIT INT TERM
 fail() {
     echo "cluster-e2e: FAIL: $*" >&2
     for log in serve.log serve-journal.log serve-restart.log \
-        serve-a4.log serve-b4.log \
+        serve-a4.log serve-b4.log serve-5.log \
         worker-a.log worker-b.log worker-c.log worker-d.log \
-        worker-e.log worker-f.log; do
+        worker-e.log worker-f.log worker-g.log; do
         [ -f "$tmp/$log" ] && tail -n 15 "$tmp/$log" | sed "s/^/cluster-e2e: $log: /" >&2
     done
     exit 1
@@ -197,10 +203,10 @@ echo "cluster-e2e: phase 2: kill -9 a worker mid-sweep"
 "$tmp/midas-sim" -spec "$tmp/spec.json" -format json -out "$tmp/golden.json" \
     || fail "midas-sim golden run"
 
-# Worker A: the victim. Parallelism 1 and one shard per poll, so it is
-# mid-shard for seconds at a time.
+# Worker A: the victim. Parallelism 1 and one shard per lease request,
+# so it is mid-shard for seconds at a time.
 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim \
-    -parallelism 1 -max-batch 1 -poll 50ms > "$tmp/worker-a.log" 2>&1 &
+    -parallelism 1 -max-batch 1 > "$tmp/worker-a.log" 2>&1 &
 worker_a_pid=$!
 
 # The coordinator must see the worker before the job is submitted, or
@@ -221,7 +227,7 @@ job=$(json_field "$tmp/submit.json" id)
 echo "cluster-e2e: submitted $job ($shards shards)"
 
 # Kill the victim the moment it holds a lease — mid-shard, given the
-# shard's multi-second wall time against this tight poll.
+# shard's multi-second wall time against this 50ms scrape loop.
 i=0
 while :; do
     scrape
@@ -238,8 +244,7 @@ echo "cluster-e2e: victim killed with SIGKILL holding a lease"
 
 # The replacement fleet finishes the sweep — including the dead
 # worker's shard once its lease expires.
-"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id survivor \
-    -poll 50ms > "$tmp/worker-b.log" 2>&1 &
+"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id survivor > "$tmp/worker-b.log" 2>&1 &
 worker_b_pid=$!
 
 wait_done "$job" 1800
@@ -304,10 +309,10 @@ serve_pid=$!
 discover "$tmp/serve-journal.log" "$serve_pid"
 echo "cluster-e2e: journaling coordinator at $addr (dispatch $dispatch_addr)"
 
-# The victim worker pattern again — parallelism 1, one shard per poll —
+# The victim worker pattern again — parallelism 1, one shard at a time —
 # so the coordinator dies while most of the sweep is unfinished.
 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim2 \
-    -parallelism 1 -max-batch 1 -poll 50ms > "$tmp/worker-c.log" 2>&1 &
+    -parallelism 1 -max-batch 1 > "$tmp/worker-c.log" 2>&1 &
 worker_a_pid=$!
 i=0
 while :; do
@@ -370,8 +375,7 @@ submit "$tmp/journal-spec.json" "$tmp/journal-resubmit.json"
 job3=$(json_field "$tmp/journal-resubmit.json" id)
 
 # A fresh worker supplies only the missing shards.
-"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id survivor2 \
-    -poll 50ms > "$tmp/worker-d.log" 2>&1 &
+"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id survivor2 > "$tmp/worker-d.log" 2>&1 &
 worker_b_pid=$!
 wait_done "$job3" 1800
 
@@ -448,7 +452,7 @@ echo "cluster-e2e: coordinator A at $addr_a (dispatch $dispatch_addr, shared sto
 MIDAS_WORKER_HOLD_AFTER_PUBLISH=300s "$tmp/midas-worker" \
     -coordinator "http://$dispatch_addr" -id holder \
     -store-dir "$shared_dir" -store-shared \
-    -parallelism 1 -max-batch 1 -poll 50ms > "$tmp/worker-e.log" 2>&1 &
+    -parallelism 1 -max-batch 1 > "$tmp/worker-e.log" 2>&1 &
 worker_a_pid=$!
 i=0
 while :; do
@@ -496,7 +500,7 @@ echo "cluster-e2e: orphaned publish recovered from the store at lease expiry"
 
 # A replacement direct-publishing worker supplies the remaining shards.
 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id finisher \
-    -store-dir "$shared_dir" -store-shared -poll 50ms > "$tmp/worker-f.log" 2>&1 &
+    -store-dir "$shared_dir" -store-shared > "$tmp/worker-f.log" 2>&1 &
 worker_b_pid=$!
 wait_done "$job5" 1800
 
@@ -562,6 +566,39 @@ serve_pid=""
 find "$shared_dir" -type f | sort > "$tmp/shared-store-listing.txt"
 echo "cluster-e2e: shared store holds $(wc -l < "$tmp/shared-store-listing.txt" | tr -d ' ') file(s) after teardown"
 
+# ---------------------------------------------------------------------
+echo "cluster-e2e: phase 5: SIGTERM a coordinator with a parked idle worker"
+
+"$tmp/midas-serve" -addr 127.0.0.1:0 -dispatch-listen 127.0.0.1:0 -log off \
+    > "$tmp/serve-5.log" 2>&1 &
+serve_pid=$!
+discover "$tmp/serve-5.log" "$serve_pid"
+"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id idler > "$tmp/worker-g.log" 2>&1 &
+worker_b_pid=$!
+i=0
+while :; do
+    scrape
+    live=$(prom_value 'midas_workers_live')
+    [ "${live:-0}" = "1" ] && break
+    [ $i -lt 100 ] || fail "idle worker never registered (midas_workers_live=$live)"
+    sleep 0.1
+    i=$((i + 1))
+done
+# With no job queued, the worker's lease request is now parked.
+sleep 0.2
+start_ns=$(date +%s%N)
+kill -TERM "$serve_pid"
+wait "$serve_pid" || fail "coordinator with an idle worker exited non-zero on SIGTERM"
+serve_pid=""
+stop_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+grep -q '^midas-serve stopped$' "$tmp/serve-5.log" || fail "coordinator never printed 'midas-serve stopped'"
+[ "$stop_ms" -le 1000 ] \
+    || fail "SIGTERM -> stopped took ${stop_ms}ms with a parked idle worker, want <= 1000ms"
+echo "cluster-e2e: coordinator stopped ${stop_ms}ms after SIGTERM with a parked idle worker"
+kill -TERM "$worker_b_pid"
+wait "$worker_b_pid" || fail "idle worker exited non-zero on SIGTERM"
+worker_b_pid=""
+
 if [ -n "${CLUSTER_E2E_OUT:-}" ]; then
     mkdir -p "$CLUSTER_E2E_OUT"
     cp "$tmp/metrics.prom" "$tmp/served.json" "$tmp/golden.json" \
@@ -571,9 +608,9 @@ if [ -n "${CLUSTER_E2E_OUT:-}" ]; then
         "$tmp/shared-byhash-b.json" "$tmp/shared-golden.json" \
         "$tmp/shared-store-listing.txt" \
         "$tmp/serve.log" "$tmp/serve-journal.log" "$tmp/serve-restart.log" \
-        "$tmp/serve-a4.log" "$tmp/serve-b4.log" \
+        "$tmp/serve-a4.log" "$tmp/serve-b4.log" "$tmp/serve-5.log" \
         "$tmp/worker-a.log" "$tmp/worker-b.log" "$tmp/worker-c.log" "$tmp/worker-d.log" \
-        "$tmp/worker-e.log" "$tmp/worker-f.log" \
+        "$tmp/worker-e.log" "$tmp/worker-f.log" "$tmp/worker-g.log" \
         "$CLUSTER_E2E_OUT/" 2>/dev/null || true
     echo "cluster-e2e: artifacts written to $CLUSTER_E2E_OUT"
 fi
