@@ -144,12 +144,13 @@ cluster-e2e-full:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# The zero-allocation guards for the precoding hot path and the DES
-# event engine and medium, plus the guard that deriving a random stream
-# never seeds a generator, run explicitly so a CI log shows them even
-# though `make test` also covers them.
+# The zero-allocation guards for the precoding hot path, the DES event
+# engine and medium, and a whole steady-state TXOP, plus the guards that
+# deriving a random stream never seeds a generator and that a stream
+# allocates at most twice however much it draws, run explicitly so a CI
+# log shows them even though `make test` also covers them.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestSplitDoesNotSeed' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/rng
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestSplitDoesNotSeed|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/rng
 
 # Re-measure the kernel micro-benchmarks (before/after pairs against the
 # frozen pre-workspace implementations in internal/bench) plus reduced-

@@ -339,13 +339,20 @@ func (m *Model) Matrix(clientIdx, antennaIdx []int) *matrix.Mat {
 	if antennaIdx == nil {
 		antennaIdx = identityIndex(len(m.antennas))
 	}
-	h := matrix.New(len(clientIdx), len(antennaIdx))
+	return m.MatrixInto(&matrix.Mat{}, clientIdx, antennaIdx)
+}
+
+// MatrixInto is Matrix for explicit client and antenna subsets, written
+// into dst (reshaped, reusing its storage) and returned, so a caller that
+// keeps dst across calls does not allocate.
+func (m *Model) MatrixInto(dst *matrix.Mat, clientIdx, antennaIdx []int) *matrix.Mat {
+	dst.Reuse(len(clientIdx), len(antennaIdx))
 	for r, j := range clientIdx {
 		for c, k := range antennaIdx {
-			h.Set(r, c, m.Gain(j, k))
+			dst.Set(r, c, m.Gain(j, k))
 		}
 	}
-	return h
+	return dst
 }
 
 func identityIndex(n int) []int {

@@ -17,6 +17,9 @@ type CASController struct {
 	Scheduler Scheduler
 	nav       mac.NAV
 	maxStream int
+
+	// Buffers SelectClientsEDCA fills and returns.
+	clients, eligible []int
 }
 
 // NewCASController builds the baseline controller.
@@ -54,42 +57,15 @@ func (c *CASController) NAVBusy(now time.Duration) bool { return c.nav.Busy(now)
 func (c *CASController) NAVExpiry() time.Duration { return c.nav.Expiry() }
 
 // SelectAntennas engages all antennas unconditionally — the CAS MAC
-// treats the array as one unit.
-func (c *CASController) SelectAntennas() []int {
-	return append([]int(nil), c.Antennas...)
-}
+// treats the array as one unit. It returns Antennas itself, which the
+// caller must not modify.
+func (c *CASController) SelectAntennas() []int { return c.Antennas }
 
-// SelectClients picks up to maxStreams distinct backlogged clients using
-// the scheduler, with no antenna affinity.
-func (c *CASController) SelectClients() []int {
-	chosen := map[int]bool{}
-	var clients []int
-	for len(clients) < c.maxStream {
-		var eligible []int
-		for _, cl := range c.Queue.Backlogged() {
-			if !chosen[cl] {
-				eligible = append(eligible, cl)
-			}
-		}
-		if len(eligible) == 0 {
-			break
-		}
-		pick := c.Scheduler.Pick(eligible)
-		chosen[pick] = true
-		clients = append(clients, pick)
-	}
-	return clients
-}
-
-// Dequeue removes the head packets for the served clients.
-func (c *CASController) Dequeue(clients []int) []Packet {
-	pkts := make([]Packet, 0, len(clients))
+// Dequeue removes the head packet of each served client.
+func (c *CASController) Dequeue(clients []int) {
 	for _, cl := range clients {
-		if p, ok := c.Queue.Pop(cl); ok {
-			pkts = append(pkts, p)
-		}
+		c.Queue.Pop(cl)
 	}
-	return pkts
 }
 
 // FinishTXOP applies fairness accounting.

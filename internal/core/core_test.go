@@ -354,7 +354,7 @@ func TestSelectClientsRespectsTagsAndDistinctness(t *testing.T) {
 	for cl := 0; cl < 4; cl++ {
 		c.Enqueue(Packet{Client: cl, Size: 1500})
 	}
-	clients := c.SelectClients([]int{100, 101, 102, 103})
+	clients := c.SelectClientsEDCA([]int{100, 101, 102, 103}, mac.ACBestEffort)
 	if len(clients) != 4 {
 		t.Fatalf("clients = %v, want 4 distinct", clients)
 	}
@@ -374,12 +374,12 @@ func TestSelectClientsTagFilteringExcludes(t *testing.T) {
 	c := newTestController(rssi)
 	c.Enqueue(Packet{Client: 0, Size: 100})
 	// Only antennas 102,103 available: client 0's tags (100,101) miss.
-	clients := c.SelectClients([]int{102, 103})
+	clients := c.SelectClientsEDCA([]int{102, 103}, mac.ACBestEffort)
 	if len(clients) != 0 {
 		t.Errorf("clients = %v, want none (tag filter)", clients)
 	}
 	// With a tagged antenna available it is selected.
-	clients = c.SelectClients([]int{101, 102})
+	clients = c.SelectClientsEDCA([]int{101, 102}, mac.ACBestEffort)
 	if !reflect.DeepEqual(clients, []int{0}) {
 		t.Errorf("clients = %v, want [0]", clients)
 	}
@@ -390,9 +390,9 @@ func TestDequeueAndFinishTXOP(t *testing.T) {
 	c := newTestController(rssi)
 	c.Enqueue(Packet{Client: 0, Size: 100})
 	c.Enqueue(Packet{Client: 1, Size: 200})
-	pkts := c.Dequeue([]int{0})
-	if len(pkts) != 1 || pkts[0].Client != 0 {
-		t.Fatalf("Dequeue = %+v", pkts)
+	c.Dequeue([]int{0})
+	if c.Queue.LenFor(0) != 0 || c.Queue.LenFor(1) != 1 {
+		t.Fatalf("after Dequeue: LenFor(0)=%d LenFor(1)=%d, want 0 and 1", c.Queue.LenFor(0), c.Queue.LenFor(1))
 	}
 	c.FinishTXOP([]int{0}, 2*time.Millisecond)
 	d := c.Cfg.Scheduler.(*DRRScheduler).D
@@ -430,7 +430,7 @@ func TestCASSelectClients(t *testing.T) {
 	for cl := 0; cl < 6; cl++ {
 		c.Enqueue(Packet{Client: cl, Size: 100})
 	}
-	clients := c.SelectClients()
+	clients := c.SelectClientsEDCA(mac.ACBestEffort)
 	if len(clients) != 4 {
 		t.Fatalf("clients = %v, want 4 (maxStreams)", clients)
 	}
@@ -442,9 +442,9 @@ func TestCASSelectClients(t *testing.T) {
 		seen[cl] = true
 	}
 	// Untagged packets are eligible on all antennas.
-	pkts := c.Dequeue(clients)
-	if len(pkts) != 4 {
-		t.Errorf("Dequeue = %d packets", len(pkts))
+	c.Dequeue(clients)
+	if c.Queue.Len() != 2 {
+		t.Errorf("after Dequeue: %d packets queued, want 2", c.Queue.Len())
 	}
 	c.FinishTXOP(clients, time.Millisecond)
 }
@@ -454,7 +454,7 @@ func TestCASMaxStreamsCap(t *testing.T) {
 	for cl := 0; cl < 4; cl++ {
 		c.Enqueue(Packet{Client: cl})
 	}
-	if got := c.SelectClients(); len(got) != 2 {
+	if got := c.SelectClientsEDCA(mac.ACBestEffort); len(got) != 2 {
 		t.Errorf("clients = %v, want 2 (antenna count)", got)
 	}
 }

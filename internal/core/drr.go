@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -44,23 +45,23 @@ func (d *DRR) Select(eligible []int) (client int, ok bool) {
 // total service n·txop equally.
 func (d *DRR) Charge(served, backlogged []int, txop time.Duration) {
 	t := txop.Seconds()
-	isServed := map[int]bool{}
 	for _, c := range served {
-		isServed[c] = true
 		d.deficit[c] -= t
 	}
-	var unserved []int
+	unserved := 0
 	for _, c := range backlogged {
-		if !isServed[c] {
-			unserved = append(unserved, c)
+		if !slices.Contains(served, c) {
+			unserved++
 		}
 	}
-	if len(unserved) == 0 {
+	if unserved == 0 {
 		return
 	}
-	share := float64(len(served)) * t / float64(len(unserved))
-	for _, c := range unserved {
-		d.deficit[c] += share
+	share := float64(len(served)) * t / float64(unserved)
+	for _, c := range backlogged {
+		if !slices.Contains(served, c) {
+			d.deficit[c] += share
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/mac"
 )
 
@@ -11,20 +13,39 @@ import (
 // runs within each class in priority order.
 
 // acOrder lists access categories from highest to lowest priority.
-var acOrder = []mac.AccessCategory{
+var acOrder = [4]mac.AccessCategory{
 	mac.ACVoice, mac.ACVideo, mac.ACBestEffort, mac.ACBackground,
 }
 
-// BackloggedByAC partitions the queue's backlogged clients by the access
-// category of their head-of-line packet.
-func (q *Queue) BackloggedByAC() map[mac.AccessCategory][]int {
-	out := map[mac.AccessCategory][]int{}
-	for _, c := range q.Backlogged() {
-		p, _ := q.Head(c)
-		ac := mac.ACOfTID(p.TID)
-		out[ac] = append(out[ac], c)
+// classOrder returns the order a TXOP with the given primary class (one
+// of the four) visits the classes in: the primary first, then the
+// secondary classes by priority.
+func classOrder(primary mac.AccessCategory) [4]mac.AccessCategory {
+	out := [4]mac.AccessCategory{primary}
+	n := 1
+	for _, ac := range acOrder {
+		if ac != primary && n < len(out) {
+			out[n] = ac
+			n++
+		}
 	}
 	return out
+}
+
+// BackloggedByAC partitions the queue's backlogged clients by the access
+// category of their head-of-line packet, indexed by category, each in
+// ascending client order. The slices are the queue's own (see Queue).
+func (q *Queue) BackloggedByAC() [4][]int {
+	for ac := range q.byAC {
+		q.byAC[ac] = q.byAC[ac][:0]
+	}
+	for i := range q.fifos {
+		if f := &q.fifos[i]; f.n > 0 {
+			ac := mac.ACOfTID(f.ring[f.head].TID)
+			q.byAC[ac] = append(q.byAC[ac], f.client)
+		}
+	}
+	return q.byAC
 }
 
 // PrimaryAC returns the highest-priority access category with backlog —
@@ -32,9 +53,14 @@ func (q *Queue) BackloggedByAC() map[mac.AccessCategory][]int {
 // primary access class of the next TXOP. ok is false when the queue is
 // empty.
 func (q *Queue) PrimaryAC() (mac.AccessCategory, bool) {
-	byAC := q.BackloggedByAC()
+	var backlogged [4]bool
+	for i := range q.fifos {
+		if f := &q.fifos[i]; f.n > 0 {
+			backlogged[mac.ACOfTID(f.ring[f.head].TID)] = true
+		}
+	}
 	for _, ac := range acOrder {
-		if len(byAC[ac]) > 0 {
+		if backlogged[ac] {
 			return ac, true
 		}
 	}
@@ -44,83 +70,76 @@ func (q *Queue) PrimaryAC() (mac.AccessCategory, bool) {
 // eligibleForWithAC returns the backlogged clients whose head packet tags
 // the antenna AND belongs to the access category.
 func (q *Queue) eligibleForWithAC(antenna int, ac mac.AccessCategory) []int {
-	var out []int
-	for _, c := range q.EligibleFor(antenna) {
-		p, _ := q.Head(c)
-		if mac.ACOfTID(p.TID) == ac {
-			out = append(out, c)
+	out := q.eligibleAC[:0]
+	for i := range q.fifos {
+		f := &q.fifos[i]
+		if f.n == 0 {
+			continue
+		}
+		if p := &f.ring[f.head]; mac.ACOfTID(p.TID) == ac && tagged(p, antenna) {
+			out = append(out, f.client)
 		}
 	}
+	q.eligibleAC = out
 	return out
 }
 
-// SelectClientsEDCA is SelectClients with §3.3's class structure: for
-// each available antenna the scheduler first considers the primary
-// class's tagged clients, then falls back through secondary classes in
-// priority order. Antenna order and distinctness rules are unchanged.
+// SelectClientsEDCA performs antenna-specific, fairness-driven client
+// selection (§3.2.5) with §3.3's class structure: antennas are visited in
+// the given (NAV-expiry) order; for each, the scheduler picks among the
+// not-yet-chosen backlogged clients whose head-of-line packet tags that
+// antenna, considering the primary class's clients first and falling
+// back through the secondary classes in priority order. The returned
+// list has at most one client per antenna; antennas that found no
+// eligible client contribute nothing (but still transmit as part of the
+// precoded group). The slice is the controller's own and is overwritten
+// by the next call.
 func (c *Controller) SelectClientsEDCA(antennas []int, primary mac.AccessCategory) []int {
-	chosen := map[int]bool{}
-	var clients []int
-	classes := make([]mac.AccessCategory, 0, len(acOrder))
-	classes = append(classes, primary)
-	for _, ac := range acOrder {
-		if ac != primary {
-			classes = append(classes, ac)
-		}
-	}
+	clients := c.clients[:0]
+	classes := classOrder(primary)
 	for _, a := range antennas {
-		picked := false
 		for _, ac := range classes {
-			eligible := c.Queue.eligibleForWithAC(a, ac)
-			filtered := eligible[:0:0]
-			for _, cl := range eligible {
-				if !chosen[cl] {
+			filtered := c.filtered[:0]
+			for _, cl := range c.Queue.eligibleForWithAC(a, ac) {
+				if !slices.Contains(clients, cl) {
 					filtered = append(filtered, cl)
 				}
 			}
+			c.filtered = filtered
 			if len(filtered) == 0 {
 				continue
 			}
-			pick := c.Cfg.Scheduler.Pick(filtered)
-			chosen[pick] = true
-			clients = append(clients, pick)
-			picked = true
+			clients = append(clients, c.Cfg.Scheduler.Pick(filtered))
 			break
 		}
-		_ = picked
 	}
+	c.clients = clients
 	return clients
 }
 
 // SelectClientsEDCA is the CAS baseline's class-aware selection: fill the
-// group from the primary class's backlog, then secondary classes, with no
-// antenna affinity (the 802.11ac behaviour §3.3 describes).
+// group with up to maxStreams distinct clients from the primary class's
+// backlog, then secondary classes, with no antenna affinity (the 802.11ac
+// behaviour §3.3 describes). The slice is the controller's own and is
+// overwritten by the next call.
 func (c *CASController) SelectClientsEDCA(primary mac.AccessCategory) []int {
-	classes := make([]mac.AccessCategory, 0, len(acOrder))
-	classes = append(classes, primary)
-	for _, ac := range acOrder {
-		if ac != primary {
-			classes = append(classes, ac)
-		}
-	}
-	chosen := map[int]bool{}
-	var clients []int
+	clients := c.clients[:0]
 	byAC := c.Queue.BackloggedByAC()
-	for _, ac := range classes {
+	for _, ac := range classOrder(primary) {
 		for len(clients) < c.maxStream {
-			var eligible []int
+			eligible := c.eligible[:0]
 			for _, cl := range byAC[ac] {
-				if !chosen[cl] {
+				if !slices.Contains(clients, cl) {
 					eligible = append(eligible, cl)
 				}
 			}
+			c.eligible = eligible
 			if len(eligible) == 0 {
 				break
 			}
-			pick := c.Scheduler.Pick(eligible)
-			chosen[pick] = true
-			clients = append(clients, pick)
+			clients = append(clients, c.Scheduler.Pick(eligible))
 		}
 	}
+	c.clients = clients
 	return clients
 }

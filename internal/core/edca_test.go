@@ -86,29 +86,3 @@ func TestSelectClientsEDCASecondaryFillsGroup(t *testing.T) {
 		t.Fatalf("clients = %v, want both classes served", clients)
 	}
 }
-
-func TestSelectClientsEDCAMatchesPlainWhenOneClass(t *testing.T) {
-	// With a single traffic class the EDCA variant must agree with the
-	// §3.2.5 selection.
-	mk := func() (*Controller, fakeRSSI) {
-		rssi := fakeRSSI{
-			{0, 100}: 9, {0, 101}: 8, {0, 102}: 1, {0, 103}: 1,
-			{1, 100}: 1, {1, 101}: 9, {1, 102}: 8, {1, 103}: 1,
-			{2, 100}: 1, {2, 101}: 1, {2, 102}: 9, {2, 103}: 8,
-			{3, 100}: 8, {3, 101}: 1, {3, 102}: 1, {3, 103}: 9,
-		}
-		c := newTestController(rssi)
-		for cl := 0; cl < 4; cl++ {
-			c.Enqueue(Packet{Client: cl, TID: 0, Size: 100})
-		}
-		return c, rssi
-	}
-	a, _ := mk()
-	b, _ := mk()
-	antennas := []int{100, 101, 102, 103}
-	plain := a.SelectClients(antennas)
-	edca := b.SelectClientsEDCA(antennas, mac.ACBestEffort)
-	if !reflect.DeepEqual(plain, edca) {
-		t.Errorf("plain %v vs edca %v", plain, edca)
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -83,6 +84,10 @@ type Controller struct {
 	// and its packets share one slice (Queue only reads Packet.Tags).
 	rssi RSSIProvider
 	tags map[int][]int
+
+	// Buffers SelectAntennas and SelectClientsEDCA fill and return, so
+	// a steady-state TXOP allocates nothing.
+	set, antennas, clients, filtered []int
 }
 
 // NewController builds a controller with one NAV per antenna that tags
@@ -139,27 +144,29 @@ func (c *Controller) UpdateNAV(antenna int, until time.Duration) {
 // that `winner` (global index) just won channel access at time now, return
 // the antennas to engage — all currently idle ones, plus any whose NAV
 // expires within the wait window — and the time to wait until. physBusy,
-// when non-nil, reports an antenna's physical carrier-sense state by local
-// index; physically busy antennas are never engaged (their occupant's end
-// time is unknown, so they do not qualify for the wait window either).
-func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy func(local int) bool) (antennas []int, waitUntil time.Duration) {
+// when non-nil, holds each antenna's physical carrier-sense state by
+// local index; physically busy antennas are never engaged (their
+// occupant's end time is unknown, so they do not qualify for the wait
+// window either). The returned slice is the controller's own and is
+// overwritten by the next call.
+func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy []bool) (antennas []int, waitUntil time.Duration) {
 	waitUntil = now
 	wl, ok := c.local[winner]
 	if !ok {
 		return nil, now
 	}
-	busy := func(k int) bool { return physBusy != nil && physBusy(k) && k != wl }
+	busy := func(k int) bool { return k < len(physBusy) && physBusy[k] && k != wl }
 	idle := c.Navs.Idle(now)
 	soon := c.Navs.ExpiringWithin(now, c.Cfg.WaitWindow)
-	set := make([]int, 0, len(idle)+len(soon))
-	seen := map[int]bool{wl: true}
-	set = append(set, wl)
-	for _, k := range append(idle, soon...) {
-		if !seen[k] && !busy(k) {
-			seen[k] = true
-			set = append(set, k)
+	set := append(c.set[:0], wl)
+	for _, ks := range [2][]int{idle, soon} {
+		for _, k := range ks {
+			if !slices.Contains(set, k) && !busy(k) {
+				set = append(set, k)
+			}
 		}
 	}
+	c.set = set
 	for _, k := range soon {
 		if busy(k) {
 			continue
@@ -168,55 +175,22 @@ func (c *Controller) SelectAntennas(winner int, now time.Duration, physBusy func
 			waitUntil = exp
 		}
 	}
-	ordered := c.Navs.ByExpiry(set)
-	antennas = make([]int, 0, len(ordered))
-	for _, k := range ordered {
+	antennas = c.antennas[:0]
+	for _, k := range c.Navs.ByExpiry(set) {
 		antennas = append(antennas, c.Cfg.Antennas[k])
 	}
+	c.antennas = antennas
 	if len(antennas) > c.Cfg.MaxStreams {
 		antennas = antennas[:c.Cfg.MaxStreams]
 	}
 	return antennas, waitUntil
 }
 
-// SelectClients performs antenna-specific, fairness-driven client
-// selection (§3.2.5): antennas are visited in the given (NAV-expiry)
-// order; for each, the scheduler picks among the backlogged clients whose
-// head-of-line packet tags that antenna, excluding already-chosen clients.
-// The returned client list has at most one client per antenna; antennas
-// that found no eligible client contribute nothing (but still transmit as
-// part of the precoded group).
-func (c *Controller) SelectClients(antennas []int) []int {
-	chosen := map[int]bool{}
-	var clients []int
-	for _, a := range antennas {
-		eligible := c.Queue.EligibleFor(a)
-		filtered := eligible[:0:0]
-		for _, cl := range eligible {
-			if !chosen[cl] {
-				filtered = append(filtered, cl)
-			}
-		}
-		if len(filtered) == 0 {
-			continue
-		}
-		pick := c.Cfg.Scheduler.Pick(filtered)
-		chosen[pick] = true
-		clients = append(clients, pick)
-	}
-	return clients
-}
-
-// Dequeue removes the head packets for the served clients, returning them
-// in client order given.
-func (c *Controller) Dequeue(clients []int) []Packet {
-	pkts := make([]Packet, 0, len(clients))
+// Dequeue removes the head packet of each served client.
+func (c *Controller) Dequeue(clients []int) {
 	for _, cl := range clients {
-		if p, ok := c.Queue.Pop(cl); ok {
-			pkts = append(pkts, p)
-		}
+		c.Queue.Pop(cl)
 	}
-	return pkts
 }
 
 // FinishTXOP applies the fairness updates after serving `served` for txop.

@@ -15,6 +15,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -32,20 +34,70 @@ type Packet struct {
 // 802.11e access-category split handled by the caller keeping one Queue
 // per AC if desired. It supports the tag-filtered peeks MIDAS's client
 // selection needs.
+//
+// The snapshot methods (Backlogged, BackloggedByAC, EligibleFor) return
+// slices the queue owns and refills on every call, so a steady-state
+// TXOP allocates nothing. Each returned slice stays valid until the next
+// call on the same queue; a caller that keeps one longer must copy it.
 type Queue struct {
-	fifos map[int][]Packet
+	fifos []fifo // one per client ever queued, in ascending client order
 	size  int
 	seq   uint16
+
+	backlogged, eligible, eligibleAC []int
+	byAC                             [4][]int
 }
 
+// fifo is one client's packets: a ring that pops in place, so refilling
+// after a pop reuses the slot.
+type fifo struct {
+	client  int
+	ring    []Packet
+	head, n int
+}
+
+func (f *fifo) push(p Packet) {
+	if f.n == len(f.ring) {
+		ring := make([]Packet, max(4, 2*len(f.ring)))
+		for i := 0; i < f.n; i++ {
+			ring[i] = f.ring[(f.head+i)%len(f.ring)]
+		}
+		f.ring, f.head = ring, 0
+	}
+	f.ring[(f.head+f.n)%len(f.ring)] = p
+	f.n++
+}
+
+func (f *fifo) pop() Packet {
+	p := f.ring[f.head]
+	f.ring[f.head] = Packet{}
+	f.head = (f.head + 1) % len(f.ring)
+	f.n--
+	return p
+}
+
+func byClient(f fifo, client int) int { return cmp.Compare(f.client, client) }
+
 // NewQueue returns an empty queue.
-func NewQueue() *Queue { return &Queue{fifos: map[int][]Packet{}} }
+func NewQueue() *Queue { return &Queue{} }
+
+// find returns the client's FIFO, or nil if it never queued a packet.
+func (q *Queue) find(client int) *fifo {
+	if i, ok := slices.BinarySearchFunc(q.fifos, client, byClient); ok {
+		return &q.fifos[i]
+	}
+	return nil
+}
 
 // Push appends a packet to its client's FIFO, assigning a sequence number.
 func (q *Queue) Push(p Packet) {
 	p.Seq = q.seq
 	q.seq = (q.seq + 1) & 0x0fff
-	q.fifos[p.Client] = append(q.fifos[p.Client], p)
+	i, ok := slices.BinarySearchFunc(q.fifos, p.Client, byClient)
+	if !ok {
+		q.fifos = slices.Insert(q.fifos, i, fifo{client: p.Client})
+	}
+	q.fifos[i].push(p)
 	q.size++
 }
 
@@ -53,44 +105,42 @@ func (q *Queue) Push(p Packet) {
 func (q *Queue) Len() int { return q.size }
 
 // LenFor returns the number of packets queued for one client.
-func (q *Queue) LenFor(client int) int { return len(q.fifos[client]) }
+func (q *Queue) LenFor(client int) int {
+	if f := q.find(client); f != nil {
+		return f.n
+	}
+	return 0
+}
 
 // Head returns the head-of-line packet for a client without removing it.
 func (q *Queue) Head(client int) (Packet, bool) {
-	f := q.fifos[client]
-	if len(f) == 0 {
+	f := q.find(client)
+	if f == nil || f.n == 0 {
 		return Packet{}, false
 	}
-	return f[0], true
+	return f.ring[f.head], true
 }
 
 // Pop removes and returns the head-of-line packet for a client.
 func (q *Queue) Pop(client int) (Packet, bool) {
-	f := q.fifos[client]
-	if len(f) == 0 {
+	f := q.find(client)
+	if f == nil || f.n == 0 {
 		return Packet{}, false
 	}
-	p := f[0]
-	q.fifos[client] = f[1:]
 	q.size--
-	return p, true
+	return f.pop(), true
 }
 
 // Backlogged returns the clients with at least one queued packet, in
 // ascending client order (deterministic).
 func (q *Queue) Backlogged() []int {
-	var out []int
-	max := -1
-	for c, f := range q.fifos {
-		if len(f) > 0 && c > max {
-			max = c
+	out := q.backlogged[:0]
+	for i := range q.fifos {
+		if f := &q.fifos[i]; f.n > 0 {
+			out = append(out, f.client)
 		}
 	}
-	for c := 0; c <= max; c++ {
-		if len(q.fifos[c]) > 0 {
-			out = append(out, c)
-		}
-	}
+	q.backlogged = out
 	return out
 }
 
@@ -98,19 +148,18 @@ func (q *Queue) Backlogged() []int {
 // tagged with the given antenna — the tag filter of §3.2.4. A packet with
 // no tags is eligible on every antenna (the CAS behaviour).
 func (q *Queue) EligibleFor(antenna int) []int {
-	var out []int
-	for _, c := range q.Backlogged() {
-		p, _ := q.Head(c)
-		if len(p.Tags) == 0 {
-			out = append(out, c)
-			continue
-		}
-		for _, tag := range p.Tags {
-			if tag == antenna {
-				out = append(out, c)
-				break
-			}
+	out := q.eligible[:0]
+	for i := range q.fifos {
+		if f := &q.fifos[i]; f.n > 0 && tagged(&f.ring[f.head], antenna) {
+			out = append(out, f.client)
 		}
 	}
+	q.eligible = out
 	return out
+}
+
+// tagged reports whether p may go out on antenna: it tags the antenna,
+// or carries no tags at all.
+func tagged(p *Packet, antenna int) bool {
+	return len(p.Tags) == 0 || slices.Contains(p.Tags, antenna)
 }

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/cmplx"
+	"slices"
 	"time"
 )
 
@@ -151,10 +152,13 @@ func getDuration(b []byte) time.Duration {
 }
 
 // Encode serialises a frame and appends the 4-byte FCS.
-func Encode(f Frame) []byte {
-	body := f.AppendTo(nil)
-	fcs := crc32.ChecksumIEEE(body)
-	return binary.LittleEndian.AppendUint32(body, fcs)
+func Encode(f Frame) []byte { return AppendFCS(f.AppendTo(nil)) }
+
+// AppendFCS appends the 4-byte FCS of body, a frame body as AppendTo
+// writes it. Encoding a frame with AppendTo into a reused buffer and then
+// AppendFCS gives Encode's bytes without allocating.
+func AppendFCS(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 // Decode verifies the FCS and parses the frame.
@@ -505,7 +509,7 @@ func (f *NDPA) decodeFrom(body []byte) error {
 	if len(body) < 18+3*n {
 		return ErrTruncated
 	}
-	f.STAs = make([]STAInfo, n)
+	f.STAs = slices.Grow(f.STAs[:0], n)[:n] // reuses a Parser's slice
 	for i := 0; i < n; i++ {
 		off := 18 + 3*i
 		f.STAs[i] = STAInfo{

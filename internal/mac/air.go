@@ -69,7 +69,8 @@ type Tx struct {
 // power is computed on first use and cached. The cache holds exactly the
 // value linkPower returns, so answers are bit-identical to computing
 // every link afresh. The shadow field is fixed at construction; P must
-// not change after it either.
+// not change after it either. The thresholds may change at any time:
+// their linear values are cached per dB value in the same way.
 type Air struct {
 	Eng            *Engine
 	P              channel.Params
@@ -78,6 +79,8 @@ type Air struct {
 	CaptureSINRdB  float64
 
 	shadow *channel.ShadowField
+
+	noiseLin, csLin, decodeLin, captureLin linear
 
 	sites map[geom.Point]int // position → site
 	pos   []geom.Point       // site → position
@@ -99,6 +102,27 @@ type cachedLink struct {
 	dBm, mW float64
 	set     bool
 }
+
+// linear caches a dB field's linear value for the dB it was computed at.
+type linear struct {
+	dB, lin float64
+	set     bool
+}
+
+// of returns conv(dB), computing it only when dB differs from the last
+// call's.
+func (l *linear) of(dB float64, conv func(float64) float64) float64 {
+	if !l.set || l.dB != dB {
+		*l = linear{dB: dB, lin: conv(dB), set: true}
+	}
+	return l.lin
+}
+
+// csThreshold is CSThresholdDBm in linear mW.
+func (a *Air) csThreshold() float64 { return a.csLin.of(a.CSThresholdDBm, stats.Milliwatt) }
+
+// CaptureSINR returns CaptureSINRdB as a linear ratio.
+func (a *Air) CaptureSINR() float64 { return a.captureLin.of(a.CaptureSINRdB, stats.Linear) }
 
 // watcher tracks physical carrier-sense edges at one site.
 type watcher struct {
@@ -185,7 +209,7 @@ func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
 // state is reported immediately. Returns the watcher id.
 func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
 	w := watcher{site: a.site(pos), fn: fn}
-	w.busy = a.busy(w.site, stats.Milliwatt(a.CSThresholdDBm))
+	w.busy = a.busy(w.site, a.csThreshold())
 	a.watchers = append(a.watchers, w)
 	fn(w.busy)
 	return len(a.watchers) - 1
@@ -201,7 +225,7 @@ func (a *Air) Unwatch(id int) {
 // notifyWatchers re-evaluates every watcher after a medium change, in
 // registration order.
 func (a *Air) notifyWatchers() {
-	thr := stats.Milliwatt(a.CSThresholdDBm)
+	thr := a.csThreshold()
 	for i, n := 0, len(a.watchers); i < n; i++ {
 		w := &a.watchers[i]
 		if w.fn == nil {
@@ -268,7 +292,7 @@ func (a *Air) powerAt(to, exclude int) float64 {
 
 // Busy reports whether the medium is physically sensed busy at pos.
 func (a *Air) Busy(pos geom.Point) bool {
-	return a.busy(a.site(pos), stats.Milliwatt(a.CSThresholdDBm))
+	return a.busy(a.site(pos), a.csThreshold())
 }
 
 // busy compares the power at a site with the carrier-sense threshold
@@ -343,8 +367,8 @@ func (a *Air) endTx(at *activeTx) {
 		a.active = slices.Delete(a.active, i, i+1)
 	}
 	a.notifyWatchers()
-	noise := a.P.NoiseLinear()
-	minPower := stats.Milliwatt(a.DecodeMinDBm)
+	noise := a.noiseLin.of(a.P.NoiseFloorDBm, stats.Milliwatt) // P.NoiseLinear()
+	minPower := a.decodeLin.of(a.DecodeMinDBm, stats.Milliwatt)
 	for i, n := 0, len(a.listeners); i < n; i++ {
 		l := a.listeners[i]
 		if l.fn == nil {

@@ -271,3 +271,29 @@ func TestCSThresholdUnits(t *testing.T) {
 	_ = e
 	_ = stats.DB // keep import for clarity of threshold units
 }
+
+// TestThresholdsFollowFields checks that the medium honours a threshold
+// written after NewAir, although it caches their linear values.
+func TestThresholdsFollowFields(t *testing.T) {
+	_, a := newTestAir()
+	pos := geom.Pt(5, 0)
+	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: time.Second})
+	rx := stats.DBm(a.PowerAt(pos, -1))
+	if !a.Busy(pos) {
+		t.Fatalf("medium at %.1f dBm should be busy at the default threshold", rx)
+	}
+	a.CSThresholdDBm = rx + 1
+	if a.Busy(pos) {
+		t.Errorf("medium at %.1f dBm busy under a %.1f dBm threshold", rx, a.CSThresholdDBm)
+	}
+	a.CSThresholdDBm = rx - 1
+	if !a.Busy(pos) {
+		t.Errorf("medium at %.1f dBm idle under a %.1f dBm threshold", rx, a.CSThresholdDBm)
+	}
+	for _, dB := range []float64{DefaultCaptureSINRdB, 0, 10} {
+		a.CaptureSINRdB = dB
+		if got, want := a.CaptureSINR(), stats.Linear(dB); got != want {
+			t.Errorf("CaptureSINR at %v dB = %v, want %v", dB, got, want)
+		}
+	}
+}

@@ -29,8 +29,14 @@ func (n *NAV) Clear() { n.until = 0 }
 
 // Table is a set of per-antenna NAVs plus per-antenna physical sensing
 // hooks — the MIDAS AP's fine-grained channel state (§3.2.2).
+//
+// Idle, ExpiringWithin and ByExpiry return slices the table owns and
+// refills on every call, one buffer per method, so antenna selection
+// allocates nothing. Each stays valid until the next call of the same
+// method.
 type Table struct {
-	navs []NAV
+	navs              []NAV
+	idle, soon, order []int
 }
 
 // NewTable returns a table with n independent NAVs.
@@ -58,12 +64,13 @@ func (t *Table) Expiry(k int) time.Duration { return t.navs[k].Expiry() }
 
 // Idle returns the antennas whose NAVs are clear at now.
 func (t *Table) Idle(now time.Duration) []int {
-	var idle []int
+	idle := t.idle[:0]
 	for k := range t.navs {
 		if !t.navs[k].Busy(now) {
 			idle = append(idle, k)
 		}
 	}
+	t.idle = idle
 	return idle
 }
 
@@ -71,20 +78,22 @@ func (t *Table) Idle(now time.Duration) []int {
 // expire within the window — the candidates MIDAS's opportunistic antenna
 // selection waits for (§3.2.3).
 func (t *Table) ExpiringWithin(now, window time.Duration) []int {
-	var soon []int
+	soon := t.soon[:0]
 	for k := range t.navs {
 		if t.navs[k].Busy(now) && t.navs[k].Expiry() <= now+window {
 			soon = append(soon, k)
 		}
 	}
+	t.soon = soon
 	return soon
 }
 
 // ByExpiry returns the given antennas ordered by NAV expiry (earliest
 // first, ties by index) — the order MIDAS considers antennas for client
-// selection (§3.2.5).
+// selection (§3.2.5). antennas itself is not reordered.
 func (t *Table) ByExpiry(antennas []int) []int {
-	out := append([]int(nil), antennas...)
+	out := append(t.order[:0], antennas...)
+	t.order = out
 	// insertion sort: antenna counts are tiny
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {

@@ -41,7 +41,13 @@ func DefaultSounding() Sounding {
 // Feedback returns the CSI matrix the AP obtains for true channel h:
 // estimation noise followed by magnitude/phase quantisation.
 func (s Sounding) Feedback(h *matrix.Mat, src *rng.Source) *matrix.Mat {
-	out := matrix.New(h.Rows(), h.Cols())
+	return s.FeedbackInto(&matrix.Mat{}, h, src)
+}
+
+// FeedbackInto is Feedback written into dst (reshaped, reusing its
+// storage; it must not alias h) and returned.
+func (s Sounding) FeedbackInto(dst, h *matrix.Mat, src *rng.Source) *matrix.Mat {
+	dst.Reuse(h.Rows(), h.Cols())
 	estVar := math.Pow(10, -s.EstimationSNRdB/10)
 	for i := 0; i < h.Rows(); i++ {
 		for j := 0; j < h.Cols(); j++ {
@@ -50,10 +56,10 @@ func (s Sounding) Feedback(h *matrix.Mat, src *rng.Source) *matrix.Mat {
 			if estVar > 0 {
 				v += src.ComplexCircular(p * estVar)
 			}
-			out.Set(i, j, s.quantize(v))
+			dst.Set(i, j, s.quantize(v))
 		}
 	}
-	return out
+	return dst
 }
 
 // quantize rounds a complex value to the configured magnitude/phase grid.

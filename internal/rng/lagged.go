@@ -16,12 +16,23 @@ import "math/rand"
 // first read. From draw 608 on it is the plain two-index update. A
 // stream that draws k values pays a few modular products per draw
 // instead of 1,841 products plus the register fill.
+//
+// The register itself is held in two phases. For its first histLen
+// draws a stream keeps only the words it has written, in draw order, in
+// the inline hist; since histLen < 273, none of those draws reads a
+// written word back. The draw after that allocates the 607-word
+// register, scatters the history to each draw's feed index
+// (333 − k for draw k+1) and goes on in it. A stream that draws a few
+// values therefore holds a few hundred bytes instead of 4.9 KB, and no
+// stream allocates more than the register. Seed keeps a register once
+// allocated.
 type lagged struct {
-	x0    uint64 // the normalised seed, in [1, 2³¹−1)
+	x0    uint64 // the normalised seed, in [1, 2³¹−1); 0 before Seed
 	drawn int    // draws so far, counted up to lagLen
 	tap   int
 	feed  int
-	vec   [lagLen]int64
+	hist  [histLen]int64 // words written so far, while vec is nil
+	vec   *[lagLen]int64 // the register, from draw histLen+1 on
 }
 
 const (
@@ -31,7 +42,14 @@ const (
 	int32max = 1<<31 - 1
 	// lagSteps is the largest n the seeding sequence x(n) reaches.
 	lagSteps = 23 + 3*(lagLen-1)
+	// histLen is how many draws a stream makes before it allocates the
+	// register. It must stay below lagTap: history draws read no
+	// written word back.
+	histLen = 16
 )
+
+// The history phase relies on histLen < lagTap.
+const _ = uint(lagTap - 1 - histLen)
 
 var (
 	// seedPow[n] is 48271ⁿ mod (2³¹−1), the multiplier of the seeding
@@ -52,7 +70,7 @@ func init() {
 		seedPow[n] = seedPow[n-1] * 48271 % int32max
 	}
 	ref := rand.NewSource(1).(rand.Source64)
-	var g lagged
+	g := lagged{vec: new([lagLen]int64)}
 	g.Seed(1)
 	for t := 0; t < lagLen; t++ {
 		g.step()
@@ -108,18 +126,31 @@ func (g *lagged) step() {
 // Uint64 returns the next 64-bit value, as rand.NewSource's would.
 func (g *lagged) Uint64() uint64 {
 	g.step()
-	var x int64
-	if g.drawn < lagLen {
-		g.drawn++
-		t := g.vec[g.tap]
-		if g.drawn <= lagTap {
-			t = g.word(g.tap)
-		}
-		x = g.word(g.feed) + t
+	if g.drawn >= lagLen {
+		x := g.vec[g.feed] + g.vec[g.tap]
+		g.vec[g.feed] = x
+		return uint64(x)
+	}
+	var t int64
+	if g.drawn < lagTap {
+		t = g.word(g.tap)
 	} else {
-		x = g.vec[g.feed] + g.vec[g.tap]
+		t = g.vec[g.tap]
+	}
+	x := g.word(g.feed) + t
+	if g.vec == nil {
+		if g.drawn < histLen {
+			g.hist[g.drawn] = x
+			g.drawn++
+			return uint64(x)
+		}
+		g.vec = new([lagLen]int64)
+		for k, h := range g.hist {
+			g.vec[lagLen-lagTap-1-k] = h
+		}
 	}
 	g.vec[g.feed] = x
+	g.drawn++
 	return uint64(x)
 }
 

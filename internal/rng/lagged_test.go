@@ -94,11 +94,63 @@ func TestSplitDoesNotSeed(t *testing.T) {
 	if allocs > 3 {
 		t.Errorf("split chain allocated %v times, want at most 3 (the Sources)", allocs)
 	}
-	if last.r != nil {
+	if last.g.x0 != 0 {
 		t.Error("Split/Seed built a generator")
 	}
 	last.Float64()
-	if last.r == nil {
+	if last.g.x0 == 0 {
 		t.Error("first draw did not build the generator")
+	}
+}
+
+// TestLaggedPhaseBoundaries stops streams on each side of the points
+// where the generator changes how it holds or reads its state (the end
+// of the inline history, the last tap read of an unwritten word, the
+// end of the first pass), then continues them and reseeds them, bit
+// for bit against rand.NewSource.
+func TestLaggedPhaseBoundaries(t *testing.T) {
+	stops := []int{1, histLen - 1, histLen, histLen + 1, lagTap, lagTap + 1, lagLen, lagLen + 1}
+	check := func(t *testing.T, what string, g *lagged, ref rand.Source64, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if w, got := ref.Uint64(), g.Uint64(); w != got {
+				t.Fatalf("%s: draw %d: got %#x, want %#x", what, i+1, got, w)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 42, -7, New(3).Split("stop").Seed()} {
+		for _, n := range stops {
+			var g lagged
+			g.Seed(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			check(t, "first", &g, ref, n)
+			check(t, "continued", &g, ref, 2*lagLen)
+
+			var h lagged
+			h.Seed(seed)
+			check(t, "before reseed", &h, rand.NewSource(seed).(rand.Source64), n)
+			h.Seed(seed + 1)
+			check(t, "reseeded", &h, rand.NewSource(seed+1).(rand.Source64), 2*lagLen)
+		}
+	}
+}
+
+// TestSourceAllocs pins what a stream costs: building it and drawing a
+// few values allocates only the Source, and no number of draws makes it
+// allocate more than twice (the Source, then the register).
+func TestSourceAllocs(t *testing.T) {
+	for _, c := range []struct {
+		draws int
+		want  float64
+	}{{1, 1}, {16, 1}, {40, 2}, {700, 2}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			s := New(int64(c.draws))
+			for i := 0; i < c.draws; i++ {
+				s.Float64()
+			}
+		})
+		if allocs > c.want {
+			t.Errorf("building a stream and drawing %d values allocated %v times, want at most %v", c.draws, allocs, c.want)
+		}
 	}
 }

@@ -16,43 +16,48 @@ import (
 // Source is a deterministic random stream. It wraps math/rand with the
 // distributions the wireless models need.
 //
-// A Source records only its seed until its first draw, which builds the
-// generator (math/rand's own stream for that seed, seeded on demand; see
-// lagged). Splitting and reading Seed therefore never build one, so a
-// chain like src.Split("model").Split("shadow").Seed() costs only the
-// hash mix.
+// A Source records only its seed until its first draw, which seeds the
+// generator it holds inline (math/rand's own stream for that seed,
+// seeded on demand; see lagged). Splitting and reading Seed therefore
+// never seed one, so a chain like src.Split("model").Split("shadow").Seed()
+// costs only the hash mix and the Sources. The generator's register
+// grows with the draws: a stream that draws a few values lives in the
+// Source's one allocation, and a longer one adds the 4.9 KB register at
+// draw histLen+1, so a stream's state is never more than two
+// allocations.
 //
-// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) build
+// Concurrency: a Source's draw methods (Float64, Norm, Perm, …) seed
 // and then mutate the underlying stream and are NOT safe for concurrent
 // use — each goroutine must own the Sources it draws from, and the
-// generator is built lazily by that single owner. Split and SplitN,
+// generator is seeded lazily by that single owner. Split and SplitN,
 // however, read only the immutable seed recorded at construction, so
 // any number of goroutines may derive children from one shared parent
 // concurrently, and sibling children may be consumed from different
 // goroutines. This is the discipline the internal/runner worker pool
 // relies on: one root Source per experiment, one Split child per task.
 type Source struct {
-	// r is nil until the first draw; only the owner builds it.
-	r *rand.Rand
+	// r draws from g; both are zero until the first draw (g.x0 == 0),
+	// and only the owner seeds them.
+	r rand.Rand
+	g lagged
 	// seed is immutable after New; Split derives children from it
 	// without touching r, which is what makes concurrent splitting safe.
 	seed int64
 }
 
-// New returns a Source seeded with seed. The generator is built on the
+// New returns a Source seeded with seed. The generator is seeded on the
 // first draw.
 func New(seed int64) *Source {
 	return &Source{seed: seed}
 }
 
-// gen returns the generator, building it on first use.
+// gen returns the generator, seeding it on first use.
 func (s *Source) gen() *rand.Rand {
-	if s.r == nil {
-		g := &lagged{}
-		g.Seed(s.seed)
-		s.r = rand.New(g)
+	if s.g.x0 == 0 {
+		s.g.Seed(s.seed)
+		s.r = *rand.New(&s.g)
 	}
-	return s.r
+	return &s.r
 }
 
 // Seed returns the seed this source was created with.

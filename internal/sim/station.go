@@ -8,7 +8,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/frames"
+	"repro/internal/geom"
 	"repro/internal/mac"
+	"repro/internal/matrix"
 	"repro/internal/phy"
 	"repro/internal/precoding"
 	"repro/internal/rng"
@@ -110,7 +113,30 @@ type Station struct {
 	inTXOP   bool
 	src      *rng.Source
 	traffic  *rng.Source
-	ownTxs   map[int]bool
+	// navRecheck[i] re-evaluates contender i's medium when a NAV set by
+	// an overheard frame expires.
+	navRecheck []func()
+
+	// The running TXOP. A station runs one TXOP at a time, so its stages
+	// (beginTXOP, soundingDone, dataPhase, sampleRates, finishTXOP) pass
+	// their state through these fields and are scheduled through
+	// callbacks bound once in newStation: a steady-state TXOP allocates
+	// nothing.
+	txAnts    []int        // engaged antennas (controller-owned)
+	txClients []int        // selected clients (controller-owned)
+	survivors []int        // clients whose sounding decoded
+	positions []geom.Point // txAnts' positions
+	baDur     time.Duration
+	h, est    matrix.Mat  // the true channel and the sounded estimate
+	v         *matrix.Mat // the precoder, owned by solver
+	ndpa      frames.NDPA
+	frame     []byte // the encoded frame on the air
+
+	onBegin, onSounded, onData, onRates, onFinish func()
+	// txID is the station's last transmission. Its transmissions never
+	// overlap (data starts SIFS after sounding ends), so this is the only
+	// one of its own that can still reach its listeners.
+	txID int
 
 	// solver and rates are the station's reusable precoding state: one
 	// precoder is computed per TXOP for the station's whole lifetime, so
@@ -137,7 +163,10 @@ func newStation(net *Network, id int, opts StationOpts) *Station {
 		clients:  net.Dep.ClientsOf(id),
 		src:      net.src.SplitN("station", id),
 		solver:   precoding.NewSolver(),
+		txID:     -1,
 	}
+	st.onBegin, st.onSounded, st.onData = st.beginTXOP, st.soundingDone, st.dataPhase
+	st.onRates, st.onFinish = st.sampleRates, st.finishTXOP
 	st.traffic = st.src.Split("traffic")
 	sched := opts.Scheduler
 	if sched == nil {
@@ -235,8 +264,10 @@ func (st *Station) installRadios() {
 	if st.Opts.Kind == KindMIDAS {
 		st.backoffs = make([]*mac.Backoff, len(st.antennas))
 		st.physBusy = make([]bool, len(st.antennas))
+		st.navRecheck = make([]func(), len(st.antennas))
 		for i, a := range st.antennas {
 			i, a := i, a
+			st.navRecheck[i] = func() { st.mediumChanged(i) }
 			pos := st.net.Dep.Antennas[a].Pos
 			params := mac.DefaultEDCA(mac.ACBestEffort)
 			st.backoffs[i] = mac.NewBackoff(eng, params, st.src.SplitN("backoff", i),
@@ -250,6 +281,7 @@ func (st *Station) installRadios() {
 	} else {
 		st.backoffs = make([]*mac.Backoff, 1)
 		st.physBusy = make([]bool, 1)
+		st.navRecheck = []func(){func() { st.mediumChanged(0) }}
 		pos := st.net.Dep.APs[st.ID]
 		params := mac.DefaultEDCA(mac.ACBestEffort)
 		st.backoffs[0] = mac.NewBackoff(eng, params, st.src.Split("backoff"),
@@ -301,8 +333,8 @@ func (st *Station) overheard(i int, rx mac.Rx) {
 	if !rx.Decodable || rx.Data == nil {
 		return
 	}
-	if st.ownTx(rx.From) {
-		return
+	if rx.From == st.txID {
+		return // our own frame
 	}
 	f, err := st.net.parser.Parse(rx.Data)
 	if err != nil || f.Dur() == 0 {
@@ -316,10 +348,5 @@ func (st *Station) overheard(i int, rx mac.Rx) {
 	}
 	// NAV start freezes backoff; expiry re-evaluates the medium.
 	st.mediumChanged(i)
-	st.net.Eng.At(until, func() { st.mediumChanged(i) })
-}
-
-func (st *Station) ownTx(txID int) bool {
-	_, ok := st.ownTxs[txID]
-	return ok
+	st.net.Eng.At(until, st.navRecheck[i])
 }

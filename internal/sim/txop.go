@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/frames"
-	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/phy"
@@ -24,15 +23,13 @@ func (st *Station) granted(winnerAntenna int) {
 		return
 	}
 	now := st.net.Eng.Now()
-	var antennas []int
 	waitUntil := now
 	if st.midas != nil {
-		antennas, waitUntil = st.midas.SelectAntennas(winnerAntenna, now,
-			func(local int) bool { return st.physBusy[local] })
+		st.txAnts, waitUntil = st.midas.SelectAntennas(winnerAntenna, now, st.physBusy)
 	} else {
-		antennas = st.cas.SelectAntennas()
+		st.txAnts = st.cas.SelectAntennas()
 	}
-	if len(antennas) == 0 {
+	if len(st.txAnts) == 0 {
 		st.restartContention()
 		return
 	}
@@ -41,17 +38,17 @@ func (st *Station) granted(winnerAntenna int) {
 		b.Stop()
 	}
 	// Opportunistic wait for NAVs about to expire (§3.2.3).
-	st.net.Eng.At(waitUntil, func() { st.beginTXOP(antennas) })
+	st.net.Eng.At(waitUntil, st.onBegin)
 }
 
 // beginTXOP selects clients and runs the sounding phase.
-func (st *Station) beginTXOP(antennas []int) {
+func (st *Station) beginTXOP() {
 	// §3.3: the highest-priority backlogged class is the TXOP's primary
 	// access class; secondary classes may top up the MU group.
 	var clients []int
 	if st.midas != nil {
 		if primary, ok := st.midas.Queue.PrimaryAC(); ok {
-			clients = st.midas.SelectClientsEDCA(antennas, primary)
+			clients = st.midas.SelectClientsEDCA(st.txAnts, primary)
 		}
 	} else {
 		if primary, ok := st.cas.Queue.PrimaryAC(); ok {
@@ -62,63 +59,76 @@ func (st *Station) beginTXOP(antennas []int) {
 		st.abortTXOP()
 		return
 	}
-	if len(clients) > len(antennas) {
-		clients = clients[:len(antennas)]
+	if len(clients) > len(st.txAnts) {
+		clients = clients[:len(st.txAnts)]
 	}
+	st.txClients = clients
 
-	positions := st.antennaPositions(antennas)
+	st.antennaPositions()
 	soundDur := st.soundingDuration(len(clients))
-	dataDur := st.Opts.TXOP
-	baDur := st.blockAckDuration(len(clients))
+	st.baDur = st.blockAckDuration(len(clients))
 	// The NDPA's Duration field reserves the rest of the TXOP for
 	// overhearers' NAVs (§3.3).
-	reservation := mac.SIFS + dataDur + mac.SIFS + baDur
-	ndpa := &frames.NDPA{
-		Duration: reservation,
+	st.ndpa = frames.NDPA{
+		Duration: mac.SIFS + st.Opts.TXOP + mac.SIFS + st.baDur,
 		RA:       frames.Broadcast,
 		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
 		Token:    uint8(st.TXOPs),
+		STAs:     st.ndpa.STAs[:0],
 	}
 	for _, cl := range clients {
-		ndpa.STAs = append(ndpa.STAs, frames.STAInfo{AID: uint16(cl + 1), Feedback: 1})
+		st.ndpa.STAs = append(st.ndpa.STAs, frames.STAInfo{AID: uint16(cl + 1), Feedback: 1})
 	}
-	id, err := st.net.Air.StartTx(airTx(positions, st.net.P.TxPowerDBm, soundDur, frames.Encode(ndpa)))
-	if err != nil {
-		st.abortTXOP()
+	st.frame = frames.AppendFCS(st.ndpa.AppendTo(st.frame[:0]))
+	if !st.startTx(soundDur) {
 		return
 	}
-	st.rememberTx(id)
 	st.SoundingOvhd += soundDur
 	// Clients whose sounding exchange is jammed by a colliding
 	// transmission drop out of the group; if nobody survives, the TXOP
 	// is lost — the CSMA collision penalty.
-	st.net.Eng.Schedule(soundDur-time.Nanosecond, func() {
-		survivors := st.soundingSurvivors(id, clients)
-		if len(survivors) == 0 {
-			st.CollidedStarts++
-			st.collide()
-			return
-		}
-		st.net.Eng.Schedule(mac.SIFS+time.Nanosecond, func() {
-			st.dataPhase(antennas, survivors, dataDur, baDur)
-		})
-	})
+	st.net.Eng.Schedule(soundDur-time.Nanosecond, st.onSounded)
 }
 
-// soundingSurvivors returns the clients whose sounding exchange decoded
-// cleanly given the transmissions that overlapped it.
-func (st *Station) soundingSurvivors(txID int, clients []int) []int {
+// soundingDone runs just before the sounding exchange ends.
+func (st *Station) soundingDone() {
+	if len(st.soundingSurvivors()) == 0 {
+		st.CollidedStarts++
+		st.collide()
+		return
+	}
+	st.net.Eng.Schedule(mac.SIFS+time.Nanosecond, st.onData)
+}
+
+// startTx puts st.frame on the air from the TXOP's antennas for airtime
+// and records it as the station's own. On failure it aborts the TXOP and
+// returns false.
+func (st *Station) startTx(airtime time.Duration) bool {
+	id, err := st.net.Air.StartTx(airTx(st.positions, st.net.P.TxPowerDBm, airtime, st.frame))
+	if err != nil {
+		st.abortTXOP()
+		return false
+	}
+	st.txID = id
+	return true
+}
+
+// soundingSurvivors sets st.survivors to the selected clients whose
+// sounding exchange decoded cleanly given the transmissions that
+// overlapped it.
+func (st *Station) soundingSurvivors() []int {
 	noise := st.net.noiseLin
-	capture := stats.Linear(st.net.Air.CaptureSINRdB)
-	var out []int
-	for _, cl := range clients {
+	capture := st.net.Air.CaptureSINR()
+	out := st.survivors[:0]
+	for _, cl := range st.txClients {
 		pos := st.net.Dep.Clients[cl]
-		sig := st.net.Air.TxSignalAt(txID, pos)
-		interf := st.net.Air.OverlapInterference(txID, pos)
+		sig := st.net.Air.TxSignalAt(st.txID, pos)
+		interf := st.net.Air.OverlapInterference(st.txID, pos)
 		if sig/(noise+interf) >= capture {
 			out = append(out, cl)
 		}
 	}
+	st.survivors = out
 	return out
 }
 
@@ -136,47 +146,47 @@ func (st *Station) collide() {
 	}
 }
 
-// dataPhase executes the precoded MU-MIMO burst and accounts capacity.
-func (st *Station) dataPhase(antennas, clients []int, dataDur, baDur time.Duration) {
+// dataPhase executes the precoded MU-MIMO burst to the sounding
+// survivors and schedules its accounting.
+func (st *Station) dataPhase() {
 	// The channel has moved since the last TXOP.
 	st.net.Model.Evolve()
 
-	h := st.net.Model.Matrix(clients, antennas) // true channel
-	est := st.Opts.Sounding.Feedback(h, st.src) // what sounding returned
+	h := st.net.Model.MatrixInto(&st.h, st.survivors, st.txAnts) // true channel
+	est := st.Opts.Sounding.FeedbackInto(&st.est, h, st.src)     // what sounding returned
 	v, ok := st.precode(est)
 	if !ok {
 		st.abortTXOP()
 		return
 	}
+	st.v = v
 
 	// Announce the burst (NAV covers the BlockAck phase).
-	positions := st.antennaPositions(antennas)
-	dataHdr := &frames.QoSData{
-		Duration: mac.SIFS + baDur,
+	dataHdr := frames.QoSData{
+		Duration: mac.SIFS + st.baDur,
 		RA:       frames.Broadcast,
 		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
 		TID:      0,
 		GroupID:  uint8(st.ID + 1),
 	}
-	id, err := st.net.Air.StartTx(airTx(positions, st.net.P.TxPowerDBm, dataDur, frames.Encode(dataHdr)))
-	if err != nil {
-		st.abortTXOP()
+	st.frame = frames.AppendFCS(dataHdr.AppendTo(st.frame[:0]))
+	dataDur := st.Opts.TXOP
+	if !st.startTx(dataDur) {
 		return
 	}
-	st.rememberTx(id)
 	st.AirtimeData += dataDur
 
 	// Sample other-cell interference just before the burst ends, when the
 	// overlap set is complete.
-	st.net.Eng.Schedule(dataDur-time.Nanosecond, func() {
-		rates := st.streamRates(h, v, clients, id)
-		for _, r := range rates {
-			st.BitsPerHz += r * dataDur.Seconds()
-		}
-	})
-	st.net.Eng.Schedule(dataDur+mac.SIFS+baDur, func() {
-		st.finishTXOP(clients, dataDur)
-	})
+	st.net.Eng.Schedule(dataDur-time.Nanosecond, st.onRates)
+	st.net.Eng.Schedule(dataDur+mac.SIFS+st.baDur, st.onFinish)
+}
+
+// sampleRates accounts the burst's delivered capacity.
+func (st *Station) sampleRates() {
+	for _, r := range st.streamRates(&st.h, st.v, st.survivors, st.txID) {
+		st.BitsPerHz += r * st.Opts.TXOP.Seconds()
+	}
 }
 
 // precode runs the configured precoder on the estimated channel through
@@ -237,9 +247,10 @@ func (st *Station) streamRates(h, v *matrix.Mat, clients []int, txID int) []floa
 	return rates
 }
 
-// finishTXOP updates fairness counters, refills traffic and resumes
-// contention.
-func (st *Station) finishTXOP(clients []int, txop time.Duration) {
+// finishTXOP updates fairness counters for the served survivors, refills
+// traffic and resumes contention.
+func (st *Station) finishTXOP() {
+	clients, txop := st.survivors, st.Opts.TXOP
 	if st.midas != nil {
 		st.midas.Dequeue(clients)
 		st.midas.FinishTXOP(clients, txop)
@@ -272,22 +283,12 @@ func (st *Station) restartContention() {
 	}
 }
 
-// rememberTx records a transmission id as our own so overheard copies of
-// it do not set our NAV.
-func (st *Station) rememberTx(id int) {
-	if st.ownTxs == nil {
-		st.ownTxs = map[int]bool{}
+// antennaPositions sets st.positions to the engaged antennas' positions.
+func (st *Station) antennaPositions() {
+	st.positions = st.positions[:0]
+	for _, a := range st.txAnts {
+		st.positions = append(st.positions, st.net.Dep.Antennas[a].Pos)
 	}
-	st.ownTxs[id] = true
-}
-
-// antennaPositions maps global antenna indices to positions.
-func (st *Station) antennaPositions(antennas []int) []geom.Point {
-	pos := make([]geom.Point, len(antennas))
-	for i, a := range antennas {
-		pos[i] = st.net.Dep.Antennas[a].Pos
-	}
-	return pos
 }
 
 // soundingDuration models the NDPA + NDP + per-client feedback exchange.
