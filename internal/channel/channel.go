@@ -170,7 +170,7 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 	if correlated && p.CASCorrelation != 0 {
 		m.corr = corrGroups(antennas, p.CASCorrelation)
 	}
-	m.field = p.NewField(src.Split("shadow").Seed())
+	m.field = p.NewField(rng.SplitSeed(src.Seed(), "shadow"))
 	txPow := p.TxPowerLinear()
 	m.amp = make([]float64, len(clients)*len(antennas))
 	m.mean = make([]float64, len(clients)*len(antennas))

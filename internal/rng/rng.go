@@ -11,6 +11,7 @@ package rng
 import (
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Source is a deterministic random stream. It wraps math/rand with the
@@ -19,8 +20,8 @@ import (
 // A Source records only its seed until its first draw, which seeds the
 // generator it holds inline (math/rand's own stream for that seed,
 // seeded on demand; see lagged). Splitting and reading Seed therefore
-// never seed one, so a chain like src.Split("model").Split("shadow").Seed()
-// costs only the hash mix and the Sources. The generator's register
+// never seed one, and SplitSeed derives a child's seed without even
+// building the Source. The generator's register
 // grows with the draws: a stream that draws a few values lives in the
 // Source's one allocation, and a longer one adds the 4.9 KB register at
 // draw histLen+1, so a stream's state is never more than two
@@ -70,58 +71,60 @@ func (s *Source) Seed() int64 { return s.seed }
 // consumers. Split is safe to call from multiple goroutines on the same
 // parent (it only reads the immutable seed); the returned child is an
 // ordinary unsynchronized Source owned by the caller.
-func (s *Source) Split(label string) *Source {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
+func (s *Source) Split(label string) *Source { return New(SplitSeed(s.seed, label)) }
+
+// SplitN derives the i-th child of a labelled family, e.g. one stream per
+// topology index. Its label is label + "#" + the decimal digits of i.
+func (s *Source) SplitN(label string, i int) *Source { return New(SplitNSeed(s.seed, label, i)) }
+
+// SplitSeed returns the seed of Split(label) on a Source seeded with seed,
+// building no Source: a chain that only reads a child's seed, such as
+// src.Split("model").Split("shadow").Seed(), is
+// SplitSeed(SplitSeed(src.Seed(), "model"), "shadow").
+func SplitSeed(seed int64, label string) int64 {
+	return splitFinish(fnvString(fnvOffset, label), seed)
+}
+
+// SplitNSeed returns the seed of SplitN(label, i) on a Source seeded with
+// seed, building neither a Source nor the label string.
+func SplitNSeed(seed int64, label string, i int) int64 {
+	var digits [20]byte
+	h := fnvString(fnvOffset, label)
+	h = fnvByte(h, '#')
+	for _, b := range strconv.AppendInt(digits[:0], int64(i), 10) {
+		h = fnvByte(h, b)
 	}
-	for i := 0; i < len(label); i++ {
-		mix(label[i])
+	return splitFinish(h, seed)
+}
+
+// The child seed is FNV-1a over the label and then the parent seed's
+// eight little-endian bytes, passed through the splitmix64 finalizer so
+// nearby seeds diverge.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
 	}
-	u := uint64(s.seed)
+	return h
+}
+
+func splitFinish(h uint64, seed int64) int64 {
+	u := uint64(seed)
 	for i := 0; i < 8; i++ {
-		mix(byte(u >> (8 * i)))
+		h = fnvByte(h, byte(u>>(8*i)))
 	}
-	// Final avalanche (splitmix64 finalizer) so nearby seeds diverge.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return New(int64(h))
-}
-
-// SplitN derives the i-th child of a labelled family, e.g. one stream per
-// topology index.
-func (s *Source) SplitN(label string, i int) *Source {
-	return s.Split(label + "#" + itoa(i))
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var buf [20]byte
-	p := len(buf)
-	for i > 0 {
-		p--
-		buf[p] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		p--
-		buf[p] = '-'
-	}
-	return string(buf[p:])
+	return int64(h)
 }
 
 // Intn returns an integer in [0, n).

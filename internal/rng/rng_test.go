@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -67,13 +70,73 @@ func TestSplitN(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 5: "5", 42: "42", -17: "-17", 1000: "1000"}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
+// refSplitSeed is the child-seed derivation written out with hash/fnv:
+// FNV-1a over the label and the parent seed's little-endian bytes, then
+// the splitmix64 finalizer.
+func refSplitSeed(seed int64, label string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(label))
+	var le [8]byte
+	binary.LittleEndian.PutUint64(le[:], uint64(seed))
+	h.Write(le[:])
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int64(x)
+}
+
+// TestSplitSeedMatchesSplit pins SplitSeed and SplitNSeed bit for bit to
+// the seeds Split and SplitN give their children and to the reference
+// derivation, across labels, indices (negative ones included) and seeds.
+func TestSplitSeedMatchesSplit(t *testing.T) {
+	seeds := []int64{0, 1, -1, 42, 2014, math.MaxInt64, math.MinInt64}
+	labels := []string{"", "shadow", "model", "overhear", "field", "héllo#"}
+	indices := []int{0, 5, 42, -17, 1000, math.MaxInt64, math.MinInt64}
+	for _, seed := range seeds {
+		for _, label := range labels {
+			want := refSplitSeed(seed, label)
+			if got := SplitSeed(seed, label); got != want {
+				t.Fatalf("SplitSeed(%d, %q) = %d, want %d", seed, label, got, want)
+			}
+			if got := New(seed).Split(label).Seed(); got != want {
+				t.Fatalf("Split(%q) on seed %d gives seed %d, want %d", label, seed, got, want)
+			}
+			for _, i := range indices {
+				want := refSplitSeed(seed, label+"#"+strconv.Itoa(i))
+				if got := SplitNSeed(seed, label, i); got != want {
+					t.Fatalf("SplitNSeed(%d, %q, %d) = %d, want %d", seed, label, i, got, want)
+				}
+				if got := New(seed).SplitN(label, i).Seed(); got != want {
+					t.Fatalf("SplitN(%q, %d) on seed %d gives seed %d, want %d", label, i, seed, got, want)
+				}
+			}
 		}
 	}
+	f := func(seed int64, label string, i int) bool {
+		return SplitSeed(seed, label) == New(seed).Split(label).Seed() &&
+			SplitNSeed(seed, label, i) == refSplitSeed(seed, label+"#"+strconv.Itoa(i))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSplitSeedZeroAlloc pins that deriving a child seed, by label or by
+// labelled index, allocates nothing.
+func TestSplitSeedZeroAlloc(t *testing.T) {
+	var sink int64
+	allocs := testing.AllocsPerRun(200, func() {
+		sink += SplitSeed(SplitSeed(2014, "model"), "shadow")
+		sink += SplitNSeed(2014, "field", 63)
+		sink += SplitNSeed(2014, "overhear", -7)
+	})
+	if allocs != 0 {
+		t.Errorf("seed derivation allocated %v times, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestUniformRange(t *testing.T) {

@@ -29,14 +29,13 @@ func (s Spec) replicateSpecs() []Spec {
 	if n < 1 {
 		n = 1
 	}
-	root := rng.New(s.Seed)
 	out := make([]Spec, n)
 	for r := 0; r < n; r++ {
 		q := s.clone()
 		q.Sweep = nil
 		q.Replicates = 1
 		if r > 0 {
-			q.Seed = root.SplitN("replicate", r).Seed()
+			q.Seed = rng.SplitNSeed(s.Seed, "replicate", r)
 		}
 		out[r] = q
 	}

@@ -55,7 +55,7 @@ func Fig12SpatialReuse(topos int, seed int64, env EnvOverrides, parallel int) []
 		// floor plan satisfying it.
 		var f *channel.ShadowField
 		for i := 0; i < 64; i++ {
-			f = p.NewField(src.SplitN("field", i).Seed())
+			f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
 			if allPairsOverhear(dep, p, f) {
 				break
 			}
@@ -65,8 +65,9 @@ func Fig12SpatialReuse(topos int, seed int64, env EnvOverrides, parallel int) []
 		nA := 1 + src.Intn(4)
 		perm := src.Perm(4)
 		var active []geom.Point
+		ants0 := dep.AntennasOf(0)
 		for i := 0; i < nA; i++ {
-			active = append(active, dep.Antennas[dep.AntennasOf(0)[perm[i]]].Pos)
+			active = append(active, dep.Antennas[ants0[perm[i]]].Pos)
 		}
 		midas := nA
 		for _, ap := range []int{1, 2} {
@@ -131,7 +132,7 @@ func Fig13Deadzones(deployments int, seed int64, env EnvOverrides, parallel int)
 		var out deadzoneTask
 		casDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.CAS)), src.Split("cas"))
 		dasDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.DAS)), src.Split("das"))
-		f := p.NewField(src.Split("field").Seed())
+		f := p.NewField(rng.SplitSeed(src.Seed(), "field"))
 		r := env.Topology(topology.DefaultConfig(topology.CAS)).CoverageRadius
 		rect := geom.NewRect(-r, -r, r, r)
 		geom.Grid(rect, 0.5, func(pt geom.Point) {
@@ -214,7 +215,7 @@ func HiddenTerminals(deployments int, seed int64, env EnvOverrides, parallel int
 		// floor plan satisfying it.
 		var f *channel.ShadowField
 		for i := 0; i < 64; i++ {
-			f = p.NewField(src.SplitN("field", i).Seed())
+			f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
 			if !senses(p, f, aps[0], aps[1], csDBm) {
 				break
 			}

@@ -132,7 +132,7 @@ func PlacementStudy(topos, candidates int, seed int64, parallel int) (*Placement
 		defer putSolver(sv)
 		var out [4]float64
 		cfg := topology.DefaultConfig(topology.DAS)
-		fieldSeed := src.Split("chan").Split("shadow").Seed()
+		fieldSeed := rng.SplitSeed(rng.SplitSeed(src.Seed(), "chan"), "shadow")
 		obj := &topology.PlacementObjective{
 			Params: p, Field: p.NewField(fieldSeed),
 			Spots: coverageGrid(cfg.CoverageRadius), Quantile: 0.05,

@@ -108,16 +108,16 @@ func airTx(antennas []geom.Point, powerDBm float64, airtime time.Duration, data 
 // satisfy it by choosing among floor plans. Returns the found source (the
 // last candidate when none qualifies within tries).
 func OverhearingSource(dep *topology.Deployment, p channel.Params, src *rng.Source, tries int) *rng.Source {
-	var cand *rng.Source
+	var cand int64
 	for i := 0; i < tries; i++ {
-		cand = src.SplitN("overhear", i)
+		cand = rng.SplitNSeed(src.Seed(), "overhear", i)
 		// Reproduce the field NewNetwork/Model will derive.
-		f := p.NewField(cand.Split("model").Split("shadow").Seed())
+		f := p.NewField(rng.SplitSeed(rng.SplitSeed(cand, "model"), "shadow"))
 		if allPairsOverhear(dep, p, f) {
-			return cand
+			break
 		}
 	}
-	return cand
+	return rng.New(cand)
 }
 
 func allPairsOverhear(dep *topology.Deployment, p channel.Params, f *channel.ShadowField) bool {
@@ -143,11 +143,15 @@ const MinAssocSNRdB = 6.0
 // source will induce. Deployment geometry stays deterministic in
 // (deployment seed, model seed).
 func EnsureAssociated(dep *topology.Deployment, p channel.Params, modelSrc *rng.Source) {
-	f := p.NewField(modelSrc.Split("shadow").Seed())
+	f := p.NewField(rng.SplitSeed(modelSrc.Seed(), "shadow"))
 	redraw := modelSrc.Split("assoc")
 	noise := p.NoiseLinear()
+	apAnts := make([][]int, len(dep.APs))
+	for ap := range apAnts {
+		apAnts[ap] = dep.AntennasOf(ap)
+	}
 	reachable := func(ap int, pos geom.Point) bool {
-		for _, k := range dep.AntennasOf(ap) {
+		for _, k := range apAnts[ap] {
 			a := dep.Antennas[k].Pos
 			pw := p.PowerAtPoint(a, pos, p.TxPowerDBm) * f.Shadow(a, pos)
 			if stats.DB(pw/noise) >= MinAssocSNRdB {
