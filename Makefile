@@ -145,12 +145,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # The zero-allocation guards for the precoding hot path, the DES event
-# engine and medium, and a whole steady-state TXOP, plus the guards that
-# deriving a random stream never seeds a generator and that a stream
-# allocates at most twice however much it draws, run explicitly so a CI
-# log shows them even though `make test` also covers them.
+# engine and medium, a whole steady-state TXOP and a warmed channel
+# model's evolve-and-read, plus the guards that deriving a random stream
+# never seeds a generator, that deriving a child seed allocates nothing
+# and that a stream allocates at most twice however much it draws, run
+# explicitly so a CI log shows them even though `make test` also covers
+# them.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestSplitDoesNotSeed|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/rng
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
 
 # Re-measure the kernel micro-benchmarks (before/after pairs against the
 # frozen pre-workspace implementations in internal/bench) plus reduced-

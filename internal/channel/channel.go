@@ -127,9 +127,16 @@ type Antenna struct {
 // Model generates channel realisations for a fixed set of antennas and
 // clients. Shadowing is drawn once per (antenna, client) pair at
 // construction — it models obstacles, which do not change across frames —
-// while small-scale fading can be redrawn or evolved per frame. The
-// parameters and positions are fixed at construction too, so every
-// static per-link value is computed once there.
+// while small-scale fading evolves from frame to frame. The parameters
+// and positions are fixed at construction too, so every static per-link
+// value is computed once there.
+//
+// Each client's fading row keeps its own clock: Evolve only advances the
+// model's step, and a reader (Gain, Matrix, MatrixInto, SNRdB) first
+// brings each stale row it touches up to the current step, drawing that
+// row's innovation from the model's stream. A Model is therefore not
+// safe for concurrent use, reads included; its owner must read it in a
+// deterministic order (the simulators read it in event order).
 type Model struct {
 	p        Params
 	antennas []Antenna
@@ -141,12 +148,19 @@ type Model struct {
 	// by, and MeanRxPower's fading-averaged receive power.
 	amp  []float64
 	mean []float64
-	// fading state for Evolve: [client][antenna] normalised CN(0,1) gains
-	fading [][]complex128
+	// fading holds the normalised CN(0,1) gains in the same layout, one
+	// row per client, followed by one scratch row for innovations.
+	fading []complex128
+	// step counts Evolve calls; synced[j] is the step client j's fading
+	// row was last brought up to.
+	step   int
+	synced []int
+	// logKeep2 is ln(1−Doppler²), the log of one step's squared
+	// retention keep², where keep = √(1−Doppler²).
+	logKeep2 float64
 	// corr lists the correlated antenna groups, ordered by AP; empty
 	// without CAS correlation. Fixed at construction.
-	corr  []corrGroup
-	innov []complex128 // Evolve's innovation row, allocated on first use
+	corr []corrGroup
 }
 
 // corrGroup is one AP's antennas (two or more, in array order) and the
@@ -166,6 +180,9 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 		antennas: antennas,
 		clients:  clients,
 		src:      src.Split("channel"),
+		fading:   make([]complex128, (len(clients)+1)*len(antennas)),
+		synced:   make([]int, len(clients)),
+		logKeep2: math.Log1p(-p.Doppler * p.Doppler),
 	}
 	if correlated && p.CASCorrelation != 0 {
 		m.corr = corrGroups(antennas, p.CASCorrelation)
@@ -201,12 +218,18 @@ func (m *Model) NumAntennas() int { return len(m.antennas) }
 // NumClients returns the number of client positions.
 func (m *Model) NumClients() int { return len(m.clients) }
 
-// redraw resamples all small-scale fading from scratch.
+// row returns client j's fading row as it stands, stale or not.
+func (m *Model) row(j int) []complex128 {
+	n := len(m.antennas)
+	return m.fading[j*n : (j+1)*n : (j+1)*n]
+}
+
+// redraw resamples all small-scale fading from scratch, in client order,
+// as of the current step.
 func (m *Model) redraw() {
-	m.fading = make([][]complex128, len(m.clients))
 	for j := range m.clients {
-		m.fading[j] = make([]complex128, len(m.antennas))
-		m.drawFadingRow(m.fading[j])
+		m.drawFadingRow(m.row(j))
+		m.synced[j] = m.step
 	}
 }
 
@@ -300,32 +323,51 @@ func choleskyExpCorr(rho float64, n int) [][]float64 {
 	return l
 }
 
-// Evolve advances the small-scale fading by one coherence step using the
-// Gauss–Markov model with the configured Doppler. With Doppler 0 this is
-// a no-op.
+// Evolve advances the small-scale fading by one coherence step of the
+// Gauss–Markov model f' = keep·f + Doppler·w, keep = √(1−Doppler²), with
+// w a fresh correlated CN(0,1) row. It costs O(1): it only advances the
+// model's step, and each client's row takes the steps it missed when it
+// is next read. With Doppler 0 this is a no-op.
 func (m *Model) Evolve() {
-	a := m.p.Doppler
-	if a == 0 {
+	if m.p.Doppler != 0 {
+		m.step++
+	}
+}
+
+// sync brings client j's fading row up to the current step. A row that
+// missed n steps takes them in one draw: f_n = keepⁿ·f_0 + √(1−keep²ⁿ)·w,
+// with w one drawFadingRow innovation. The n-step innovation of the
+// one-step recursion has covariance (1−keep²ⁿ)·R, R the row's antenna
+// correlation, so the jump is exact in distribution.
+func (m *Model) sync(j int) {
+	n := m.step - m.synced[j]
+	if n == 0 {
 		return
 	}
-	keep := complex(math.Sqrt(1-a*a), 0)
-	if m.innov == nil {
-		m.innov = make([]complex128, len(m.antennas))
-	}
-	innov := m.innov
-	for j := range m.fading {
-		m.drawFadingRow(innov)
-		for k := range m.fading[j] {
-			m.fading[j][k] = keep*m.fading[j][k] + complex(a, 0)*innov[k]
-		}
+	m.synced[j] = m.step
+	l := float64(n) * m.logKeep2
+	keepN := math.Exp(l / 2)
+	scale := math.Sqrt(-math.Expm1(l))
+	f := m.row(j)
+	w := m.row(len(m.clients))
+	m.drawFadingRow(w)
+	for k := range f {
+		f[k] = complex(keepN*real(f[k])+scale*real(w[k]), keepN*imag(f[k])+scale*imag(w[k]))
 	}
 }
 
 // Gain returns the instantaneous complex channel gain h_jk from antenna k
 // to client j, in sqrt-milliwatt units per unit transmit amplitude: the
-// received power from power P on antenna k is |h_jk|²·P.
+// received power from power P on antenna k is |h_jk|²·P. It first brings
+// client j's fading row up to date (see Model).
 func (m *Model) Gain(j, k int) complex128 {
-	return complex(m.amp[m.link(j, k)], 0) * m.fading[j][k]
+	m.sync(j)
+	return m.gain(m.link(j, k))
+}
+
+// gain is Gain of link i for an up-to-date row.
+func (m *Model) gain(i int) complex128 {
+	return complex(m.amp[i], 0) * m.fading[i]
 }
 
 // Matrix returns the |clients|×|antennas| channel matrix H with entries
@@ -344,12 +386,14 @@ func (m *Model) Matrix(clientIdx, antennaIdx []int) *matrix.Mat {
 
 // MatrixInto is Matrix for explicit client and antenna subsets, written
 // into dst (reshaped, reusing its storage) and returned, so a caller that
-// keeps dst across calls does not allocate.
+// keeps dst across calls does not allocate. Stale rows are brought up to
+// date in clientIdx order.
 func (m *Model) MatrixInto(dst *matrix.Mat, clientIdx, antennaIdx []int) *matrix.Mat {
 	dst.Reuse(len(clientIdx), len(antennaIdx))
 	for r, j := range clientIdx {
+		m.sync(j)
 		for c, k := range antennaIdx {
-			dst.Set(r, c, m.Gain(j, k))
+			dst.Set(r, c, m.gain(m.link(j, k)))
 		}
 	}
 	return dst

@@ -1,11 +1,13 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/matrix"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -131,7 +133,7 @@ func TestCachedLinkValuesMatchDirect(t *testing.T) {
 					d := a.Pos.Dist(c)
 					shadow := m.field.Shadow(a.Pos, c)
 					pl := stats.Linear(-p.PathLossDB(d)) * shadow
-					gain := complex(math.Sqrt(pl), 0) * m.fading[j][k]
+					gain := complex(math.Sqrt(pl), 0) * m.row(j)[k]
 					mean := p.TxPowerLinear() * stats.Linear(-p.PathLossDB(d)) * shadow
 					for what, pair := range map[string][2]complex128{
 						"Gain":   {m.Gain(j, k), gain},
@@ -169,7 +171,7 @@ func TestCorrelationCASVsDAS(t *testing.T) {
 		var sum complex128
 		var p0, p1 float64
 		for i := 0; i < n; i++ {
-			f0, f1 := m.fading[0][0], m.fading[0][1]
+			f0, f1 := m.row(0)[0], m.row(0)[1]
 			sum += f0 * cmplx.Conj(f1)
 			p0 += real(f0)*real(f0) + imag(f0)*imag(f0)
 			p1 += real(f1)*real(f1) + imag(f1)*imag(f1)
@@ -196,24 +198,42 @@ func TestEvolvePreservesPowerAndDecorrelates(t *testing.T) {
 	if cmplx.Abs(g1-g0) > cmplx.Abs(g0) {
 		t.Log("large single-step change is possible but unusual")
 	}
-	// Many steps decorrelate: correlate g0 with g after 2000 steps over
-	// several trials.
+	// Many steps keep unit fading power and decorrelate: correlate the
+	// fading before and after 2000 steps over several trials, reading it
+	// through Gain.
 	var num complex128
-	var den float64
-	for trial := 0; trial < 40; trial++ {
+	var den, power float64
+	const trials = 40
+	for trial := 0; trial < trials; trial++ {
 		m2 := mkModel(false, int64(100+trial))
-		a := m2.fading[0][0]
+		a := fadingAt(m2, 0, 0)
 		for i := 0; i < 2000; i++ {
 			m2.Evolve()
 		}
-		b := m2.fading[0][0]
+		b := fadingAt(m2, 0, 0)
 		num += a * cmplx.Conj(b)
 		den += cmplx.Abs(a) * cmplx.Abs(b)
+		for j := range m2.clients {
+			for k := range m2.antennas {
+				power += sqAbs(fadingAt(m2, j, k))
+			}
+		}
 	}
 	if corr := cmplx.Abs(num) / den; corr > 0.35 {
 		t.Errorf("long-run fading correlation = %v, want small", corr)
 	}
+	// 480 independent unit-mean exponential powers: σ of the mean ≈ 0.046.
+	if mean := power / (trials * 12); math.Abs(mean-1) > 0.23 {
+		t.Errorf("mean fading power after 2000 steps = %v, want 1", mean)
+	}
 }
+
+// fadingAt reads the normalised fading of link (j, k) through Gain.
+func fadingAt(m *Model, j, k int) complex128 {
+	return m.Gain(j, k) / complex(m.amp[m.link(j, k)], 0)
+}
+
+func sqAbs(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 
 func TestEvolveNoopWithZeroDoppler(t *testing.T) {
 	p := Default()
@@ -314,11 +334,13 @@ func TestCalibrationMedianSNR(t *testing.T) {
 	}
 }
 
-// TestCorrelatedDrawMatchesPerRowConstruction pins the cached groups and
-// factors to the construction they replace (group by AP on every row,
-// factor every group) bit for bit, over initial draws and Evolve steps.
-// The antennas interleave their APs and the groups differ in size, one
-// AP has a single antenna, and two groups share a size.
+// TestCorrelatedDrawMatchesPerRowConstruction pins the fading draws bit
+// for bit to a reference built the long way: groups by AP and factors
+// built on every row, and the n-step jump written out, drawing a stale
+// row's innovation when it is read. The antennas interleave their APs
+// and the groups differ in size, one AP has a single antenna, and two
+// groups share a size. Reads go through Gain and MatrixInto, touch rows
+// in varying orders and subsets, and leave rows stale for 1 to 40 steps.
 func TestCorrelatedDrawMatchesPerRowConstruction(t *testing.T) {
 	aps := []int{2, 0, 2, 1, 0, 2, 3, 0, 2, 4, 4}
 	var ants []Antenna
@@ -362,28 +384,175 @@ func TestCorrelatedDrawMatchesPerRowConstruction(t *testing.T) {
 	for j := range want {
 		want[j] = refRow()
 	}
-	same := func(step int) {
+	same := func(stage string, j int) {
 		t.Helper()
-		for j := range want {
-			for k := range want[j] {
-				g, w := m.fading[j][k], want[j][k]
-				if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
-					t.Fatalf("step %d: fading[%d][%d] = %v, per-row construction %v", step, j, k, g, w)
+		for k := range want[j] {
+			g, w := m.row(j)[k], want[j][k]
+			if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+				t.Fatalf("%s: fading[%d][%d] = %v, per-row construction %v", stage, j, k, g, w)
+			}
+		}
+	}
+	for j := range want {
+		same("initial", j)
+	}
+
+	a := p.Doppler
+	step, synced := 0, make([]int, len(clients))
+	allAnts := identityIndex(len(ants))
+	var dst matrix.Mat
+	for i, op := range []struct {
+		evolve int
+		read   []int
+	}{
+		{1, []int{2}}, {3, []int{0, 2}}, {1, []int{1, 0, 2}}, {40, []int{1}},
+		{0, []int{1}}, {2, []int{2, 0, 1}}, {7, []int{0}}, {1, []int{2, 1}},
+	} {
+		for e := 0; e < op.evolve; e++ {
+			m.Evolve()
+		}
+		step += op.evolve
+		if i%2 == 0 {
+			m.MatrixInto(&dst, op.read, allAnts)
+		} else {
+			for _, j := range op.read {
+				m.Gain(j, len(ants)-1)
+			}
+		}
+		for _, j := range op.read {
+			if n := step - synced[j]; n > 0 {
+				l := float64(n) * math.Log1p(-a*a)
+				keepN, scale := math.Exp(l/2), math.Sqrt(-math.Expm1(l))
+				w := refRow()
+				for k, f := range want[j] {
+					want[j][k] = complex(keepN*real(f)+scale*real(w[k]), keepN*imag(f)+scale*imag(w[k]))
+				}
+				synced[j] = step
+			}
+			same(fmt.Sprintf("op %d", i), j)
+		}
+	}
+}
+
+// stepAll is the whole-network stepper the per-row fading clocks
+// replaced, kept as their oracle: every row takes one Gauss–Markov step,
+// drawing its innovation in row order. It leaves the rows' clocks alone,
+// so a model stepped only by stepAll never catches up on a read.
+func stepAll(m *Model) {
+	a := m.p.Doppler
+	keep := complex(math.Sqrt(1-a*a), 0)
+	innov := make([]complex128, len(m.antennas))
+	for j := range m.clients {
+		m.drawFadingRow(innov)
+		f := m.row(j)
+		for k := range f {
+			f[k] = keep*f[k] + complex(a, 0)*innov[k]
+		}
+	}
+}
+
+// TestFadingClockMatchesStepper compares the fading clocks' n-step jump
+// with n steps of the oracle stepper, for CAS and DAS models: from fresh
+// fading f_0, both must give unit power, lag correlation E[f_n·f_0*] =
+// keepⁿ, innovation power E|f_n − keepⁿ·f_0|² = 1 − keep²ⁿ, and within an
+// AP the correlation ρ^|i−k| (CAS) or 0 (DAS). Each bound is five
+// standard errors for the sample count, counting one sample per client
+// row and trial (a row's antennas are correlated under CAS) and taking
+// the per-sample variance as 1, which bounds each statistic here.
+func TestFadingClockMatchesStepper(t *testing.T) {
+	trials := 1000
+	if testing.Short() {
+		trials = 400
+	}
+	p := Default()
+	keep := math.Sqrt(1 - p.Doppler*p.Doppler)
+	for _, correlated := range []bool{true, false} {
+		rho := 0.0
+		if correlated {
+			rho = p.CASCorrelation
+		}
+		for _, n := range []int{1, 2, 7, 40, 400} {
+			keepN := math.Pow(keep, float64(n))
+			for _, stepper := range []bool{false, true} {
+				m := mkModel(correlated, int64(1000+n))
+				nc, na := m.NumClients(), m.NumAntennas()
+				f0 := make([]complex128, nc*na)
+				fn := make([]complex128, na)
+				var power, innov float64
+				var lag complex128
+				within := make([]complex128, na) // by antenna distance |i−k|
+				for trial := 0; trial < trials; trial++ {
+					m.redraw()
+					copy(f0, m.fading)
+					for i := 0; i < n; i++ {
+						if stepper {
+							stepAll(m)
+						} else {
+							m.Evolve()
+						}
+					}
+					for j := 0; j < nc; j++ {
+						for k := range fn {
+							fn[k] = fadingAt(m, j, k)
+						}
+						for k, f := range fn {
+							g := f0[j*na+k]
+							power += sqAbs(f)
+							lag += f * cmplx.Conj(g)
+							innov += sqAbs(f - complex(keepN, 0)*g)
+							for q := k + 1; q < na; q++ {
+								within[q-k] += f * cmplx.Conj(fn[q])
+							}
+						}
+					}
+				}
+				samples := float64(trials * nc)
+				tol := 5 / math.Sqrt(samples)
+				entries := samples * float64(na)
+				name := fmt.Sprintf("correlated=%v n=%d stepper=%v", correlated, n, stepper)
+				if got := power / entries; math.Abs(got-1) > tol {
+					t.Errorf("%s: mean power %v, want 1 ± %v", name, got, tol)
+				}
+				if got := lag / complex(entries, 0); cmplx.Abs(got-complex(keepN, 0)) > tol {
+					t.Errorf("%s: lag correlation %v, want %v ± %v", name, got, keepN, tol)
+				}
+				if got, want := innov/entries, 1-keepN*keepN; math.Abs(got/want-1) > tol {
+					t.Errorf("%s: innovation power %v, want %v ± %v relative", name, got, want, tol)
+				}
+				for d := 1; d < na; d++ {
+					got := within[d] / complex(samples*float64(na-d), 0)
+					if want := math.Pow(rho, float64(d)); cmplx.Abs(got-complex(want, 0)) > tol {
+						t.Errorf("%s: antenna correlation at distance %d = %v, want %v ± %v", name, d, got, want, tol)
+					}
 				}
 			}
 		}
 	}
-	same(0)
-	a := p.Doppler
-	keep := complex(math.Sqrt(1-a*a), 0)
-	for step := 1; step <= 5; step++ {
+}
+
+// TestModelZeroAlloc pins that a TXOP's channel reads allocate nothing:
+// once the model exists, Evolve and a 4×4 MatrixInto into a kept matrix,
+// catching stale rows up, allocate 0.
+func TestModelZeroAlloc(t *testing.T) {
+	var ants []Antenna
+	for k := 0; k < 12; k++ {
+		ants = append(ants, Antenna{Pos: geom.Pt(float64(4*(k/4))+0.03*float64(k%4), 0), AP: k / 4, Local: k % 4})
+	}
+	var clients []geom.Point
+	for j := 0; j < 12; j++ {
+		clients = append(clients, geom.Pt(float64(j), 6))
+	}
+	m := NewModel(Default(), ants, clients, true, rng.New(5))
+	var dst matrix.Mat
+	sets := [][]int{{0, 3, 5, 9}, {1, 2, 7, 11}, {4, 6, 8, 10}}
+	m.MatrixInto(&dst, sets[0], sets[1])
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
 		m.Evolve()
-		for j := range want {
-			innov := refRow()
-			for k := range want[j] {
-				want[j][k] = keep*want[j][k] + complex(a, 0)*innov[k]
-			}
-		}
-		same(step)
+		m.MatrixInto(&dst, sets[i%3], sets[(i+1)%3])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Evolve + 4×4 MatrixInto allocated %v times, want 0", allocs)
 	}
 }
