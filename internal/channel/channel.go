@@ -345,9 +345,9 @@ func (m *Model) sync(j int) {
 		return
 	}
 	m.synced[j] = m.step
-	l := float64(n) * m.logKeep2
-	keepN := math.Exp(l / 2)
-	scale := math.Sqrt(-math.Expm1(l))
+	logKeep2N := float64(n) * m.logKeep2
+	keepN := math.Exp(logKeep2N / 2)
+	scale := math.Sqrt(-math.Expm1(logKeep2N))
 	f := m.row(j)
 	w := m.row(len(m.clients))
 	m.drawFadingRow(w)

@@ -421,8 +421,8 @@ func TestCorrelatedDrawMatchesPerRowConstruction(t *testing.T) {
 		}
 		for _, j := range op.read {
 			if n := step - synced[j]; n > 0 {
-				l := float64(n) * math.Log1p(-a*a)
-				keepN, scale := math.Exp(l/2), math.Sqrt(-math.Expm1(l))
+				logKeep2N := float64(n) * math.Log1p(-a*a)
+				keepN, scale := math.Exp(logKeep2N/2), math.Sqrt(-math.Expm1(logKeep2N))
 				w := refRow()
 				for k, f := range want[j] {
 					want[j][k] = complex(keepN*real(f)+scale*real(w[k]), keepN*imag(f)+scale*imag(w[k]))
