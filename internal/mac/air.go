@@ -29,9 +29,9 @@ const (
 
 // Rx describes one frame arrival at a listener.
 type Rx struct {
-	Data     []byte  // encoded frame bytes
-	PowerDBm float64 // strongest-antenna receive power
-	SINRdB   float64 // against the worst-case overlap interference
+	Data  []byte  // encoded frame bytes
+	Power float64 // strongest-antenna receive power (linear mW)
+	SINR  float64 // against the worst-case overlap interference (linear)
 	// Decodable is false when the frame was below sensitivity or
 	// collided; such frames still raised energy on the medium.
 	Decodable bool
@@ -40,17 +40,23 @@ type Rx struct {
 	End       time.Duration
 }
 
+// PowerDBm returns Power in dBm.
+func (r Rx) PowerDBm() float64 { return stats.DBm(r.Power) }
+
+// SINRdB returns SINR in dB.
+func (r Rx) SINRdB() float64 { return stats.DB(r.SINR) }
+
 // Listener receives every transmission that ends while it is registered.
 type Listener struct {
 	Pos geom.Point
 	Fn  func(Rx)
 }
 
-// Tx describes one transmission: a set of transmitting antenna positions
+// Tx describes one transmission: a set of transmitting antenna sites
 // (one for SISO control frames; several for an MU PPDU), a per-antenna
-// power, a duration and the encoded frame.
+// power, a duration and the encoded frame. Sites come from Air.Site.
 type Tx struct {
-	Antennas []geom.Point
+	Antennas []int
 	PowerDBm float64
 	Airtime  time.Duration
 	Data     []byte
@@ -64,13 +70,17 @@ type Tx struct {
 // SINRs from the full fading channel (see internal/sim).
 //
 // Antennas and clients do not move during a run, so the same positions
-// recur on every medium change. Every position the medium sees is
-// interned as a small integer site, and each (from, to) site pair's link
-// power is computed on first use and cached. The cache holds exactly the
-// value linkPower returns, so answers are bit-identical to computing
-// every link afresh. The shadow field is fixed at construction; P must
-// not change after it either. The thresholds may change at any time:
-// their linear values are cached per dB value in the same way.
+// recur on every medium change. Callers intern each position once as a
+// small integer site (Site) and name transmitting antennas and
+// data-plane receivers by site. Each (from, to) site pair's link power is
+// computed on first use and cached, and so is each transmission's total
+// power at each site it is read at; a carrier-sense watcher keeps the
+// running sum of the active transmissions' power at its site. Every
+// cache holds exactly the value the direct computation returns, summed
+// in the same order, so answers are bit-identical to computing every
+// link afresh. The shadow field is fixed at construction; P must not
+// change after it either. The thresholds may change at any time: their
+// linear values are cached per dB value in the same way.
 type Air struct {
 	Eng            *Engine
 	P              channel.Params
@@ -93,7 +103,9 @@ type Air struct {
 	listeners []listener
 	active    []*activeTx
 	nextTx    int
-	spare     []*activeTx // ended transmissions, reused by StartTx
+	// spare holds records that neither an active transmission nor a live
+	// overlap span names any more; StartTx reuses them.
+	spare []*activeTx
 }
 
 // cachedLink holds linkPower(from, to, dBm) for the dBm it was computed
@@ -124,10 +136,29 @@ func (a *Air) csThreshold() float64 { return a.csLin.of(a.CSThresholdDBm, stats.
 // CaptureSINR returns CaptureSINRdB as a linear ratio.
 func (a *Air) CaptureSINR() float64 { return a.captureLin.of(a.CaptureSINRdB, stats.Linear) }
 
-// watcher tracks physical carrier-sense edges at one site.
+// captures reports whether stats.DB(sinr) >= CaptureSINRdB. More than a
+// relative 1e-9 away from the linear threshold the two sides differ by
+// over 4e-9 dB, far beyond the few-ulp error of either conversion, so
+// the linear comparison gives the same answer; only nearer the threshold
+// is the logarithm taken.
+func (a *Air) captures(sinr float64) bool {
+	thr := a.CaptureSINR()
+	switch {
+	case sinr > thr*(1+1e-9):
+		return true
+	case sinr < thr*(1-1e-9):
+		return false
+	}
+	return stats.DB(sinr) >= a.CaptureSINRdB
+}
+
+// watcher tracks physical carrier-sense edges at one site. sum is
+// powerAt(site, -1): active ids only grow, so adding a new transmission's
+// power to it equals the in-order recompute; an ending one refolds it.
 type watcher struct {
 	site int
 	fn   func(busy bool)
+	sum  float64
 	busy bool
 }
 
@@ -144,13 +175,26 @@ type activeTx struct {
 	start, end time.Duration
 	overlap    []overlapSpan // transmissions that overlapped this one, by id
 	fire       func()        // ends this transmission; bound once per record
+	// pow[site] is sumPowerFrom(ants, dBm, site), or unsetPower until
+	// first read.
+	pow []float64
+	// live is set while the transmission is on the air; refs counts the
+	// overlap spans of live transmissions that name this record. The
+	// record is reused only once both are clear.
+	live bool
+	refs int
 }
 
-// overlapSpan records an interfering transmission's antennas and power
-// and the interval over which it overlaps the owner.
+// unsetPower marks a pow entry not computed yet; link powers are never
+// negative.
+const unsetPower = -1.0
+
+// overlapSpan records an interfering transmission and the interval over
+// which it overlaps the owner. The interferer's record is held (refs)
+// while the span is live, so its antennas and cached powers stay valid
+// after it ends.
 type overlapSpan struct {
-	ants     []int
-	dBm      float64
+	tx       *activeTx
 	from, to time.Duration
 }
 
@@ -171,8 +215,9 @@ func NewAir(eng *Engine, p channel.Params, shadow *channel.ShadowField) *Air {
 	}
 }
 
-// site interns a position.
-func (a *Air) site(p geom.Point) int {
+// Site interns a position and returns its site id. The same position
+// always maps to the same site.
+func (a *Air) Site(p geom.Point) int {
 	if s, ok := a.sites[p]; ok {
 		return s
 	}
@@ -208,8 +253,9 @@ func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
 // every busy/idle transition as transmissions start and end. The initial
 // state is reported immediately. Returns the watcher id.
 func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
-	w := watcher{site: a.site(pos), fn: fn}
-	w.busy = a.busy(w.site, a.csThreshold())
+	w := watcher{site: a.Site(pos), fn: fn}
+	w.sum = a.powerAt(w.site, -1)
+	w.busy = w.sum >= a.csThreshold()
 	a.watchers = append(a.watchers, w)
 	fn(w.busy)
 	return len(a.watchers) - 1
@@ -223,15 +269,30 @@ func (a *Air) Unwatch(id int) {
 }
 
 // notifyWatchers re-evaluates every watcher after a medium change, in
-// registration order.
-func (a *Air) notifyWatchers() {
+// registration order. started is the transmission that just started,
+// whose power extends each running sum, or nil after one ended, when
+// each sum is refolded from the active records' cached powers. All sums
+// are brought up to date before any callback runs, so a callback that
+// starts a transmission extends sums that already hold this change.
+func (a *Air) notifyWatchers(started *activeTx) {
+	n := len(a.watchers)
+	for i := 0; i < n; i++ {
+		w := &a.watchers[i]
+		switch {
+		case w.fn == nil:
+		case started != nil:
+			w.sum += a.txPower(started, w.site)
+		default:
+			w.sum = a.powerAt(w.site, -1)
+		}
+	}
 	thr := a.csThreshold()
-	for i, n := 0, len(a.watchers); i < n; i++ {
+	for i := 0; i < n; i++ {
 		w := &a.watchers[i]
 		if w.fn == nil {
 			continue
 		}
-		if b := a.busy(w.site, thr); b != w.busy {
+		if b := w.sum >= thr; b != w.busy {
 			w.busy = b
 			w.fn(b)
 		}
@@ -240,7 +301,7 @@ func (a *Air) notifyWatchers() {
 
 // Listen registers a listener and returns its id.
 func (a *Air) Listen(l Listener) int {
-	a.listeners = append(a.listeners, listener{site: a.site(l.Pos), fn: l.Fn})
+	a.listeners = append(a.listeners, listener{site: a.Site(l.Pos), fn: l.Fn})
 	return len(a.listeners) - 1
 }
 
@@ -273,10 +334,34 @@ func (a *Air) sumPowerFrom(ants []int, dBm float64, to int) float64 {
 	return sum
 }
 
+// txPower returns at's total receive power at site to, computing it on
+// the record's first read at that site.
+func (a *Air) txPower(at *activeTx, to int) float64 {
+	if to >= len(at.pow) {
+		at.pow = unsetRow(at.pow, len(at.pow), len(a.pos))
+	}
+	p := at.pow[to]
+	if p == unsetPower {
+		p = a.sumPowerFrom(at.ants, at.dBm, to)
+		at.pow[to] = p
+	}
+	return p
+}
+
+// unsetRow returns row resized to n entries, marking entries from on
+// unset.
+func unsetRow(row []float64, from, n int) []float64 {
+	row = slices.Grow(row[:from], n-from)[:n]
+	for i := from; i < n; i++ {
+		row[i] = unsetPower
+	}
+	return row
+}
+
 // PowerAt returns the aggregate active transmit power (linear mW) at pos,
 // excluding transmission id exclude (-1 for none).
 func (a *Air) PowerAt(pos geom.Point, exclude int) float64 {
-	return a.powerAt(a.site(pos), exclude)
+	return a.powerAt(a.Site(pos), exclude)
 }
 
 func (a *Air) powerAt(to, exclude int) float64 {
@@ -285,20 +370,14 @@ func (a *Air) powerAt(to, exclude int) float64 {
 		if at.id == exclude {
 			continue
 		}
-		sum += a.sumPowerFrom(at.ants, at.dBm, to)
+		sum += a.txPower(at, to)
 	}
 	return sum
 }
 
 // Busy reports whether the medium is physically sensed busy at pos.
 func (a *Air) Busy(pos geom.Point) bool {
-	return a.busy(a.site(pos), a.csThreshold())
-}
-
-// busy compares the power at a site with the carrier-sense threshold
-// thr (linear mW).
-func (a *Air) busy(site int, thr float64) bool {
-	return a.powerAt(site, -1) >= thr
+	return a.powerAt(a.Site(pos), -1) >= a.csThreshold()
 }
 
 // ActiveCount returns the number of in-flight transmissions.
@@ -316,19 +395,22 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	if tx.Airtime <= 0 {
 		return 0, fmt.Errorf("mac: non-positive airtime %v", tx.Airtime)
 	}
+	for _, s := range tx.Antennas {
+		if s < 0 || s >= len(a.pos) {
+			return 0, fmt.Errorf("mac: unknown antenna site %d", s)
+		}
+	}
 	id := a.nextTx
 	a.nextTx++
 	now := a.Eng.Now()
 	at := a.newActive()
 	at.id, at.dBm, at.data = id, tx.PowerDBm, tx.Data
 	at.start, at.end = now, now+tx.Airtime
-	at.ants = at.ants[:0]
-	for _, p := range tx.Antennas {
-		at.ants = append(at.ants, a.site(p))
-	}
+	at.ants = append(at.ants[:0], tx.Antennas...)
+	at.pow = unsetRow(at.pow, 0, len(a.pos))
+	at.live = true
 	// Mutual overlap bookkeeping with everything currently active. Ids
 	// only grow, so appending keeps every overlap list in id order.
-	at.overlap = at.overlap[:0]
 	for _, other := range a.active {
 		to := min(at.end, other.end)
 		other.addOverlap(at, now, to)
@@ -336,7 +418,7 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	}
 	a.active = append(a.active, at)
 	a.Eng.Schedule(tx.Airtime, at.fire)
-	a.notifyWatchers()
+	a.notifyWatchers(at)
 	return id, nil
 }
 
@@ -352,21 +434,27 @@ func (a *Air) newActive() *activeTx {
 	return at
 }
 
-// addOverlap appends other to at's overlap list, reusing the span's
-// antenna buffer from earlier uses of the record.
+// addOverlap appends a span naming other to at's overlap list and holds
+// other's record for it.
 func (at *activeTx) addOverlap(other *activeTx, from, to time.Duration) {
-	n := len(at.overlap)
-	at.overlap = slices.Grow(at.overlap, 1)[:n+1]
-	sp := &at.overlap[n]
-	sp.ants = append(sp.ants[:0], other.ants...)
-	sp.dBm, sp.from, sp.to = other.dBm, from, to
+	at.overlap = append(at.overlap, overlapSpan{tx: other, from: from, to: to})
+	other.refs++
+}
+
+// release returns at to the spare list once it is neither on the air nor
+// named by a live span.
+func (a *Air) release(at *activeTx) {
+	if !at.live && at.refs == 0 {
+		a.spare = append(a.spare, at)
+	}
 }
 
 func (a *Air) endTx(at *activeTx) {
 	if i := slices.Index(a.active, at); i >= 0 {
 		a.active = slices.Delete(a.active, i, i+1)
 	}
-	a.notifyWatchers()
+	at.live = false
+	a.notifyWatchers(nil)
 	noise := a.noiseLin.of(a.P.NoiseFloorDBm, stats.Milliwatt) // P.NoiseLinear()
 	minPower := a.decodeLin.of(a.DecodeMinDBm, stats.Milliwatt)
 	for i, n := 0, len(a.listeners); i < n; i++ {
@@ -377,14 +465,14 @@ func (a *Air) endTx(at *activeTx) {
 		sig := a.powerFrom(at.ants, at.dBm, l.site)
 		interf := 0.0
 		for _, sp := range at.overlap {
-			interf += a.sumPowerFrom(sp.ants, sp.dBm, l.site)
+			interf += a.txPower(sp.tx, l.site)
 		}
-		sinr := stats.DB(sig / (noise + interf))
+		sinr := sig / (noise + interf)
 		rx := Rx{
 			Data:      at.data,
-			PowerDBm:  stats.DBm(sig),
-			SINRdB:    sinr,
-			Decodable: sig >= minPower && sinr >= a.CaptureSINRdB,
+			Power:     sig,
+			SINR:      sinr,
+			Decodable: sig >= minPower && a.captures(sinr),
 			From:      at.id,
 			Start:     at.start,
 			End:       at.end,
@@ -392,7 +480,12 @@ func (a *Air) endTx(at *activeTx) {
 		l.fn(rx)
 	}
 	at.data = nil
-	a.spare = append(a.spare, at)
+	for _, sp := range at.overlap {
+		sp.tx.refs--
+		a.release(sp.tx)
+	}
+	at.overlap = at.overlap[:0]
+	a.release(at)
 }
 
 // DecodeRange returns the free-space distance at which a single antenna
@@ -409,18 +502,17 @@ func (a *Air) CSRange() float64 {
 }
 
 // OverlapInterference returns, for an active transmission id, the total
-// power (linear mW) at pos from the transmissions that have overlapped it
-// so far. The MU-MIMO data plane samples this just before a burst ends to
-// include other-cell interference in its stream SINRs.
-func (a *Air) OverlapInterference(id int, pos geom.Point) float64 {
+// power (linear mW) at site to from the transmissions that have
+// overlapped it so far. The MU-MIMO data plane samples this just before a
+// burst ends to include other-cell interference in its stream SINRs.
+func (a *Air) OverlapInterference(id, to int) float64 {
 	at := a.lookup(id)
 	if at == nil {
 		return 0
 	}
-	to := a.site(pos)
 	sum := 0.0
 	for _, sp := range at.overlap {
-		sum += a.sumPowerFrom(sp.ants, sp.dBm, to)
+		sum += a.txPower(sp.tx, to)
 	}
 	return sum
 }
@@ -436,12 +528,12 @@ func (a *Air) lookup(id int) *activeTx {
 }
 
 // WeightedInterference returns the time-averaged interference power
-// (linear mW) at pos over the active transmission id's airtime: each
+// (linear mW) at site to over the active transmission id's airtime: each
 // overlapping transmission contributes its power scaled by the fraction
 // of the frame it actually overlapped. This is the right average for a
 // long data burst's Shannon rate; control-frame decoding keeps the
 // worst-case OverlapInterference.
-func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
+func (a *Air) WeightedInterference(id, to int) float64 {
 	at := a.lookup(id)
 	if at == nil {
 		return 0
@@ -450,7 +542,6 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 	if dur <= 0 {
 		return 0
 	}
-	to := a.site(pos)
 	sum := 0.0
 	for _, sp := range at.overlap {
 		frac := float64(sp.to-sp.from) / float64(dur)
@@ -460,7 +551,7 @@ func (a *Air) WeightedInterference(id int, pos geom.Point) float64 {
 		if frac > 1 {
 			frac = 1
 		}
-		sum += a.sumPowerFrom(sp.ants, sp.dBm, to) * frac
+		sum += a.txPower(sp.tx, to) * frac
 	}
 	return sum
 }
@@ -476,11 +567,11 @@ func (a *Air) OverlapCount(id int) int {
 }
 
 // TxSignalAt returns the strongest-antenna receive power (linear mW) at
-// pos from the active transmission id, or 0 if it is not active.
-func (a *Air) TxSignalAt(id int, pos geom.Point) float64 {
+// site to from the active transmission id, or 0 if it is not active.
+func (a *Air) TxSignalAt(id, to int) float64 {
 	at := a.lookup(id)
 	if at == nil {
 		return 0
 	}
-	return a.powerFrom(at.ants, at.dBm, a.site(pos))
+	return a.powerFrom(at.ants, at.dBm, to)
 }

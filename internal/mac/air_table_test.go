@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -15,8 +16,13 @@ import (
 // budget computed afresh, bit for bit: random positions, each queried
 // three times (cache misses, then hits), probe sites interned only after
 // the transmissions started, transmissions starting after probes were
-// interned, one antenna site used at two powers at once, and overlap
-// spans of a transmission that ended and whose record was reused.
+// interned, one antenna site used at two powers at once, overlap spans
+// naming a transmission that has ended while the span's owner is still
+// on the air, and records reused once nothing names them. After every
+// StartTx and every end of airtime, each watcher's running carrier-sense
+// sum must equal the in-order sum of the live transmissions' direct
+// powers, including a watcher registered while transmissions were live
+// and excluding one that was unwatched.
 func TestLinkTableMatchesDirect(t *testing.T) {
 	p := channel.Default()
 	field := p.NewField(7)
@@ -28,71 +34,113 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 
 	e := NewEngine()
 	a := NewAir(e, p, field)
-	type sent struct {
-		id         int
-		tx         Tx
-		start, end time.Duration
-	}
-	var txs []sent
-	start := func(tx Tx) {
-		id, err := a.StartTx(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, sent{id, tx, e.Now(), e.Now() + tx.Airtime})
-	}
-	shared := pt()
-	// tx0 and tx1 overlap for their whole lives; tx2 ends before the
-	// first probe; tx3 starts after the first probe, on tx2's reused
-	// record and with tx0's antenna at another power.
-	e.At(0, func() {
-		start(Tx{Antennas: []geom.Point{shared, pt()}, PowerDBm: 24, Airtime: 100 * time.Microsecond})
-	})
-	e.At(10*time.Microsecond, func() {
-		start(Tx{Antennas: []geom.Point{pt(), pt(), pt()}, PowerDBm: 20, Airtime: 200 * time.Microsecond})
-	})
-	e.At(30*time.Microsecond, func() {
-		start(Tx{Antennas: []geom.Point{pt()}, PowerDBm: 17, Airtime: 20 * time.Microsecond})
-	})
-	e.At(70*time.Microsecond, func() {
-		start(Tx{Antennas: []geom.Point{shared}, PowerDBm: 11, Airtime: 100 * time.Microsecond})
-	})
-
 	bits := func(what string, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s = %v (%#x), direct %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	sumFrom := func(tx Tx, pos geom.Point) float64 {
-		s := 0.0
-		for _, ant := range tx.Antennas {
-			s += direct(ant, pos, tx.PowerDBm)
-		}
-		return s
+	type sent struct {
+		id         int
+		ants       []geom.Point
+		dBm        float64
+		start, end time.Duration
 	}
-	probe := func(pos geom.Point) {
-		now := e.Now()
-		var live []sent
-		for _, s := range txs {
-			if s.start <= now && now < s.end {
-				live = append(live, s)
-			}
+	var txs []sent // ascending id
+	live := map[int]bool{}
+	sumFrom := func(s sent, pos geom.Point) float64 {
+		sum := 0.0
+		for _, ant := range s.ants {
+			sum += direct(ant, pos, s.dBm)
 		}
+		return sum
+	}
+	var watchPos []geom.Point // by watcher id
+	var checkSums func(when string)
+	watch := func(pos geom.Point) int {
+		watchPos = append(watchPos, pos)
+		id := a.Watch(pos, func(bool) {})
+		checkSums("after Watch")
+		return id
+	}
+	checkSums = func(when string) {
+		t.Helper()
+		checked := 0
+		for i, w := range a.watchers {
+			if w.fn == nil {
+				continue
+			}
+			want := 0.0
+			for _, s := range txs {
+				if live[s.id] {
+					want += sumFrom(s, watchPos[i])
+				}
+			}
+			bits(fmt.Sprintf("watcher %d sum %s at %v", i, when, e.Now()), w.sum, want)
+			if b := want >= stats.Milliwatt(a.CSThresholdDBm); w.busy != b {
+				t.Errorf("watcher %d busy = %v %s at %v, direct %v", i, w.busy, when, e.Now(), b)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("no watcher checked %s at %v", when, e.Now())
+		}
+	}
+	start := func(dBm float64, airtime time.Duration, ants ...geom.Point) {
+		id, err := a.StartTx(Tx{Antennas: sites(a, ants...), PowerDBm: dBm, Airtime: airtime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, sent{id, ants, dBm, e.Now(), e.Now() + airtime})
+		live[id] = true
+		checkSums("after StartTx")
+	}
+	ends := 0
+	a.Listen(Listener{Pos: pt(), Fn: func(rx Rx) {
+		delete(live, rx.From)
+		ends++
+		checkSums("after endTx")
+	}})
+
+	shared := pt()
+	for i := 0; i < 3; i++ {
+		watch(pt())
+	}
+	unwatched := watch(shared)
+	// tx0 and tx1 overlap for their whole lives; tx2 ends before the
+	// first probe while tx0 and tx1 still name it; tx3 starts after the
+	// first probe, with tx0's antenna at another power. All four records
+	// are free again once tx1 ends, so tx4 and tx5 reuse them.
+	e.At(0, func() { start(24, 100*time.Microsecond, shared, pt()) })
+	e.At(10*time.Microsecond, func() { start(20, 200*time.Microsecond, pt(), pt(), pt()) })
+	e.At(30*time.Microsecond, func() { start(17, 20*time.Microsecond, pt()) })
+	e.At(40*time.Microsecond, func() { watch(pt()) })
+	e.At(70*time.Microsecond, func() { start(11, 100*time.Microsecond, shared) })
+	e.At(85*time.Microsecond, func() { a.Unwatch(unwatched) })
+	e.At(220*time.Microsecond, func() { start(15, 50*time.Microsecond, pt(), shared) })
+	e.At(230*time.Microsecond, func() { start(20, 20*time.Microsecond, pt()) })
+
+	probe := func(pos geom.Point) {
+		site := a.Site(pos)
 		want := 0.0
-		for _, s := range live {
-			want += sumFrom(s.tx, pos)
+		for _, s := range txs {
+			if live[s.id] {
+				want += sumFrom(s, pos)
+			}
 		}
 		bits("PowerAt", a.PowerAt(pos, -1), want)
 		if got, w := a.Busy(pos), want >= stats.Milliwatt(a.CSThresholdDBm); got != w {
 			t.Errorf("Busy = %v, direct %v", got, w)
 		}
-		for _, s := range live {
-			best := 0.0
-			for _, ant := range s.tx.Antennas {
-				best = max(best, direct(ant, pos, s.tx.PowerDBm))
+		for _, s := range txs {
+			if !live[s.id] {
+				continue
 			}
-			bits("TxSignalAt", a.TxSignalAt(s.id, pos), best)
+			best := 0.0
+			for _, ant := range s.ants {
+				best = max(best, direct(ant, pos, s.dBm))
+			}
+			bits("TxSignalAt", a.TxSignalAt(s.id, site), best)
 			worst, weighted := 0.0, 0.0
 			for _, o := range txs { // ascending id
 				if o.id == s.id || o.end <= s.start || s.end <= o.start {
@@ -100,15 +148,15 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 				}
 				from, to := max(s.start, o.start), min(s.end, o.end)
 				frac := min(max(float64(to-from)/float64(s.end-s.start), 0), 1)
-				worst += sumFrom(o.tx, pos)
-				weighted += sumFrom(o.tx, pos) * frac
+				worst += sumFrom(o, pos)
+				weighted += sumFrom(o, pos) * frac
 			}
-			bits("OverlapInterference", a.OverlapInterference(s.id, pos), worst)
-			bits("WeightedInterference", a.WeightedInterference(s.id, pos), weighted)
+			bits("OverlapInterference", a.OverlapInterference(s.id, site), worst)
+			bits("WeightedInterference", a.WeightedInterference(s.id, site), weighted)
 		}
 	}
 	var probes []geom.Point
-	for _, at := range []time.Duration{60, 80, 95} {
+	for _, at := range []time.Duration{60, 80, 95, 150, 240} {
 		e.At(at*time.Microsecond, func() {
 			for i := 0; i < 8; i++ {
 				probes = append(probes, pt())
@@ -122,19 +170,23 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		})
 	}
 	e.Run(time.Second)
-	if len(txs) != 4 || len(probes) != 27 {
-		t.Fatalf("ran %d transmissions and %d probes, want 4 and 27", len(txs), len(probes))
+	if len(txs) != 6 || ends != 6 || len(probes) != 45 {
+		t.Fatalf("ran %d transmissions, %d ends and %d probes, want 6, 6 and 45", len(txs), ends, len(probes))
 	}
 	if a.OverlapCount(txs[1].id) != 0 {
 		t.Error("ended transmission still reports overlaps")
 	}
+	if len(a.spare) != 4 {
+		t.Errorf("%d records free after the run, want all 4", len(a.spare))
+	}
 }
 
 // TestAirZeroAlloc pins the steady state of the medium: with watchers and
-// listeners registered and the link table warm, a pair of overlapping
-// transmissions from start to delivery allocates nothing (transmission
-// records, their overlap lists and their end-of-airtime closures are
-// reused).
+// listeners registered and the link table warm, three overlapping
+// transmissions from start to delivery allocate nothing (transmission
+// records, their overlap lists and power rows and their end-of-airtime
+// closures are reused). The first and second end while the third still
+// names them, so their records are held and then freed again.
 func TestAirZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	p := channel.Default()
@@ -145,8 +197,14 @@ func TestAirZeroAlloc(t *testing.T) {
 		a.Watch(pos, func(bool) { edges++ })
 		a.Listen(Listener{Pos: pos, Fn: func(Rx) { rxs++ }})
 	}
-	first := Tx{Antennas: []geom.Point{geom.Pt(0, 0), geom.Pt(6, 0)}, PowerDBm: p.TxPowerDBm, Airtime: 50 * time.Microsecond}
-	second := Tx{Antennas: []geom.Point{geom.Pt(18, 0)}, PowerDBm: p.TxPowerDBm, Airtime: 30 * time.Microsecond}
+	first := Tx{Antennas: sites(a, geom.Pt(0, 0), geom.Pt(6, 0)), PowerDBm: p.TxPowerDBm, Airtime: 50 * time.Microsecond}
+	second := Tx{Antennas: sites(a, geom.Pt(18, 0)), PowerDBm: p.TxPowerDBm, Airtime: 30 * time.Microsecond}
+	third := Tx{Antennas: sites(a, geom.Pt(12, 0)), PowerDBm: p.TxPowerDBm, Airtime: 60 * time.Microsecond}
+	startThird := func() {
+		if _, err := a.StartTx(third); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cycle := func() {
 		if _, err := a.StartTx(first); err != nil {
 			t.Fatal(err)
@@ -154,13 +212,17 @@ func TestAirZeroAlloc(t *testing.T) {
 		if _, err := a.StartTx(second); err != nil {
 			t.Fatal(err)
 		}
-		e.Run(e.Now() + first.Airtime)
+		e.Schedule(10*time.Microsecond, startThird)
+		e.Run(e.Now() + 70*time.Microsecond)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("StartTx→end cycle allocates %v, want 0", allocs)
 	}
-	if rxs != 8*102 || edges == 0 {
-		t.Errorf("delivered %d frames and %d edges, want %d and some", rxs, edges, 8*102)
+	if rxs != 12*102 || edges == 0 {
+		t.Errorf("delivered %d frames and %d edges, want %d and some", rxs, edges, 12*102)
+	}
+	if a.ActiveCount() != 0 || len(a.spare) != 3 {
+		t.Errorf("%d transmissions active and %d records free after the cycles, want 0 and 3", a.ActiveCount(), len(a.spare))
 	}
 }

@@ -23,7 +23,7 @@ func TestBusyReflectsActiveTx(t *testing.T) {
 		t.Fatal("medium should start idle")
 	}
 	_, err := a.StartTx(Tx{
-		Antennas: []geom.Point{geom.Pt(0, 0)},
+		Antennas: sites(a, geom.Pt(0, 0)),
 		PowerDBm: 20,
 		Airtime:  100 * time.Microsecond,
 		Data:     frames.Encode(&frames.CTS{RA: frames.MkAddr(1, 1)}),
@@ -52,8 +52,11 @@ func TestStartTxValidation(t *testing.T) {
 	if _, err := a.StartTx(Tx{PowerDBm: 20, Airtime: time.Microsecond}); err == nil {
 		t.Error("no antennas should error")
 	}
-	if _, err := a.StartTx(Tx{Antennas: []geom.Point{{}}, Airtime: 0}); err == nil {
+	if _, err := a.StartTx(Tx{Antennas: sites(a, geom.Point{}), Airtime: 0}); err == nil {
 		t.Error("zero airtime should error")
+	}
+	if _, err := a.StartTx(Tx{Antennas: []int{a.Site(geom.Pt(1, 1)) + 1}, Airtime: time.Microsecond}); err == nil {
+		t.Error("an antenna site never interned should error")
 	}
 }
 
@@ -66,7 +69,7 @@ func TestDeliveryToListener(t *testing.T) {
 		RA:       frames.MkAddr(1, 1), TA: frames.MkAddr(2, 2),
 	})
 	a.StartTx(Tx{
-		Antennas: []geom.Point{geom.Pt(0, 0)},
+		Antennas: sites(a, geom.Pt(0, 0)),
 		PowerDBm: 20,
 		Airtime:  50 * time.Microsecond,
 		Data:     payload,
@@ -77,7 +80,7 @@ func TestDeliveryToListener(t *testing.T) {
 	}
 	rx := got[0]
 	if !rx.Decodable {
-		t.Errorf("frame at 10 m should decode: power %v dBm, sinr %v dB", rx.PowerDBm, rx.SINRdB)
+		t.Errorf("frame at 10 m should decode: power %v dBm, sinr %v dB", rx.PowerDBm(), rx.SINRdB())
 	}
 	if rx.Start != 0 || rx.End != 50*time.Microsecond {
 		t.Errorf("timing %v–%v", rx.Start, rx.End)
@@ -96,7 +99,7 @@ func TestFarListenerCannotDecode(t *testing.T) {
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(100, 0), Fn: func(rx Rx) { got = append(got, rx) }})
 	a.StartTx(Tx{
-		Antennas: []geom.Point{geom.Pt(0, 0)},
+		Antennas: sites(a, geom.Pt(0, 0)),
 		PowerDBm: 20,
 		Airtime:  50 * time.Microsecond,
 	})
@@ -105,7 +108,7 @@ func TestFarListenerCannotDecode(t *testing.T) {
 		t.Fatalf("got %d deliveries", len(got))
 	}
 	if got[0].Decodable {
-		t.Errorf("frame at 100 m decodable (power %v dBm)", got[0].PowerDBm)
+		t.Errorf("frame at 100 m decodable (power %v dBm)", got[0].PowerDBm())
 	}
 }
 
@@ -114,15 +117,15 @@ func TestCollisionDestroysBothFrames(t *testing.T) {
 	var got []Rx
 	// Listener midway between two simultaneous transmitters.
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(20, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
 	e.Run(time.Second)
 	if len(got) != 2 {
 		t.Fatalf("got %d deliveries", len(got))
 	}
 	for i, rx := range got {
 		if rx.Decodable {
-			t.Errorf("frame %d should collide (sinr %v dB)", i, rx.SINRdB)
+			t.Errorf("frame %d should collide (sinr %v dB)", i, rx.SINRdB())
 		}
 	}
 }
@@ -132,8 +135,8 @@ func TestCaptureEffect(t *testing.T) {
 	var got []Rx
 	// Listener right next to tx A; tx B far away → A captures.
 	a.Listen(Listener{Pos: geom.Pt(2, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(40, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(40, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
 	e.Run(time.Second)
 	var nearDecodable, farDecodable bool
 	for _, rx := range got {
@@ -157,9 +160,9 @@ func TestOverlapIsConservative(t *testing.T) {
 	e, a := newTestAir()
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: 100 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
 	e.Schedule(90*time.Microsecond, func() {
-		a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(20, 0)}, PowerDBm: 20, Airtime: 100 * time.Microsecond})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
 	})
 	e.Run(time.Second)
 	if len(got) != 2 {
@@ -174,9 +177,9 @@ func TestSequentialTxDoNotInterfere(t *testing.T) {
 	e, a := newTestAir()
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
 	e.Schedule(60*time.Microsecond, func() {
-		a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(20, 0)}, PowerDBm: 20, Airtime: 50 * time.Microsecond})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
 	})
 	e.Run(time.Second)
 	if len(got) != 2 {
@@ -184,21 +187,17 @@ func TestSequentialTxDoNotInterfere(t *testing.T) {
 	}
 	for i, rx := range got {
 		if !rx.Decodable {
-			t.Errorf("frame %d should decode cleanly (sinr %v)", i, rx.SINRdB)
+			t.Errorf("frame %d should decode cleanly (sinr %v)", i, rx.SINRdB())
 		}
 	}
 }
 
 func TestMultiAntennaTxPower(t *testing.T) {
 	_, a := newTestAir()
-	tx := Tx{
-		Antennas: []geom.Point{geom.Pt(0, 0), geom.Pt(10, 10)},
-		PowerDBm: 20,
-	}
+	ants := sites(a, geom.Pt(0, 0), geom.Pt(10, 10))
 	pos := geom.Pt(1, 0)
-	ants := []int{a.site(tx.Antennas[0]), a.site(tx.Antennas[1])}
-	best := a.powerFrom(ants, tx.PowerDBm, a.site(pos))
-	sum := a.sumPowerFrom(ants, tx.PowerDBm, a.site(pos))
+	best := a.powerFrom(ants, 20, a.Site(pos))
+	sum := a.sumPowerFrom(ants, 20, a.Site(pos))
 	if best >= sum {
 		t.Error("sum power should exceed best-antenna power")
 	}
@@ -219,13 +218,13 @@ func TestDecodeRangeConsistent(t *testing.T) {
 	var in, out Rx
 	a.Listen(Listener{Pos: geom.Pt(r*0.9, 0), Fn: func(rx Rx) { in = rx }})
 	a.Listen(Listener{Pos: geom.Pt(r*1.2, 0), Fn: func(rx Rx) { out = rx }})
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: a.P.TxPowerDBm, Airtime: 10 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: a.P.TxPowerDBm, Airtime: 10 * time.Microsecond})
 	e.Run(time.Second)
 	if !in.Decodable {
-		t.Errorf("inside range should decode (power %v dBm, thr %v)", in.PowerDBm, a.CSThresholdDBm)
+		t.Errorf("inside range should decode (power %v dBm, thr %v)", in.PowerDBm(), a.CSThresholdDBm)
 	}
 	if out.Decodable {
-		t.Errorf("outside range should not decode (power %v dBm)", out.PowerDBm)
+		t.Errorf("outside range should not decode (power %v dBm)", out.PowerDBm())
 	}
 }
 
@@ -234,7 +233,7 @@ func TestUnlisten(t *testing.T) {
 	calls := 0
 	id := a.Listen(Listener{Pos: geom.Pt(1, 0), Fn: func(Rx) { calls++ }})
 	a.Unlisten(id)
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Microsecond})
 	e.Run(time.Second)
 	if calls != 0 {
 		t.Error("unlistened listener received a frame")
@@ -243,7 +242,7 @@ func TestUnlisten(t *testing.T) {
 
 func TestPowerAtExclusion(t *testing.T) {
 	_, a := newTestAir()
-	id, _ := a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: time.Second})
+	id, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Second})
 	pos := geom.Pt(5, 0)
 	if p := a.PowerAt(pos, id); p != 0 {
 		t.Errorf("excluding the only tx should give 0, got %v", p)
@@ -257,7 +256,7 @@ func TestCSThresholdUnits(t *testing.T) {
 	// Internal consistency: Busy flips exactly at the CS-range distance,
 	// which exceeds the decode range (energy detect is more sensitive).
 	e, a := newTestAir()
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: a.P.TxPowerDBm, Airtime: time.Second})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: a.P.TxPowerDBm, Airtime: time.Second})
 	r := a.CSRange()
 	if r <= a.DecodeRange() {
 		t.Error("CS range should exceed decode range")
@@ -277,7 +276,7 @@ func TestCSThresholdUnits(t *testing.T) {
 func TestThresholdsFollowFields(t *testing.T) {
 	_, a := newTestAir()
 	pos := geom.Pt(5, 0)
-	a.StartTx(Tx{Antennas: []geom.Point{geom.Pt(0, 0)}, PowerDBm: 20, Airtime: time.Second})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Second})
 	rx := stats.DBm(a.PowerAt(pos, -1))
 	if !a.Busy(pos) {
 		t.Fatalf("medium at %.1f dBm should be busy at the default threshold", rx)
@@ -294,6 +293,35 @@ func TestThresholdsFollowFields(t *testing.T) {
 		a.CaptureSINRdB = dB
 		if got, want := a.CaptureSINR(), stats.Linear(dB); got != want {
 			t.Errorf("CaptureSINR at %v dB = %v, want %v", dB, got, want)
+		}
+	}
+}
+
+// sites interns positions on a's medium.
+func sites(a *Air, ps ...geom.Point) []int {
+	out := make([]int, len(ps))
+	for i, p := range ps {
+		out[i] = a.Site(p)
+	}
+	return out
+}
+
+// TestCapturesMatchesDB checks the linear capture test against the dB
+// comparison it replaces, at and around the threshold (down to adjacent
+// floats) and far from it, for several thresholds.
+func TestCapturesMatchesDB(t *testing.T) {
+	_, a := newTestAir()
+	for _, c := range []float64{-10, 0, 6, 6.02, 25, 300, math.Inf(1), math.Inf(-1)} {
+		a.CaptureSINRdB = c
+		thr := stats.Linear(c)
+		cands := []float64{0, math.Inf(1), math.NaN(), thr, math.Nextafter(thr, 0), math.Nextafter(thr, math.Inf(1))}
+		for k := -30; k <= 30; k++ {
+			cands = append(cands, thr*(1+float64(k)*1e-10), thr*math.Pow(10, float64(k)/10))
+		}
+		for _, s := range cands {
+			if got, want := a.captures(s), stats.DB(s) >= c; got != want {
+				t.Errorf("CaptureSINRdB %v: captures(%v) = %v, dB comparison %v", c, s, got, want)
+			}
 		}
 	}
 }

@@ -65,23 +65,91 @@ func (s Sounding) FeedbackInto(dst, h *matrix.Mat, src *rng.Source) *matrix.Mat 
 // quantize rounds a complex value to the configured magnitude/phase grid.
 // Magnitude is quantised on a per-entry dB grid spanning ±24 dB around
 // the value (keeping the quantiser scale-free), phase uniformly over 2π.
+// At the default widths the levels come from magTable and phaseTable.
 func (s Sounding) quantize(v complex128) complex128 {
 	if v == 0 {
 		return 0
 	}
 	mag, ph := cmplx.Abs(v), cmplx.Phase(v)
+	var sc [2]float64 // sine and cosine of the phase
 	if s.PhaseBits > 0 {
-		steps := float64(uint64(1) << uint(s.PhaseBits))
-		ph = math.Round(ph/(2*math.Pi)*steps) / steps * 2 * math.Pi
+		steps := phaseSteps(s.PhaseBits)
+		j := math.Round(ph / (2 * math.Pi) * steps)
+		if s.PhaseBits == phaseTableBits {
+			sc = phaseTable.at(j)
+		} else {
+			sc = phaseLevel(j, steps)
+		}
+	} else {
+		sc[0], sc[1] = math.Sincos(ph)
 	}
 	if s.MagBits > 0 {
 		// Quantise log-magnitude with step 48dB/2^bits.
-		stepDB := 48.0 / float64(uint64(1)<<uint(s.MagBits))
-		db := 20 * math.Log10(mag)
-		db = math.Round(db/stepDB) * stepDB
-		mag = math.Pow(10, db/20)
+		stepDB := magStepDB(s.MagBits)
+		k := math.Round(20 * math.Log10(mag) / stepDB)
+		if s.MagBits == magTableBits {
+			mag = magTable.at(k)
+		} else {
+			mag = magLevel(k, stepDB)
+		}
 	}
-	return cmplx.Rect(mag, ph)
+	return complex(mag*sc[1], mag*sc[0]) // cmplx.Rect(mag, phase)
+}
+
+// magStepDB is the magnitude quantiser's step at a width.
+func magStepDB(bits int) float64 { return 48.0 / float64(uint64(1)<<uint(bits)) }
+
+// magLevel is the magnitude of quantiser level k: 10^(k·stepDB/20).
+func magLevel(k, stepDB float64) float64 { return math.Pow(10, k*stepDB/20) }
+
+// phaseSteps is the number of phase levels over 2π at a width.
+func phaseSteps(bits int) float64 { return float64(uint64(1) << uint(bits)) }
+
+// phaseLevel returns math.Sincos of phase level j's angle, j/steps·2π.
+func phaseLevel(j, steps float64) [2]float64 {
+	sin, cos := math.Sincos(j / steps * 2 * math.Pi)
+	return [2]float64{sin, cos}
+}
+
+// Level tables for the default feedback widths, built once at package
+// initialisation and only read afterwards. Each entry holds exactly what
+// the formula returns for its level; other widths, and levels past a
+// table's ends, use the formula. The magnitude table spans ±200 dB
+// (1,067 levels at 7 bits); phase levels run from −steps/2 to steps/2.
+var (
+	magTableBits   = DefaultSounding().MagBits
+	phaseTableBits = DefaultSounding().PhaseBits
+	magTable       = newLevels(int(math.Ceil(200/magStepDB(magTableBits))), func(k float64) float64 {
+		return magLevel(k, magStepDB(magTableBits))
+	})
+	phaseTable = newLevels(int(phaseSteps(phaseTableBits))/2, func(j float64) [2]float64 {
+		return phaseLevel(j, phaseSteps(phaseTableBits))
+	})
+)
+
+// levels tabulates f over the integer levels −half..half.
+type levels[T any] struct {
+	half int
+	vals []T // vals[k+half] = f(k)
+	f    func(k float64) T
+}
+
+func newLevels[T any](half int, f func(k float64) T) levels[T] {
+	l := levels[T]{half: half, vals: make([]T, 2*half+1), f: f}
+	for i := range l.vals {
+		l.vals[i] = f(float64(i - half))
+	}
+	return l
+}
+
+// at returns f(k) for an integer-valued k, from the table when k is in
+// range. Level 0 goes to f, which keeps the sign of a −0 level (the
+// sine of phase −0 is −0).
+func (l levels[T]) at(k float64) T {
+	if i := k + float64(l.half); k != 0 && i >= 0 && i < float64(len(l.vals)) {
+		return l.vals[int(i)]
+	}
+	return l.f(k)
 }
 
 // MCS describes one 802.11ac modulation-and-coding scheme.

@@ -174,6 +174,78 @@ func TestQuantizeGridProperties(t *testing.T) {
 	}
 }
 
+// TestQuantizerTablesMatchFormula checks every tabulated level, and one
+// level past each end of each table, against the formula bit for bit.
+func TestQuantizerTablesMatchFormula(t *testing.T) {
+	stepDB := 48.0 / float64(uint64(1)<<uint(magTableBits))
+	if magTable.half < 500 || len(magTable.vals) != 2*magTable.half+1 {
+		t.Fatalf("magnitude table holds %d levels around ±%d, want ±200 dB", len(magTable.vals), magTable.half)
+	}
+	for k := -magTable.half - 1; k <= magTable.half+1; k++ {
+		db := float64(k) * stepDB
+		want := math.Pow(10, db/20)
+		if got := magTable.at(float64(k)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("magnitude level %d = %v, formula %v", k, got, want)
+		}
+	}
+	steps := float64(uint64(1) << uint(phaseTableBits))
+	if 2*phaseTable.half != int(steps) {
+		t.Fatalf("phase table spans ±%d, want ±%v", phaseTable.half, steps/2)
+	}
+	for j := -phaseTable.half - 1; j <= phaseTable.half+1; j++ {
+		ph := float64(j) / steps * 2 * math.Pi
+		sin, cos := math.Sincos(ph)
+		got := phaseTable.at(float64(j))
+		if math.Float64bits(got[0]) != math.Float64bits(sin) || math.Float64bits(got[1]) != math.Float64bits(cos) {
+			t.Errorf("phase level %d = %v, formula (%v, %v)", j, got, sin, cos)
+		}
+	}
+}
+
+// TestQuantizeMatchesFormula pins quantize, tables included, to the
+// direct magnitude/phase formula bit for bit at the default widths and
+// at widths without a table, over entries from 1e-12 to 1e12 in
+// magnitude (past the magnitude table's ±200 dB).
+func TestQuantizeMatchesFormula(t *testing.T) {
+	direct := func(s Sounding, v complex128) complex128 {
+		if v == 0 {
+			return 0
+		}
+		mag, ph := cmplx.Abs(v), cmplx.Phase(v)
+		if s.PhaseBits > 0 {
+			steps := float64(uint64(1) << uint(s.PhaseBits))
+			ph = math.Round(ph/(2*math.Pi)*steps) / steps * 2 * math.Pi
+		}
+		if s.MagBits > 0 {
+			stepDB := 48.0 / float64(uint64(1)<<uint(s.MagBits))
+			db := 20 * math.Log10(mag)
+			db = math.Round(db/stepDB) * stepDB
+			mag = math.Pow(10, db/20)
+		}
+		return cmplx.Rect(mag, ph)
+	}
+	negZero := math.Copysign(0, -1)
+	// Phases ±π (the phase table's ends), −0 and just below 0 (level
+	// −0), and magnitudes far past the magnitude table.
+	edges := []complex128{complex(-1, 0), complex(-1, negZero), complex(1, negZero), complex(1, -1e-9),
+		complex(0, 1e-300), complex(1e300, 0)}
+	src := rng.New(17)
+	for _, bits := range [][2]int{{9, 7}, {0, 7}, {9, 0}, {0, 0}, {2, 2}, {10, 10}, {9, 10}, {2, 7}} {
+		s := Sounding{PhaseBits: bits[0], MagBits: bits[1]}
+		for i := 0; i < 2000; i++ {
+			v := src.ComplexCircular(1) * complex(math.Pow(10, 24*src.Float64()-12), 0)
+			if i < len(edges) {
+				v = edges[i]
+			}
+			got, want := s.quantize(v), direct(s, v)
+			if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+				math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+				t.Fatalf("widths %v: quantize(%v) = %v, formula %v", bits, v, got, want)
+			}
+		}
+	}
+}
+
 func TestSoundingDegradesWithLowSNR(t *testing.T) {
 	h := mkH(rng.New(11), 4, 4)
 	relErr := func(estSNR float64) float64 {

@@ -25,6 +25,11 @@ type Network struct {
 	parser frames.Parser
 	src    *rng.Source
 
+	// antSite and clientSite are each antenna's and client's medium site
+	// (mac.Air.Site), interned once here: transmissions and data-plane
+	// queries name positions by site.
+	antSite, clientSite []int
+
 	// noiseLin and txPowLin cache P.NoiseLinear()/P.TxPowerLinear() —
 	// both are math.Pow conversions that the per-TXOP hot path (precode,
 	// streamRates, soundingSurvivors) would otherwise recompute on every
@@ -49,6 +54,14 @@ func NewNetwork(dep *topology.Deployment, p channel.Params, opts StationOpts, sr
 		src:      src,
 		noiseLin: p.NoiseLinear(),
 		txPowLin: p.TxPowerLinear(),
+	}
+	n.antSite = make([]int, len(dep.Antennas))
+	for k, a := range dep.Antennas {
+		n.antSite[k] = n.Air.Site(a.Pos)
+	}
+	n.clientSite = make([]int, len(dep.Clients))
+	for j, c := range dep.Clients {
+		n.clientSite[j] = n.Air.Site(c)
 	}
 	for ap := range dep.APs {
 		n.Stations = append(n.Stations, newStation(n, ap, opts))
@@ -94,11 +107,6 @@ func (n *Network) TotalStreams() int {
 		s += st.StreamsServed
 	}
 	return s
-}
-
-// airTx assembles a mac.Tx from antenna positions and an encoded frame.
-func airTx(antennas []geom.Point, powerDBm float64, airtime time.Duration, data []byte) mac.Tx {
-	return mac.Tx{Antennas: antennas, PowerDBm: powerDBm, Airtime: airtime, Data: data}
 }
 
 // OverhearingSource searches derived random sources until the obstruction

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frames"
-	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/phy"
@@ -122,10 +121,10 @@ type Station struct {
 	// their state through these fields and are scheduled through
 	// callbacks bound once in newStation: a steady-state TXOP allocates
 	// nothing.
-	txAnts    []int        // engaged antennas (controller-owned)
-	txClients []int        // selected clients (controller-owned)
-	survivors []int        // clients whose sounding decoded
-	positions []geom.Point // txAnts' positions
+	txAnts    []int // engaged antennas (controller-owned)
+	txClients []int // selected clients (controller-owned)
+	survivors []int // clients whose sounding decoded
+	txSites   []int // txAnts' medium sites
 	baDur     time.Duration
 	h, est    matrix.Mat  // the true channel and the sounded estimate
 	v         *matrix.Mat // the precoder, owned by solver

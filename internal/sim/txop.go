@@ -64,7 +64,10 @@ func (st *Station) beginTXOP() {
 	}
 	st.txClients = clients
 
-	st.antennaPositions()
+	st.txSites = st.txSites[:0]
+	for _, a := range st.txAnts {
+		st.txSites = append(st.txSites, st.net.antSite[a])
+	}
 	soundDur := st.soundingDuration(len(clients))
 	st.baDur = st.blockAckDuration(len(clients))
 	// The NDPA's Duration field reserves the rest of the TXOP for
@@ -104,7 +107,7 @@ func (st *Station) soundingDone() {
 // and records it as the station's own. On failure it aborts the TXOP and
 // returns false.
 func (st *Station) startTx(airtime time.Duration) bool {
-	id, err := st.net.Air.StartTx(airTx(st.positions, st.net.P.TxPowerDBm, airtime, st.frame))
+	id, err := st.net.Air.StartTx(mac.Tx{Antennas: st.txSites, PowerDBm: st.net.P.TxPowerDBm, Airtime: airtime, Data: st.frame})
 	if err != nil {
 		st.abortTXOP()
 		return false
@@ -121,9 +124,9 @@ func (st *Station) soundingSurvivors() []int {
 	capture := st.net.Air.CaptureSINR()
 	out := st.survivors[:0]
 	for _, cl := range st.txClients {
-		pos := st.net.Dep.Clients[cl]
-		sig := st.net.Air.TxSignalAt(st.txID, pos)
-		interf := st.net.Air.OverlapInterference(st.txID, pos)
+		site := st.net.clientSite[cl]
+		sig := st.net.Air.TxSignalAt(st.txID, site)
+		interf := st.net.Air.OverlapInterference(st.txID, site)
 		if sig/(noise+interf) >= capture {
 			out = append(out, cl)
 		}
@@ -233,8 +236,7 @@ func (st *Station) streamRates(h, v *matrix.Mat, clients []int, txID int) []floa
 				interf += real(s.At(i, j))
 			}
 		}
-		pos := st.net.Dep.Clients[clients[j]]
-		other := st.net.Air.WeightedInterference(txID, pos) / noise
+		other := st.net.Air.WeightedInterference(txID, st.net.clientSite[clients[j]]) / noise
 		sinr := real(s.At(j, j)) / (1 + interf + other)
 		// A stream below the lowest MCS's sensitivity delivers nothing
 		// (§5.1 maps SINR to rate through the closed-loop MCS choice;
@@ -280,14 +282,6 @@ func (st *Station) restartContention() {
 			b.MediumIdle()
 		}
 		b.Start()
-	}
-}
-
-// antennaPositions sets st.positions to the engaged antennas' positions.
-func (st *Station) antennaPositions() {
-	st.positions = st.positions[:0]
-	for _, a := range st.txAnts {
-		st.positions = append(st.positions, st.net.Dep.Antennas[a].Pos)
 	}
 }
 
