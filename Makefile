@@ -1,7 +1,8 @@
 # CI entry points for the MIDAS reproduction. `make ci` is what a
 # checkin must keep green: formatting, vet, build, the full test suite,
-# vet and tests of the nested benchmark-harness module, a race pass
-# over the concurrency-bearing packages, the golden-figure regression
+# vet and tests of the nested benchmark-harness module, a canned-input
+# check of the nightly perfbench gate's comparison, a race pass over
+# the concurrency-bearing packages, the golden-figure regression
 # suite, the examples, a reduced-scale benchmark smoke that
 # exercises the parallel experiment runner end to end, an SLO-gated
 # load smoke driving a live midas-serve with midas-loadgen, and a
@@ -10,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test test-race perfbench-check fuzz-smoke golden examples bench-smoke serve-smoke loadgen-smoke loadgen drain-e2e drain-e2e-full cluster-e2e cluster-e2e-full bench bench-snapshot bench-compare alloc-guard cover fmt
+.PHONY: ci fmt-check vet build test test-race perfbench-check perf-gate-check fuzz-smoke golden examples bench-smoke serve-smoke loadgen-smoke loadgen drain-e2e drain-e2e-full cluster-e2e cluster-e2e-full bench alloc-guard cover fmt
 
 # (`test` already runs the golden suite once and `test-race` replays it
 # under the race detector; the explicit `golden` target is for focused
@@ -19,7 +20,7 @@ GO ?= go
 # This exact target is what .github/workflows/ci.yml runs — the
 # workflow is a thin wrapper, so the local gate and the per-commit gate
 # cannot diverge.
-ci: fmt-check vet build test perfbench-check test-race fuzz-smoke alloc-guard cover bench-smoke serve-smoke loadgen-smoke drain-e2e cluster-e2e examples
+ci: fmt-check vet build test perfbench-check perf-gate-check test-race fuzz-smoke alloc-guard cover bench-smoke serve-smoke loadgen-smoke drain-e2e cluster-e2e examples
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -42,6 +43,15 @@ test:
 # fails here instead of in the benchmark.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The nightly workflow gates on scripts/perf-gate.sh BASE_REV: ten
+# alternating perfbench pairs per BENCHMARK.json workload, compared by
+# scripts/perf-gate.jq. This feeds that comparison canned results (a
+# pass, an in-bound change, a regression past its bound in each
+# direction, a correct: false run, a higher failed share, a failing
+# run) and requires each verdict. Needs only jq.
+perf-gate-check:
+	./scripts/perf-gate-check.sh
 
 # The race detector over the packages that own concurrency: the worker
 # pool, the scenario engine dispatching expanded runs through it, the
@@ -79,11 +89,13 @@ examples:
 
 # A fast end-to-end pass through the runner: a PHY figure, a MAC figure
 # and one short DES experiment, at reduced scale, through every sink,
-# plus a scenario-mode sweep through midas-sim.
+# plus a two-scenario list, a sweep and a replicated run through
+# midas-sim.
 bench-smoke:
-	$(GO) run ./cmd/midas-bench -figure 3 -topos 8 > /dev/null
-	$(GO) run ./cmd/midas-bench -figure 12 -topos 8 -format json -out /dev/null
-	$(GO) run ./cmd/midas-bench -figure 15 -topos 4 -simtime 50ms -format csv > /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig3 -set topologies=8 > /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=8 -format json -out /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig15 -set topologies=4 -set simtime=50ms -format csv > /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig3,fig12 -set topologies=4 > /dev/null
 	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=4 -set seed=3,4 > /dev/null
 	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=2 -set replicates=3 -format json > /dev/null
 	$(GO) test -run='^$$' -bench='BenchmarkFig12|BenchmarkFig15Replicated' -benchtime=1x .
@@ -153,28 +165,6 @@ bench:
 # them.
 alloc-guard:
 	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
-
-# Re-measure the kernel micro-benchmarks (before/after pairs against the
-# frozen pre-workspace implementations in internal/bench) plus reduced-
-# scale figure benchmarks, and write the committed baseline. To check a
-# working tree against the committed file, write to a scratch path and
-# compare the "after" ns/op columns (timings never reproduce bitwise):
-#   make bench-snapshot BENCH_OUT=/tmp/now.json bench-compare
-BENCH_OUT ?= BENCH_PR2.json
-bench-snapshot:
-	$(GO) run ./cmd/midas-bench -kernels -topos 8 -rounds 3 -out $(BENCH_OUT)
-
-# Column-wise regression gate against the committed baseline: fail if
-# any kernel regressed more than BENCH_MAX_REGRESS%. The default gate
-# metric is the after/before ns-op ratio, which is measured same-run
-# same-host inside each snapshot, so the comparison holds across
-# machines (the nightly runner vs whoever committed BENCH_PR2.json);
-# pass BENCH_METRIC=ns for an absolute same-machine comparison. The
-# nightly workflow snapshots to a scratch BENCH_OUT and runs this.
-BENCH_MAX_REGRESS ?= 25
-BENCH_METRIC ?= ratio
-bench-compare:
-	$(GO) run ./cmd/midas-benchdiff -base BENCH_PR2.json -new $(BENCH_OUT) -max-regress $(BENCH_MAX_REGRESS) -metric $(BENCH_METRIC)
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
 # engine's random streams, linear algebra, precoders, channel model,

@@ -7,7 +7,7 @@
 // both the runtime cost and the reproduced result for every experiment.
 //
 // The full-resolution series (60 topologies, long DES runs) come from
-// `go run ./cmd/midas-bench`.
+// `go run ./cmd/midas-sim -scenario all`.
 //
 // Every benchmark's topology sweep runs on the internal/runner worker
 // pool; -runner.parallel bounds it (0, the default, uses GOMAXPROCS).
@@ -46,10 +46,9 @@ func phyOpts(topos int) sim.PhyOpts {
 
 // BenchmarkKernelPowerBalanced4x4 is the headline micro-benchmark of the
 // per-TXOP precoding hot path, at the root so `make bench` tracks it
-// alongside the figure benchmarks. It measures the exact problem recorded
-// in BENCH_PR2.json (internal/bench.BenchProblem4x4): compare ns/op
-// against that file's PowerBalanced4x4 "before" column to see the gain
-// over the pre-workspace implementation, and expect 0 allocs/op.
+// alongside the figure benchmarks. It measures internal/bench.BenchProblem4x4,
+// the problem perfbench's precoding.solve_ns layer times, and expects
+// 0 allocs/op.
 func BenchmarkKernelPowerBalanced4x4(b *testing.B) {
 	p := bench.BenchProblem4x4()
 	s := precoding.NewSolver()

@@ -1,12 +1,16 @@
-// Command midas-sim runs one registered experiment of the
+// Command midas-sim runs registered experiments of the
 // internal/scenario registry — every figure of the paper's evaluation
 // plus the beyond-paper workloads — from a declarative JSON spec.
-// -spec loads a spec file, -set overrides individual fields (a
-// comma-separated value declares a sweep), and the expanded runs
-// execute on the internal/runner pool:
+// -scenario names one scenario, a comma-separated list, or all (the
+// whole registry in registration order); -spec loads a spec file, -set
+// overrides individual fields (a comma-separated value declares a
+// sweep), and the expanded runs execute on the internal/runner pool.
+// Every listed scenario takes the same overrides, and all results go
+// to one sink:
 //
 //	midas-sim -list
 //	midas-sim -scenario fig12 -set seed=7
+//	midas-sim -scenario all -set topologies=8 -set simtime=100ms
 //	midas-sim -scenario fig15-end -spec examples/office/spec.json -set clients=8
 //	midas-sim -scenario dense-venue -set clients=2,4,8 -format json
 //	midas-sim -scenario fig15-end -set replicates=8    # mean ± 95% CI summaries
@@ -18,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -32,7 +37,7 @@ import (
 )
 
 var (
-	scenarioName = flag.String("scenario", "", "run a registered scenario (see -list); unique prefixes resolve")
+	scenarioName = flag.String("scenario", "", "run a registered scenario, a comma-separated list of them, or all (see -list); unique prefixes resolve")
 	specPath     = flag.String("spec", "", "load scenario overrides from this JSON spec file")
 	listAll      = flag.Bool("list", false, "list registered scenarios and exit")
 	format       = flag.String("format", "text", "output format: text, json or csv")
@@ -82,8 +87,8 @@ func listScenarios(w *os.File) {
 	}
 }
 
-// run resolves the scenario, assembles the override spec from -spec
-// and -set, and renders the result through a runner sink.
+// run assembles the override spec from -spec and -set, renders the
+// named scenarios' results, and writes them to -out or stdout.
 func run() error {
 	overrides := scenario.Spec{}
 	if *specPath != "" {
@@ -98,67 +103,139 @@ func run() error {
 			return err
 		}
 	}
-	name := *scenarioName
-	if name == "" {
-		name = overrides.Scenario
-	}
-	if name == "" {
-		return fmt.Errorf("midas-sim: no scenario named (use -scenario, or a spec file with a \"scenario\" field; -list shows all)")
-	}
-	sc, err := scenario.Find(name)
+	out, err := render(*scenarioName, overrides, *format)
 	if err != nil {
-		return err
-	}
-	// A spec file that names a different scenario than -scenario is a
-	// conflict, not something to silently override: the file's knob
-	// values were tuned for the scenario it declares.
-	if *scenarioName != "" && overrides.Scenario != "" {
-		fromSpec, err := scenario.Find(overrides.Scenario)
-		if err != nil {
-			return fmt.Errorf("midas-sim: -scenario %s given, but the spec file names %q: %w", sc.Name(), overrides.Scenario, err)
-		}
-		if fromSpec.Name() != sc.Name() {
-			return fmt.Errorf("midas-sim: -scenario %s conflicts with the spec file's scenario %s (drop one)", sc.Name(), fromSpec.Name())
-		}
-	}
-	// Resolve up front: the recorded metadata must describe the spec the
-	// run actually executes (scenario defaults + file + -set), and a bad
-	// spec or -format should fail before any simulation starts.
-	spec, err := scenario.Resolve(sc, overrides)
-	if err != nil {
-		return err
-	}
-	var buf strings.Builder
-	sink, err := runner.NewSink(*format, &buf)
-	if err != nil {
-		return fmt.Errorf("midas-sim: %w", err)
-	}
-
-	// The engine splits the spec's parallelism budget between its run
-	// pool and each run's inner topology sweep itself.
-	res, err := scenario.Run(context.Background(), sc, spec)
-	if err != nil {
-		return err
-	}
-
-	// The meta conventions (effective parallelism, omitted zero fields)
-	// live on the spec itself, shared with midas-serve, so the two
-	// tools' snapshots for one spec differ only in the tool name.
-	meta := spec.SinkMeta("midas-sim")
-	if err := sink.Begin(meta); err != nil {
-		return err
-	}
-	if err := sink.Result(res.RunnerResult()); err != nil {
-		return err
-	}
-	if err := sink.Close(); err != nil {
 		return err
 	}
 	if *outPath != "" {
-		return os.WriteFile(*outPath, []byte(buf.String()), 0o644)
+		return os.WriteFile(*outPath, out, 0o644)
 	}
-	_, err = os.Stdout.WriteString(buf.String())
+	_, err = os.Stdout.Write(out)
 	return err
+}
+
+// render runs the scenarios that list names (or, when list is empty,
+// the one the overrides name), each under the same overrides and in
+// order, and renders every result through one sink in format. Every
+// name, spec and the format are checked before any simulation starts.
+func render(list string, overrides scenario.Spec, format string) ([]byte, error) {
+	scs, err := resolveScenarios(list, overrides.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve up front: the recorded metadata must describe the specs
+	// the runs actually execute (scenario defaults + file + -set).
+	specs := make([]scenario.Spec, len(scs))
+	for i, sc := range scs {
+		if specs[i], err = scenario.Resolve(sc, overrides); err != nil {
+			return nil, err
+		}
+	}
+	var buf bytes.Buffer
+	sink, err := runner.NewSink(format, &buf)
+	if err != nil {
+		return nil, fmt.Errorf("midas-sim: %w", err)
+	}
+	if err := sink.Begin(listMeta(specs)); err != nil {
+		return nil, err
+	}
+	for i, sc := range scs {
+		// The engine splits the spec's parallelism budget between its
+		// run pool and each run's inner topology sweep itself.
+		res, err := scenario.Run(context.Background(), sc, specs[i])
+		if err != nil {
+			return nil, err
+		}
+		if err := sink.Result(res.RunnerResult()); err != nil {
+			return nil, err
+		}
+	}
+	if err := sink.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// resolveScenarios turns -scenario into the scenarios to run: "all" is
+// the registry in registration order, a comma-separated list keeps its
+// order, and each name resolves through scenario.Find. fromSpec is the
+// spec's own "scenario" field: it names the scenario when list is
+// empty, must agree with a single -scenario, and conflicts with a list.
+func resolveScenarios(list, fromSpec string) ([]scenario.Scenario, error) {
+	if list == "" {
+		if fromSpec == "" {
+			return nil, fmt.Errorf("midas-sim: no scenario named (use -scenario, or a spec file with a \"scenario\" field; -list shows all)")
+		}
+		sc, err := scenario.Find(fromSpec)
+		if err != nil {
+			return nil, err
+		}
+		return []scenario.Scenario{sc}, nil
+	}
+	names := strings.Split(list, ",")
+	if list == "all" {
+		names = scenario.Names()
+	}
+	scs := make([]scenario.Scenario, len(names))
+	for i, name := range names {
+		if name == "" {
+			return nil, fmt.Errorf("midas-sim: empty name in -scenario %q", list)
+		}
+		sc, err := scenario.Find(name)
+		if err != nil {
+			return nil, err
+		}
+		scs[i] = sc
+	}
+	if fromSpec == "" {
+		return scs, nil
+	}
+	// A spec that names a scenario other than -scenario is a conflict,
+	// not something to silently override: the file's knob values were
+	// tuned for the scenario it declares. For the same reason it cannot
+	// apply to a list.
+	if list == "all" || len(scs) > 1 {
+		return nil, fmt.Errorf("midas-sim: -scenario %s runs a list, but the spec file names scenario %q (drop one)", list, fromSpec)
+	}
+	sc := scs[0]
+	named, err := scenario.Find(fromSpec)
+	if err != nil {
+		return nil, fmt.Errorf("midas-sim: -scenario %s given, but the spec file names %q: %w", sc.Name(), fromSpec, err)
+	}
+	if named.Name() != sc.Name() {
+		return nil, fmt.Errorf("midas-sim: -scenario %s conflicts with the spec file's scenario %s (drop one)", sc.Name(), named.Name())
+	}
+	return scs, nil
+}
+
+// listMeta is the sink meta for the resolved specs of a run. The meta
+// conventions (effective parallelism, omitted zero fields) live on the
+// spec itself, shared with midas-serve, so for one scenario the two
+// tools' snapshots differ only in the tool name. For a list, a field
+// keeps its value only when every spec agrees on it and is zeroed
+// (omitted, where the meta omits zeros) otherwise, so the meta never
+// claims a per-scenario value that some results did not use.
+func listMeta(specs []scenario.Spec) runner.Meta {
+	meta := specs[0].SinkMeta("midas-sim")
+	for _, s := range specs[1:] {
+		m := s.SinkMeta("midas-sim")
+		if m.Seed != meta.Seed {
+			meta.Seed = 0
+		}
+		if m.Topologies != meta.Topologies {
+			meta.Topologies = 0
+		}
+		if m.Parallelism != meta.Parallelism {
+			meta.Parallelism = 0
+		}
+		if m.SimTime != meta.SimTime {
+			meta.SimTime = ""
+		}
+		if m.Replicates != meta.Replicates {
+			meta.Replicates = 0
+		}
+	}
+	return meta
 }
 
 // setters maps every -set key to its parser/assignment; the "unknown

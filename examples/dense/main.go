@@ -28,7 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sink := &runner.TextSink{W: os.Stdout, Points: 8}
+	sink := &runner.TextSink{W: os.Stdout}
 	if err := sink.Begin(runner.Meta{Tool: "example-dense", Seed: spec.Seed}); err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sink := &runner.TextSink{W: os.Stdout, Points: 8}
+	sink := &runner.TextSink{W: os.Stdout}
 	if err := sink.Begin(runner.Meta{Tool: "example-hiddenterminal", Seed: spec.Seed}); err != nil {
 		log.Fatal(err)
 	}

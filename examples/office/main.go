@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sink := &runner.TextSink{W: os.Stdout, Points: 10}
+	sink := &runner.TextSink{W: os.Stdout}
 	if err := sink.Begin(runner.Meta{Tool: "example-office", Seed: spec.Seed}); err != nil {
 		log.Fatal(err)
 	}

@@ -1,22 +1,20 @@
-package bench
+package precoding
 
 import (
 	"testing"
 
 	"repro/internal/matrix"
-	"repro/internal/precoding"
 	"repro/internal/rng"
+	"repro/internal/topology"
 )
 
-func dasProblem(seed int64) precoding.Problem { return DASProblem(seed) }
-
-// nonSquareProblems covers the shapes that bypass the 4×4 unrolled fast
+// shapedProblems covers the shapes that bypass the 4×4 unrolled fast
 // paths (generic streamSNRsInto, totalAt, gram/inverse loops), so the
 // frozen baseline pins those code paths too — TestSolverBitExact alone
 // cannot, because both of its sides now share the Solver implementation.
-func shapedProblems() []precoding.Problem {
+func shapedProblems() []Problem {
 	src := rng.New(77)
-	var out []precoding.Problem
+	var out []Problem
 	for _, sh := range []struct{ c, a int }{{8, 8}, {4, 8}, {3, 5}, {6, 6}, {2, 2}} {
 		for rep := 0; rep < 6; rep++ {
 			h := matrix.New(sh.c, sh.a)
@@ -25,26 +23,26 @@ func shapedProblems() []precoding.Problem {
 					h.Set(i, j, src.ComplexCircular(1))
 				}
 			}
-			out = append(out, precoding.Problem{H: h, PerAntennaPower: 1, Noise: 0.01})
+			out = append(out, Problem{H: h, PerAntennaPower: 1, Noise: 0.01})
 		}
 	}
 	return out
 }
 
-// TestBaselineMatchesLive pins the frozen baseline to the live Solver: the
-// "before" implementation must stay bit-identical to the shipping path, or
-// the before/after comparison in BENCH_PR2.json stops being apples-to-
-// apples.
+// TestBaselineMatchesLive pins the live Solver to the independent oracle
+// in baseline_test.go: the precoders, their iteration counts and the sum
+// rate must agree bit for bit. TestSolverBitExact cannot do this, because
+// both of its sides share the Solver.
 func TestBaselineMatchesLive(t *testing.T) {
-	probs := make([]precoding.Problem, 0, 60)
+	probs := make([]Problem, 0, 60)
 	for seed := int64(1); seed <= 30; seed++ {
-		probs = append(probs, dasProblem(seed))
+		probs = append(probs, dasProblem(seed, topology.DAS))
 	}
 	probs = append(probs, shapedProblems()...)
 	for pi, p := range probs {
 		seed := int64(pi)
-		want, err := precoding.PowerBalanced(p)
-		base, baseIters, baseErr := BaselinePowerBalanced(p)
+		want, err := PowerBalanced(p)
+		base, baseIters, baseErr := baselinePowerBalanced(p)
 		if (err == nil) != (baseErr == nil) {
 			t.Fatalf("seed %d: live err %v, baseline err %v", seed, err, baseErr)
 		}
@@ -64,14 +62,14 @@ func TestBaselineMatchesLive(t *testing.T) {
 				}
 			}
 		}
-		if br, lr := BaselineSumRate(p.H, base, p.Noise), precoding.SumRate(p.H, want.V, p.Noise); br != lr {
+		if br, lr := baselineSumRate(p.H, base, p.Noise), SumRate(p.H, want.V, p.Noise); br != lr {
 			t.Fatalf("seed %d: baseline SumRate %v, live %v", seed, br, lr)
 		}
-		nv, err := precoding.NaiveScaled(p)
+		nv, err := NaiveScaled(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bn, err := BaselineNaiveScaled(p)
+		bn, err := baselineNaiveScaled(p)
 		if err != nil {
 			t.Fatal(err)
 		}

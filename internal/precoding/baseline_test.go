@@ -1,15 +1,11 @@
-// Package bench provides the performance-tracking machinery behind
-// `make bench-snapshot`: a frozen copy of the pre-workspace linear-algebra
-// hot path (the "before" column of BENCH_PR2.json) and a snapshot writer
-// that measures before/after pairs with testing.Benchmark.
-//
-// The baseline implementations in this file are verbatim transcriptions of
-// the allocation-heavy code that shipped before the in-place kernels — the
-// same operations in the same order, via the matrix package's public
-// accessors. They are deliberately NOT maintained for speed: they freeze
-// the cost model that future optimisation PRs are measured against, so a
-// committed snapshot stays comparable even as the live kernels evolve.
-package bench
+// This file is an independent oracle for the live Solver: a frozen copy
+// of the allocating linear-algebra path that shipped before the in-place
+// kernels and the Solver workspace. Each function is a verbatim
+// transcription of that code — the same operations in the same order,
+// via the matrix package's public accessors — and shares no code with
+// Solver, so TestBaselineMatchesLive catches a live-path change that
+// moves a single bit. It is deliberately NOT maintained for speed.
+package precoding
 
 import (
 	"errors"
@@ -19,10 +15,9 @@ import (
 	"sort"
 
 	"repro/internal/matrix"
-	"repro/internal/precoding"
 )
 
-// baseMul is the pre-PR matrix.Mul: allocate, then accumulate rows.
+// baseMul is the pre-workspace matrix.Mul: allocate, then accumulate rows.
 func baseMul(m, n *matrix.Mat) *matrix.Mat {
 	if m.Cols() != n.Rows() {
 		panic(matrix.ErrShape)
@@ -46,7 +41,7 @@ func baseMul(m, n *matrix.Mat) *matrix.Mat {
 	return out
 }
 
-// baseHermitian is the pre-PR matrix.Hermitian.
+// baseHermitian is the pre-workspace matrix.Hermitian.
 func baseHermitian(m *matrix.Mat) *matrix.Mat {
 	out := matrix.New(m.Cols(), m.Rows())
 	for i := 0; i < m.Rows(); i++ {
@@ -70,7 +65,7 @@ func baseSwapRows(m *matrix.Mat, i, j int) {
 	}
 }
 
-// baseInverse is the pre-PR matrix.Inverse: Gauss–Jordan on a fresh clone
+// baseInverse is the pre-workspace matrix.Inverse: Gauss–Jordan on a fresh clone
 // against a fresh identity, pivot comparisons through cmplx.Abs.
 func baseInverse(m *matrix.Mat) (*matrix.Mat, error) {
 	if m.Rows() != m.Cols() {
@@ -121,7 +116,7 @@ func baseInverse(m *matrix.Mat) (*matrix.Mat, error) {
 	return inv, nil
 }
 
-// basePseudoInverse is the pre-PR matrix.PseudoInverse: materialised
+// basePseudoInverse is the pre-workspace matrix.PseudoInverse: materialised
 // Hermitian, allocating product, Gauss–Jordan inverse, allocating product.
 func basePseudoInverse(m *matrix.Mat) (*matrix.Mat, error) {
 	h := baseHermitian(m)
@@ -182,8 +177,8 @@ func baseMaxRowPower(m *matrix.Mat) (row int, power float64) {
 	return row, power
 }
 
-// BaselineZFBF is the pre-PR precoding.ZFBF.
-func BaselineZFBF(p precoding.Problem) (*matrix.Mat, error) {
+// baselineZFBF is the pre-workspace ZFBF.
+func baselineZFBF(p Problem) (*matrix.Mat, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,9 +194,9 @@ func BaselineZFBF(p precoding.Problem) (*matrix.Mat, error) {
 	return v, nil
 }
 
-// BaselineNaiveScaled is the pre-PR precoding.NaiveScaled.
-func BaselineNaiveScaled(p precoding.Problem) (*matrix.Mat, error) {
-	v, err := BaselineZFBF(p)
+// baselineNaiveScaled is the pre-workspace NaiveScaled.
+func baselineNaiveScaled(p Problem) (*matrix.Mat, error) {
+	v, err := baselineZFBF(p)
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +212,12 @@ func BaselineNaiveScaled(p precoding.Problem) (*matrix.Mat, error) {
 
 const basePowerFloor = 1e-4
 
-// BaselinePowerBalanced is the pre-PR precoding.PowerBalanced: fresh
+// baselinePowerBalanced is the pre-workspace PowerBalanced: fresh
 // slices per round, stream SNRs through a full allocating matrix product,
 // reverse water-filling with per-call slices, a closure-based bisection
 // objective and sort.Slice.
-func BaselinePowerBalanced(p precoding.Problem) (*matrix.Mat, int, error) {
-	v, err := BaselineZFBF(p)
+func baselinePowerBalanced(p Problem) (*matrix.Mat, int, error) {
+	v, err := baselineZFBF(p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -390,8 +385,8 @@ func baseReverseWaterfill(row, rho []float64, budget float64) ([]float64, error)
 	return w, nil
 }
 
-// BaselineSINRMatrix is the pre-PR precoding.SINRMatrix.
-func BaselineSINRMatrix(h, v *matrix.Mat, noise float64) *matrix.Mat {
+// baselineSINRMatrix is the pre-workspace SINRMatrix.
+func baselineSINRMatrix(h, v *matrix.Mat, noise float64) *matrix.Mat {
 	a := baseMul(h, v)
 	n := a.Rows()
 	s := matrix.New(a.Cols(), n)
@@ -404,10 +399,10 @@ func BaselineSINRMatrix(h, v *matrix.Mat, noise float64) *matrix.Mat {
 	return s
 }
 
-// BaselineSumRate is the pre-PR precoding.SumRate (via the allocating
+// baselineSumRate is the pre-workspace SumRate (via the allocating
 // SINR-matrix path).
-func BaselineSumRate(h, v *matrix.Mat, noise float64) float64 {
-	s := BaselineSINRMatrix(h, v, noise)
+func baselineSumRate(h, v *matrix.Mat, noise float64) float64 {
+	s := baselineSINRMatrix(h, v, noise)
 	n := h.Rows()
 	sum := 0.0
 	for j := 0; j < n; j++ {

@@ -425,9 +425,8 @@ func TestNaiveLossLargerOnDAS(t *testing.T) {
 
 // BenchmarkPowerBalanced4x4 measures the steady-state hot path — a
 // long-lived Solver, as every sim.Station and runner worker holds one.
-// Seed 8 matches internal/bench.BenchProblem4x4 (the committed "before"
-// column in BENCH_PR2.json measures the frozen pre-workspace
-// implementation on this exact problem); it runs two reverse-water-filling
+// Seed 8 matches internal/bench.BenchProblem4x4, the problem perfbench's
+// precoding.solve_ns layer times; it runs two reverse-water-filling
 // rounds.
 func BenchmarkPowerBalanced4x4(b *testing.B) {
 	p := dasProblem(8, topology.DAS)

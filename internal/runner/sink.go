@@ -8,17 +8,15 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/stats"
 )
 
 // This file defines the structured result model experiments report into
-// and the pluggable sinks that serialize it: TextSink reproduces the
-// human-readable CDF tables midas-bench has always printed, JSONSink
-// emits a machine-readable snapshot (the BENCH_*.json discipline for
-// tracking the perf trajectory across PRs), and CSVSink flattens every
-// series and metric into spreadsheet-friendly rows.
+// and the pluggable sinks that serialize it: TextSink prints
+// human-readable CDF tables, JSONSink emits a machine-readable snapshot
+// (what midas-serve serves and the golden suite records), and CSVSink
+// flattens every series and metric into spreadsheet-friendly rows.
 
 // Series is one plotted curve: a labelled set of observations (a CDF's
 // sample values, or per-topology points).
@@ -153,13 +151,15 @@ func RenderJSON(meta Meta, results ...Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// TextSink renders results as a human-readable report in the shape
-// midas-bench has always printed: "====" experiment banners,
-// downsampled CDF tables for each series, labelled scalar lines.
+// TextSink renders results as a human-readable report: "===="
+// experiment banners, CDF tables downsampled to textPoints rows for each
+// series, labelled scalar lines.
 type TextSink struct {
-	W      io.Writer
-	Points int // CDF rows per series; <=0 means 20
+	W io.Writer
 }
+
+// textPoints is the number of rows TextSink prints per CDF.
+const textPoints = 20
 
 // Begin implements Sink.
 func (t *TextSink) Begin(Meta) error { return nil }
@@ -169,10 +169,6 @@ func (t *TextSink) Result(r Result) error {
 	if _, err := fmt.Fprintf(t.W, "==== %s ====\n", r.Name); err != nil {
 		return err
 	}
-	points := t.Points
-	if points <= 0 {
-		points = 20
-	}
 	for _, s := range r.Series {
 		sample := stats.NewSample(s.Values...)
 		med, _ := sample.Median()
@@ -181,7 +177,7 @@ func (t *TextSink) Result(r Result) error {
 			label += " (" + s.Unit + ")"
 		}
 		fmt.Fprintf(t.W, "-- %s (n=%d, median %.2f)\n", label, sample.N(), med)
-		fmt.Fprint(t.W, sample.ECDF().Table(points))
+		fmt.Fprint(t.W, sample.ECDF().Table(textPoints))
 	}
 	for _, m := range r.Metrics {
 		fmt.Fprintf(t.W, "%s: %s", m.Name, formatMetric(m.Value))
@@ -220,7 +216,7 @@ func formatMetric(v float64) string {
 }
 
 // JSONSink buffers the whole run and writes one indented Snapshot on
-// Close — the format BENCH_*.json perf baselines are recorded in.
+// Close.
 type JSONSink struct {
 	W    io.Writer
 	snap Snapshot
@@ -304,13 +300,4 @@ func (c *CSVSink) Result(r Result) error {
 func (c *CSVSink) Close() error {
 	c.cw.Flush()
 	return c.cw.Error()
-}
-
-// Timed runs fn, stamping the produced Result with its wall time.
-func Timed(name string, fn func(r *Result) error) (Result, error) {
-	r := Result{Name: name}
-	start := time.Now()
-	err := fn(&r)
-	r.Seconds = time.Since(start).Seconds()
-	return r, err
 }

@@ -23,7 +23,7 @@ func demoResult() Result {
 func TestJSONSinkRoundTrip(t *testing.T) {
 	var buf strings.Builder
 	sink := &JSONSink{W: &buf}
-	meta := Meta{Tool: "midas-bench", Seed: 2014, Topologies: 60, Parallelism: 8}
+	meta := Meta{Tool: "midas-sim", Seed: 2014, Topologies: 60, Parallelism: 8}
 	if err := sink.Begin(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,25 @@ func TestSinksRenderSummaries(t *testing.T) {
 	}
 }
 
-// TestTextSinkFormat spot-checks the banner, CDF header and metric line.
+// TestTextSinkFormat spot-checks the banner, CDF header and metric line,
+// and that a long series is downsampled to 20 CDF rows.
 func TestTextSinkFormat(t *testing.T) {
 	var buf strings.Builder
-	sink := &TextSink{W: &buf, Points: 3}
+	sink := &TextSink{W: &buf}
 	if err := sink.Begin(Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Result(demoResult()); err != nil {
+		t.Fatal(err)
+	}
+	long := make([]float64, 50)
+	for i := range long {
+		long[i] = float64(i)
+	}
+	var lr Result
+	lr.Name = "fig0-long"
+	lr.AddSeries("long", "", stats.NewSample(long...))
+	if err := sink.Result(lr); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
@@ -194,9 +205,14 @@ func TestTextSinkFormat(t *testing.T) {
 		"median gain: 42.5 % (paper: ≈40%)",
 		"spots measured: 12710\n", // integer counts never in scientific notation
 		"map row: #..#",
+		"-- long (n=50, median 24.50)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+	_, table, _ := strings.Cut(out, "-- long (n=50, median 24.50)\n")
+	if rows := strings.Count(table, "\t"); rows != 20 {
+		t.Fatalf("50-value series printed %d CDF rows, want 20:\n%s", rows, table)
 	}
 }

@@ -13,13 +13,12 @@ import (
 
 // This file registers every experiment of the paper's evaluation (§5)
 // plus the beyond-paper workloads behind the Scenario interface. Each
-// run function reproduces exactly the series and metrics midas-bench
-// has always emitted for that figure; called with its DefaultSpec, a
+// run function reproduces exactly the series and metrics of that
+// figure's sim driver; called with its DefaultSpec, a
 // scenario is bit-identical to the direct sim.FigX call path (pinned by
 // TestRegistryMatchesDirectCalls and the golden suite).
 
-// defaultSeed is the evaluation's root seed (midas-bench's historical
-// default).
+// defaultSeed is the evaluation's root seed.
 const defaultSeed = 2014
 
 // baseSpec is the spec shared by every paper scenario: the §5.1
@@ -486,7 +485,7 @@ func init() {
 }
 
 // addDeadzoneMaps renders the Fig 13 deadzone maps side by side,
-// downsampled (moved verbatim from cmd/midas-bench).
+// downsampled.
 func addDeadzoneMaps(r *Result, res sim.DeadzoneResult) {
 	if res.MapCols == 0 {
 		return

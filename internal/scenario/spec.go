@@ -136,6 +136,10 @@ var sweepKeys = map[string]func(*Spec, float64){
 	"aps":        func(s *Spec, v float64) { ensureVenue(s).APs = int(v) },
 }
 
+// maxSweptSeed is the largest |seed| a sweep may list: 2^53-1, the
+// largest magnitude below which a float64 holds every integer exactly.
+const maxSweptSeed = 1<<53 - 1
+
 // maxExpandedRuns bounds a sweep × replicate expansion; anything larger
 // is almost certainly a typo'd spec.
 const maxExpandedRuns = 256
@@ -375,6 +379,15 @@ func (s Spec) Validate() error {
 			}
 			if key != "seed" && v < 1 {
 				return fmt.Errorf("scenario: sweep %q value %g must be >= 1", key, v)
+			}
+			// A swept seed obeys the scalar seed's rules: 0 means
+			// "inherit", and past 2^53-1 a float64 no longer holds every
+			// integer, so the seed run may not be the seed written.
+			if key == "seed" && v == 0 {
+				return fmt.Errorf("scenario: sweep \"seed\" value 0 cannot be expressed (0 means \"inherit\"); pick a nonzero seed")
+			}
+			if key == "seed" && math.Abs(v) > maxSweptSeed {
+				return fmt.Errorf("scenario: sweep \"seed\" value %g is out of range (|seed| <= %d)", v, int64(maxSweptSeed))
 			}
 			if seen[v] {
 				// Duplicates would expand to indistinguishable points with

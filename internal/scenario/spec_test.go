@@ -104,6 +104,10 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 		{"unknown sweep key", func(s *Spec) { s.Sweep = map[string][]float64{"gremlins": {1}} }, "unknown sweep key"},
 		{"fractional sweep value", func(s *Spec) { s.Sweep = map[string][]float64{"clients": {2.5}} }, "integer"},
 		{"zero sweep value", func(s *Spec) { s.Sweep = map[string][]float64{"clients": {0}} }, ">= 1"},
+		{"zero swept seed", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {0, 5}} }, "inherit"},
+		{"swept seed past 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {1 << 53, 5}} }, "out of range"},
+		{"negative swept seed past 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {-(1 << 53)}} }, "out of range"},
+		{"huge swept seed", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {1e300}} }, "out of range"},
 		{"explosive sweep", func(s *Spec) {
 			s.Sweep = map[string][]float64{"clients": manyVals(20), "antennas": manyVals(20)}
 		}, "max"},
@@ -123,6 +127,11 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Errorf("base spec must validate, got %v", err)
+	}
+	edge := base()
+	edge.Sweep = map[string][]float64{"seed": {-(1<<53 - 1), -5, 1<<53 - 1}}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("swept seeds within ±(2^53-1) must validate, got %v", err)
 	}
 }
 

@@ -284,7 +284,7 @@ func AblationCorrelation(rhos []float64, topos int, seed int64, parallel int) ma
 	}
 	// Task t derives one child per (t, rho) pair — the sweep label is
 	// only used for progress reporting here.
-	vals := sweepRoot(topos, seed, "corr", parallel, func(t int, root *rng.Source) []rhoVal {
+	vals := sweepRoot(topos, seed, parallel, func(t int, root *rng.Source) []rhoVal {
 		sv := getSolver()
 		defer putSolver(sv)
 		res := make([]rhoVal, len(rhos))

@@ -216,7 +216,7 @@ type Fig10Curves struct {
 func Fig10SmartPrecoding(o PhyOpts) (*Fig10Curves, error) {
 	// [casNaive, casBalanced, dasNaive, dasBalanced] per topology; the
 	// per-mode child streams keep their original labels.
-	vals, err := sweepRootErr(o.Topologies, o.Seed, "fig10", o.Parallelism, func(t int, root *rng.Source) ([4]float64, error) {
+	vals, err := sweepRootErr(o.Topologies, o.Seed, o.Parallelism, func(t int, root *rng.Source) ([4]float64, error) {
 		var out [4]float64
 		sv := getSolver()
 		defer putSolver(sv)

@@ -11,7 +11,7 @@ import (
 
 // Extension studies beyond the paper's evaluation: the §7 discussion
 // items, quantified. These back the root package's Benchmark* ablations
-// and the `midas-bench -figure ablations` output.
+// and the ext-beamforming and ext-placement scenarios.
 
 // BeamformingResult compares full-array and localized single-user
 // beamforming (§7 "Beamforming").

@@ -16,27 +16,12 @@ import (
 // parallel argument or an Opts.Parallelism field); a width <= 0
 // selects GOMAXPROCS.
 
-// OnProgress, when non-nil, observes every completed topology task of
-// every experiment, keyed by the experiment's sweep label. Invocations
-// are serialized per sweep. Used by midas-bench's -progress flag.
-var OnProgress func(label string, p runner.Progress)
-
-// sweepOpts builds the runner options for one inner topology sweep of
-// par workers (<= 0 selects GOMAXPROCS inside the runner).
-func sweepOpts(label string, par int) runner.Options {
-	opts := runner.Options{Parallelism: par}
-	if cb := OnProgress; cb != nil {
-		opts.OnDone = func(p runner.Progress) { cb(label, p) }
-	}
-	return opts
-}
-
 // sweepErr runs fn over n topology indices on a pool of par workers
 // (<= 0 selects GOMAXPROCS), handing task t the child stream
 // rng.New(seed).SplitN(label, t), and returns ordered results or the
 // lowest-index task error.
 func sweepErr[T any](n int, seed int64, label string, par int, fn func(t int, src *rng.Source) (T, error)) ([]T, error) {
-	return runner.Sweep(context.Background(), n, seed, label, sweepOpts(label, par),
+	return runner.Sweep(context.Background(), n, seed, label, runner.Options{Parallelism: par},
 		func(_ context.Context, t int, src *rng.Source) (T, error) {
 			return fn(t, src)
 		})
@@ -58,16 +43,16 @@ func sweep[T any](n int, seed int64, label string, par int, fn func(t int, src *
 // sweepRootErr is sweepErr for experiments whose per-task derivation
 // does not follow the SplitN(label, t) convention: task t receives the
 // shared root source and must only Split/SplitN from it.
-func sweepRootErr[T any](n int, seed int64, label string, par int, fn func(t int, root *rng.Source) (T, error)) ([]T, error) {
-	return runner.SweepRoot(context.Background(), n, seed, sweepOpts(label, par),
+func sweepRootErr[T any](n int, seed int64, par int, fn func(t int, root *rng.Source) (T, error)) ([]T, error) {
+	return runner.SweepRoot(context.Background(), n, seed, runner.Options{Parallelism: par},
 		func(_ context.Context, t int, root *rng.Source) (T, error) {
 			return fn(t, root)
 		})
 }
 
 // sweepRoot is sweepRootErr for infallible task bodies.
-func sweepRoot[T any](n int, seed int64, label string, par int, fn func(t int, root *rng.Source) T) []T {
-	res, err := sweepRootErr(n, seed, label, par, func(t int, root *rng.Source) (T, error) {
+func sweepRoot[T any](n int, seed int64, par int, fn func(t int, root *rng.Source) T) []T {
+	res, err := sweepRootErr(n, seed, par, func(t int, root *rng.Source) (T, error) {
 		return fn(t, root), nil
 	})
 	if err != nil {
