@@ -8,7 +8,7 @@
 // engine.
 //
 //	midas-serve [-addr host:port] [-workers N] [-queue N] [-cache N]
-//	            [-store-dir DIR] [-store-shared] [-store-max-bytes N]
+//	            [-store-dir DIR] [-store-max-bytes N]
 //	            [-dispatch-listen host:port] [-lease-ttl DUR]
 //	            [-shard-attempts N] [-resume=false]
 //	            [-log text|json|off] [-pprof]
@@ -56,13 +56,12 @@
 // sweep points — across jobs, restarts or tenants of one store —
 // compute each shared shard exactly once.
 //
-// With -store-shared, -store-dir may live on a shared filesystem
-// written by several processes at once: sibling coordinators serve
-// each other's results as store hits (no re-execution), and workers
-// given the same mount (midas-worker -store-dir/-store-shared)
-// publish shard results directly into the store, shrinking the
-// completion POST to a hash-plus-digest acknowledgement that the
-// coordinator verifies against the store.
+// -store-dir may be written by several processes at once, on one host
+// or a shared filesystem: sibling coordinators serve each other's
+// results as store hits (no re-execution), and workers given the same
+// directory (midas-worker -store-dir) publish shard results directly
+// into the store, shrinking the completion POST to a hash-plus-digest
+// acknowledgement that the coordinator verifies against the store.
 package main
 
 import (
@@ -96,8 +95,6 @@ var (
 	cache    = flag.Int("cache", 0, "spec-hash result cache entries (0 = 128, negative disables)")
 	storeDir = flag.String("store-dir", "",
 		"durable result store directory (empty = memory-only); created if absent, survives restarts and kill -9")
-	storeShared = flag.Bool("store-shared", false,
-		"treat -store-dir as a shared filesystem (NFS-style) written by multiple coordinators and workers: O_EXCL temp naming, per-process manifests, read-through to siblings' results")
 	storeMaxBytes = flag.Int64("store-max-bytes", 0,
 		"byte budget for -store-dir before LRU eviction (0 = unbounded)")
 	retain  = flag.Int("retain", 0, "terminal jobs kept pollable before the oldest are forgotten (0 = 512)")
@@ -155,15 +152,10 @@ func run() error {
 	}
 	var st *store.Store
 	if *storeDir != "" {
-		be, berr := openBackend(*storeDir)
-		if berr != nil {
-			return berr
-		}
-		st, err = store.Open(store.Config{Backend: be, MaxBytes: *storeMaxBytes, Log: log})
+		st, err = store.Open(store.Config{Dir: *storeDir, MaxBytes: *storeMaxBytes, Log: log})
 		if err != nil {
 			return err
 		}
-		defer st.Close()
 		stats := st.Stats()
 		// Scripted callers (scripts/drain-e2e.sh) parse this line to
 		// assert restart survival; keep the format stable.
@@ -171,8 +163,6 @@ func run() error {
 			stats.Entries, stats.Bytes, *storeDir)
 	} else if *storeMaxBytes != 0 {
 		return errors.New("-store-max-bytes needs -store-dir")
-	} else if *storeShared {
-		return errors.New("-store-shared needs -store-dir")
 	}
 	// One registry for the whole process: the service's instruments and
 	// (when coordinating) the dispatch layer's render on the same
@@ -197,16 +187,11 @@ func run() error {
 		// at most the shards in flight.
 		var jn *journal.Journal
 		if st != nil {
-			// The journal rides the same backend flavor as the store: on a
-			// shared mount every coordinator sees every sibling's journal
-			// entries, which is safe because entries are advisory resume
-			// hints — a clobbered or foreign entry costs at most a
+			// Every coordinator on the store dir sees every sibling's
+			// journal entries, which is safe because entries are advisory
+			// resume hints — a clobbered or foreign entry costs at most a
 			// recomputation, never a wrong result.
-			jbe, jerr := openBackend(filepath.Join(*storeDir, "journal"))
-			if jerr != nil {
-				return jerr
-			}
-			jn, err = journal.OpenBackend(jbe, log)
+			jn, err = journal.Open(filepath.Join(*storeDir, "journal"), log)
 			if err != nil {
 				return err
 			}
@@ -344,14 +329,3 @@ func run() error {
 // drain for final status/result fetches; handlers are all sub-second,
 // so this is generous.
 const httpExitGrace = 5 * time.Second
-
-// openBackend opens root as the store backend flavor -store-shared
-// asks for: the plain local-directory backend, or the shared-mount
-// variant whose temp naming and manifest handling tolerate concurrent
-// writer processes (other coordinators, direct-publishing workers).
-func openBackend(root string) (store.Backend, error) {
-	if *storeShared {
-		return store.OpenSharedDir(root, nil)
-	}
-	return store.OpenDir(root, nil)
-}

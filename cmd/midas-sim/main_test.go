@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -14,6 +17,40 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
+
+// TestMain runs main instead of the tests when the test binary is
+// re-executed with MIDAS_SIM_RUN_MAIN set, so a test can drive the real
+// flag surface and exit code without building the command separately.
+func TestMain(m *testing.M) {
+	if os.Getenv("MIDAS_SIM_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestSweptCountOutOfRangeExits: a swept count too large for a float64
+// to hold exactly (here 1e300, which int() would wrap to a garbage
+// count) is refused before anything runs: exit 1, the key named on
+// stderr, nothing on stdout.
+func TestSweptCountOutOfRangeExits(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-scenario", "fig15", "-set", "topologies=1",
+		"-set", "simtime=10ms", "-set", "clients=1e300,2")
+	cmd.Env = append(os.Environ(), "MIDAS_SIM_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("midas-sim exited with %v, want exit status 1 (stderr %q)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `sweep "clients" value 1e+300 is out of range`) {
+		t.Errorf("stderr %q does not name the swept key", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a refused run printed %d bytes", stdout.Len())
+	}
+}
 
 // TestApplySet pins -set, midas-sim's only override surface: every
 // key spells one spec field, count keys and the seed refuse the 0 that

@@ -12,7 +12,7 @@
 //
 //	midas-worker -coordinator http://host:port [-id NAME]
 //	             [-parallelism N] [-max-batch N] [-max-shards N]
-//	             [-store-dir DIR] [-store-shared] [-log text|json|off]
+//	             [-store-dir DIR] [-log text|json|off]
 //
 // With -store-dir the worker is a first-class store citizen: each
 // completed shard's result envelope is written directly into the
@@ -20,10 +20,10 @@
 // completion POST shrinks to a hash-plus-digest acknowledgement the
 // coordinator verifies against its own view of the store — the shard
 // payload never transits the dispatch HTTP body. That only helps when
-// coordinator and worker actually share the store (same directory, or
-// a shared mount with -store-shared on both sides); a worker whose
-// store the coordinator cannot see just gets asked to resend inline,
-// costing one extra round trip per shard. Without -store-dir the
+// coordinator and worker actually share the store (the same directory
+// on one host or a shared mount); a worker whose store the coordinator
+// cannot see just gets asked to resend inline, costing one extra round
+// trip per shard. Without -store-dir the
 // worker posts results inline exactly as before.
 //
 // MIDAS_WORKER_HOLD_AFTER_PUBLISH, when set to a Go duration, makes
@@ -62,8 +62,6 @@ var (
 	maxShards   = flag.Int("max-shards", 0, "exit after completing N shards (0 = run until signalled)")
 	storeDir    = flag.String("store-dir", "",
 		"durable result store directory shared with the coordinator: shard results are published here directly and acknowledged by hash (empty = post results inline)")
-	storeShared = flag.Bool("store-shared", false,
-		"treat -store-dir as a shared filesystem written by multiple processes (must match the coordinator's flag)")
 	logFmt = flag.String("log", "text", "structured log handler on stderr: text, json or off")
 )
 
@@ -105,26 +103,14 @@ func run() error {
 
 	var st *store.Store
 	if *storeDir != "" {
-		var be store.Backend
-		var berr error
-		if *storeShared {
-			be, berr = store.OpenSharedDir(*storeDir, nil)
-		} else {
-			be, berr = store.OpenDir(*storeDir, nil)
+		var err error
+		st, err = store.Open(store.Config{Dir: *storeDir, Log: log})
+		if err != nil {
+			return err
 		}
-		if berr != nil {
-			return berr
-		}
-		st, berr = store.Open(store.Config{Backend: be, Log: log})
-		if berr != nil {
-			return berr
-		}
-		defer st.Close()
 		stats := st.Stats()
 		fmt.Printf("midas-worker %s store: %d entries warm from %s\n",
 			wid, stats.Entries, *storeDir)
-	} else if *storeShared {
-		return fmt.Errorf("-store-shared needs -store-dir")
 	}
 
 	// The acknowledgement-window hook: pause between the store publish

@@ -27,11 +27,11 @@ import (
 // lease-expiry store recovery that makes a kill -9 in the
 // acknowledgement window lossless.
 
-// openSharedStore opens an independent Store over the shared-dir
+// openSharedStore opens an independent Store over the directory
 // backend at dir — one per simulated process (coordinator or worker).
 func openSharedStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	be, err := store.OpenSharedDir(dir, nil)
+	be, err := store.OpenDir(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

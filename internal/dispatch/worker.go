@@ -53,8 +53,8 @@ type WorkerConfig struct {
 	// citizen: each completed shard's result envelope is published to
 	// the store under the lease's Hash, and the completion POST carries
 	// a hash-plus-digest acknowledgement instead of the result bytes.
-	// The store must be the same one the coordinator reads (a shared
-	// mount — see store.OpenSharedDir). A publish failure, or a
+	// The store must be the same directory the coordinator reads (on
+	// one host or a shared mount). A publish failure, or a
 	// coordinator "resend" verdict, falls back to the inline path.
 	Store *store.Store
 	// HoldAfterPublish, when non-nil, runs between a successful store

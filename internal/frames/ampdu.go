@@ -145,8 +145,14 @@ func (p *Parser) Parse(data []byte) (Frame, error) {
 			return nil, fmt.Errorf("frames: unknown data subtype %#x", fc&0xf0)
 		}
 	case fcTypeMgmt:
+		if fc&0xf0 != fcSubAction {
+			return nil, fmt.Errorf("frames: unknown mgmt subtype %#x", fc&0xf0)
+		}
 		if len(body) < 26 {
 			return nil, ErrTruncated
+		}
+		if body[24] != catVHT {
+			return nil, fmt.Errorf("frames: unknown action category %d", body[24])
 		}
 		switch body[25] {
 		case actionCompressedBF:

@@ -161,77 +161,9 @@ func AppendFCS(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
-// Decode verifies the FCS and parses the frame.
-func Decode(data []byte) (Frame, error) {
-	if len(data) < 6 { // FC(2) + FCS(4)
-		return nil, ErrTruncated
-	}
-	body := data[:len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, ErrBadFCS
-	}
-	return decodeBody(body)
-}
-
-func decodeBody(body []byte) (Frame, error) {
-	fc := body[0]
-	var f Frame
-	switch fc & 0x0c {
-	case fcTypeControl:
-		switch fc & 0xf0 {
-		case fcSubRTS:
-			f = &RTS{}
-		case fcSubCTS:
-			f = &CTS{}
-		case fcSubAck:
-			f = &Ack{}
-		case fcSubBlockAck:
-			f = &BlockAck{}
-		case fcSubNDPA:
-			f = &NDPA{}
-		default:
-			return nil, fmt.Errorf("frames: unknown control subtype %#x", fc&0xf0)
-		}
-	case fcTypeData:
-		switch fc & 0xf0 {
-		case fcSubQoSData:
-			f = &QoSData{}
-		case fcSubQoSNull:
-			f = &QoSNull{}
-		default:
-			return nil, fmt.Errorf("frames: unknown data subtype %#x", fc&0xf0)
-		}
-	case fcTypeMgmt:
-		if fc&0xf0 != fcSubAction {
-			return nil, fmt.Errorf("frames: unknown mgmt subtype %#x", fc&0xf0)
-		}
-		if len(body) < 26 {
-			return nil, ErrTruncated
-		}
-		switch body[24] {
-		case catVHT:
-			switch body[25] {
-			case actionCompressedBF:
-				f = &BFReport{}
-			case actionGroupID:
-				f = &GroupID{}
-			case actionNDPMarker:
-				f = &NDP{}
-			default:
-				return nil, fmt.Errorf("frames: unknown VHT action %d", body[25])
-			}
-		default:
-			return nil, fmt.Errorf("frames: unknown action category %d", body[24])
-		}
-	default:
-		return nil, fmt.Errorf("frames: unknown frame type %#x", fc&0x0c)
-	}
-	if err := f.decodeFrom(body); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
+// Decode verifies the FCS and parses the frame into a newly allocated
+// value the caller owns. It is Parser.Parse on a fresh Parser.
+func Decode(data []byte) (Frame, error) { return new(Parser).Parse(data) }
 
 // RTS is a request-to-send control frame (20 bytes on air).
 type RTS struct {

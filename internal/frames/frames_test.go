@@ -3,6 +3,7 @@ package frames
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -314,6 +315,31 @@ func TestParserMatchesDecode(t *testing.T) {
 		}
 		if viaParser.Dur() != viaDecode.Dur() {
 			t.Errorf("%v: parser dur %v != decode dur %v", in.FrameType(), viaParser.Dur(), viaDecode.Dur())
+		}
+	}
+
+	// A beamforming report whose action category or management subtype
+	// no longer says VHT Action is not a frame this codec knows: both
+	// decoders must refuse it, with the same error.
+	bf := &BFReport{RA: MkAddr(2, 5), TA: MkAddr(2, 6), NRows: 1, NCols: 1, Entries: []complex128{1e-5}}
+	for _, m := range []struct {
+		name    string
+		mutate  func(body []byte)
+		wantSub string
+	}{
+		{"category not VHT", func(b []byte) { b[24] = catVHT + 1 }, "action category"},
+		{"subtype not Action", func(b []byte) { b[0] = fcTypeMgmt | 0x80 }, "mgmt subtype"},
+	} {
+		body := bf.AppendTo(nil)
+		m.mutate(body)
+		data := AppendFCS(body)
+		_, decErr := Decode(data)
+		_, parseErr := p.Parse(data)
+		if decErr == nil || parseErr == nil {
+			t.Fatalf("%s: Decode err %v, Parse err %v; want both to refuse", m.name, decErr, parseErr)
+		}
+		if decErr.Error() != parseErr.Error() || !strings.Contains(decErr.Error(), m.wantSub) {
+			t.Errorf("%s: Decode err %q, Parse err %q; want the same error naming %q", m.name, decErr, parseErr, m.wantSub)
 		}
 	}
 }

@@ -22,11 +22,11 @@
 // crash at any instant leaves either the previous entry or the new one
 // — never a torn file reachable under its final name.
 //
-// Entries are advisory resume hints, which is what makes a SHARED
-// journal backend safe: two coordinators on one shared store dir may
-// clobber each other's entry for a spec they both dispatched, or
-// remove it when either finishes — the loser of such a race loses a
-// resume hint, never a result.
+// Entries are advisory resume hints, which is what makes a journal
+// directory shared by several processes safe: two coordinators on one
+// store dir may clobber each other's entry for a spec they both
+// dispatched, or remove it when either finishes — the loser of such a
+// race loses a resume hint, never a result.
 package journal
 
 import (
@@ -79,8 +79,8 @@ type Journal struct {
 	entries map[string]*Entry
 }
 
-// Open opens a journal over a single-process directory backend rooted
-// at dir (created if absent) — the common case. See OpenBackend.
+// Open opens a journal over a directory backend rooted at dir
+// (created if absent) — the common case. See OpenBackend.
 func Open(dir string, log *slog.Logger) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("journal: dir is required")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -173,9 +174,16 @@ func TestOpenDiscardsMalformedEntries(t *testing.T) {
 			t.Fatalf("plant %s: %v", name, err)
 		}
 	}
-	// An interrupted write in tmp/ must be swept too.
-	if err := os.WriteFile(filepath.Join(dir, "tmp", "leftover.json"), []byte("{"), 0o644); err != nil {
+	// An interrupted write in tmp/ must be swept too, once it is older
+	// than the backend's one-hour temp age (a younger temp may be a live
+	// sibling's write).
+	leftover := filepath.Join(dir, "tmp", "leftover.json")
+	if err := os.WriteFile(leftover, []byte("{"), 0o644); err != nil {
 		t.Fatalf("plant tmp leftover: %v", err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(leftover, old, old); err != nil {
+		t.Fatal(err)
 	}
 
 	j2, err := Open(dir, nil)

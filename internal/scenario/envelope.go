@@ -13,7 +13,7 @@ import (
 // the resolved spec that produced it plus the result itself. Storing
 // the spec next to the result is what makes a content-addressed entry
 // self-contained — a process that never saw the original submission
-// (a restarted server, a sibling coordinator on a shared backend, the
+// (a restarted server, a sibling coordinator on the same store, the
 // GET /v1/results/{hash} endpoint) can render the full response body,
 // meta block included, from the entry alone.
 type ResultEnvelope struct {
@@ -27,7 +27,7 @@ type ResultEnvelope struct {
 // CanonicalHash deliberately excludes it (results never depend on it) —
 // so every writer of a given content address produces identical bytes,
 // no matter what pool width it ran at. That is what makes concurrent
-// same-hash publishes on a shared backend idempotent byte-for-byte,
+// same-hash publishes by several processes idempotent byte-for-byte,
 // and what lets the coordinator verify a worker's direct publish by
 // digest.
 func EncodeResultEnvelope(spec Spec, res Result) ([]byte, error) {

@@ -136,9 +136,10 @@ var sweepKeys = map[string]func(*Spec, float64){
 	"aps":        func(s *Spec, v float64) { ensureVenue(s).APs = int(v) },
 }
 
-// maxSweptSeed is the largest |seed| a sweep may list: 2^53-1, the
-// largest magnitude below which a float64 holds every integer exactly.
-const maxSweptSeed = 1<<53 - 1
+// maxSweptValue is the largest magnitude any swept value may have:
+// 2^53-1, the largest below which a float64 holds every integer
+// exactly. It also keeps the setters' int conversions in range.
+const maxSweptValue = 1<<53 - 1
 
 // maxExpandedRuns bounds a sweep × replicate expansion; anything larger
 // is almost certainly a typo'd spec.
@@ -380,14 +381,16 @@ func (s Spec) Validate() error {
 			if key != "seed" && v < 1 {
 				return fmt.Errorf("scenario: sweep %q value %g must be >= 1", key, v)
 			}
-			// A swept seed obeys the scalar seed's rules: 0 means
-			// "inherit", and past 2^53-1 a float64 no longer holds every
-			// integer, so the seed run may not be the seed written.
+			// A swept seed obeys the scalar seed's rule that 0 means
+			// "inherit".
 			if key == "seed" && v == 0 {
 				return fmt.Errorf("scenario: sweep \"seed\" value 0 cannot be expressed (0 means \"inherit\"); pick a nonzero seed")
 			}
-			if key == "seed" && math.Abs(v) > maxSweptSeed {
-				return fmt.Errorf("scenario: sweep \"seed\" value %g is out of range (|seed| <= %d)", v, int64(maxSweptSeed))
+			// Past 2^53-1 a float64 no longer holds every integer, so the
+			// value run may not be the value written; far past it, int(v)
+			// wraps a count to a garbage value.
+			if math.Abs(v) > maxSweptValue {
+				return fmt.Errorf("scenario: sweep %q value %g is out of range (|value| <= %d)", key, v, int64(maxSweptValue))
 			}
 			if seen[v] {
 				// Duplicates would expand to indistinguishable points with

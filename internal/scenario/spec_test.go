@@ -108,6 +108,16 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 		{"swept seed past 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {1 << 53, 5}} }, "out of range"},
 		{"negative swept seed past 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {-(1 << 53)}} }, "out of range"},
 		{"huge swept seed", func(s *Spec) { s.Sweep = map[string][]float64{"seed": {1e300}} }, "out of range"},
+		{"huge swept clients", func(s *Spec) { s.Sweep = map[string][]float64{"clients": {1e300}} }, `"clients" value 1e+300 is out of range`},
+		{"swept clients at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"clients": {1 << 53, 2}} }, `"clients" value 9.007199254740992e+15 is out of range`},
+		{"huge swept antennas", func(s *Spec) { s.Sweep = map[string][]float64{"antennas": {1e300}} }, `"antennas" value 1e+300 is out of range`},
+		{"swept antennas at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"antennas": {1 << 53, 2}} }, `"antennas" value 9.007199254740992e+15 is out of range`},
+		{"huge swept size", func(s *Spec) { s.Sweep = map[string][]float64{"size": {1e300}} }, `"size" value 1e+300 is out of range`},
+		{"swept size at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"size": {1 << 53, 2}} }, `"size" value 9.007199254740992e+15 is out of range`},
+		{"huge swept topologies", func(s *Spec) { s.Sweep = map[string][]float64{"topologies": {1e300}} }, `"topologies" value 1e+300 is out of range`},
+		{"swept topologies at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"topologies": {1 << 53, 2}} }, `"topologies" value 9.007199254740992e+15 is out of range`},
+		{"huge swept aps", func(s *Spec) { s.Sweep = map[string][]float64{"aps": {1e300}} }, `"aps" value 1e+300 is out of range`},
+		{"swept aps at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"aps": {1 << 53, 2}} }, `"aps" value 9.007199254740992e+15 is out of range`},
 		{"explosive sweep", func(s *Spec) {
 			s.Sweep = map[string][]float64{"clients": manyVals(20), "antennas": manyVals(20)}
 		}, "max"},
@@ -132,6 +142,13 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 	edge.Sweep = map[string][]float64{"seed": {-(1<<53 - 1), -5, 1<<53 - 1}}
 	if err := edge.Validate(); err != nil {
 		t.Errorf("swept seeds within ±(2^53-1) must validate, got %v", err)
+	}
+	for _, key := range []string{"clients", "antennas", "size", "topologies", "aps"} {
+		edge := base()
+		edge.Sweep = map[string][]float64{key: {1, 1<<53 - 1}}
+		if err := edge.Validate(); err != nil {
+			t.Errorf("swept %s up to 2^53-1 must validate, got %v", key, err)
+		}
 	}
 }
 

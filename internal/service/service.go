@@ -724,8 +724,8 @@ func (s *Service) Result(id string) (scenario.Result, scenario.Spec, error) {
 // ResultByHash returns the completed result stored under a spec's
 // content address, with the resolved spec that produced it — the
 // job-less lookup behind GET /v1/results/{hash}. The memory cache
-// answers first; a miss consults the durable store (which on a shared
-// backend reads through to blobs published by sibling processes) and
+// answers first; a miss consults the durable store (which reads
+// through to blobs published by sibling processes) and
 // promotes the envelope into memory. ErrUnknownResult when neither
 // tier holds the hash.
 func (s *Service) ResultByHash(hash string) (scenario.Result, scenario.Spec, error) {

@@ -10,24 +10,24 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
 // Backend is the blob seam under the store (and the journal): a flat
 // namespace of named blobs with atomic whole-blob writes. Names are
-// slash-separated relative paths ("ab/cd/<hash>.json", "journal-ish
-// names", "manifest.json"); the store's verification, quarantine and
-// eviction logic all live ABOVE this interface, so a backend only has
-// to get durability and atomicity right.
+// slash-separated relative paths ("ab/cd/<hash>.json", journal entry
+// names); the store's verification, quarantine and eviction logic all
+// live ABOVE this interface, so a backend only has to get durability
+// and atomicity right. Any number of processes may open one namespace
+// at once.
 //
 // The atomicity contract, per method:
 //
 //   - Write is all-or-nothing AND durable: after Write returns nil, a
 //     reader (any process) sees the complete new bytes, and they
 //     survive a crash. A crash mid-Write leaves either the previous
-//     blob or none — never a torn blob reachable under its name. Dir
-//     backends implement this as write-temp → fsync → rename →
+//     blob or none — never a torn blob reachable under its name. The
+//     dir backend implements this as write-temp → fsync → rename →
 //     best-effort directory sync; concurrent Writes of one name are
 //     last-rename-wins with each candidate intact, which
 //     content-addressing makes correct (every writer of a given name
@@ -39,28 +39,25 @@ import (
 //     seek, an S3 ranged GET) should avoid fetching the whole blob.
 //   - List enumerates completed blobs only: in-flight temp files are
 //     never listed. Ordering is by name; sizes/mod-times are those of
-//     the completed writes.
+//     the completed writes, or of the latest Touch.
 //   - Remove unlinks a completed blob (fs.ErrNotExist if absent) and
 //     makes the removal durable best-effort. A remove that a crash
 //     resurrects is acceptable to every caller (content-addressed
 //     entries re-verify; journal entries replay as no-ops).
 //   - Stat reports a completed blob without reading it.
-//
-// Shared reports whether OTHER processes may be writing the same
-// namespace concurrently (SharedDirBackend on an NFS-style mount). The
-// store uses it to decide whether an index miss should fall through to
-// the backend — a sibling may have published the blob after we opened.
+//   - Touch sets a completed blob's mod-time to t (fs.ErrNotExist if
+//     absent). The store records LRU recency this way, so a read is
+//     remembered across restarts and by every process on the mount.
 //
 // Design note — a future S3/object-store backend: the contract above
 // maps cleanly onto conditional object storage. Write = PutObject
 // (single-request puts are already atomic and last-writer-wins; no
 // temp/rename dance needed), Read = GetObject, ReadHeader = ranged
 // GetObject ("bytes=0-N"), List = paginated ListObjectsV2 under the
-// prefix, Remove = DeleteObject, Shared = true. The store's framing
-// header stays load-bearing (it turns eventual-consistency artifacts
-// and truncated uploads into verification failures → quarantine), the
-// manifest becomes one hint object per process exactly like the shared
-// dir case, and the per-process temp nonce is simply unused. The only
+// prefix, Remove = DeleteObject, Touch = a metadata-replacing
+// CopyObject onto itself. The store's framing header stays
+// load-bearing (it turns eventual-consistency artifacts and truncated
+// uploads into verification failures → quarantine). The only
 // behavioral difference worth documenting is that List is eventually
 // consistent, which the warm scan already tolerates: an unlisted entry
 // is re-discovered by the read-through path on first Get.
@@ -71,7 +68,7 @@ type Backend interface {
 	Stat(name string) (BlobInfo, error)
 	List() ([]BlobInfo, error)
 	Remove(name string) error
-	Shared() bool
+	Touch(name string, t time.Time) error
 }
 
 // BlobInfo describes one completed blob.
@@ -81,116 +78,70 @@ type BlobInfo struct {
 	ModTime time.Time
 }
 
-// sharedTmpMaxAge is how old a temp file must be before a
-// SharedDirBackend's open sweep collects it. A shared mount has live
-// sibling processes mid-Write at any instant; their in-flight temps
-// must survive our sweep, while temps this stale are crash leftovers
-// by any reasonable lease/request timescale. A var so tests can shrink
-// it.
-var sharedTmpMaxAge = time.Hour
+// tmpMaxAge is how old a temp file must be before an open sweeps it.
+// Other processes on the directory may be mid-Write at any instant;
+// their in-flight temps must survive our sweep, while temps this stale
+// are crash leftovers by any reasonable lease/request timescale.
+const tmpMaxAge = time.Hour
 
-// dirCore is the shared implementation behind DirBackend and
-// SharedDirBackend: a local directory with a tmp/ staging area and
-// write-temp → fsync → rename publication.
-type dirCore struct {
+// DirBackend is the local-directory backend: blobs are files under
+// root, staged in a tmp/ area and published by write-temp → fsync →
+// rename. Several processes (coordinators and workers, on one host or
+// an NFS-style mount) may open one root at once: temps are created
+// O_EXCL under random names, the open sweep only collects temps older
+// than tmpMaxAge (never a live sibling's in-flight write), and
+// concurrent publishes of one name are last-rename-wins with either
+// candidate complete — which content-addressing makes correct, since
+// every writer of a given hash writes identical bytes.
+type DirBackend struct {
 	root   string
 	faults *FaultFS
-	shared bool
-	// nonce makes this process's temp names collision-free against
-	// sibling processes on a shared mount (O_EXCL enforces it).
-	nonce string
-	seq   atomic.Uint64
 }
 
-// DirBackend is the single-process local-directory backend — the
-// original store layout, byte-for-byte. Its tmp/ sweep at open removes
-// every temp file, because only one process ever writes the directory.
-type DirBackend struct{ *dirCore }
-
-// SharedDirBackend is the multi-process variant for NFS-style shared
-// filesystems: several coordinators and workers mount one directory.
-// Temp names carry a per-process nonce and are created O_EXCL (so two
-// processes can never interleave writes into one temp file), the open
-// sweep only collects temps older than sharedTmpMaxAge (never a live
-// sibling's in-flight write), and concurrent publishes of one name are
-// last-rename-wins with either candidate complete — which
-// content-addressing makes correct, since every writer of a given hash
-// writes identical bytes.
-type SharedDirBackend struct{ *dirCore }
-
-// OpenDir opens (creating if necessary) a single-process directory
-// backend rooted at root. faults injects write-path failures (tests
-// only); nil means none.
+// OpenDir opens (creating if necessary) a directory backend rooted at
+// root and sweeps its stale temps. faults injects write-path failures
+// (tests only); nil means none.
 func OpenDir(root string, faults *FaultFS) (*DirBackend, error) {
-	c, err := openDirCore(root, faults, false)
-	if err != nil {
-		return nil, err
-	}
-	return &DirBackend{c}, nil
-}
-
-// OpenSharedDir opens (creating if necessary) a shared-filesystem
-// backend rooted at root. See SharedDirBackend for the concurrency
-// contract.
-func OpenSharedDir(root string, faults *FaultFS) (*SharedDirBackend, error) {
-	c, err := openDirCore(root, faults, true)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedDirBackend{c}, nil
-}
-
-func openDirCore(root string, faults *FaultFS, shared bool) (*dirCore, error) {
 	if root == "" {
 		return nil, errors.New("store: backend root is required")
 	}
-	c := &dirCore{
-		root:   root,
-		faults: faults,
-		shared: shared,
-		nonce:  fmt.Sprintf("%d-%x", os.Getpid(), time.Now().UnixNano()),
-	}
-	if err := os.MkdirAll(c.tmpDir(), 0o755); err != nil {
+	b := &DirBackend{root: root, faults: faults}
+	if err := os.MkdirAll(b.tmpDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := c.sweepTmp(); err != nil {
+	if err := b.sweepTmp(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return b, nil
 }
 
-func (c *dirCore) tmpDir() string { return filepath.Join(c.root, tmpDirName) }
+func (b *DirBackend) tmpDir() string { return filepath.Join(b.root, tmpDirName) }
 
 // sweepTmp collects torn writes left in tmp/: a file there is a write
 // that never reached its rename — a crash mid-Write — and was never
-// visible under its final name, so deleting it IS the recovery. On a
-// shared mount, only temps old enough to be crash leftovers are
-// collected; a fresh temp may be a live sibling's write in flight.
-func (c *dirCore) sweepTmp() error {
-	des, err := os.ReadDir(c.tmpDir())
+// visible under its final name, so deleting it IS the recovery. Only
+// temps old enough to be crash leftovers are collected; a fresh temp
+// may be a live sibling's write in flight.
+func (b *DirBackend) sweepTmp() error {
+	des, err := os.ReadDir(b.tmpDir())
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	now := time.Now()
 	for _, de := range des {
-		p := filepath.Join(c.tmpDir(), de.Name())
-		if c.shared {
-			info, ierr := de.Info()
-			if ierr != nil {
-				continue // vanished under us: a sibling's rename or sweep
-			}
-			if now.Sub(info.ModTime()) < sharedTmpMaxAge {
-				continue
-			}
+		info, ierr := de.Info()
+		if ierr != nil {
+			continue // vanished under us: a sibling's rename or sweep
 		}
-		if err := os.RemoveAll(p); err != nil {
+		if now.Sub(info.ModTime()) < tmpMaxAge {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(b.tmpDir(), de.Name())); err != nil {
 			return fmt.Errorf("store: sweeping torn write: %w", err)
 		}
 	}
 	return nil
 }
-
-func (c *dirCore) Shared() bool { return c.shared }
 
 // validName rejects names that would escape the root. Callers only
 // pass names the store itself derived from validated hashes, so this
@@ -207,22 +158,22 @@ func validName(name string) error {
 	return nil
 }
 
-func (c *dirCore) blobPath(name string) string {
-	return filepath.Join(c.root, filepath.FromSlash(name))
+func (b *DirBackend) blobPath(name string) string {
+	return filepath.Join(b.root, filepath.FromSlash(name))
 }
 
-func (c *dirCore) Read(name string) ([]byte, error) {
+func (b *DirBackend) Read(name string) ([]byte, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	return os.ReadFile(c.blobPath(name))
+	return os.ReadFile(b.blobPath(name))
 }
 
-func (c *dirCore) ReadHeader(name string, max int) ([]byte, error) {
+func (b *DirBackend) ReadHeader(name string, max int) ([]byte, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(c.blobPath(name))
+	f, err := os.Open(b.blobPath(name))
 	if err != nil {
 		return nil, err
 	}
@@ -235,11 +186,11 @@ func (c *dirCore) ReadHeader(name string, max int) ([]byte, error) {
 	return buf[:n], nil
 }
 
-func (c *dirCore) Stat(name string) (BlobInfo, error) {
+func (b *DirBackend) Stat(name string) (BlobInfo, error) {
 	if err := validName(name); err != nil {
 		return BlobInfo{}, err
 	}
-	info, err := os.Stat(c.blobPath(name))
+	info, err := os.Stat(b.blobPath(name))
 	if err != nil {
 		return BlobInfo{}, err
 	}
@@ -249,25 +200,37 @@ func (c *dirCore) Stat(name string) (BlobInfo, error) {
 	return BlobInfo{Name: name, Size: info.Size(), ModTime: info.ModTime()}, nil
 }
 
+// Touch sets a blob's access and modification times to t. A blob
+// evicted or removed by another process reports fs.ErrNotExist.
+func (b *DirBackend) Touch(name string, t time.Time) error {
+	if err := validName(name); err != nil {
+		return err
+	}
+	return os.Chtimes(b.blobPath(name), t, t)
+}
+
 // Write publishes data under name with the crash-safe discipline the
 // Backend contract documents: temp in tmp/, fsync, rename, best-effort
 // directory sync. A write fault removes the temp (a clean failure); a
 // rename fault deliberately leaves it — exactly the state a real crash
 // in the torn-write window leaves — for a later open's sweep.
-func (c *dirCore) Write(name string, data []byte) error {
+func (b *DirBackend) Write(name string, data []byte) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	final := c.blobPath(name)
+	final := b.blobPath(name)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	f, tmpPath, err := c.createTemp(path.Base(name))
+	// CreateTemp opens O_EXCL under a random name, so no two writers —
+	// in this process or another — ever share a temp file.
+	f, err := os.CreateTemp(b.tmpDir(), path.Base(name)+".*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if c.faults != nil && c.faults.WriteFile != nil {
-		if err := c.faults.WriteFile(tmpPath); err != nil {
+	tmpPath := f.Name()
+	if b.faults != nil && b.faults.WriteFile != nil {
+		if err := b.faults.WriteFile(tmpPath); err != nil {
 			f.Close()
 			os.Remove(tmpPath)
 			return err
@@ -287,8 +250,8 @@ func (c *dirCore) Write(name string, data []byte) error {
 		os.Remove(tmpPath)
 		return err
 	}
-	if c.faults != nil && c.faults.Rename != nil {
-		if err := c.faults.Rename(tmpPath, final); err != nil {
+	if b.faults != nil && b.faults.Rename != nil {
+		if err := b.faults.Rename(tmpPath, final); err != nil {
 			return err // temp left behind on purpose: the crash model
 		}
 	}
@@ -299,42 +262,14 @@ func (c *dirCore) Write(name string, data []byte) error {
 	return nil
 }
 
-// createTemp stages a temp file for one write. The single-process
-// backend uses CreateTemp's random suffix; the shared backend names
-// temps <base>.<process-nonce>-<seq> and creates them O_EXCL, so a
-// name collision with any other process — or a replayed sequence after
-// a restart, since the nonce includes the start time — is impossible
-// rather than merely unlikely.
-func (c *dirCore) createTemp(base string) (*os.File, string, error) {
-	if !c.shared {
-		f, err := os.CreateTemp(c.tmpDir(), base+".*")
-		if err != nil {
-			return nil, "", err
-		}
-		return f, f.Name(), nil
-	}
-	for {
-		p := filepath.Join(c.tmpDir(), fmt.Sprintf("%s.%s-%d", base, c.nonce, c.seq.Add(1)))
-		f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			return f, p, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, "", err
-		}
-		// O_EXCL collision: only possible against our own leftover from a
-		// previous crash with an astronomically unlucky nonce; take the
-		// next sequence number.
-	}
-}
-
-func (c *dirCore) List() ([]BlobInfo, error) {
+func (b *DirBackend) List() ([]BlobInfo, error) {
 	var out []BlobInfo
-	tmpAbs := c.tmpDir()
-	err := filepath.WalkDir(c.root, func(p string, d fs.DirEntry, err error) error {
+	tmpAbs := b.tmpDir()
+	err := filepath.WalkDir(b.root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
-			// A directory pruned by a concurrent eviction/sweep on a shared
-			// mount: skip it, the walk is a snapshot not a transaction.
+			// A directory pruned by a concurrent eviction or sweep (this
+			// process's or a sibling's): skip it, the walk is a snapshot,
+			// not a transaction.
 			if errors.Is(err, fs.ErrNotExist) {
 				return nil
 			}
@@ -350,7 +285,7 @@ func (c *dirCore) List() ([]BlobInfo, error) {
 		if ierr != nil {
 			return nil // vanished mid-walk
 		}
-		rel, rerr := filepath.Rel(c.root, p)
+		rel, rerr := filepath.Rel(b.root, p)
 		if rerr != nil {
 			return rerr
 		}
@@ -384,11 +319,11 @@ func syncDir(dir string) {
 // Remove unlinks a blob and syncs its directory best-effort, so the
 // removal usually survives a crash; a resurrected blob is harmless to
 // every caller (see the Backend contract).
-func (c *dirCore) Remove(name string) error {
+func (b *DirBackend) Remove(name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
-	p := c.blobPath(name)
+	p := b.blobPath(name)
 	if err := os.Remove(p); err != nil {
 		return err
 	}

@@ -18,17 +18,13 @@ import (
 // contract documented on the Backend interface.
 
 type backendImpl struct {
-	name   string
-	shared bool
-	open   func(root string, faults *FaultFS) (Backend, error)
+	name string
+	open func(root string, faults *FaultFS) (Backend, error)
 }
 
 var backendImpls = []backendImpl{
-	{"DirBackend", false, func(root string, faults *FaultFS) (Backend, error) {
+	{"DirBackend", func(root string, faults *FaultFS) (Backend, error) {
 		return OpenDir(root, faults)
-	}},
-	{"SharedDirBackend", true, func(root string, faults *FaultFS) (Backend, error) {
-		return OpenSharedDir(root, faults)
 	}},
 }
 
@@ -44,6 +40,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("RenameFaultTempSweptAtReopen", func(t *testing.T) { conformRenameFault(t, impl) })
 			t.Run("TwoWritersSameNameRace", func(t *testing.T) { conformSameNameRace(t, impl) })
 			t.Run("OverwriteIsAtomic", func(t *testing.T) { conformOverwrite(t, impl) })
+			t.Run("TouchSetsModTime", func(t *testing.T) { conformTouch(t, impl) })
 		})
 	}
 }
@@ -53,9 +50,6 @@ func mustBackend(t *testing.T, impl backendImpl, root string, faults *FaultFS) B
 	be, err := impl.open(root, faults)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if be.Shared() != impl.shared {
-		t.Fatalf("Shared() = %v, want %v", be.Shared(), impl.shared)
 	}
 	return be
 }
@@ -182,7 +176,8 @@ func conformWriteFault(t *testing.T, impl backendImpl) {
 
 // conformRenameFault: a crash in the torn-write window (temp written,
 // rename never happened) leaves the temp behind, the blob absent, and
-// the next open sweeps the temp.
+// the next open sweeps the temp once it is old enough to be a crash
+// leftover rather than a live writer's.
 func conformRenameFault(t *testing.T, impl backendImpl) {
 	root := t.TempDir()
 	boom := errors.New("crash before rename")
@@ -200,14 +195,9 @@ func conformRenameFault(t *testing.T, impl backendImpl) {
 	if err != nil || len(des) != 1 {
 		t.Fatalf("want exactly the torn temp in tmp/, got %d entries (err %v)", len(des), err)
 	}
-	if impl.shared {
-		// A shared sweep only collects temps past sharedTmpMaxAge — age
-		// this one artificially, as a crash leftover would be by the time
-		// another process opens the dir.
-		old := time.Now().Add(-2 * sharedTmpMaxAge)
-		if err := os.Chtimes(filepath.Join(tmp, des[0].Name()), old, old); err != nil {
-			t.Fatal(err)
-		}
+	old := time.Now().Add(-2 * tmpMaxAge)
+	if err := os.Chtimes(filepath.Join(tmp, des[0].Name()), old, old); err != nil {
+		t.Fatal(err)
 	}
 	mustBackend(t, impl, root, nil)
 	if des, _ := os.ReadDir(tmp); len(des) != 0 {
@@ -278,76 +268,93 @@ func conformOverwrite(t *testing.T, impl backendImpl) {
 	}
 }
 
-// --- Shared-backend-specific behavior -------------------------------
-
-// TestSharedSweepSparesFreshForeignTemps: a fresh temp in tmp/ may be a
-// live sibling's in-flight write — a shared open must not collect it.
-func TestSharedSweepSparesFreshForeignTemps(t *testing.T) {
-	root := t.TempDir()
-	if _, err := OpenSharedDir(root, nil); err != nil {
+// conformTouch: Touch moves a blob's mod-time as List and Stat report
+// it, and a missing blob reports fs.ErrNotExist.
+func conformTouch(t *testing.T, impl backendImpl) {
+	be := mustBackend(t, impl, t.TempDir(), nil)
+	if err := be.Write("ab/cd/t.json", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	foreign := filepath.Join(root, tmpDirName, "ab.json.999-deadbeef-1")
-	if err := os.WriteFile(foreign, []byte("sibling in flight"), 0o644); err != nil {
+	at := time.Now().Add(-3 * time.Hour).Truncate(time.Second)
+	if err := be.Touch("ab/cd/t.json", at); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharedDir(root, nil); err != nil {
-		t.Fatal(err)
+	info, err := be.Stat("ab/cd/t.json")
+	if err != nil || !info.ModTime.Equal(at) {
+		t.Fatalf("Stat after Touch = %+v, %v; want mod-time %v", info, err, at)
 	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatalf("shared open swept a fresh sibling temp: %v", err)
+	infos, err := be.List()
+	if err != nil || len(infos) != 1 || !infos[0].ModTime.Equal(at) {
+		t.Fatalf("List after Touch = %+v, %v; want mod-time %v", infos, err, at)
 	}
-	// Once aged past sharedTmpMaxAge it IS a crash leftover.
-	old := time.Now().Add(-2 * sharedTmpMaxAge)
-	if err := os.Chtimes(foreign, old, old); err != nil {
-		t.Fatal(err)
+	if err := be.Touch("ab/cd/missing.json", at); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Touch(missing) = %v, want fs.ErrNotExist", err)
 	}
-	if _, err := OpenSharedDir(root, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(foreign); !os.IsNotExist(err) {
-		t.Fatal("shared open did not collect an aged crash leftover")
+	if err := be.Touch("../escape.json", at); err == nil {
+		t.Fatal("Touch accepted an invalid name")
 	}
 }
 
-// TestDirSweepCollectsAllTemps: the single-process backend owns its
-// tmp/ outright — every temp at open is a torn write, age regardless.
-func TestDirSweepCollectsAllTemps(t *testing.T) {
+// --- Several processes on one directory -----------------------------
+
+// TestSharedSweepSparesFreshForeignTemps: a fresh temp in tmp/ may be a
+// live sibling's in-flight write — another process's open must not
+// collect it. Backend A is mid-Write (its temp created, not yet
+// renamed) when B opens the same directory; A's write must still land.
+func TestSharedSweepSparesFreshForeignTemps(t *testing.T) {
 	root := t.TempDir()
+	var opened bool
+	a, err := OpenDir(root, &FaultFS{WriteFile: func(string) error {
+		if _, err := OpenDir(root, nil); err != nil {
+			return err
+		}
+		opened = true
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write("ab/cd/inflight.json", []byte("A's write")); err != nil {
+		t.Fatalf("A's write failed after B opened mid-write: %v", err)
+	}
+	if !opened {
+		t.Fatal("B never opened during A's write")
+	}
+	if got, err := a.Read("ab/cd/inflight.json"); err != nil || string(got) != "A's write" {
+		t.Fatalf("A's blob = %q, %v", got, err)
+	}
+
+	// A temp aged past tmpMaxAge IS a crash leftover: the next open
+	// collects it.
+	leftover := filepath.Join(root, tmpDirName, "ab.json.123")
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := OpenDir(root, nil); err != nil {
 		t.Fatal(err)
 	}
-	torn := filepath.Join(root, tmpDirName, "fresh-torn.json.123")
-	if err := os.WriteFile(torn, []byte("x"), 0o644); err != nil {
+	if _, err := os.Stat(leftover); err != nil {
+		t.Fatalf("open swept a fresh temp: %v", err)
+	}
+	old := time.Now().Add(-2 * tmpMaxAge)
+	if err := os.Chtimes(leftover, old, old); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDir(root, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(torn); !os.IsNotExist(err) {
-		t.Fatal("dir open left a torn temp behind")
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatal("open did not collect an aged crash leftover")
 	}
 }
 
 // TestSharedStoreReadThrough: the cross-process story end to end — two
-// Stores over one shared directory; what one Puts after the other
-// opened is still served by the other, via the index-miss read-through.
+// Stores over one directory; what one Puts after the other opened is
+// still served by the other, via the index-miss read-through.
 func TestSharedStoreReadThrough(t *testing.T) {
 	root := t.TempDir()
-	openShared := func() *Store {
-		be, err := OpenSharedDir(root, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(Config{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := openShared(), openShared()
-	defer a.Close()
-	defer b.Close()
+	a := mustOpen(t, Config{Dir: root})
+	b := mustOpen(t, Config{Dir: root})
 
 	h := hashOf("cross-process")
 	payload := []byte("computed by A")
@@ -360,7 +367,7 @@ func TestSharedStoreReadThrough(t *testing.T) {
 		t.Fatalf("B.Get via read-through = %q, %v", got, ok)
 	}
 	st := b.Stats()
-	if st.Hits != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Entries != 1 || st.Bytes != int64(len(frame(payload))) {
 		t.Fatalf("read-through did not index the entry: %+v", st)
 	}
 	// Second Get is a plain index hit.
@@ -377,9 +384,9 @@ func TestSharedStoreReadThrough(t *testing.T) {
 	}
 }
 
-// TestSharedStoreConcurrentSamePut: two processes computing the same
-// spec race their Puts of one hash — both must succeed (identical
-// bytes, last rename wins) and the entry must verify after.
+// TestSharedStoreConcurrentSamePut: processes computing the same spec
+// race their Puts of one hash — all must succeed (identical bytes,
+// last rename wins) and the entry must verify after.
 func TestSharedStoreConcurrentSamePut(t *testing.T) {
 	root := t.TempDir()
 	h := hashOf("raced")
@@ -387,15 +394,7 @@ func TestSharedStoreConcurrentSamePut(t *testing.T) {
 	var wg sync.WaitGroup
 	stores := make([]*Store, 4)
 	for i := range stores {
-		be, err := OpenSharedDir(root, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(Config{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = s
+		stores[i] = mustOpen(t, Config{Dir: root})
 	}
 	errs := make([]error, len(stores))
 	for i, s := range stores {
@@ -419,54 +418,34 @@ func TestSharedStoreConcurrentSamePut(t *testing.T) {
 	}
 }
 
-// TestSharedManifestsMerge: each process flushes its own manifest blob;
-// a fresh opener merges all of them, newest hint per entry.
-func TestSharedManifestsMerge(t *testing.T) {
+// TestSiblingReadsOrderEviction: a read through one store moves the
+// recency every other opener sees — no per-process hint files, no
+// merge.
+func TestSiblingReadsOrderEviction(t *testing.T) {
 	root := t.TempDir()
-	open := func() *Store {
-		be, err := OpenSharedDir(root, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(Config{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	ha, hb := hashOf("ma"), hashOf("mb")
 	payload := []byte(fmt.Sprintf("%200s", "x"))
 	entrySize := int64(len(frame(payload)))
 
-	a, b := open(), open()
+	a, b := mustOpen(t, Config{Dir: root}), mustOpen(t, Config{Dir: root})
+	if err := a.Put(hb, payload); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Put(ha, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(hb, payload); err != nil {
-		t.Fatal(err)
-	}
-	// b's entry is the more recently used one; both processes flush
-	// their own manifests at Close without clobbering each other.
-	a.Close()
+	// hb was written first, but B's read makes it the more recently
+	// used one.
 	if _, ok := b.Get(hb); !ok {
 		t.Fatal("Get")
 	}
-	b.Close()
 
-	// A budget for one entry must evict ha (older hint), not hb.
-	be, err := OpenSharedDir(root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Open(Config{Backend: be, MaxBytes: entrySize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	// A budget for one entry must evict ha (older access), not hb.
+	c := mustOpen(t, Config{Dir: root, MaxBytes: entrySize})
 	if _, ok := c.Get(ha); ok {
-		t.Fatal("merged manifests did not order eviction: stale entry kept")
+		t.Fatal("sibling's read did not order eviction: stale entry kept")
 	}
 	if _, ok := c.Get(hb); !ok {
-		t.Fatal("merged manifests did not order eviction: fresh entry lost")
+		t.Fatal("sibling's read did not order eviction: read entry lost")
 	}
 }

@@ -10,15 +10,16 @@
 //
 // The Store owns indexing, verification, quarantine and LRU eviction;
 // the bytes live behind the Backend seam (backend.go) — a local
-// directory (DirBackend), a shared filesystem several coordinators and
-// workers mount at once (SharedDirBackend), or a future object store.
-// Blob namespace, regardless of backend:
+// directory (DirBackend), which several coordinators and workers may
+// open at once on one host or a shared mount, or a future object
+// store. Blob namespace, regardless of backend:
 //
 //	<hh>/<hh>/<hash>.json   entries, two-level fan-out by hash prefix
-//	tmp/                    in-flight writes (dir backends; swept at open)
+//	tmp/                    in-flight writes (dir backend; swept at open once an hour old)
 //	quarantine/             entries that failed verification
-//	manifest.json           access-time hints for LRU eviction
-//	manifest-<nonce>.json   per-process hints on a shared backend
+//
+// Anything else at the root (a journal directory, or the manifest
+// files older versions kept access-time hints in) is ignored.
 //
 // An entry blob is a one-line header followed by the payload:
 //
@@ -36,22 +37,18 @@
 // ordered filesystem, and the header verification catches the
 // incorrectly ordered ones.
 //
-// Eviction is LRU by access time under a byte budget. Access times
-// live in memory and are persisted as hints: at Close, and whenever
-// the touches since the last flush reach the larger of 64 and the
-// entry count. A flush rewrites every entry's hint, so that cadence
-// keeps hint upkeep amortized O(1) per touch however large the store
-// grows. Losing the manifest — a kill -9 skips Close — only degrades
-// the next process's eviction order to blob mod-times, never
-// correctness. On a shared backend each process writes its own
-// manifest-<nonce>.json and every opener merges all of them, newest
-// hint per entry, so siblings never clobber each other's hints.
+// Eviction is LRU by access time under a byte budget. An entry's
+// access time is its blob's mod-time: a Put writes it, a Get touches
+// it (Backend.Touch), and the warm scan reads it back. Recency
+// therefore survives a kill -9 exactly, and every process opening the
+// directory sees every other's reads, with no side file to flush or
+// merge.
 //
-// On a shared backend the index is a snapshot: entries published by
-// sibling processes after our open are not in it. Get therefore falls
-// through to the backend on an index miss (read-through), verifies,
-// and indexes what it finds — which is how two coordinators on one
-// shared store serve each other's results with zero re-runs.
+// The index is a snapshot: entries published by other processes after
+// our open are not in it. Get therefore falls through to the backend
+// on an index miss (read-through), verifies, and indexes what it
+// finds — which is how two coordinators on one store serve each
+// other's results with zero re-runs.
 package store
 
 import (
@@ -59,11 +56,9 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"path"
 	"sort"
 	"strconv"
@@ -77,23 +72,7 @@ const (
 	hashHexLen        = 64
 	tmpDirName        = "tmp"
 	quarantineDirName = "quarantine"
-	manifestName      = "manifest.json"
-	manifestVersion   = 1
-	// manifestFlushEvery bounds how stale the persisted atime hints can
-	// get while the process runs: the manifest is rewritten after this
-	// many touches, or after one touch per entry once the store holds
-	// more — Puts and Gets both move atimes, so both count — and always
-	// at Close. Counting only Puts was a real bug: a long read-heavy run
-	// that died by kill -9 lost every eviction hint accumulated since
-	// its last write.
-	manifestFlushEvery = 64
 )
-
-// sharedManifestMaxAge is how stale a sibling's manifest blob must be
-// before an opener on a shared backend garbage-collects it: well past
-// any live process's flush cadence, so only manifests of processes
-// long dead are removed. A var so tests can shrink it.
-var sharedManifestMaxAge = 24 * time.Hour
 
 // FaultFS injects filesystem failures into a dir backend's write path,
 // so tests can prove the crash-recovery behavior without an actual
@@ -101,11 +80,9 @@ var sharedManifestMaxAge = 24 * time.Hour
 // unconditionally; a hook returning an error fails the operation
 // before it touches the disk.
 type FaultFS struct {
-	// WriteFile is consulted before a temp file is written — an
-	// entry's, or the manifest's on a periodic flush. Failing it models
-	// a full disk or I/O error: Put returns the error and removes the
-	// temp file; a manifest flush is skipped (the hints stay in memory
-	// until the next cadence point or Close).
+	// WriteFile is consulted before a temp file is written. Failing it
+	// models a full disk or I/O error: the write returns the error and
+	// removes the temp file.
 	WriteFile func(path string) error
 	// Rename is consulted before the temp file is renamed into place.
 	// Failing it models a crash between the temp write and the rename
@@ -150,7 +127,7 @@ type Stats struct {
 type entry struct {
 	hash  string
 	size  int64 // whole blob (header + payload): what the byte budget charges
-	atime int64 // unix nanos of last touch, the LRU eviction key
+	atime int64 // unix nanos of last touch (at open: the blob's mod-time), the LRU key
 }
 
 // Store is a crash-safe content-addressed result store. All methods
@@ -159,22 +136,14 @@ type entry struct {
 // miss.
 type Store struct {
 	be       Backend
-	shared   bool
 	maxBytes int64
 	log      *slog.Logger
-	// nonce names this process's manifest blob on a shared backend.
-	nonce string
 
 	mu      sync.Mutex
 	ll      *list.List               // front = most recently used
 	entries map[string]*list.Element // hash -> element holding *entry
 	bytes   int64
 	stats   Stats // counter fields only; Entries/Bytes derived in Stats()
-	// touchesSinceFlush counts atime movements (Puts and Gets) since
-	// the manifest was last persisted; at max(manifestFlushEvery,
-	// entries) it flushes.
-	touchesSinceFlush int
-	manifestDirty     bool
 }
 
 // Open opens the store over cfg.Backend (or a DirBackend rooted at
@@ -200,10 +169,8 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		be:       be,
-		shared:   be.Shared(),
 		maxBytes: cfg.MaxBytes,
 		log:      log,
-		nonce:    fmt.Sprintf("%d-%x", os.Getpid(), time.Now().UnixNano()),
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 	}
@@ -211,7 +178,7 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.warmScan(infos, s.loadManifests(infos))
+	s.warmScan(infos)
 	s.mu.Lock()
 	s.evictLocked()
 	s.mu.Unlock()
@@ -222,15 +189,14 @@ func Open(cfg Config) (*Store, error) {
 // well-formed two-level fan-out path whose name is not a matching
 // content address, or that fail the cheap header-vs-size check
 // (truncation), are quarantined. Everything outside the fan-out tree —
-// manifests, quarantine/, a journal sharing the backend — is ignored.
-// atimes supplies last-access hints from the manifests; entries they
-// do not cover fall back to blob mod-time.
-func (s *Store) warmScan(infos []BlobInfo, atimes map[string]int64) {
+// quarantine/, a journal sharing the backend, old manifest files — is
+// ignored. Each entry's access time is its blob's mod-time.
+func (s *Store) warmScan(infos []BlobInfo) {
 	var found []*entry
 	for _, in := range infos {
 		segs := strings.Split(in.Name, "/")
 		if len(segs) != 3 || !isFanoutName(segs[0]) || !isFanoutName(segs[1]) {
-			continue // manifests, quarantine/, journal/, strays
+			continue // quarantine/, journal/, old manifests, strays
 		}
 		hash, ok := HashFromEntryName(segs[2])
 		if !ok || hash[:2] != segs[0] || hash[2:4] != segs[1] {
@@ -241,11 +207,7 @@ func (s *Store) warmScan(infos []BlobInfo, atimes map[string]int64) {
 			s.quarantineBlob(in.Name, "truncated or malformed entry")
 			continue
 		}
-		at := atimes[hash]
-		if at == 0 {
-			at = in.ModTime.UnixNano()
-		}
-		found = append(found, &entry{hash: hash, size: in.Size, atime: at})
+		found = append(found, &entry{hash: hash, size: in.Size, atime: in.ModTime.UnixNano()})
 	}
 	// Oldest-accessed first, so pushing front leaves the most recently
 	// used entry at the front — the same invariant live Puts maintain.
@@ -258,38 +220,35 @@ func (s *Store) warmScan(infos []BlobInfo, atimes map[string]int64) {
 
 // Get returns the payload stored under hash. A verification failure
 // quarantines the entry and reports a miss, so a corrupted result is
-// recomputed rather than served. On a shared backend an index miss
-// falls through to the backend itself — a sibling process may have
-// published the entry after we opened — and a verified find is indexed
-// as if we had written it.
+// recomputed rather than served. An index miss falls through to the
+// backend itself — another process may have published the entry after
+// we opened — and a verified find is indexed as if we had written it.
+// A hit touches the blob, outside the index lock, so the read counts
+// toward recency in every process's next warm scan.
 func (s *Store) Get(hash string) ([]byte, bool) {
 	if !ValidHash(hash) {
 		return nil, false
 	}
+	name := EntryRel(hash)
+	now := time.Now()
 	s.mu.Lock()
-	el, ok := s.entries[hash]
-	if !ok {
-		s.mu.Unlock()
-		if s.shared {
-			return s.readThrough(hash)
-		}
-		s.countMiss()
-		return nil, false
+	el, indexed := s.entries[hash]
+	if indexed {
+		el.Value.(*entry).atime = now.UnixNano()
+		s.ll.MoveToFront(el)
 	}
-	e := el.Value.(*entry)
-	e.atime = time.Now().UnixNano()
-	s.ll.MoveToFront(el)
-	s.manifestDirty = true
-	s.touchLocked()
 	s.mu.Unlock()
 
-	data, err := s.be.Read(EntryRel(hash))
+	data, err := s.be.Read(name)
 	if err != nil {
-		// A concurrent eviction can remove the blob between the index
-		// lookup and the read: that is a miss, not corruption. Drop the
-		// index entry if it is somehow still present.
+		// Not published anywhere, or a concurrent eviction (ours or a
+		// sibling's) removed the blob between the index lookup and the
+		// read: a miss, not corruption. Drop the index entry if it is
+		// somehow still present.
 		s.mu.Lock()
-		s.dropLocked(hash)
+		if indexed {
+			s.dropLocked(hash)
+		}
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
@@ -303,40 +262,19 @@ func (s *Store) Get(hash string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	s.stats.Hits++
-	s.mu.Unlock()
-	return payload, true
-}
-
-// readThrough answers an index miss from the backend directly — the
-// shared-backend path where a sibling's publish post-dates our open.
-// A verified find is indexed (and charged to the byte budget) so later
-// Gets hit memory-index-first like any other entry.
-func (s *Store) readThrough(hash string) ([]byte, bool) {
-	data, err := s.be.Read(EntryRel(hash))
-	if err != nil {
-		s.countMiss()
-		return nil, false
-	}
-	payload, perr := parseEntry(data)
-	if perr != nil {
-		s.log.Warn("store entry failed verification, quarantined",
-			"hash", hash, "error", perr.Error())
-		s.Quarantine(hash)
-		s.countMiss()
-		return nil, false
-	}
-	now := time.Now().UnixNano()
-	s.mu.Lock()
-	if _, ok := s.entries[hash]; !ok {
-		s.entries[hash] = s.ll.PushFront(&entry{hash: hash, size: int64(len(data)), atime: now})
-		s.bytes += int64(len(data))
-		s.manifestDirty = true
+	if _, ok := s.entries[hash]; !ok && !indexed {
+		// A read-through find: index it and charge it to the budget, so
+		// later Gets find it in the index like any other entry.
+		size := int64(len(data))
+		s.entries[hash] = s.ll.PushFront(&entry{hash: hash, size: size, atime: now.UnixNano()})
+		s.bytes += size
 		s.evictLocked()
-		s.touchLocked()
 	}
 	s.stats.Hits++
 	s.mu.Unlock()
+	// A failed touch costs recency only: the blob may have just been
+	// evicted, by us or by another process.
+	_ = s.be.Touch(name, now)
 	return payload, true
 }
 
@@ -349,10 +287,9 @@ func (s *Store) countMiss() {
 // Put durably stores payload under hash via the backend's atomic
 // write. The entry is indexed (and the budget enforced) only after the
 // write returns, so a crash at any point leaves either no entry or a
-// complete one. On a shared backend a concurrent Put of the same hash
-// by a sibling is harmless: content-addressing means both writers
-// carry identical bytes, so last-rename-wins publishes the same entry
-// either way.
+// complete one. A concurrent Put of the same hash by another process
+// is harmless: content-addressing means both writers carry identical
+// bytes, so last-rename-wins publishes the same entry either way.
 func (s *Store) Put(hash string, payload []byte) error {
 	if !ValidHash(hash) {
 		return fmt.Errorf("store: invalid hash %q", hash)
@@ -381,24 +318,9 @@ func (s *Store) Put(hash string, payload []byte) error {
 		s.bytes += size
 	}
 	s.stats.Writes++
-	s.manifestDirty = true
 	s.evictLocked()
-	s.touchLocked()
 	s.mu.Unlock()
 	return nil
-}
-
-// touchLocked counts one atime movement toward the periodic manifest
-// flush and flushes when the cadence is reached: a flush costs one
-// hint per entry, so it waits for at least as many touches as there
-// are entries. Called with s.mu held by every path that reorders the
-// LRU (Put and Get alike — eviction hints age just as fast under reads
-// as under writes).
-func (s *Store) touchLocked() {
-	s.touchesSinceFlush++
-	if s.touchesSinceFlush >= max(manifestFlushEvery, s.ll.Len()) {
-		s.flushManifestLocked()
-	}
 }
 
 func (s *Store) countWriteError() {
@@ -427,7 +349,6 @@ func (s *Store) evictLocked() {
 		s.bytes -= e.size
 		_ = s.be.Remove(EntryRel(e.hash))
 		s.stats.Evictions++
-		s.manifestDirty = true
 	}
 }
 
@@ -438,7 +359,6 @@ func (s *Store) dropLocked(hash string) {
 		s.ll.Remove(el)
 		delete(s.entries, hash)
 		s.bytes -= e.size
-		s.manifestDirty = true
 	}
 }
 
@@ -488,102 +408,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close persists the access-time manifest. The entries themselves are
-// already durable (every Put goes through the backend's atomic write);
-// skipping Close — a crash — only costs the recency hints.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushManifestLocked()
-	return nil
-}
-
-// manifest is the persisted access-time hint blob.
-type manifest struct {
-	Version int              `json:"version"`
-	ATimes  map[string]int64 `json:"atimes"`
-}
-
-// manifestBlobName is where THIS process flushes its hints: the plain
-// manifest.json on a private backend, a per-process manifest-<nonce>
-// on a shared one — siblings flushing concurrently must not clobber
-// each other's hints.
-func (s *Store) manifestBlobName() string {
-	if s.shared {
-		return fmt.Sprintf("manifest-%s.json", s.nonce)
-	}
-	return manifestName
-}
-
-// isManifestName matches any manifest blob at the namespace root —
-// ours, or a sibling's on a shared backend.
-func isManifestName(name string) bool {
-	if strings.Contains(name, "/") {
-		return false
-	}
-	return name == manifestName ||
-		(strings.HasPrefix(name, "manifest-") && strings.HasSuffix(name, ".json"))
-}
-
-// loadManifests merges the atime hints of every manifest blob in the
-// listing, newest hint per entry — on a shared backend each sibling
-// writes its own, and the truth is their union. Any unreadable blob
-// degrades to no hints (the hints are not load-bearing). Manifests of
-// processes long dead are garbage-collected in passing.
-func (s *Store) loadManifests(infos []BlobInfo) map[string]int64 {
-	at := make(map[string]int64)
-	for _, in := range infos {
-		if !isManifestName(in.Name) {
-			continue
-		}
-		if s.shared && time.Since(in.ModTime) > sharedManifestMaxAge {
-			_ = s.be.Remove(in.Name)
-			continue
-		}
-		data, err := s.be.Read(in.Name)
-		if err != nil {
-			continue
-		}
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Version != manifestVersion {
-			s.log.Warn("store manifest unreadable, falling back to blob mtimes", "name", in.Name)
-			continue
-		}
-		for h, t := range m.ATimes {
-			if t > at[h] {
-				at[h] = t
-			}
-		}
-	}
-	if len(at) == 0 {
-		return nil
-	}
-	return at
-}
-
-// flushManifestLocked rewrites this process's manifest blob from the
-// live index. An occasionally stale manifest only reorders eviction.
-// Called with s.mu held.
-func (s *Store) flushManifestLocked() {
-	s.touchesSinceFlush = 0
-	if !s.manifestDirty {
-		return
-	}
-	m := manifest{Version: manifestVersion, ATimes: make(map[string]int64, s.ll.Len())}
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		m.ATimes[e.hash] = e.atime
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	if err := s.be.Write(s.manifestBlobName(), data); err != nil {
-		s.log.Warn("store manifest write failed", "error", err.Error())
-		return
-	}
-	s.manifestDirty = false
-}
+// Close is a no-op kept so a Store closes like any other resource:
+// every Put is durable when it returns, and recency lives in the blob
+// mod-times, so there is nothing left to flush.
+func (s *Store) Close() error { return nil }
 
 // ---------------------------------------------------------------------
 // Content-address and entry-framing helpers. Exported where the fuzz

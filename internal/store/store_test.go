@@ -3,7 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // hashOf returns a deterministic valid content address for a label.
@@ -69,7 +69,7 @@ func TestPutGetRoundTripAndPersistence(t *testing.T) {
 
 func TestReopenWithoutCloseStillServes(t *testing.T) {
 	// Skipping Close models a crash: entries are fsynced at Put, so
-	// only the manifest's atime hints may be lost — never data.
+	// nothing is lost.
 	dir := t.TempDir()
 	h := hashOf("crash")
 	payload := []byte("survives kill -9")
@@ -108,7 +108,13 @@ func TestTornWriteLeavesNoEntryAndSweepsTmp(t *testing.T) {
 		t.Fatalf("want exactly the torn temp file left behind, got %d (err %v)", len(tmps), err)
 	}
 
-	// Recovery: the next Open sweeps it and sees an empty store.
+	// Recovery: once the temp is old enough to be a crash leftover
+	// rather than a live writer's, the next Open sweeps it and sees an
+	// empty store.
+	old := time.Now().Add(-2 * tmpMaxAge)
+	if err := os.Chtimes(filepath.Join(dir, tmpDirName, tmps[0].Name()), old, old); err != nil {
+		t.Fatal(err)
+	}
 	s2 := mustOpen(t, Config{Dir: dir})
 	if st := s2.Stats(); st.Entries != 0 {
 		t.Fatalf("store not empty after recovery: %+v", st)
@@ -266,9 +272,10 @@ func TestByteBudgetEvictionHonorsRecency(t *testing.T) {
 	}
 }
 
-func TestManifestATimesDriveReopenEviction(t *testing.T) {
-	// Recency recorded by Get must survive Close/Open and steer the
-	// budget enforcement of the next process.
+func TestReadRecencyDrivesReopenEviction(t *testing.T) {
+	// A read moves the blob's mod-time, so recency survives a process
+	// that dies without Close (kill -9) and steers the budget
+	// enforcement of the next one.
 	dir := t.TempDir()
 	payload := []byte(strings.Repeat("y", 500))
 	entrySize := int64(len(frame(payload)))
@@ -281,19 +288,19 @@ func TestManifestATimesDriveReopenEviction(t *testing.T) {
 	if err := s.Put(hb, payload); err != nil {
 		t.Fatal(err)
 	}
-	// a was written first but touched last.
+	// a was written first but read last.
 	if _, ok := s.Get(ha); !ok {
 		t.Fatal("Get(a)")
 	}
-	s.Close()
+	// No Close: the store is abandoned as a kill -9 would leave it.
 
-	// Reopen with room for only one entry: b (older atime) must go.
+	// Reopen with room for only one entry: b (older access) must go.
 	s2 := mustOpen(t, Config{Dir: dir, MaxBytes: entrySize})
 	if _, ok := s2.Get(hb); ok {
-		t.Fatal("open-time eviction kept the stale entry")
+		t.Fatal("open-time eviction kept the unread entry")
 	}
 	if _, ok := s2.Get(ha); !ok {
-		t.Fatal("open-time eviction dropped the recently-touched entry")
+		t.Fatal("open-time eviction dropped the recently-read entry")
 	}
 }
 
@@ -375,213 +382,39 @@ func TestEvictionRacingConcurrentReads(t *testing.T) {
 	}
 }
 
-func TestManifestFlushEvery(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	for i := 0; i < manifestFlushEvery; i++ {
-		if err := s.Put(hashOf(fmt.Sprintf("m-%d", i)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The periodic flush must have produced a manifest without Close.
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatalf("manifest not flushed after %d puts: %v", manifestFlushEvery, err)
-	}
-	if !strings.Contains(string(data), hashOf("m-0")) {
-		t.Fatal("manifest missing entries")
-	}
-}
-
-func TestGetTouchesFlushManifest(t *testing.T) {
-	// The read-heavy kill -9 scenario: Gets move atimes just like Puts,
-	// so a run that only reads must still flush the manifest on the
-	// same cadence — otherwise a crash loses every eviction hint since
-	// the last write, and the next open evicts by stale file mtimes.
-	dir := t.TempDir()
-	payload := []byte(strings.Repeat("h", 500))
-	entrySize := int64(len(frame(payload)))
-	ha, hb := hashOf("a"), hashOf("b")
-
-	var manifestWrites int
-	s, err := Open(Config{Dir: dir, Faults: &FaultFS{
-		WriteFile: func(path string) error {
-			// Manifest writes stage through tmp/ as manifest.json.<rand>.
-			if strings.HasPrefix(filepath.Base(path), manifestName) {
-				manifestWrites++
-			}
-			return nil
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ha, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(hb, payload); err != nil {
-		t.Fatal(err)
-	}
-	if manifestWrites != 0 {
-		t.Fatalf("manifest flushed after only 2 puts (%d writes)", manifestWrites)
-	}
-	// b was written last, but a is what this workload actually uses.
-	for i := 0; i < manifestFlushEvery; i++ {
-		if _, ok := s.Get(ha); !ok {
-			t.Fatal("Get(a)")
-		}
-	}
-	if manifestWrites == 0 {
-		t.Fatalf("%d Gets flushed no manifest: read touches not counted toward the cadence", manifestFlushEvery)
-	}
-	// kill -9: the store is abandoned, never Closed.
-
-	// The next process has room for one entry; the manifest the Gets
-	// flushed must steer eviction to b, not to the recently-read a.
-	s2 := mustOpen(t, Config{Dir: dir, MaxBytes: entrySize})
-	if _, ok := s2.Get(hb); ok {
-		t.Fatal("reopen kept the cold entry: Get atimes were lost in the crash")
-	}
-	if _, ok := s2.Get(ha); !ok {
-		t.Fatal("reopen evicted the read-hot entry")
-	}
-}
-
-func TestManifestWriteFaultSkipsFlush(t *testing.T) {
-	// A failing manifest write is absorbed: the flush is skipped, the
-	// store keeps serving, and the hints land on the next healthy
-	// cadence point (here: Close).
-	dir := t.TempDir()
-	h := hashOf("f")
-	boom := errors.New("manifest disk full")
-	failing := true
-	s := mustOpen(t, Config{Dir: dir, Faults: &FaultFS{
-		WriteFile: func(path string) error {
-			if failing && strings.HasPrefix(filepath.Base(path), manifestName) {
-				return boom
-			}
-			return nil
-		},
-	}})
-	if err := s.Put(h, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*manifestFlushEvery; i++ {
-		if _, ok := s.Get(h); !ok {
-			t.Fatal("Get")
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
-		t.Fatal("manifest appeared despite write faults")
-	}
-	failing = false
-	s.Close()
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("Close did not flush the manifest once writes recovered: %v", err)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	// loadManifests decodes a flushed manifest to exactly the index's
-	// atimes, whatever the store's size.
-	for _, n := range []int{0, 1, manifestFlushEvery + 7} {
-		dir := t.TempDir()
-		s := mustOpen(t, Config{Dir: dir})
-		for i := 0; i < n; i++ {
-			if err := s.Put(hashOf(fmt.Sprintf("rt-%d-%d", n, i)), []byte("x")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.mu.Lock()
-		want := make(map[string]int64, s.ll.Len())
-		for el := s.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			want[e.hash] = e.atime
-		}
-		s.manifestDirty = true // an empty store writes its manifest too
-		s.flushManifestLocked()
-		s.mu.Unlock()
-
-		data, err := os.ReadFile(filepath.Join(dir, manifestName))
-		if err != nil {
-			t.Fatalf("n=%d: manifest not written: %v", n, err)
-		}
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Version != manifestVersion {
-			t.Fatalf("n=%d: manifest %q does not decode as version %d: %v", n, data, manifestVersion, err)
-		}
-		infos, err := s.be.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.loadManifests(infos)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: decoded %d hints, index holds %d", n, len(got), len(want))
-		}
-		for h, at := range want {
-			if got[h] != at {
-				t.Fatalf("n=%d: hint for %s = %d, index atime %d", n, h[:8], got[h], at)
-			}
-		}
-	}
-}
-
-func TestManifestCadenceScalesWithEntries(t *testing.T) {
-	// A flush rewrites every entry's hint, so a store holding N > 64
-	// entries flushes once per N touches, not once per 64.
-	const n = 3 * manifestFlushEvery
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	for i := 0; i < n; i++ {
-		if err := s.Put(hashOf(fmt.Sprintf("c-%d", i)), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	var manifestWrites int
-	s2 := mustOpen(t, Config{Dir: dir, Faults: &FaultFS{
-		WriteFile: func(path string) error {
-			if strings.HasPrefix(filepath.Base(path), manifestName) {
-				manifestWrites++
-			}
-			return nil
-		},
-	}})
-	if got := s2.Stats().Entries; got != n {
-		t.Fatalf("reopened store holds %d entries, want %d", got, n)
-	}
-	h := hashOf("c-0")
-	for i := 0; i < n-1; i++ {
-		if _, ok := s2.Get(h); !ok {
-			t.Fatal("Get")
-		}
-	}
-	if manifestWrites != 0 {
-		t.Fatalf("manifest flushed after %d touches of a %d-entry store (%d writes)", n-1, n, manifestWrites)
-	}
-	if _, ok := s2.Get(h); !ok {
-		t.Fatal("Get")
-	}
-	if manifestWrites != 1 {
-		t.Fatalf("%d touches of a %d-entry store wrote %d manifests, want 1", n, n, manifestWrites)
-	}
-}
-
 func TestGarbageManifestIgnored(t *testing.T) {
+	// Older versions kept access-time hints in manifest.json (and
+	// manifest-<nonce>.json per process). Such files sit outside the
+	// fan-out tree: whatever they hold, they are never read, quarantined
+	// or charged to the budget.
 	dir := t.TempDir()
 	h := hashOf("g")
+	payload := []byte("x")
 	s := mustOpen(t, Config{Dir: dir})
-	if err := s.Put(h, []byte("x")); err != nil {
+	if err := s.Put(h, payload); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
+	strays := map[string]string{
+		"manifest.json":   "{torn",
+		"manifest-x.json": `{"version":1,"atimes":{"` + h + `":1}}`,
+	}
+	for name, content := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2 := mustOpen(t, Config{Dir: dir})
+	st := s2.Stats()
+	if st.Entries != 1 || st.Quarantined != 0 || st.Bytes != int64(len(frame(payload))) {
+		t.Fatalf("stray manifests changed the index: %+v", st)
+	}
 	if _, ok := s2.Get(h); !ok {
-		t.Fatal("garbage manifest lost an entry")
+		t.Fatal("entry lost next to stray manifests")
+	}
+	for name := range strays {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s was moved: %v", name, err)
+		}
 	}
 }
 

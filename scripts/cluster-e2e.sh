@@ -29,7 +29,7 @@
 # both jobs finish.
 #
 # Phase 4 — shared store, sibling coordinators, worker direct publish:
-# coordinator A and a worker share one -store-shared directory; the
+# coordinator A and a worker share one -store-dir directory; the
 # worker publishes each shard result directly into the store and
 # acknowledges by hash+digest (the payload never transits the dispatch
 # HTTP body). The worker is killed -9 inside the acknowledgement window
@@ -439,7 +439,7 @@ EOF
     || fail "midas-sim golden for the shared-store spec"
 
 "$tmp/midas-serve" -addr 127.0.0.1:0 -dispatch-listen 127.0.0.1:0 \
-    -store-dir "$shared_dir" -store-shared -lease-ttl "$lease_ttl" -log off \
+    -store-dir "$shared_dir" -lease-ttl "$lease_ttl" -log off \
     > "$tmp/serve-a4.log" 2>&1 &
 serve_pid=$!
 discover "$tmp/serve-a4.log" "$serve_pid"
@@ -451,7 +451,7 @@ echo "cluster-e2e: coordinator A at $addr_a (dispatch $dispatch_addr, shared sto
 # the completion POST — the acknowledgement window we kill it in.
 MIDAS_WORKER_HOLD_AFTER_PUBLISH=300s "$tmp/midas-worker" \
     -coordinator "http://$dispatch_addr" -id holder \
-    -store-dir "$shared_dir" -store-shared \
+    -store-dir "$shared_dir" \
     -parallelism 1 -max-batch 1 > "$tmp/worker-e.log" 2>&1 &
 worker_a_pid=$!
 i=0
@@ -500,7 +500,7 @@ echo "cluster-e2e: orphaned publish recovered from the store at lease expiry"
 
 # A replacement direct-publishing worker supplies the remaining shards.
 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id finisher \
-    -store-dir "$shared_dir" -store-shared > "$tmp/worker-f.log" 2>&1 &
+    -store-dir "$shared_dir" > "$tmp/worker-f.log" 2>&1 &
 worker_b_pid=$!
 wait_done "$job5" 1800
 
@@ -525,7 +525,7 @@ diff -u "$tmp/shared-golden.stripped" "$tmp/shared-served-a.stripped" \
 # must serve A's sweep as a store hit — no engine runs, byte-identical
 # bytes — both by job submission and by content address.
 "$tmp/midas-serve" -addr 127.0.0.1:0 -dispatch-listen 127.0.0.1:0 \
-    -store-dir "$shared_dir" -store-shared -lease-ttl "$lease_ttl" -log off \
+    -store-dir "$shared_dir" -lease-ttl "$lease_ttl" -log off \
     > "$tmp/serve-b4.log" 2>&1 &
 serve_b_pid=$!
 discover "$tmp/serve-b4.log" "$serve_b_pid"
