@@ -273,9 +273,8 @@ func TestByteBudgetEvictionHonorsRecency(t *testing.T) {
 }
 
 func TestReadRecencyDrivesReopenEviction(t *testing.T) {
-	// A read moves the blob's mod-time, so recency survives a process
-	// that dies without Close (kill -9) and steers the budget
-	// enforcement of the next one.
+	// Recency recorded by Get must survive Close/Open and steer the
+	// budget enforcement of the next process.
 	dir := t.TempDir()
 	payload := []byte(strings.Repeat("y", 500))
 	entrySize := int64(len(frame(payload)))
@@ -292,9 +291,61 @@ func TestReadRecencyDrivesReopenEviction(t *testing.T) {
 	if _, ok := s.Get(ha); !ok {
 		t.Fatal("Get(a)")
 	}
-	// No Close: the store is abandoned as a kill -9 would leave it.
+	s.Close()
 
 	// Reopen with room for only one entry: b (older access) must go.
+	s2 := mustOpen(t, Config{Dir: dir, MaxBytes: entrySize})
+	if _, ok := s2.Get(hb); ok {
+		t.Fatal("open-time eviction kept the unread entry")
+	}
+	if _, ok := s2.Get(ha); !ok {
+		t.Fatal("open-time eviction dropped the recently-read entry")
+	}
+}
+
+func TestGetTouchSurvivesKill(t *testing.T) {
+	// The read-heavy kill -9 scenario: a Get moves the blob's mod-time
+	// on disk at once, so a process that only reads and dies without
+	// Close still steers the next open's eviction.
+	dir := t.TempDir()
+	payload := []byte(strings.Repeat("h", 500))
+	entrySize := int64(len(frame(payload)))
+	ha, hb := hashOf("a"), hashOf("b")
+
+	s := mustOpen(t, Config{Dir: dir})
+	if err := s.Put(ha, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(hb, payload); err != nil {
+		t.Fatal(err)
+	}
+	// Age both blobs, a older than b, so only a Get can reorder them
+	// whatever the file system's timestamp granularity.
+	pa, pb := filepath.Join(dir, EntryRel(ha)), filepath.Join(dir, EntryRel(hb))
+	base := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(pa, base, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(pb, base.Add(time.Minute), base.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(ha); !ok {
+		t.Fatal("Get(a)")
+	}
+	ia, err := os.Stat(pa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ib, err := os.Stat(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ia.ModTime().After(ib.ModTime()) {
+		t.Fatalf("Get did not move a's mod-time past b's: a %v, b %v", ia.ModTime(), ib.ModTime())
+	}
+	// No Close: the store is abandoned as a kill -9 would leave it.
+
+	// The next process has room for one entry: b (older access) must go.
 	s2 := mustOpen(t, Config{Dir: dir, MaxBytes: entrySize})
 	if _, ok := s2.Get(hb); ok {
 		t.Fatal("open-time eviction kept the unread entry")
