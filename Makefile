@@ -79,13 +79,13 @@ fuzz-smoke:
 golden:
 	$(GO) test -run TestGoldenFigures ./internal/scenario
 
-# Run every example against its committed spec file so they cannot
-# silently rot.
+# Run the quickstart walkthrough and midas-sim over every committed
+# example spec file so none can silently rot.
 examples:
 	$(GO) run ./examples/quickstart -spec examples/quickstart/spec.json > /dev/null
-	$(GO) run ./examples/office -spec examples/office/spec.json > /dev/null
-	$(GO) run ./examples/hiddenterminal -spec examples/hiddenterminal/spec.json > /dev/null
-	$(GO) run ./examples/dense -spec examples/dense/spec.json > /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig8-office-a,fig9-office-b -spec examples/office/spec.json > /dev/null
+	$(GO) run ./cmd/midas-sim -scenario fig13-deadzones,ht-hidden-terminals -spec examples/hiddenterminal/spec.json > /dev/null
+	$(GO) run ./cmd/midas-sim -spec examples/dense/spec.json > /dev/null
 
 # A fast end-to-end pass through the runner: a PHY figure, a MAC figure
 # and one short DES experiment, at reduced scale, through every sink,

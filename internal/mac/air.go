@@ -29,9 +29,9 @@ const (
 
 // Rx describes one frame arrival at a listener.
 type Rx struct {
-	Data  []byte  // encoded frame bytes
-	Power float64 // strongest-antenna receive power (linear mW)
-	SINR  float64 // against the worst-case overlap interference (linear)
+	NAV   time.Duration // the frame's Duration field, as StartTx quantised it
+	Power float64       // strongest-antenna receive power (linear mW)
+	SINR  float64       // against the worst-case overlap interference (linear)
 	// Decodable is false when the frame was below sensitivity or
 	// collided; such frames still raised energy on the medium.
 	Decodable bool
@@ -54,12 +54,14 @@ type Listener struct {
 
 // Tx describes one transmission: a set of transmitting antenna sites
 // (one for SISO control frames; several for an MU PPDU), a per-antenna
-// power, a duration and the encoded frame. Sites come from Air.Site.
+// power, a duration and the NAV the frame's Duration field announces to
+// third parties, counted from the frame's end (0 announces none). Sites
+// come from Air.Site.
 type Tx struct {
 	Antennas []int
 	PowerDBm float64
 	Airtime  time.Duration
-	Data     []byte
+	NAV      time.Duration
 }
 
 // Air is the shared radio medium: it tracks active transmissions, answers
@@ -171,7 +173,7 @@ type activeTx struct {
 	id         int
 	ants       []int // transmitting antenna sites
 	dBm        float64
-	data       []byte
+	nav        time.Duration
 	start, end time.Duration
 	overlap    []overlapSpan // transmissions that overlapped this one, by id
 	fire       func()        // ends this transmission; bound once per record
@@ -404,7 +406,7 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	a.nextTx++
 	now := a.Eng.Now()
 	at := a.newActive()
-	at.id, at.dBm, at.data = id, tx.PowerDBm, tx.Data
+	at.id, at.dBm, at.nav = id, tx.PowerDBm, durationField(tx.NAV)
 	at.start, at.end = now, now+tx.Airtime
 	at.ants = append(at.ants[:0], tx.Antennas...)
 	at.pow = unsetRow(at.pow, 0, len(a.pos))
@@ -469,7 +471,7 @@ func (a *Air) endTx(at *activeTx) {
 		}
 		sinr := sig / (noise + interf)
 		rx := Rx{
-			Data:      at.data,
+			NAV:       at.nav,
 			Power:     sig,
 			SINR:      sinr,
 			Decodable: sig >= minPower && a.captures(sinr),
@@ -479,7 +481,6 @@ func (a *Air) endTx(at *activeTx) {
 		}
 		l.fn(rx)
 	}
-	at.data = nil
 	for _, sp := range at.overlap {
 		sp.tx.refs--
 		a.release(sp.tx)

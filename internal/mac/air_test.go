@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/frames"
 	"repro/internal/geom"
 	"repro/internal/stats"
 )
@@ -26,7 +25,6 @@ func TestBusyReflectsActiveTx(t *testing.T) {
 		Antennas: sites(a, geom.Pt(0, 0)),
 		PowerDBm: 20,
 		Airtime:  100 * time.Microsecond,
-		Data:     frames.Encode(&frames.CTS{RA: frames.MkAddr(1, 1)}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,15 +62,11 @@ func TestDeliveryToListener(t *testing.T) {
 	e, a := newTestAir()
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	payload := frames.Encode(&frames.RTS{
-		Duration: 300 * time.Microsecond,
-		RA:       frames.MkAddr(1, 1), TA: frames.MkAddr(2, 2),
-	})
 	a.StartTx(Tx{
 		Antennas: sites(a, geom.Pt(0, 0)),
 		PowerDBm: 20,
 		Airtime:  50 * time.Microsecond,
-		Data:     payload,
+		NAV:      300*time.Microsecond + 999*time.Nanosecond,
 	})
 	e.Run(time.Second)
 	if len(got) != 1 {
@@ -85,12 +79,8 @@ func TestDeliveryToListener(t *testing.T) {
 	if rx.Start != 0 || rx.End != 50*time.Microsecond {
 		t.Errorf("timing %v–%v", rx.Start, rx.End)
 	}
-	f, err := frames.Decode(rx.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Dur() != 300*time.Microsecond {
-		t.Errorf("decoded NAV duration %v", f.Dur())
+	if rx.NAV != 300*time.Microsecond {
+		t.Errorf("delivered NAV %v, want the Duration field's 300µs", rx.NAV)
 	}
 }
 

@@ -27,6 +27,19 @@ func (n *NAV) Expiry() time.Duration { return n.until }
 // Clear resets the NAV (used when a CF-End-like release is heard).
 func (n *NAV) Clear() { n.until = 0 }
 
+// maxDurationField is the largest NAV a frame can announce: the
+// Duration/ID field carries 15 bits of microseconds.
+const maxDurationField = 32767 * time.Microsecond
+
+// durationField returns d as a frame's Duration/ID field carries it:
+// truncated to whole microseconds and clamped to 0–32,767 µs. StartTx
+// applies it once per transmission, so every NAV a listener sets is a
+// value the 15-bit on-air field could hold. A d under 1 µs announces no
+// NAV.
+func durationField(d time.Duration) time.Duration {
+	return min(max(d.Truncate(time.Microsecond), 0), maxDurationField)
+}
+
 // Table is a set of per-antenna NAVs plus per-antenna physical sensing
 // hooks — the MIDAS AP's fine-grained channel state (§3.2.2).
 //

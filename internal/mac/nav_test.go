@@ -32,6 +32,26 @@ func TestNAVUpdateRule(t *testing.T) {
 	}
 }
 
+func TestDurationField(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		in, out time.Duration
+	}{
+		{"zero announces no NAV", 0, 0},
+		{"under a microsecond announces no NAV", 999 * time.Nanosecond, 0},
+		{"whole microseconds pass", us(300), us(300)},
+		{"sub-microsecond part truncates", us(300) + 999*time.Nanosecond, us(300)},
+		{"negative clamps to zero", -us(5), 0},
+		{"largest field value passes", us(32767), us(32767)},
+		{"above the field clamps", us(32767) + 999*time.Nanosecond, us(32767)},
+		{"a second clamps", time.Second, us(32767)},
+	} {
+		if got := durationField(c.in); got != c.out {
+			t.Errorf("%s: durationField(%v) = %v, want %v", c.name, c.in, got, c.out)
+		}
+	}
+}
+
 func TestTableIndependentNAVs(t *testing.T) {
 	tab := NewTable(4)
 	if tab.Len() != 4 {

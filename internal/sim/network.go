@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/frames"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/rng"
@@ -22,8 +21,7 @@ type Network struct {
 	P        channel.Params
 	Stations []*Station
 
-	parser frames.Parser
-	src    *rng.Source
+	src *rng.Source
 
 	// antSite and clientSite are each antenna's and client's medium site
 	// (mac.Air.Site), interned once here: transmissions and data-plane

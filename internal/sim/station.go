@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/frames"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/phy"
@@ -128,8 +127,6 @@ type Station struct {
 	baDur     time.Duration
 	h, est    matrix.Mat  // the true channel and the sounded estimate
 	v         *matrix.Mat // the precoder, owned by solver
-	ndpa      frames.NDPA
-	frame     []byte // the encoded frame on the air
 
 	onBegin, onSounded, onData, onRates, onFinish func()
 	// txID is the station's last transmission. Its transmissions never
@@ -329,17 +326,13 @@ func (st *Station) mediumChanged(i int) {
 
 // overheard handles a frame arriving at contender/antenna i.
 func (st *Station) overheard(i int, rx mac.Rx) {
-	if !rx.Decodable || rx.Data == nil {
+	if !rx.Decodable || rx.NAV == 0 {
 		return
 	}
 	if rx.From == st.txID {
 		return // our own frame
 	}
-	f, err := st.net.parser.Parse(rx.Data)
-	if err != nil || f.Dur() == 0 {
-		return
-	}
-	until := rx.End + f.Dur()
+	until := rx.End + rx.NAV
 	if st.midas != nil {
 		st.midas.Navs.Update(i, until)
 	} else {

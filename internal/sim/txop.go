@@ -3,7 +3,6 @@ package sim
 import (
 	"time"
 
-	"repro/internal/frames"
 	"repro/internal/mac"
 	"repro/internal/matrix"
 	"repro/internal/phy"
@@ -72,18 +71,7 @@ func (st *Station) beginTXOP() {
 	st.baDur = st.blockAckDuration(len(clients))
 	// The NDPA's Duration field reserves the rest of the TXOP for
 	// overhearers' NAVs (§3.3).
-	st.ndpa = frames.NDPA{
-		Duration: mac.SIFS + st.Opts.TXOP + mac.SIFS + st.baDur,
-		RA:       frames.Broadcast,
-		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
-		Token:    uint8(st.TXOPs),
-		STAs:     st.ndpa.STAs[:0],
-	}
-	for _, cl := range clients {
-		st.ndpa.STAs = append(st.ndpa.STAs, frames.STAInfo{AID: uint16(cl + 1), Feedback: 1})
-	}
-	st.frame = frames.AppendFCS(st.ndpa.AppendTo(st.frame[:0]))
-	if !st.startTx(soundDur) {
+	if !st.startTx(soundDur, mac.SIFS+st.Opts.TXOP+mac.SIFS+st.baDur) {
 		return
 	}
 	st.SoundingOvhd += soundDur
@@ -103,11 +91,11 @@ func (st *Station) soundingDone() {
 	st.net.Eng.Schedule(mac.SIFS+time.Nanosecond, st.onData)
 }
 
-// startTx puts st.frame on the air from the TXOP's antennas for airtime
-// and records it as the station's own. On failure it aborts the TXOP and
-// returns false.
-func (st *Station) startTx(airtime time.Duration) bool {
-	id, err := st.net.Air.StartTx(mac.Tx{Antennas: st.txSites, PowerDBm: st.net.P.TxPowerDBm, Airtime: airtime, Data: st.frame})
+// startTx puts a frame announcing nav on the air from the TXOP's
+// antennas for airtime and records it as the station's own. On failure
+// it aborts the TXOP and returns false.
+func (st *Station) startTx(airtime, nav time.Duration) bool {
+	id, err := st.net.Air.StartTx(mac.Tx{Antennas: st.txSites, PowerDBm: st.net.P.TxPowerDBm, Airtime: airtime, NAV: nav})
 	if err != nil {
 		st.abortTXOP()
 		return false
@@ -165,16 +153,8 @@ func (st *Station) dataPhase() {
 	st.v = v
 
 	// Announce the burst (NAV covers the BlockAck phase).
-	dataHdr := frames.QoSData{
-		Duration: mac.SIFS + st.baDur,
-		RA:       frames.Broadcast,
-		TA:       frames.MkAddr(0xA0, uint32(st.ID)),
-		TID:      0,
-		GroupID:  uint8(st.ID + 1),
-	}
-	st.frame = frames.AppendFCS(dataHdr.AppendTo(st.frame[:0]))
 	dataDur := st.Opts.TXOP
-	if !st.startTx(dataDur) {
+	if !st.startTx(dataDur, mac.SIFS+st.baDur) {
 		return
 	}
 	st.AirtimeData += dataDur

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/frames"
 	"repro/internal/mac"
 	"repro/internal/rng"
 	"repro/internal/topology"
@@ -69,34 +68,41 @@ func TestStationTransmissionsNeverOverlap(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			net := testbedNetwork(kind, 71)
 			type span struct{ start, end time.Duration }
-			sent := map[frames.Addr][]span{}
-			var parser frames.Parser
+			// sender maps each transmission id to the station that
+			// started it, read from every station's txID after each
+			// 1 µs step of the engine. Every airtime is longer than a
+			// step, so a transmission is attributed before it ends; a
+			// station that started two in one step would leave the
+			// first unattributed and fail the test.
+			sender := map[int]int{}
+			sent := make([][]span, len(net.Stations))
 			net.Air.Listen(mac.Listener{Pos: net.Dep.APs[0], Fn: func(rx mac.Rx) {
-				f, err := parser.Parse(rx.Data)
-				if err != nil {
-					t.Fatalf("undecodable frame on the air: %v", err)
+				st, ok := sender[rx.From]
+				if !ok {
+					t.Fatalf("transmission %d reached a listener but no station's txID ever named it", rx.From)
 				}
-				var ta frames.Addr
-				switch f := f.(type) {
-				case *frames.NDPA:
-					ta = f.TA
-				case *frames.QoSData:
-					ta = f.TA
-				default:
-					t.Fatalf("unexpected %T on the air", f)
-				}
-				sent[ta] = append(sent[ta], span{rx.Start, rx.End})
+				sent[st] = append(sent[st], span{rx.Start, rx.End})
 			}})
-			net.Run(300 * time.Millisecond)
-			if len(sent) != len(net.Stations) {
-				t.Fatalf("heard %d transmitters, want %d", len(sent), len(net.Stations))
+			for _, st := range net.Stations {
+				st.Start()
 			}
-			for ta, spans := range sent {
+			for end := net.Eng.Now() + 300*time.Millisecond; net.Eng.Now() < end; {
+				net.Eng.Run(net.Eng.Now() + time.Microsecond)
+				for _, st := range net.Stations {
+					if st.txID >= 0 {
+						sender[st.txID] = st.ID
+					}
+				}
+			}
+			for st, spans := range sent {
+				if len(spans) == 0 {
+					t.Fatalf("station %d never transmitted", st)
+				}
 				sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
 				for i := 1; i < len(spans); i++ {
 					if spans[i].start < spans[i-1].end {
-						t.Fatalf("%v started a transmission at %v while its previous one (%v–%v) was on the air",
-							ta, spans[i].start, spans[i-1].start, spans[i-1].end)
+						t.Fatalf("station %d started a transmission at %v while its previous one (%v–%v) was on the air",
+							st, spans[i].start, spans[i-1].start, spans[i-1].end)
 					}
 				}
 			}
