@@ -19,7 +19,6 @@
 //	GET    /v1/results/{hash}   content-addressed result snapshot
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/scenarios        registry listing with default specs
-//	GET    /v1/metrics.json     JSON metrics snapshot
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text exposition
 //	/debug/pprof/...            live profiling (only with -pprof)

@@ -11,7 +11,7 @@
 // starts at once and there is no polling interval to tune.
 //
 //	midas-worker -coordinator http://host:port [-id NAME]
-//	             [-parallelism N] [-max-batch N] [-max-shards N]
+//	             [-parallelism N] [-max-batch N]
 //	             [-store-dir DIR] [-log text|json|off]
 //
 // With -store-dir the worker is a first-class store citizen: each
@@ -59,7 +59,6 @@ var (
 	id          = flag.String("id", "", "worker name in leases and metrics (default host-pid)")
 	parallelism = flag.Int("parallelism", 0, "inner parallelism for each shard (0 = GOMAXPROCS); never affects results")
 	maxBatch    = flag.Int("max-batch", 1, "shards to request per lease request (coordinator may cap)")
-	maxShards   = flag.Int("max-shards", 0, "exit after completing N shards (0 = run until signalled)")
 	storeDir    = flag.String("store-dir", "",
 		"durable result store directory shared with the coordinator: shard results are published here directly and acknowledged by hash (empty = post results inline)")
 	logFmt = flag.String("log", "text", "structured log handler on stderr: text, json or off")
@@ -140,7 +139,6 @@ func run() error {
 		ID:               wid,
 		Parallelism:      par,
 		MaxBatch:         *maxBatch,
-		MaxShards:        *maxShards,
 		Store:            st,
 		HoldAfterPublish: hold,
 		Log:              log,

@@ -499,11 +499,7 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenar
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.liveWorkersLocked(time.Now())
-}
-
-func (c *Coordinator) liveWorkersLocked(now time.Time) int {
-	ttl := c.cfg.workerTTL()
+	now, ttl := time.Now(), c.cfg.workerTTL()
 	n := 0
 	for id, seen := range c.workers {
 		if now.Sub(seen) <= ttl {
@@ -883,29 +879,15 @@ func (c *Coordinator) recoverFromStore(sh *shard) {
 	}
 }
 
-// Status is the coordinator's debug/e2e snapshot (GET
-// /v1/dispatch/status).
-type Status struct {
-	Jobs          int `json:"jobs"`
-	PendingShards int `json:"pending_shards"`
-	LeasedShards  int `json:"leased_shards"`
-	LiveWorkers   int `json:"live_workers"`
-}
-
-// StatusSnapshot snapshots the queue for the status endpoint.
-func (c *Coordinator) StatusSnapshot() Status {
+// shardCounts counts the shards queued for a lease (those of terminal
+// jobs excluded) and the shards out on a lease.
+func (c *Coordinator) shardCounts() (pending, leased int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pending := 0
 	for _, sh := range c.pending {
 		if !sh.job.terminal() {
 			pending++
 		}
 	}
-	return Status{
-		Jobs:          len(c.jobs),
-		PendingShards: pending,
-		LeasedShards:  len(c.leases),
-		LiveWorkers:   c.liveWorkersLocked(time.Now()),
-	}
+	return pending, len(c.leases)
 }

@@ -379,9 +379,11 @@ func TestRunContextCancel(t *testing.T) {
 	if out.err == nil {
 		t.Fatal("cancelled dispatch returned a result")
 	}
-	st := c.StatusSnapshot()
-	if st.Jobs != 0 {
-		t.Errorf("cancelled job still in table: %+v", st)
+	c.mu.Lock()
+	jobs := len(c.jobs)
+	c.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("cancelled job still in table: %d jobs", jobs)
 	}
 }
 

@@ -43,7 +43,7 @@ func fuzzCoordinator(t *testing.T, sc scenario.Scenario, spec scenario.Spec) *Co
 	done := dispatchAsync(ctx, c, sc, spec)
 	t.Cleanup(func() { cancel(); <-done; c.Close() })
 	deadline := time.Now().Add(5 * time.Second)
-	for c.StatusSnapshot().PendingShards != 2 {
+	for pending, _ := c.shardCounts(); pending != 2; pending, _ = c.shardCounts() {
 		if time.Now().After(deadline) {
 			t.Fatal("job never enqueued")
 		}
@@ -122,8 +122,8 @@ func FuzzLeaseRequest(f *testing.F) {
 			}
 			seen[l.Shard] = true
 		}
-		if s := c.StatusSnapshot(); s.LeasedShards+s.PendingShards != 2 {
-			t.Fatalf("queue holds %d leased + %d pending shards, want 2", s.LeasedShards, s.PendingShards)
+		if pending, leased := c.shardCounts(); leased+pending != 2 {
+			t.Fatalf("queue holds %d leased + %d pending shards, want 2", leased, pending)
 		}
 	})
 }

@@ -104,11 +104,14 @@ type CompleteResponse struct {
 	Status string `json:"status"` // accepted | requeued | duplicate | stale | resend
 }
 
-// Handler serves the lease protocol plus a status endpoint:
+// Handler serves the lease protocol:
 //
 //	POST /v1/shards/lease          LeaseRequest  -> LeaseResponse
 //	POST /v1/shards/{id}/complete  CompleteRequest -> CompleteResponse
-//	GET  /v1/dispatch/status       -> Status
+//
+// Its counters and gauges are the midas_shards_*, midas_shard_* and
+// midas_workers_live series on the registry midas-serve renders at
+// GET /metrics.
 //
 // midas-serve mounts this on its -dispatch-listen address (kept off
 // the public API listener so workers can live on a private network).
@@ -117,7 +120,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shards/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/shards/{id}/complete", c.handleComplete)
-	mux.HandleFunc("GET /v1/dispatch/status", c.handleStatus)
 	return mux
 }
 
@@ -250,10 +252,6 @@ func (c *Coordinator) completeDirect(leaseID string, req CompleteRequest, now ti
 		c.tel.direct.With("verified").Inc()
 	}
 	return status, after
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.StatusSnapshot())
 }
 
 // maxBodyBytes caps dispatch POST bodies, mirroring the public API's

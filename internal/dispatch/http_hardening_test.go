@@ -55,7 +55,7 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 	var lr LeaseResponse
 	waitLease(t, srv.URL, "held", &lr)
 	completeURL := srv.URL + "/v1/shards/" + lr.Leases[0].ID + "/complete"
-	before := c.StatusSnapshot()
+	pendingBefore, leasedBefore := c.shardCounts()
 
 	for _, tc := range []struct{ name, url, body string }{
 		{"lease+garbage", srv.URL + "/v1/shards/lease", `{"worker":"a","max":1}garbage`},
@@ -75,8 +75,9 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 			t.Errorf("%s: code %q, want bad_request (%s)", tc.name, e.Code, e.Message)
 		}
 	}
-	if after := c.StatusSnapshot(); after.PendingShards != before.PendingShards || after.LeasedShards != before.LeasedShards {
-		t.Errorf("rejected bodies changed the queue: before %+v, after %+v", before, after)
+	if pending, leased := c.shardCounts(); pending != pendingBefore || leased != leasedBefore {
+		t.Errorf("rejected bodies changed the queue: %d pending, %d leased before; %d, %d after",
+			pendingBefore, leasedBefore, pending, leased)
 	}
 	if n := counterValue(t, reg, "midas_shards_completed_total", `status="requeued"`); n != 0 {
 		t.Errorf("rejected completion was applied (%v requeued)", n)
@@ -95,9 +96,9 @@ func TestTrailingBodyDataRejected(t *testing.T) {
 
 // TestWrongListenerSurfacesMuxMessage: Go's ServeMux answers unmatched
 // routes in plain text, not in the api envelope. A worker pointed at
-// the job API listener instead of the dispatch listener, or posting to
-// a GET-only dispatch route, must still surface the mux's own message
-// through postJSON and api.Parse, with an empty Code.
+// the job API listener instead of the dispatch listener, or at a route
+// the dispatch listener does not serve, must still surface the mux's
+// own message through postJSON and api.Parse, with an empty Code.
 func TestWrongListenerSurfacesMuxMessage(t *testing.T) {
 	svc := service.New(service.Config{Workers: 1})
 	jobAPI := httptest.NewServer(svc.Handler())
@@ -108,7 +109,8 @@ func TestWrongListenerSurfacesMuxMessage(t *testing.T) {
 		name, url, status, message string
 	}{
 		{"lease on the job API", jobAPI.URL + "/v1/shards/lease", "404 Not Found", "404 page not found"},
-		{"POST to a GET-only route", coord.URL + "/v1/dispatch/status", "405 Method Not Allowed", "Method Not Allowed"},
+		{"POST to a GET-only route", jobAPI.URL + "/v1/scenarios", "405 Method Not Allowed", "Method Not Allowed"},
+		{"unserved dispatch route", coord.URL + "/v1/dispatch/status", "404 Not Found", "404 page not found"},
 	} {
 		var lr LeaseResponse
 		err := postJSON(context.Background(), http.DefaultClient, tc.url, LeaseRequest{Proto: ProtoVersion, Worker: "w", Max: 1}, &lr)
@@ -180,7 +182,10 @@ func TestWorkerShutdownAbandonsBatch(t *testing.T) {
 
 	// Let the job enqueue fully so the first poll grants the whole
 	// 4-shard batch.
-	for deadline := time.Now().Add(2 * time.Second); c.StatusSnapshot().PendingShards != spec.ExpandedRuns(); {
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if pending, _ := c.shardCounts(); pending == spec.ExpandedRuns() {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("job never enqueued")
 		}

@@ -251,10 +251,13 @@ func TestAbandonedGrantReturnsShards(t *testing.T) {
 	if err := <-parked; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled parked lease returned %v", err)
 	}
-	for deadline := time.Now().Add(2 * time.Second); c.StatusSnapshot().PendingShards != spec.ExpandedRuns(); {
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		pending, leased := c.shardCounts()
+		if pending == spec.ExpandedRuns() {
+			break
+		}
 		if time.Now().After(deadline) {
-			st := c.StatusSnapshot()
-			t.Fatalf("after the race: %d leased, %d pending, want 0 and %d", st.LeasedShards, st.PendingShards, spec.ExpandedRuns())
+			t.Fatalf("after the race: %d leased, %d pending, want 0 and %d", leased, pending, spec.ExpandedRuns())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -265,8 +268,8 @@ func TestAbandonedGrantReturnsShards(t *testing.T) {
 	if _, err := c.lease(ctx, "gone", shards); !errors.Is(err, context.Canceled) {
 		t.Fatalf("lease for a gone client returned %v", err)
 	}
-	if st := c.StatusSnapshot(); st.LeasedShards != 0 || st.PendingShards != spec.ExpandedRuns() {
-		t.Fatalf("abandoned grant left %d leased, %d pending, want 0 and %d", st.LeasedShards, st.PendingShards, spec.ExpandedRuns())
+	if pending, leased := c.shardCounts(); leased != 0 || pending != spec.ExpandedRuns() {
+		t.Fatalf("abandoned grant left %d leased, %d pending, want 0 and %d", leased, pending, spec.ExpandedRuns())
 	}
 	if n := counterValue(t, reg, "midas_shard_requeues_total", `reason="abandoned"`); n < float64(shards) {
 		t.Errorf("abandoned requeues = %v, want at least %d", n, shards)

@@ -68,7 +68,8 @@ func newInstruments(reg *telemetry.Registry, c *Coordinator) *instruments {
 	reg.NewGaugeFunc("midas_shards_pending",
 		"Shards queued (or backing off) awaiting a lease.",
 		nil, func() []telemetry.GaugeSample {
-			return []telemetry.GaugeSample{{Value: float64(c.StatusSnapshot().PendingShards)}}
+			pending, _ := c.shardCounts()
+			return []telemetry.GaugeSample{{Value: float64(pending)}}
 		})
 	return in
 }

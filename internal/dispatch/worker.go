@@ -34,10 +34,6 @@ type WorkerConfig struct {
 	// MaxBatch is how many shards to request at a time; <= 0 lets the
 	// coordinator pick (its MaxBatch cap applies either way).
 	MaxBatch int
-	// MaxShards, when > 0, exits the loop after completing that many
-	// shards — the cluster-e2e script uses it to stage a worker that
-	// does a fixed amount of work and stops.
-	MaxShards int
 	// Client issues the HTTP calls; nil uses a client with a 30s
 	// timeout. Its timeout must outlast the coordinator's lease hold
 	// (half its worker TTL), or an idle parked request times out.
@@ -77,10 +73,10 @@ func runShard(_ context.Context, spec scenario.Spec) (scenario.Result, error) {
 }
 
 // RunWorker asks the coordinator for shard leases, executes each
-// shard, and reports completions until ctx is cancelled or MaxShards
-// is reached. A lease request that finds nothing ready parks: the
-// coordinator holds it until a shard is ready, so an empty answer
-// means the hold ran out and the worker asks again at once. A shard in
+// shard, and reports completions until ctx is cancelled. A lease
+// request that finds nothing ready parks: the coordinator holds it
+// until a shard is ready, so an empty answer means the hold ran out
+// and the worker asks again at once. A shard in
 // flight when ctx fires is finished and reported anyway (the final
 // publish uses its own context): orderly shutdown wastes no lease TTL.
 // Returns nil on clean exit; transport errors and refusals are retried
@@ -106,7 +102,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		run = runShard
 	}
 
-	completed := 0
 	protoLogged := false
 	// Transport-failure backoff, reset by any successful exchange.
 	const backoffBase, backoffMax = 200 * time.Millisecond, 5 * time.Second
@@ -170,13 +165,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 					"worker", cfg.ID, "lease", l.ID, "dispatch_job", l.Job,
 					"shard", l.Shard, "status", status,
 					"elapsed", time.Since(start).String())
-			}
-			if runErr == nil && pubErr == nil {
-				completed++
-				if cfg.MaxShards > 0 && completed >= cfg.MaxShards {
-					log.Info("worker reached shard budget", "worker", cfg.ID, "shards", completed)
-					return nil
-				}
 			}
 		}
 	}

@@ -17,20 +17,11 @@ import (
 // the Service's admission path when this one misses.
 //
 // resultCache is not self-locking: the owning Service serializes all
-// access under its own mutex, which also keeps the hit/miss counters
-// consistent with the job bookkeeping they are reported next to. The
-// counters span both tiers — they tally submissions answered from
-// *any* cache versus submissions that needed an engine run (or an
-// in-flight one to coalesce onto), which is the number capacity
-// planning wants — and are incremented by the admission logic, not
-// here, so the two-pass memory/store lookup counts each submission
-// exactly once.
+// access under its own mutex.
 type resultCache struct {
 	max     int
 	ll      *list.List               // front = most recently used
 	entries map[string]*list.Element // hash -> element in ll
-	hits    uint64
-	misses  uint64
 }
 
 // cacheEntry is one ll element's payload. The resolved spec rides next
@@ -54,8 +45,7 @@ func newResultCache(max int) *resultCache {
 }
 
 // lookup returns the cached result and resolved spec for hash,
-// refreshing its recency. It does not touch the hit/miss counters —
-// the admission path owns those (see the type comment).
+// refreshing its recency.
 func (c *resultCache) lookup(hash string) (scenario.Result, scenario.Spec, bool) {
 	el, ok := c.entries[hash]
 	if !ok {

@@ -74,9 +74,8 @@ func TestStoreRestartSurvival(t *testing.T) {
 	if !st3.Cached || st3.CacheTier != "memory" {
 		t.Fatalf("promotion missing: cached=%v tier=%q", st3.Cached, st3.CacheTier)
 	}
-	m := s2.Metrics()
-	if m.Store == nil || m.Store.Hits != 1 || m.CacheHits != 2 {
-		t.Fatalf("metrics after restart: %+v store %+v", m, m.Store)
+	if hits, storeHits := sample(t, s2, "midas_cache_hits_total"), sample(t, s2, "midas_store_hits_total"); hits != 2 || storeHits != 1 {
+		t.Fatalf("after restart: midas_cache_hits_total %v, midas_store_hits_total %v, want 2 and 1", hits, storeHits)
 	}
 }
 
@@ -159,9 +158,8 @@ func TestCorruptStoreEntryRecomputedNotServed(t *testing.T) {
 	if calls2.Load() != 1 {
 		t.Fatalf("corrupt entry did not trigger a recompute (calls=%d)", calls2.Load())
 	}
-	m := s2.Metrics()
-	if m.Store == nil || m.Store.Quarantined != 1 {
-		t.Fatalf("corruption not quarantined: %+v", m.Store)
+	if q := sample(t, s2, "midas_store_quarantined_total"); q != 1 {
+		t.Fatalf("corruption not quarantined: midas_store_quarantined_total %v", q)
 	}
 }
 
@@ -192,10 +190,9 @@ func TestUndecodableStoreEntryQuarantined(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("calls = %d", calls.Load())
 	}
-	m := s.Metrics()
-	if m.Store == nil || m.Store.Quarantined != 1 || m.Store.Hits != 1 {
-		// The store itself saw a byte-valid hit; the service demoted it.
-		t.Fatalf("unexpected store stats: %+v", m.Store)
+	// The store itself saw a byte-valid hit; the service demoted it.
+	if stats := st.Stats(); stats.Quarantined != 1 || stats.Hits != 1 {
+		t.Fatalf("unexpected store stats: %+v", stats)
 	}
 	// The recomputed result must have replaced the quarantined bytes.
 	if _, ok := st.Get(hash); !ok {
@@ -225,9 +222,8 @@ func TestStoreWriteFailureDoesNotFailJob(t *testing.T) {
 	if body := renderJob(t, s, js.ID); len(body) == 0 {
 		t.Fatal("no result body")
 	}
-	m := s.Metrics()
-	if m.Store == nil || m.Store.WriteErrors != 1 || m.Store.Writes != 0 {
-		t.Fatalf("write failure not counted: %+v", m.Store)
+	if stats := st.Stats(); stats.WriteErrors != 1 || stats.Writes != 0 {
+		t.Fatalf("write failure not counted: %+v", stats)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 //	GET    /v1/results/{hash}   content-addressed result snapshot
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/scenarios        registry listing with default specs
-//	GET    /v1/metrics.json     JSON metrics snapshot (jobs by state, cache hit rate, queue depth)
 //	GET    /healthz             liveness (503 "draining" while draining, 200 "busy" at queue saturation)
 //	GET    /metrics             Prometheus text exposition (counters, gauges, latency histograms)
 //
@@ -51,7 +50,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/results/{hash}", s.handleResultByHash)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
-	mux.HandleFunc("GET /v1/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s.accessLog(mux)
@@ -270,13 +268,6 @@ func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}
-}
-
-// handleMetricsJSON serves the legacy JSON snapshot — the same value
-// Metrics() returns, for scripts that want counts without parsing the
-// Prometheus exposition.
-func (s *Service) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 // handleMetrics serves the telemetry registry in Prometheus text

@@ -117,20 +117,7 @@ func TestHTTPJobLifecycleAndCache(t *testing.T) {
 		t.Fatalf("engine ran %d times over the HTTP lifecycle, want 1", n)
 	}
 
-	// The JSON metrics snapshot reflects the session.
-	code, b = doJSON(t, c, http.MethodGet, srv.URL+"/v1/metrics.json", "")
-	if code != http.StatusOK {
-		t.Fatalf("metrics.json: %d", code)
-	}
-	var m Metrics
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheHits != 1 || m.CacheMisses != 1 || m.Jobs[StateDone] != 2 {
-		t.Fatalf("metrics %+v", m)
-	}
-
-	// And /metrics serves the same facts as Prometheus exposition.
+	// /metrics shows the session in Prometheus exposition.
 	resp, err := c.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +190,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	if code, _ := doJSON(t, c, http.MethodDelete, srv.URL+"/v1/jobs/j424242", ""); code != http.StatusNotFound {
 		t.Errorf("unknown job cancel: %d", code)
+	}
+	// /metrics is the only counter surface.
+	if code, _ := doJSON(t, c, http.MethodGet, srv.URL+"/v1/metrics.json", ""); code != http.StatusNotFound {
+		t.Errorf("GET /v1/metrics.json: %d, want 404", code)
 	}
 
 	// In-flight job: result is a conflict; cancel flips it to
@@ -390,6 +381,9 @@ func TestHTTPQueueFullRetryAfterAndBusyHealth(t *testing.T) {
 
 	// ...and a third distinct spec is rejected with retry guidance. No
 	// run has completed yet, so the hint falls back to the eager 1s.
+	// The rejection counts as rejected, not as a cache lookup.
+	const rejected = `midas_submissions_total{outcome="rejected"}`
+	hits, misses := sample(t, s, "midas_cache_hits_total"), sample(t, s, "midas_cache_misses_total")
 	code, hdr, b := submit("3")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit at queue-full: %d %s", code, b)
@@ -399,6 +393,12 @@ func TestHTTPQueueFullRetryAfterAndBusyHealth(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "queue full") {
 		t.Errorf("queue-full body %s", b)
+	}
+	if n := sample(t, s, rejected); n != 1 {
+		t.Errorf("%s = %v after one queue-full rejection, want 1", rejected, n)
+	}
+	if h, m := sample(t, s, "midas_cache_hits_total"), sample(t, s, "midas_cache_misses_total"); h != hits || m != misses {
+		t.Errorf("queue-full rejection moved the cache counters: hits %v -> %v, misses %v -> %v", hits, h, misses, m)
 	}
 
 	// Once run time has been observed, the hint tracks the backlog's

@@ -233,27 +233,6 @@ type JobStatus struct {
 	Finished  string `json:"finished,omitempty"`
 }
 
-// Metrics is the /metrics snapshot. Jobs counts the retained job
-// table (all in-flight jobs plus the last JobRetention terminal ones);
-// ScenarioRuns and the cache counters are cumulative for the process.
-type Metrics struct {
-	Jobs         map[State]int `json:"jobs"`
-	QueueDepth   int           `json:"queue_depth"`
-	Workers      int           `json:"workers"`
-	CacheEntries int           `json:"cache_entries"`
-	CacheHits    uint64        `json:"cache_hits"`
-	CacheMisses  uint64        `json:"cache_misses"`
-	CacheHitRate float64       `json:"cache_hit_rate"`
-	// Coalesced counts submissions attached to an identical in-flight
-	// run instead of executing their own (cumulative).
-	Coalesced    uint64         `json:"coalesced"`
-	ScenarioRuns map[string]int `json:"scenario_runs"`
-	// Store snapshots the durable result tier; absent when none is
-	// configured.
-	Store    *store.Stats `json:"store,omitempty"`
-	Draining bool         `json:"draining,omitempty"`
-}
-
 // Service owns the worker pool, the job table and the result cache.
 // Create with New, stop with Shutdown.
 type Service struct {
@@ -268,15 +247,13 @@ type Service struct {
 	// disk I/O never stalls the job table.
 	store *store.Store
 
-	mu           sync.Mutex
-	jobs         map[string]*job
-	finished     []string        // terminal job ids, oldest first (retention FIFO)
-	inflight     map[string]*job // spec hash -> leader job not yet terminal
-	cache        *resultCache
-	nextID       int
-	closed       bool
-	coalesced    uint64
-	scenarioRuns map[string]int // engine invocations by scenario name
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string        // terminal job ids, oldest first (retention FIFO)
+	inflight map[string]*job // spec hash -> leader job not yet terminal
+	cache    *resultCache
+	nextID   int
+	closed   bool
 	// runMeanSeconds is an EWMA of engine-run wall time, feeding the
 	// queue-full Retry-After hint; 0 until the first run completes.
 	runMeanSeconds float64
@@ -285,15 +262,14 @@ type Service struct {
 // New builds a Service and starts its worker pool.
 func New(cfg Config) *Service {
 	s := &Service{
-		cfg:          cfg,
-		run:          cfg.Run,
-		log:          cfg.Log,
-		store:        cfg.Store,
-		queue:        make(chan *job, cfg.queueDepth()),
-		jobs:         make(map[string]*job),
-		inflight:     make(map[string]*job),
-		cache:        newResultCache(cfg.cacheEntries()),
-		scenarioRuns: make(map[string]int),
+		cfg:      cfg,
+		run:      cfg.Run,
+		log:      cfg.Log,
+		store:    cfg.Store,
+		queue:    make(chan *job, cfg.queueDepth()),
+		jobs:     make(map[string]*job),
+		inflight: make(map[string]*job),
+		cache:    newResultCache(cfg.cacheEntries()),
 	}
 	if s.run == nil {
 		s.run = scenario.RunResolved
@@ -410,18 +386,15 @@ func (s *Service) submit(overrides scenario.Spec) (JobStatus, error) {
 // answers the submission. final reports whether this pass must resolve
 // the submission — a non-final pass that finds no in-memory answer
 // returns admitted=false so the caller can consult the store and come
-// back. The hit/miss counters are tallied here, exactly once per
-// submission, on whichever pass resolves it.
+// back.
 func (s *Service) admitLocked(sc scenario.Scenario, spec scenario.Spec, hash string, stored *scenario.Result, final bool) (JobStatus, bool, error) {
 	if s.closed {
 		return JobStatus{}, true, ErrDraining
 	}
 	if res, _, ok := s.cache.lookup(hash); ok {
-		s.cache.hits++
 		return s.bornDoneLocked(sc, spec, hash, res, "memory"), true, nil
 	}
 	if stored != nil {
-		s.cache.hits++
 		s.cache.Put(hash, spec, *stored)
 		return s.bornDoneLocked(sc, spec, hash, *stored, "store"), true, nil
 	}
@@ -432,7 +405,6 @@ func (s *Service) admitLocked(sc scenario.Scenario, spec scenario.Spec, hash str
 	// slot): its outcome will be "cancelled", which a fresh submission
 	// must not inherit.
 	if leader := s.inflight[hash]; leader != nil && leader.ctx.Err() == nil {
-		s.cache.misses++
 		j := s.newJobLocked(sc, spec, hash)
 		j.leader = leader
 		j.wasCoalesced = true
@@ -440,13 +412,11 @@ func (s *Service) admitLocked(sc scenario.Scenario, spec scenario.Spec, hash str
 		j.started = leader.started
 		j.progress = leader.progress
 		leader.followers = append(leader.followers, j)
-		s.coalesced++
 		return j.statusLocked(), true, nil
 	}
 	if !final {
 		return JobStatus{}, false, nil
 	}
-	s.cache.misses++
 	j := s.newJobLocked(sc, spec, hash)
 	j.state = StateQueued
 	j.progress = Progress{Total: spec.ExpandedRuns()}
@@ -525,7 +495,6 @@ func (s *Service) runJob(j *job) {
 		f.state = StateRunning
 		f.started = j.started
 	}
-	s.scenarioRuns[j.spec.Scenario]++
 	s.mu.Unlock()
 
 	s.tel.queueWait.Observe(queueWait.Seconds())
@@ -772,42 +741,11 @@ func (s *Service) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Draining reports whether Shutdown has begun (submissions are being
-// rejected). Cheaper than Metrics for liveness probes.
+// rejected).
 func (s *Service) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// Metrics snapshots the service counters.
-func (s *Service) Metrics() Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := Metrics{
-		Jobs:         map[State]int{},
-		QueueDepth:   len(s.queue),
-		Workers:      s.cfg.workers(),
-		CacheEntries: s.cache.Len(),
-		CacheHits:    s.cache.hits,
-		CacheMisses:  s.cache.misses,
-		Coalesced:    s.coalesced,
-		ScenarioRuns: map[string]int{},
-		Draining:     s.closed,
-	}
-	for _, j := range s.jobs {
-		m.Jobs[j.state]++
-	}
-	if lookups := s.cache.hits + s.cache.misses; lookups > 0 {
-		m.CacheHitRate = float64(s.cache.hits) / float64(lookups)
-	}
-	for name, n := range s.scenarioRuns {
-		m.ScenarioRuns[name] = n
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		m.Store = &st
-	}
-	return m
 }
 
 // QueueSaturated reports whether the job queue is at bound — the next

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -93,6 +94,28 @@ func renderJob(t *testing.T, s *Service, id string) []byte {
 	return body
 }
 
+// sample returns one series' value on the service's /metrics
+// exposition. series is the name plus its rendered label set, e.g.
+// `midas_jobs{state="done"}`; an absent series fails the test.
+func sample(t *testing.T, s *Service, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.Telemetry().Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s not on the exposition:\n%s", series, sb.String())
+	return 0
+}
+
 // The acceptance-criteria pin: submitting one spec twice runs the
 // engine exactly once; the second job is born done from the cache and
 // renders byte-identical JSON.
@@ -135,18 +158,15 @@ func TestResubmitIdenticalSpecRunsEngineOnce(t *testing.T) {
 		t.Fatalf("engine ran %d times for two identical submissions, want exactly 1", n)
 	}
 
-	m := s.Metrics()
-	if m.CacheHits != 1 || m.CacheMisses != 1 {
-		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", m.CacheHits, m.CacheMisses)
-	}
-	if m.CacheHitRate != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", m.CacheHitRate)
-	}
-	if m.ScenarioRuns["fig12-spatial-reuse"] != 1 {
-		t.Fatalf("scenario run counts %v", m.ScenarioRuns)
-	}
-	if m.Jobs[StateDone] != 2 {
-		t.Fatalf("jobs by state %v, want 2 done", m.Jobs)
+	for series, want := range map[string]float64{
+		"midas_cache_hits_total":                                      1,
+		"midas_cache_misses_total":                                    1,
+		`midas_job_run_seconds_count{scenario="fig12-spatial-reuse"}`: 1,
+		`midas_jobs{state="done"}`:                                    2,
+	} {
+		if got := sample(t, s, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 
@@ -283,8 +303,9 @@ func TestConcurrentSubmissionsBoundedByPool(t *testing.T) {
 	}
 	waitState(t, s, ids[0], StateRunning)
 	waitState(t, s, ids[1], StateRunning)
-	if m := s.Metrics(); m.Jobs[StateRunning] != workers || m.Jobs[StateQueued] != jobs-workers {
-		t.Fatalf("jobs by state %v, want %d running / %d queued", m.Jobs, workers, jobs-workers)
+	running, queued := sample(t, s, `midas_jobs{state="running"}`), sample(t, s, `midas_jobs{state="queued"}`)
+	if running != workers || queued != jobs-workers {
+		t.Fatalf("midas_jobs: %v running / %v queued, want %d / %d", running, queued, workers, jobs-workers)
 	}
 	close(release)
 	for _, id := range ids {
@@ -688,8 +709,8 @@ func TestJobRetentionBoundsTable(t *testing.T) {
 			t.Errorf("job %s should be retained: %v", id, err)
 		}
 	}
-	if m := s.Metrics(); m.Jobs[StateDone] != 3 {
-		t.Fatalf("retained done jobs %d, want 3", m.Jobs[StateDone])
+	if done := sample(t, s, `midas_jobs{state="done"}`); done != 3 {
+		t.Fatalf("retained done jobs %v, want 3", done)
 	}
 	// Seed 1's job record is gone, but its result is still cached.
 	st, err := s.Submit(specFor(1))
@@ -764,8 +785,8 @@ func TestConcurrentIdenticalSpecsCoalesce(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("engine ran %d times total, want exactly 1", n)
 	}
-	if m := s.Metrics(); m.Coalesced != 3 {
-		t.Fatalf("coalesced counter %d, want 3", m.Coalesced)
+	if n := sample(t, s, "midas_coalesced_total"); n != 3 {
+		t.Fatalf("midas_coalesced_total %v, want 3", n)
 	}
 }
 

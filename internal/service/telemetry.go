@@ -5,12 +5,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file owns the service's Prometheus-grade instruments — the
-// telemetry the JSON Metrics() snapshot cannot express: latency
-// *distributions* (queue wait, run duration, cache-path latencies) in
-// fixed-bucket histograms, plus cumulative counters and scrape-time
-// gauges. GET /metrics renders them in exposition format; the JSON
-// snapshot stays at /v1/metrics.json.
+// This file owns the service's instruments, its only counter surface:
+// latency *distributions* (queue wait, run duration, cache-path
+// latencies) in fixed-bucket histograms, plus cumulative counters and
+// scrape-time gauges. GET /metrics renders them in exposition format.
 //
 // Naming follows the Prometheus conventions: midas_ prefix, base
 // units (seconds), _total on counters. Everything is registered once
@@ -80,10 +78,15 @@ func newInstruments(reg *telemetry.Registry, s *Service) *instruments {
 	}
 	reg.NewGaugeFunc("midas_jobs", "Jobs in the retained table, by state.",
 		[]string{"state"}, func() []telemetry.GaugeSample {
-			m := s.Metrics()
-			out := make([]telemetry.GaugeSample, 0, len(m.Jobs))
+			byState := map[State]int{}
+			s.mu.Lock()
+			for _, j := range s.jobs {
+				byState[j.state]++
+			}
+			s.mu.Unlock()
+			out := make([]telemetry.GaugeSample, 0, 5)
 			for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-				out = append(out, telemetry.GaugeSample{LabelValues: []string{string(st)}, Value: float64(m.Jobs[st])})
+				out = append(out, telemetry.GaugeSample{LabelValues: []string{string(st)}, Value: float64(byState[st])})
 			}
 			return out
 		})

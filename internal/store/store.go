@@ -113,14 +113,14 @@ type Config struct {
 // Stats is a snapshot of the store's state and cumulative counters
 // (per process; counters reset at Open).
 type Stats struct {
-	Entries     int    `json:"entries"`
-	Bytes       int64  `json:"bytes"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Writes      uint64 `json:"writes"`
-	WriteErrors uint64 `json:"write_errors"`
-	Evictions   uint64 `json:"evictions"`
-	Quarantined uint64 `json:"quarantined"`
+	Entries     int
+	Bytes       int64
+	Hits        uint64
+	Misses      uint64
+	Writes      uint64
+	WriteErrors uint64
+	Evictions   uint64
+	Quarantined uint64
 }
 
 // entry is one indexed entry blob.

@@ -14,9 +14,10 @@
 # server while loadgen is hammering it. Restart on the same store dir
 # and require: the warm scan found the survivors; resubmitting each
 # spec is a "store"-tier cache hit; the served body is byte-identical
-# to the pre-kill one; no engine run happened (scenario_runs is empty);
-# If-None-Match with the saved ETag returns a body-less 304; and the
-# Prometheus exposition shows the store hits.
+# to the pre-kill one; no engine run happened (the exposition has no
+# midas_job_run_seconds sample and no queued submission); If-None-Match
+# with the saved ETag returns a body-less 304; and the exposition shows
+# the store hits.
 #
 # Environment knobs:
 #   DRAIN_E2E_FULL  non-empty = full scale (nightly); default is the
@@ -234,11 +235,14 @@ done
 echo "drain-e2e: all $survivors results byte-identical from disk, 304 on revalidation"
 
 # Proof there was no engine re-run: this process has never run the
-# engine, and the store hits are visible in both metric surfaces.
-curl -fsS "http://$addr/v1/metrics.json" > "$tmp/metrics.json" || fail "metrics.json"
-grep -q '"scenario_runs": {}' "$tmp/metrics.json" \
-    || fail "restarted server ran the engine: $(grep -A3 scenario_runs "$tmp/metrics.json")"
+# engine (no run-duration sample, nothing queued — and only a queued
+# job runs), and the store hits are visible on the exposition.
 curl -fsS "http://$addr/metrics" > "$tmp/metrics.prom" || fail "exposition fetch"
+! grep -q '^midas_job_run_seconds_count' "$tmp/metrics.prom" \
+    || fail "restarted server ran the engine: $(grep '^midas_job_run_seconds_count' "$tmp/metrics.prom")"
+queued=$(sed -n 's/^midas_submissions_total{outcome="queued"} \(.*\)/\1/p' "$tmp/metrics.prom")
+[ -z "$queued" ] || [ "$queued" = 0 ] \
+    || fail "restarted server queued $queued job(s) for the engine"
 hits=$(sed -n 's/^midas_store_hits_total \([0-9][0-9]*\).*/\1/p' "$tmp/metrics.prom")
 [ -n "$hits" ] && [ "$hits" -ge "$survivors" ] \
     || fail "midas_store_hits_total is '$hits', want >= $survivors"
@@ -250,7 +254,7 @@ serve_pid=""
 
 if [ -n "${DRAIN_E2E_OUT:-}" ]; then
     mkdir -p "$DRAIN_E2E_OUT"
-    cp "$tmp/loadgen-drain.json" "$tmp/loadgen-crash.json" "$tmp/metrics.json" "$tmp/metrics.prom" \
+    cp "$tmp/loadgen-drain.json" "$tmp/loadgen-crash.json" "$tmp/metrics.prom" \
         "$DRAIN_E2E_OUT/" 2>/dev/null || true
     (cd "$tmp" && find store-crash -type f | sort) > "$DRAIN_E2E_OUT/store-state.txt"
     echo "drain-e2e: artifacts written to $DRAIN_E2E_OUT"
