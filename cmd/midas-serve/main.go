@@ -75,7 +75,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -140,14 +139,6 @@ func run() error {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
-	}
-	// Split the machine between the job workers: a spec that does not
-	// pin its own parallelism gets an even share of the cores, so W
-	// concurrent jobs cannot oversubscribe the scheduler W-fold. The
-	// budget travels per job through scenario.RunOptions.
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
 	}
 	var st *store.Store
 	if *storeDir != "" {
@@ -227,15 +218,14 @@ func run() error {
 	}
 
 	svc := service.New(service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cache,
-		Store:          st,
-		JobRetention:   *retain,
-		JobParallelism: (runtime.GOMAXPROCS(0) + w - 1) / w,
-		Telemetry:      reg,
-		Log:            log,
-		Run:            runFunc,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cache,
+		Store:        st,
+		JobRetention: *retain,
+		Telemetry:    reg,
+		Log:          log,
+		Run:          runFunc,
 	})
 	// Replay journaled half-finished sweeps: each recovered entry is
 	// re-admitted as a fresh job that routes through the coordinator,

@@ -17,8 +17,9 @@
 //
 // -set replicates=N fans every run over N split seeds and reports
 // {mean, stddev, ci95, n} summaries per metric and per series median
-// instead of raw per-replicate output. -set parallelism=N bounds the
-// worker pool (0 = GOMAXPROCS); results are identical at any value.
+// instead of raw per-replicate output. -set parallelism=N bounds each
+// task pool (0 = GOMAXPROCS), and the process never runs more than
+// GOMAXPROCS task bodies at once; results are identical at any value.
 package main
 
 import (
@@ -140,8 +141,9 @@ func render(list string, overrides scenario.Spec, format string) ([]byte, error)
 		return nil, err
 	}
 	for i, sc := range scs {
-		// The engine splits the spec's parallelism budget between its
-		// run pool and each run's inner topology sweep itself.
+		// The engine's run pool and each run's inner topology sweep
+		// both run at the spec's parallelism; the runner keeps the
+		// nested pools within GOMAXPROCS task bodies together.
 		res, err := scenario.Run(context.Background(), sc, specs[i])
 		if err != nil {
 			return nil, err

@@ -11,8 +11,13 @@
 // starts at once and there is no polling interval to tune.
 //
 //	midas-worker -coordinator http://host:port [-id NAME]
-//	             [-parallelism N] [-max-batch N]
-//	             [-store-dir DIR] [-log text|json|off]
+//	             [-max-batch N] [-store-dir DIR] [-log text|json|off]
+//
+// A worker runs each shard at the shard spec's parallelism, and the
+// engine's pools never run more task bodies at once than the process's
+// GOMAXPROCS. That is Go's own setting: start a worker under
+// GOMAXPROCS=1 to run its shards one topology at a time. Results never
+// depend on it.
 //
 // With -store-dir the worker is a first-class store citizen: each
 // completed shard's result envelope is written directly into the
@@ -46,7 +51,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -57,7 +61,6 @@ import (
 var (
 	coordinator = flag.String("coordinator", "", "coordinator dispatch URL, e.g. http://127.0.0.1:9091 (required)")
 	id          = flag.String("id", "", "worker name in leases and metrics (default host-pid)")
-	parallelism = flag.Int("parallelism", 0, "inner parallelism for each shard (0 = GOMAXPROCS); never affects results")
 	maxBatch    = flag.Int("max-batch", 1, "shards to request per lease request (coordinator may cap)")
 	storeDir    = flag.String("store-dir", "",
 		"durable result store directory shared with the coordinator: shard results are published here directly and acknowledged by hash (empty = post results inline)")
@@ -94,10 +97,6 @@ func run() error {
 			host = "worker"
 		}
 		wid = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	par := *parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
 	}
 
 	var st *store.Store
@@ -137,7 +136,6 @@ func run() error {
 	err := dispatch.RunWorker(ctx, dispatch.WorkerConfig{
 		Coordinator:      *coordinator,
 		ID:               wid,
-		Parallelism:      par,
 		MaxBatch:         *maxBatch,
 		Store:            st,
 		HoldAfterPublish: hold,

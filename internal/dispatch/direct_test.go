@@ -96,7 +96,7 @@ func TestDirectPublishVerified(t *testing.T) {
 			_ = RunWorker(ctx, WorkerConfig{
 				Coordinator: srv.URL,
 				ID:          fmt.Sprintf("direct%d", w),
-				Parallelism: 1 + w,
+				Run:         atWidth(1 + w), // different widths must not matter
 				Store:       wst,
 			})
 		}(w, wst)
@@ -139,7 +139,7 @@ func TestDirectPublishDisjointStoreFallsBackInline(t *testing.T) {
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
 			Coordinator: srv.URL, ID: "stray",
-			Parallelism: 1, Store: wst,
+			Run: atWidth(1), Store: wst,
 		})
 	}()
 
@@ -236,7 +236,7 @@ func TestDirectPublishUnverifiableAsksResend(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Run: atWidth(1),
 		})
 	}()
 	out := <-done
@@ -338,7 +338,7 @@ func TestWorkerHoldAfterPublishWindow(t *testing.T) {
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
 			Coordinator: srv.URL, ID: "holder",
-			Parallelism: 1, Store: wst,
+			Run: atWidth(1), Store: wst,
 			HoldAfterPublish: func() { held <- struct{}{} },
 		})
 	}()

@@ -358,13 +358,6 @@ func (c *Coordinator) Close() {
 // between the two. sc is only consulted for its name — every shard
 // spec is self-contained and workers resolve the scenario themselves.
 func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, spec scenario.Spec, opts scenario.RunOptions) (scenario.Result, error) {
-	// Mirror RunResolved: the invocation-level parallelism override
-	// lands in the spec copy before shards derive from it. It only
-	// shapes the shard's default inner budget — results are
-	// parallelism-independent and workers override it anyway.
-	if opts.Parallelism > 0 {
-		spec.Parallelism = opts.Parallelism
-	}
 	shardSpecs := spec.Shards()
 
 	// The store/journal prefill does disk I/O, so it runs before the

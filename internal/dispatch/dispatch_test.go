@@ -15,6 +15,16 @@ import (
 	"repro/internal/telemetry"
 )
 
+// atWidth is a WorkerConfig.Run that runs every leased shard at inner
+// width p instead of the width the shard spec carries. Results must
+// not depend on it.
+func atWidth(p int) func(context.Context, scenario.Spec) (scenario.Result, error) {
+	return func(ctx context.Context, spec scenario.Spec) (scenario.Result, error) {
+		spec.Parallelism = p
+		return runShard(ctx, spec)
+	}
+}
+
 // testSpec resolves a small swept+replicated spec: 2 sweep points × 2
 // replicates = 4 shards of real engine work, each fast.
 func testSpec(t *testing.T) (scenario.Scenario, scenario.Spec) {
@@ -83,7 +93,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 			_ = RunWorker(ctx, WorkerConfig{
 				Coordinator: srv.URL,
 				ID:          fmt.Sprintf("w%d", w),
-				Parallelism: 1 + w, // different widths must not matter
+				Run:         atWidth(1 + w), // different widths must not matter
 			})
 		}(w)
 	}
@@ -161,7 +171,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	go func() {
 		defer close(workerDone)
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Run: atWidth(1),
 		})
 	}()
 
@@ -213,7 +223,7 @@ func TestWorkerCrashMidShard(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "survivor", Parallelism: 1,
+			Coordinator: srv.URL, ID: "survivor", Run: atWidth(1),
 		})
 	}()
 
@@ -253,7 +263,7 @@ func TestDuplicateCompletionAfterRequeue(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "honest", Parallelism: 1,
+			Coordinator: srv.URL, ID: "honest", Run: atWidth(1),
 		})
 	}()
 	out := <-done
@@ -326,7 +336,7 @@ func TestCoordinatorRestartStalePublish(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv2.URL, ID: "w2", Parallelism: 1,
+			Coordinator: srv2.URL, ID: "w2", Run: atWidth(1),
 		})
 	}()
 	out := <-done2
@@ -441,7 +451,7 @@ func TestSingleRunSpecDispatches(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "solo", Parallelism: 1,
+			Coordinator: srv.URL, ID: "solo", Run: atWidth(1),
 		})
 	}()
 	got, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{})

@@ -239,7 +239,7 @@ func TestUndecodableShardEntryRecomputed(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Parallelism: 1,
+			Coordinator: srv.URL, ID: "w", Run: atWidth(1),
 		})
 	}()
 	got, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{})
@@ -322,7 +322,7 @@ func TestJournalWrittenOncePerJob(t *testing.T) {
 	defer cancel()
 	go func() {
 		_ = RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "w", Parallelism: 1,
+			Coordinator: srv.URL, ID: "w", Run: atWidth(1),
 		})
 	}()
 	if _, err := c.Run(context.Background(), sc, spec, scenario.RunOptions{}); err != nil {

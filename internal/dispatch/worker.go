@@ -27,10 +27,6 @@ type WorkerConfig struct {
 	// ID names this worker in leases, logs and the live-worker gauge.
 	// Required (the cluster scripts use host-pid style names).
 	ID string
-	// Parallelism overrides each shard's inner budget with this
-	// worker's own core allowance; <= 0 keeps what the lease carried.
-	// Results never depend on it.
-	Parallelism int
 	// MaxBatch is how many shards to request at a time; <= 0 lets the
 	// coordinator pick (its MaxBatch cap applies either way).
 	MaxBatch int
@@ -143,9 +139,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 				return nil
 			}
 			spec := l.Spec
-			if cfg.Parallelism > 0 {
-				spec.Parallelism = cfg.Parallelism
-			}
 			log.Info("worker running shard",
 				"worker", cfg.ID, "lease", l.ID, "dispatch_job", l.Job,
 				"shard", l.Shard, "attempt", l.Attempt, "scenario", spec.Scenario)

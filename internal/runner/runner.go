@@ -14,6 +14,14 @@
 //     lowest-index failure among the tasks that ran; at Parallelism 1
 //     that is exactly the error a sequential loop would have stopped on.
 //
+// Pools nest (a replicated spec's run pool over each run's topology
+// sweep) under one process-wide budget: the calling goroutine always
+// runs tasks itself, and each extra helper must take one of
+// GOMAXPROCS-1 helper slots shared by every pool. A caller never waits
+// for a slot; it tries again between its own tasks. So nesting cannot
+// deadlock, and one top-level caller never has more than GOMAXPROCS
+// task bodies running at once, at any depth.
+//
 // The engine also reports per-task timing through Options.OnDone and
 // feeds the structured result sinks in sink.go, which serialize whole
 // experiment snapshots as text, JSON or CSV.
@@ -32,9 +40,9 @@ import (
 
 // Options configure one Map or Sweep invocation.
 type Options struct {
-	// Parallelism bounds the worker pool. Values <= 0 select
-	// runtime.GOMAXPROCS(0). Parallelism 1 reproduces a plain
-	// sequential loop (same goroutine count, same task order).
+	// Parallelism bounds how many of this pool's tasks run at once:
+	// the caller plus up to Parallelism-1 helpers. Values <= 0 select
+	// runtime.GOMAXPROCS(0); 1 is a plain sequential loop.
 	Parallelism int
 	// OnDone, when non-nil, is invoked after every completed task with
 	// that task's timing and the pool's overall progress. Invocations
@@ -50,18 +58,22 @@ type Progress struct {
 	Elapsed   time.Duration // wall time of this task
 }
 
-func (o Options) workers(n int) int {
-	p := o.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
+// helpers counts the helper goroutines of every pool in the process.
+var helpers atomic.Int64
+
+// takeHelperSlot claims one of the GOMAXPROCS-1 helper slots if one is
+// free, without waiting. The holder returns it with helpers.Add(-1).
+func takeHelperSlot() bool {
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		cur := helpers.Load()
+		if cur >= limit {
+			return false
+		}
+		if helpers.CompareAndSwap(cur, cur+1) {
+			return true
+		}
 	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // TaskError wraps a task failure with the index it occurred at.
@@ -78,11 +90,11 @@ func (e *TaskError) Error() string {
 // Unwrap exposes the underlying task error to errors.Is/As.
 func (e *TaskError) Unwrap() error { return e.Err }
 
-// Map runs fn(ctx, 0) … fn(ctx, n-1) on a bounded worker pool and
-// returns the results ordered by index. The work function must be safe
-// to call from multiple goroutines for distinct indices and must not
-// share mutable state between indices — derive per-task randomness from
-// an immutable root (see Sweep).
+// Map runs fn(ctx, 0) … fn(ctx, n-1) on the calling goroutine and its
+// helpers and returns the results ordered by index. The work function
+// must be safe to call from multiple goroutines for distinct indices
+// and must not share mutable state between indices — derive per-task
+// randomness from an immutable root (see Sweep).
 //
 // If any task fails, or ctx is cancelled, Map cancels the context passed
 // to the remaining tasks, stops dispatching new ones, waits for in-flight
@@ -109,38 +121,61 @@ func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Co
 		wg        sync.WaitGroup
 	)
 
-	worker := func() {
+	// run reports whether its goroutine should go on claiming tasks.
+	run := func(i int) bool {
+		start := time.Now()
+		v, err := fn(ctx, i)
+		if err != nil {
+			errs[i] = err
+			failed.Store(true)
+			cancel() // stop dispatching; in-flight tasks drain
+			return false
+		}
+		results[i] = v
+		if opts.OnDone != nil {
+			// Completed is incremented under the same lock that
+			// serializes OnDone, so callbacks observe a strictly
+			// monotonic count.
+			doneMu.Lock()
+			completed++
+			opts.OnDone(Progress{Index: i, Completed: completed, Total: n, Elapsed: time.Since(start)})
+			doneMu.Unlock()
+		}
+		return true
+	}
+	claim := func() (int, bool) {
+		i := int(next.Add(1) - 1)
+		return i, i < n && ctx.Err() == nil
+	}
+	helper := func() {
 		defer wg.Done()
+		defer helpers.Add(-1)
 		for {
-			i := int(next.Add(1) - 1)
-			if i >= n || ctx.Err() != nil {
+			if i, ok := claim(); !ok || !run(i) {
 				return
-			}
-			start := time.Now()
-			v, err := fn(ctx, i)
-			if err != nil {
-				errs[i] = err
-				failed.Store(true)
-				cancel() // stop dispatching; in-flight tasks drain
-				return
-			}
-			results[i] = v
-			if opts.OnDone != nil {
-				// Completed is incremented under the same lock that
-				// serializes OnDone, so callbacks observe a strictly
-				// monotonic count.
-				doneMu.Lock()
-				completed++
-				opts.OnDone(Progress{Index: i, Completed: completed, Total: n, Elapsed: time.Since(start)})
-				doneMu.Unlock()
 			}
 		}
 	}
 
-	workers := opts.workers(n)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
+	// The caller claims each task before it starts helpers, so it
+	// always runs task 0.
+	width := opts.Parallelism
+	if width <= 0 {
+		width = runtime.GOMAXPROCS(0)
+	}
+	for workers := 1; ; {
+		i, ok := claim()
+		if !ok {
+			break
+		}
+		for workers < width && int(next.Load()) < n && takeHelperSlot() {
+			workers++
+			wg.Add(1)
+			go helper()
+		}
+		if !run(i) {
+			break
+		}
 	}
 	wg.Wait()
 

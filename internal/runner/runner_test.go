@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,6 +57,126 @@ func TestMapBoundsParallelism(t *testing.T) {
 	}
 	if got := peak.Load(); got > par {
 		t.Fatalf("observed %d concurrent tasks, want <= %d", got, par)
+	}
+}
+
+// trackPeak counts one more body in flight and raises peak to match.
+// The caller must inFlight.Add(-1) when the body ends.
+func trackPeak(inFlight, peak *atomic.Int64) int64 {
+	n := inFlight.Add(1)
+	for {
+		p := peak.Load()
+		if n <= p || peak.CompareAndSwap(p, n) {
+			return n
+		}
+	}
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if cond() {
+			return true
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return cond()
+}
+
+// TestMapNestedBoundedByGOMAXPROCS runs three levels of nested pools,
+// each wide enough to want 8 goroutines on its own: whatever the
+// nesting, the pools together never run more than GOMAXPROCS leaf
+// bodies at once, and the results equal a sequential loop's.
+func TestMapNestedBoundedByGOMAXPROCS(t *testing.T) {
+	const outer, inner, leaf = 8, 8, 4
+	value := func(i, j, k int) int { return 1000*i + 10*j + k }
+	want := make([]int, outer)
+	for i := range want {
+		for j := 0; j < inner; j++ {
+			for k := 0; k < leaf; k++ {
+				want[i] += value(i, j, k)
+			}
+		}
+	}
+	sum := func(xs []int) (s int) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	opts := Options{Parallelism: 8}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var inFlight, peak atomic.Int64
+			got, err := Map(context.Background(), outer, opts, func(ctx context.Context, i int) (int, error) {
+				row, err := Map(ctx, inner, opts, func(ctx context.Context, j int) (int, error) {
+					cell, err := Map(ctx, leaf, opts, func(_ context.Context, k int) (int, error) {
+						trackPeak(&inFlight, &peak)
+						defer inFlight.Add(-1)
+						time.Sleep(50 * time.Microsecond)
+						return value(i, j, k), nil
+					})
+					return sum(cell), err
+				})
+				return sum(row), err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("outer task %d = %d, sequential loop gives %d", i, got[i], want[i])
+				}
+			}
+			if p := peak.Load(); p > int64(procs) {
+				t.Fatalf("observed %d concurrent bodies, want <= GOMAXPROCS = %d", p, procs)
+			}
+			if h := helpers.Load(); h != 0 {
+				t.Fatalf("%d helper slots still held after every pool returned", h)
+			}
+		})
+	}
+}
+
+// TestMapNestedPicksUpReleasedSlot pins the retry between tasks: at
+// GOMAXPROCS 2 the outer pool's helper holds the only slot, so the
+// caller's inner sweep starts inline; once that helper finishes, the
+// inner sweep takes the freed slot and reaches 2 concurrent bodies.
+func TestMapNestedPicksUpReleasedSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	release := make(chan struct{})
+	var inFlight, peak atomic.Int64
+	_, err := Map(context.Background(), 2, Options{Parallelism: 2}, func(ctx context.Context, i int) (struct{}, error) {
+		if i == 1 { // the outer helper's task: the caller always runs task 0
+			<-release
+			return struct{}{}, nil
+		}
+		_, err := Map(ctx, 3, Options{Parallelism: 2}, func(_ context.Context, j int) (struct{}, error) {
+			n := trackPeak(&inFlight, &peak)
+			defer inFlight.Add(-1)
+			if j == 0 {
+				if h := helpers.Load(); n != 1 || h != 1 {
+					return struct{}{}, fmt.Errorf("inner sweep started with %d bodies in flight and %d slots held, want 1 and 1", n, h)
+				}
+				close(release)
+				if !waitFor(func() bool { return helpers.Load() == 0 }) {
+					return struct{}{}, errors.New("the outer helper never released its slot")
+				}
+				return struct{}{}, nil
+			}
+			if !waitFor(func() bool { return peak.Load() >= 2 }) {
+				return struct{}{}, errors.New("the inner sweep never ran 2 bodies at once after the slot was freed")
+			}
+			return struct{}{}, nil
+		})
+		return struct{}{}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 2 {
+		t.Fatalf("inner sweep peaked at %d concurrent bodies, want 2", p)
 	}
 }
 

@@ -19,9 +19,11 @@ import "fmt"
 // keys sorted, values in listed order, replicates innermost). Each
 // shard is self-contained — scenario name, derived seed, no sweep, one
 // replicate — so its result is fully determined by the shard spec
-// alone and it can execute in any process. The shard's Parallelism
-// only budgets its inner topology sweep and never affects the numbers;
-// a remote worker is free to override it with its own core count.
+// alone and it can execute in any process. Every shard keeps the
+// spec's own Parallelism, the width of its inner topology sweep; the
+// runner's process-wide helper budget keeps the engine's run pool and
+// those nested sweeps within GOMAXPROCS, and the width never affects
+// the numbers.
 func (s Spec) Shards() []Spec {
 	points := s.expand()
 	reps := s.Replicates
@@ -31,13 +33,9 @@ func (s Spec) Shards() []Spec {
 	if len(points) == 1 && points[0].Label == "" && reps == 1 {
 		return []Spec{points[0].Spec}
 	}
-	inner := s.SplitParallelism()
 	tasks := make([]Spec, 0, len(points)*reps)
 	for _, p := range points {
-		for _, t := range p.Spec.replicateSpecs() {
-			t.Parallelism = inner
-			tasks = append(tasks, t)
-		}
+		tasks = append(tasks, p.Spec.replicateSpecs()...)
 	}
 	return tasks
 }

@@ -45,7 +45,8 @@ func Resolve(sc Scenario, overrides Spec) (Spec, error) {
 
 // RunOptions tune one engine invocation without being part of the spec
 // (they never affect the computed numbers, only how the run reports
-// itself while in flight).
+// itself while in flight). How wide the run goes is the spec's own
+// Parallelism, bounded process-wide by the runner's helper budget.
 type RunOptions struct {
 	// OnProgress, when non-nil, observes every completed expanded run
 	// (sweep point × replicate) with the count finished so far and the
@@ -58,13 +59,6 @@ type RunOptions struct {
 	// the telemetry feed. Like OnProgress, invocations are serialized;
 	// a single-run spec reports one synthesized Progress on completion.
 	OnRunDone func(runner.Progress)
-	// Parallelism, when > 0, overrides the spec's parallelism for this
-	// invocation only. This is how a multi-job process (midas-serve)
-	// budgets cores per job: the spec stays untouched (hash, sink meta
-	// and cached results are parallelism-independent), while the
-	// engine's run pool and each run's inner topology sweep share this
-	// width instead of a process-global.
-	Parallelism int
 }
 
 // Run resolves the spec, expands its sweep into points, fans every
@@ -91,14 +85,6 @@ func Run(ctx context.Context, sc Scenario, overrides Spec) (Result, error) {
 // The spec must come from Resolve for this scenario; a raw override
 // spec would run without its scenario defaults.
 func RunResolved(ctx context.Context, sc Scenario, spec Spec, opts RunOptions) (Result, error) {
-	// The invocation-level override replaces the spec's own parallelism
-	// before anything is derived from it, so the expanded task specs —
-	// whose Parallelism field is what the sim drivers' inner sweeps
-	// read — inherit the effective budget. spec is a value; the
-	// caller's copy (and its hash/meta) is untouched.
-	if opts.Parallelism > 0 {
-		spec.Parallelism = opts.Parallelism
-	}
 	points := spec.expand()
 	reps := spec.Replicates
 	if reps < 1 {
@@ -121,13 +107,13 @@ func RunResolved(ctx context.Context, sc Scenario, spec Spec, opts RunOptions) (
 		return res, err
 	}
 
-	// The shard list carries the split parallelism budget: the pool
-	// runs up to spec.Parallelism tasks at once, so every task gets an
-	// even share for its inner topology sweep instead of a full-width
-	// pool per run (which would oversubscribe the scheduler pool ×
-	// sweep wide). Shards() is the same decomposition internal/dispatch
-	// leases to remote workers — sharing it (and Assemble below) is
-	// what makes a distributed run byte-identical to this one.
+	// The pool runs up to spec.Parallelism tasks at once, and each
+	// task's inner topology sweep nests inside it at the same width;
+	// the runner's process-wide helper budget keeps the two within
+	// GOMAXPROCS together. Shards() is the same decomposition
+	// internal/dispatch leases to remote workers — sharing it (and
+	// Assemble below) is what makes a distributed run byte-identical
+	// to this one.
 	tasks := spec.Shards()
 	ropts := runner.Options{Parallelism: spec.Parallelism}
 	if opts.OnProgress != nil || opts.OnRunDone != nil {

@@ -17,7 +17,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -126,20 +125,38 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 	}{plain(s), s.Sweep})
 }
 
-// sweepKeys are the spec fields a sweep may vary, with their setters.
-var sweepKeys = map[string]func(*Spec, float64){
-	"clients":    func(s *Spec, v float64) { s.Clients = int(v) },
-	"antennas":   func(s *Spec, v float64) { s.Antennas = int(v) },
-	"size":       func(s *Spec, v float64) { s.Antennas = int(v); s.Clients = int(v) },
-	"topologies": func(s *Spec, v float64) { s.Topologies = int(v) },
-	"seed":       func(s *Spec, v float64) { s.Seed = int64(v) },
-	"aps":        func(s *Spec, v float64) { ensureVenue(s).APs = int(v) },
+// Upper bounds on the counts a spec may ask for, scalar or swept. A
+// spec can arrive over the network (midas-serve), and without them one
+// huge count sizes an allocation the process cannot make. Every
+// committed spec, test and script sits inside them; the largest,
+// cluster-e2e's full scale, runs 16,384 topologies.
+const (
+	maxTopologies = 1 << 16
+	maxAntennas   = 16 // per AP; 802.11ac carries at most 8 spatial streams
+	maxClients    = 64 // per AP
+	maxAPs        = 64 // venue APs
+)
+
+// maxSweptValue is the largest magnitude a swept seed may have:
+// 2^53-1, the largest below which a float64 holds every integer
+// exactly.
+const maxSweptValue = 1<<53 - 1
+
+type sweepKey struct {
+	max float64
+	set func(*Spec, float64)
 }
 
-// maxSweptValue is the largest magnitude any swept value may have:
-// 2^53-1, the largest below which a float64 holds every integer
-// exactly. It also keeps the setters' int conversions in range.
-const maxSweptValue = 1<<53 - 1
+// sweepKeys are the spec fields a sweep may vary, with the largest
+// magnitude a swept value may have and its setter.
+var sweepKeys = map[string]sweepKey{
+	"clients":    {maxClients, func(s *Spec, v float64) { s.Clients = int(v) }},
+	"antennas":   {maxAntennas, func(s *Spec, v float64) { s.Antennas = int(v) }},
+	"size":       {min(maxAntennas, maxClients), func(s *Spec, v float64) { s.Antennas = int(v); s.Clients = int(v) }},
+	"topologies": {maxTopologies, func(s *Spec, v float64) { s.Topologies = int(v) }},
+	"seed":       {maxSweptValue, func(s *Spec, v float64) { s.Seed = int64(v) }},
+	"aps":        {maxAPs, func(s *Spec, v float64) { ensureVenue(s).APs = int(v) }},
+}
 
 // maxExpandedRuns bounds a sweep × replicate expansion; anything larger
 // is almost certainly a typo'd spec.
@@ -310,14 +327,14 @@ func cloneSweep(m map[string][]float64) map[string][]float64 {
 // downstream. It is called on the merged spec, after scenario defaults
 // are applied.
 func (s Spec) Validate() error {
-	if s.Topologies < 1 {
-		return fmt.Errorf("scenario: topologies must be >= 1 (got %d)", s.Topologies)
+	if s.Topologies < 1 || s.Topologies > maxTopologies {
+		return fmt.Errorf("scenario: topologies must be in 1..%d (got %d)", maxTopologies, s.Topologies)
 	}
-	if s.Antennas < 1 {
-		return fmt.Errorf("scenario: antennas must be >= 1 per AP (got %d)", s.Antennas)
+	if s.Antennas < 1 || s.Antennas > maxAntennas {
+		return fmt.Errorf("scenario: antennas must be in 1..%d per AP (got %d)", maxAntennas, s.Antennas)
 	}
-	if s.Clients < 1 {
-		return fmt.Errorf("scenario: clients must be >= 1 per AP (got %d)", s.Clients)
+	if s.Clients < 1 || s.Clients > maxClients {
+		return fmt.Errorf("scenario: clients must be in 1..%d per AP (got %d)", maxClients, s.Clients)
 	}
 	if s.Replicates < 1 {
 		return fmt.Errorf("scenario: replicates must be >= 1 (got %d)", s.Replicates)
@@ -335,8 +352,8 @@ func (s Spec) Validate() error {
 		if (v.Width == 0) != (v.Height == 0) {
 			return fmt.Errorf("scenario: venue width and height must be set together (got %g×%g m)", v.Width, v.Height)
 		}
-		if v.APs < 0 {
-			return fmt.Errorf("scenario: venue aps must be >= 1 (got %d)", v.APs)
+		if v.APs < 0 || v.APs > maxAPs {
+			return fmt.Errorf("scenario: venue aps must be in 1..%d (got %d)", maxAPs, v.APs)
 		}
 		if v.CoverageRadius < 0 {
 			return fmt.Errorf("scenario: coverage_radius must be positive (got %g m)", v.CoverageRadius)
@@ -364,7 +381,8 @@ func (s Spec) Validate() error {
 	}
 	total := 1
 	for key, vals := range s.Sweep {
-		if _, ok := sweepKeys[key]; !ok {
+		sk, ok := sweepKeys[key]
+		if !ok {
 			return fmt.Errorf("scenario: unknown sweep key %q (want one of %s)", key, strings.Join(sweepKeyNames(), ", "))
 		}
 		if len(vals) == 0 {
@@ -386,11 +404,11 @@ func (s Spec) Validate() error {
 			if key == "seed" && v == 0 {
 				return fmt.Errorf("scenario: sweep \"seed\" value 0 cannot be expressed (0 means \"inherit\"); pick a nonzero seed")
 			}
-			// Past 2^53-1 a float64 no longer holds every integer, so the
-			// value run may not be the value written; far past it, int(v)
-			// wraps a count to a garbage value.
-			if math.Abs(v) > maxSweptValue {
-				return fmt.Errorf("scenario: sweep %q value %g is out of range (|value| <= %d)", key, v, int64(maxSweptValue))
+			// A count obeys its scalar bound. A seed past 2^53-1 may not
+			// be the value written, since a float64 no longer holds every
+			// integer there.
+			if math.Abs(v) > sk.max {
+				return fmt.Errorf("scenario: sweep %q value %g is out of range (|value| <= %d)", key, v, int64(sk.max))
 			}
 			if seen[v] {
 				// Duplicates would expand to indistinguishable points with
@@ -524,25 +542,6 @@ func (s Spec) ExpandedRuns() int {
 	return n
 }
 
-// SplitParallelism returns the worker budget each expanded run should
-// hand its *inner* topology sweep, the pool width every sim driver
-// takes explicitly: when the engine's run pool already fans out over
-// several expanded runs, giving every run a full-width inner pool
-// would square the requested bound, so the budget is divided across
-// the concurrent runs instead. For a single-run spec it returns
-// Parallelism unchanged (<= 0 = GOMAXPROCS).
-func (s Spec) SplitParallelism() int {
-	n := s.ExpandedRuns()
-	if n <= 1 {
-		return s.Parallelism
-	}
-	budget := s.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	return (budget + n - 1) / n
-}
-
 // expand unrolls the sweep cross-product (keys in sorted order, values
 // in listed order) into concrete sweep points. Contract (pinned by
 // TestSweepExpansionProperties): the point count equals the
@@ -561,7 +560,7 @@ func (s Spec) expand() []run {
 
 	points := []run{{Spec: s.clone()}}
 	for _, key := range keys {
-		set := sweepKeys[key]
+		set := sweepKeys[key].set
 		next := make([]run, 0, len(points)*len(s.Sweep[key]))
 		for _, p := range points {
 			for _, v := range s.Sweep[key] {

@@ -119,7 +119,7 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 		{"huge swept aps", func(s *Spec) { s.Sweep = map[string][]float64{"aps": {1e300}} }, `"aps" value 1e+300 is out of range`},
 		{"swept aps at 2^53", func(s *Spec) { s.Sweep = map[string][]float64{"aps": {1 << 53, 2}} }, `"aps" value 9.007199254740992e+15 is out of range`},
 		{"explosive sweep", func(s *Spec) {
-			s.Sweep = map[string][]float64{"clients": manyVals(20), "antennas": manyVals(20)}
+			s.Sweep = map[string][]float64{"clients": manyVals(20), "antennas": manyVals(16)}
 		}, "max"},
 	}
 	for _, tc := range cases {
@@ -143,11 +143,38 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 	if err := edge.Validate(); err != nil {
 		t.Errorf("swept seeds within ±(2^53-1) must validate, got %v", err)
 	}
-	for _, key := range []string{"clients", "antennas", "size", "topologies", "aps"} {
-		edge := base()
-		edge.Sweep = map[string][]float64{key: {1, 1<<53 - 1}}
-		if err := edge.Validate(); err != nil {
-			t.Errorf("swept %s up to 2^53-1 must validate, got %v", key, err)
+	// Every count is bounded above, scalar and swept alike: the bound
+	// README states validates and bound+1 is refused.
+	bounds := []struct {
+		key string
+		max int
+		set func(*Spec, int) // nil: the key is a sweep key only
+	}{
+		{"topologies", 65536, func(s *Spec, v int) { s.Topologies = v }},
+		{"antennas", 16, func(s *Spec, v int) { s.Antennas = v }},
+		{"clients", 64, func(s *Spec, v int) { s.Clients = v }},
+		{"aps", 64, func(s *Spec, v int) { s.Venue = &Venue{APs: v} }},
+		{"size", 16, nil},
+	}
+	for _, b := range bounds {
+		for _, v := range []int{b.max, b.max + 1} {
+			swept := base()
+			swept.Sweep = map[string][]float64{b.key: {1, float64(v)}}
+			specs := map[string]Spec{"swept": swept}
+			if b.set != nil {
+				scalar := base()
+				b.set(&scalar, v)
+				specs["scalar"] = scalar
+			}
+			for form, s := range specs {
+				err := s.Validate()
+				if v <= b.max && err != nil {
+					t.Errorf("%s %s = %d (the bound) must validate, got %v", form, b.key, v, err)
+				}
+				if v > b.max && (err == nil || !strings.Contains(err.Error(), b.key)) {
+					t.Errorf("%s %s = %d (bound+1) must be refused naming %s, got %v", form, b.key, v, b.key, err)
+				}
+			}
 		}
 	}
 }

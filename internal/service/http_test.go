@@ -170,6 +170,10 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{"no scenario", `{"topologies": 2}`, http.StatusBadRequest},
 		{"unknown scenario", `{"scenario": "no-such"}`, http.StatusBadRequest},
 		{"invalid spec", `{"scenario": "fig12-spatial-reuse", "topologies": -4}`, http.StatusBadRequest},
+		// A count past its bound is refused up front: accepted, it would
+		// size an allocation the job goroutine cannot make, and the
+		// panic would take the whole process down.
+		{"topologies past the bound", `{"scenario":"fig3-naive-scaling-drop","topologies":9007199254740991}`, http.StatusBadRequest},
 		// A body past the transport cap is rejected before the JSON
 		// decoder materializes it, so a hostile multi-gigabyte value
 		// array cannot OOM the server — and the client is told it was
@@ -180,6 +184,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 		if code, b := doJSON(t, c, http.MethodPost, srv.URL+"/v1/jobs", tc.body); code != tc.want {
 			t.Errorf("%s: got %d %s, want %d", tc.name, code, b, tc.want)
 		}
+	}
+	if code, b := doJSON(t, c, http.MethodGet, srv.URL+"/healthz", ""); code != http.StatusOK {
+		t.Errorf("healthz after the refused submissions: %d %s", code, b)
 	}
 
 	if code, _ := doJSON(t, c, http.MethodGet, srv.URL+"/v1/jobs/j424242", ""); code != http.StatusNotFound {

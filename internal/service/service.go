@@ -102,7 +102,9 @@ type RunFunc func(ctx context.Context, sc scenario.Scenario, spec scenario.Spec,
 type Config struct {
 	// Workers bounds how many jobs execute concurrently; <= 0 selects
 	// GOMAXPROCS. Each job additionally fans its expanded runs over the
-	// engine's own pool at the spec's parallelism.
+	// engine's own pool at the spec's parallelism: each job's goroutine
+	// runs tasks itself, and the extra helpers of all jobs share the
+	// runner's process-wide GOMAXPROCS-1 helper slots.
 	Workers int
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
 	// <= 0 selects 64. A full queue rejects submissions (ErrQueueFull)
@@ -124,13 +126,6 @@ type Config struct {
 	// job table cannot grow with traffic. Queued and running jobs are
 	// never evicted.
 	JobRetention int
-	// JobParallelism, when > 0, is the engine parallelism handed to a
-	// job whose spec leaves parallelism unset — how a multi-worker
-	// server divides the machine (midas-serve passes
-	// ceil(GOMAXPROCS/workers)). A spec that sets its own parallelism
-	// keeps it; the override travels in scenario.RunOptions, never in
-	// the spec, so hashes, sink meta and cached bodies are unaffected.
-	JobParallelism int
 	// Telemetry is the registry the service registers its instruments
 	// on (counters, queue-wait/run-duration histograms, job gauges);
 	// nil creates a private one. Either way Service.Telemetry exposes
@@ -502,16 +497,7 @@ func (s *Service) runJob(j *job) {
 		"job", j.id, "scenario", j.spec.Scenario, "spec_hash", j.hash,
 		"queue_wait", queueWait)
 
-	// The per-job core budget travels in RunOptions, not in the spec
-	// (which would change its sink meta) and not in a process global
-	// (which concurrent jobs would race on): specs that set their own
-	// parallelism keep it, unset ones get the server's per-worker share.
-	par := j.spec.Parallelism
-	if par <= 0 {
-		par = s.cfg.JobParallelism
-	}
 	res, err := s.run(j.ctx, j.sc, j.spec, scenario.RunOptions{
-		Parallelism: par,
 		OnProgress: func(completed, total int) {
 			s.mu.Lock()
 			j.progress = Progress{Completed: completed, Total: total}

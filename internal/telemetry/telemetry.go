@@ -594,19 +594,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds start, start+width, … — uniform
-// buckets for a bounded range.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets wants width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // joinKey builds a map key from label values. \xff cannot appear in the
 // middle of a UTF-8 rune, so the join is unambiguous.
 func joinKey(values []string) string { return strings.Join(values, "\xff") }

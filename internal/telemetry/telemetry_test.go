@@ -181,17 +181,13 @@ func TestHistogramRejectsNaNAndBadBuckets(t *testing.T) {
 	}
 }
 
-func TestExponentialAndLinearBuckets(t *testing.T) {
+func TestExponentialBuckets(t *testing.T) {
 	got := ExponentialBuckets(0.001, 10, 4)
 	want := []float64{0.001, 0.01, 0.1, 1}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("ExponentialBuckets = %v, want %v", got, want)
 		}
-	}
-	lin := LinearBuckets(0, 0.5, 3)
-	if lin[0] != 0 || lin[1] != 0.5 || lin[2] != 1 {
-		t.Fatalf("LinearBuckets = %v", lin)
 	}
 }
 

@@ -55,9 +55,10 @@
 set -eu
 
 # Shard wall time is ~0.3ms per topology at parallelism 1; the victim
-# worker runs parallelism 1 so its shard comfortably outlives the
-# moment we observe its lease and kill it. The lease TTL must exceed a
-# shard's wall time (at any worker's parallelism), or healthy workers'
+# workers run under GOMAXPROCS=1, so the engine runs their shards one
+# topology at a time and each shard comfortably outlives the moment we
+# observe its lease and kill it. The lease TTL must exceed a shard's
+# wall time (at any worker's GOMAXPROCS), or healthy workers'
 # completions would arrive after their own leases expired.
 if [ -n "${CLUSTER_E2E_FULL:-}" ]; then
     topos=16384 sweep='[70001, 70002, 70003]' sweep3='[80001, 80002, 80003]' sweep4='[90001, 90002, 90003]' reps=2 shards=6 lease_ttl=20s
@@ -203,10 +204,10 @@ echo "cluster-e2e: phase 2: kill -9 a worker mid-sweep"
 "$tmp/midas-sim" -spec "$tmp/spec.json" -format json -out "$tmp/golden.json" \
     || fail "midas-sim golden run"
 
-# Worker A: the victim. Parallelism 1 and one shard per lease request,
+# Worker A: the victim. GOMAXPROCS=1 and one shard per lease request,
 # so it is mid-shard for seconds at a time.
-"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim \
-    -parallelism 1 -max-batch 1 > "$tmp/worker-a.log" 2>&1 &
+GOMAXPROCS=1 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim \
+    -max-batch 1 > "$tmp/worker-a.log" 2>&1 &
 worker_a_pid=$!
 
 # The coordinator must see the worker before the job is submitted, or
@@ -309,10 +310,10 @@ serve_pid=$!
 discover "$tmp/serve-journal.log" "$serve_pid"
 echo "cluster-e2e: journaling coordinator at $addr (dispatch $dispatch_addr)"
 
-# The victim worker pattern again — parallelism 1, one shard at a time —
+# The victim worker pattern again — GOMAXPROCS=1, one shard at a time —
 # so the coordinator dies while most of the sweep is unfinished.
-"$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim2 \
-    -parallelism 1 -max-batch 1 > "$tmp/worker-c.log" 2>&1 &
+GOMAXPROCS=1 "$tmp/midas-worker" -coordinator "http://$dispatch_addr" -id victim2 \
+    -max-batch 1 > "$tmp/worker-c.log" 2>&1 &
 worker_a_pid=$!
 i=0
 while :; do
@@ -449,10 +450,10 @@ echo "cluster-e2e: coordinator A at $addr_a (dispatch $dispatch_addr, shared sto
 # The direct-publishing victim: every shard result goes straight into
 # the shared store; the hold env parks it between the store write and
 # the completion POST — the acknowledgement window we kill it in.
-MIDAS_WORKER_HOLD_AFTER_PUBLISH=300s "$tmp/midas-worker" \
+GOMAXPROCS=1 MIDAS_WORKER_HOLD_AFTER_PUBLISH=300s "$tmp/midas-worker" \
     -coordinator "http://$dispatch_addr" -id holder \
     -store-dir "$shared_dir" \
-    -parallelism 1 -max-batch 1 > "$tmp/worker-e.log" 2>&1 &
+    -max-batch 1 > "$tmp/worker-e.log" 2>&1 &
 worker_a_pid=$!
 i=0
 while :; do
