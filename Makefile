@@ -164,7 +164,7 @@ bench:
 # explicitly so a CI log shows them even though `make test` also covers
 # them.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestBackoffZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
 # engine's random streams, linear algebra, precoders, channel model,

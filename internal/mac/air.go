@@ -75,14 +75,15 @@ type Tx struct {
 // recur on every medium change. Callers intern each position once as a
 // small integer site (Site) and name transmitting antennas and
 // data-plane receivers by site. Each (from, to) site pair's link power is
-// computed on first use and cached, and so is each transmission's total
-// power at each site it is read at; a carrier-sense watcher keeps the
-// running sum of the active transmissions' power at its site. Every
-// cache holds exactly the value the direct computation returns, summed
-// in the same order, so answers are bit-identical to computing every
-// link afresh. The shadow field is fixed at construction; P must not
-// change after it either. The thresholds may change at any time: their
-// linear values are cached per dB value in the same way.
+// computed on first use and cached, and so are each transmission's total
+// and strongest-antenna power at each site it is read at; a
+// carrier-sense watcher keeps the running sum of the active
+// transmissions' power at its site. Every cache holds exactly the value
+// the direct computation returns, summed in the same order, so answers
+// are bit-identical to computing every link afresh. The shadow field is
+// fixed at construction; P must not change after it either. The
+// thresholds may change at any time: their linear values are cached per
+// dB value in the same way.
 type Air struct {
 	Eng            *Engine
 	P              channel.Params
@@ -177,15 +178,20 @@ type activeTx struct {
 	start, end time.Duration
 	overlap    []overlapSpan // transmissions that overlapped this one, by id
 	fire       func()        // ends this transmission; bound once per record
-	// pow[site] is sumPowerFrom(ants, dBm, site), or unsetPower until
-	// first read.
-	pow []float64
+	// pow[site] is the receive power at site from ants at dBm each,
+	// computed on first read.
+	pow []sitePower
 	// live is set while the transmission is on the air; refs counts the
 	// overlap spans of live transmissions that name this record. The
 	// record is reused only once both are clear.
 	live bool
 	refs int
 }
+
+// sitePower is one transmission's receive power at one site: the total
+// over its antennas, or unsetPower until first read, and the strongest
+// single antenna's.
+type sitePower struct{ total, best float64 }
 
 // unsetPower marks a pow entry not computed yet; link powers are never
 // negative.
@@ -314,48 +320,44 @@ func (a *Air) Unlisten(id int) {
 	}
 }
 
-// powerFrom returns the strongest-antenna receive power (linear mW) at
-// site to from antennas transmitting at dBm each.
-func (a *Air) powerFrom(ants []int, dBm float64, to int) float64 {
-	best := 0.0
-	for _, ant := range ants {
-		if p := a.link(ant, to, dBm); p > best {
-			best = p
-		}
-	}
-	return best
-}
-
-// sumPowerFrom returns the total receive power at site to from all the
-// antennas (interference adds across antennas).
-func (a *Air) sumPowerFrom(ants []int, dBm float64, to int) float64 {
-	sum := 0.0
-	for _, ant := range ants {
-		sum += a.link(ant, to, dBm)
-	}
-	return sum
-}
-
-// txPower returns at's total receive power at site to, computing it on
-// the record's first read at that site.
+// txPower returns at's total receive power (linear mW) at site to:
+// interference adds across its antennas.
 func (a *Air) txPower(at *activeTx, to int) float64 {
+	return a.sitePower(at, to).total
+}
+
+// txSignal returns at's strongest-antenna receive power (linear mW) at
+// site to.
+func (a *Air) txSignal(at *activeTx, to int) float64 {
+	return a.sitePower(at, to).best
+}
+
+// sitePower returns at's power at site to, computing it on the record's
+// first read at that site.
+func (a *Air) sitePower(at *activeTx, to int) sitePower {
 	if to >= len(at.pow) {
 		at.pow = unsetRow(at.pow, len(at.pow), len(a.pos))
 	}
-	p := at.pow[to]
-	if p == unsetPower {
-		p = a.sumPowerFrom(at.ants, at.dBm, to)
-		at.pow[to] = p
+	p := &at.pow[to]
+	if p.total == unsetPower {
+		p.total = 0
+		for _, ant := range at.ants {
+			l := a.link(ant, to, at.dBm)
+			p.total += l
+			if l > p.best {
+				p.best = l
+			}
+		}
 	}
-	return p
+	return *p
 }
 
 // unsetRow returns row resized to n entries, marking entries from on
 // unset.
-func unsetRow(row []float64, from, n int) []float64 {
+func unsetRow(row []sitePower, from, n int) []sitePower {
 	row = slices.Grow(row[:from], n-from)[:n]
 	for i := from; i < n; i++ {
-		row[i] = unsetPower
+		row[i] = sitePower{total: unsetPower}
 	}
 	return row
 }
@@ -464,7 +466,7 @@ func (a *Air) endTx(at *activeTx) {
 		if l.fn == nil {
 			continue
 		}
-		sig := a.powerFrom(at.ants, at.dBm, l.site)
+		sig := a.txSignal(at, l.site)
 		interf := 0.0
 		for _, sp := range at.overlap {
 			interf += a.txPower(sp.tx, l.site)
@@ -574,5 +576,5 @@ func (a *Air) TxSignalAt(id, to int) float64 {
 	if at == nil {
 		return 0
 	}
-	return a.powerFrom(at.ants, at.dBm, to)
+	return a.txSignal(at, to)
 }

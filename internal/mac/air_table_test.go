@@ -22,7 +22,10 @@ import (
 // StartTx and every end of airtime, each watcher's running carrier-sense
 // sum must equal the in-order sum of the live transmissions' direct
 // powers, including a watcher registered while transmissions were live
-// and excluding one that was unwatched.
+// and excluding one that was unwatched, and every total and
+// strongest-antenna power a live record has cached must equal the
+// direct one. Every delivered frame's power must equal its strongest
+// antenna's direct power.
 func TestLinkTableMatchesDirect(t *testing.T) {
 	p := channel.Default()
 	field := p.NewField(7)
@@ -55,6 +58,29 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		}
 		return sum
 	}
+	bestFrom := func(s sent, pos geom.Point) float64 {
+		best := 0.0
+		for _, ant := range s.ants {
+			best = max(best, direct(ant, pos, s.dBm))
+		}
+		return best
+	}
+	// checkRows compares every power a live record has cached with the
+	// direct computation.
+	checkRows := func(when string) {
+		t.Helper()
+		for _, at := range a.active {
+			s := txs[at.id]
+			for site, p := range at.pow {
+				if p.total == unsetPower {
+					continue
+				}
+				what := fmt.Sprintf("tx %d %s at %v: cached %%s at site %d", at.id, when, e.Now(), site)
+				bits(fmt.Sprintf(what, "total"), p.total, sumFrom(s, a.pos[site]))
+				bits(fmt.Sprintf(what, "strongest"), p.best, bestFrom(s, a.pos[site]))
+			}
+		}
+	}
 	var watchPos []geom.Point // by watcher id
 	var checkSums func(when string)
 	watch := func(pos geom.Point) int {
@@ -85,6 +111,7 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("no watcher checked %s at %v", when, e.Now())
 		}
+		checkRows(when)
 	}
 	start := func(dBm float64, airtime time.Duration, ants ...geom.Point) {
 		id, err := a.StartTx(Tx{Antennas: sites(a, ants...), PowerDBm: dBm, Airtime: airtime})
@@ -96,7 +123,9 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		checkSums("after StartTx")
 	}
 	ends := 0
-	a.Listen(Listener{Pos: pt(), Fn: func(rx Rx) {
+	listenPos := pt()
+	a.Listen(Listener{Pos: listenPos, Fn: func(rx Rx) {
+		bits(fmt.Sprintf("tx %d delivered power", rx.From), rx.Power, bestFrom(txs[rx.From], listenPos))
 		delete(live, rx.From)
 		ends++
 		checkSums("after endTx")
@@ -136,11 +165,7 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 			if !live[s.id] {
 				continue
 			}
-			best := 0.0
-			for _, ant := range s.ants {
-				best = max(best, direct(ant, pos, s.dBm))
-			}
-			bits("TxSignalAt", a.TxSignalAt(s.id, site), best)
+			bits("TxSignalAt", a.TxSignalAt(s.id, site), bestFrom(s, pos))
 			worst, weighted := 0.0, 0.0
 			for _, o := range txs { // ascending id
 				if o.id == s.id || o.end <= s.start || s.end <= o.start {

@@ -186,8 +186,12 @@ func TestMultiAntennaTxPower(t *testing.T) {
 	_, a := newTestAir()
 	ants := sites(a, geom.Pt(0, 0), geom.Pt(10, 10))
 	pos := geom.Pt(1, 0)
-	best := a.powerFrom(ants, 20, a.Site(pos))
-	sum := a.sumPowerFrom(ants, 20, a.Site(pos))
+	id, err := a.StartTx(Tx{Antennas: ants, PowerDBm: 20, Airtime: 10 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := a.TxSignalAt(id, a.Site(pos))
+	sum := a.PowerAt(pos, -1)
 	if best >= sum {
 		t.Error("sum power should exceed best-antenna power")
 	}

@@ -11,17 +11,26 @@ import (
 //
 // The owner drives it with medium busy/idle transitions; Backoff calls
 // `granted` when it wins a transmit opportunity.
+//
+// A countdown is one engine event, the grant, queued at resume for the
+// instant its last idle slot ends. It fires where the last tick of a
+// one-event-per-slot countdown would have fired, and a freeze charges
+// the slots that countdown would have consumed by then (see Engine), so
+// the contention outcome is the per-slot machine's, at a fraction of
+// the events.
 type Backoff struct {
 	Params EDCAParams
 
 	eng     *Engine
 	src     *rng.Source
 	granted func()
-	tickFn  func() // b.tick, bound once so scheduling a slot allocates nothing
+	grantFn func() // b.grant, bound once so queueing a countdown allocates nothing
 
-	cw        int
+	cw int
+	// slotsLeft is the backoff counter as of the pending countdown's
+	// resume; freezes charge the elapsed slots to it.
 	slotsLeft int
-	timer     Timer
+	timer     Timer // the pending countdown's grant; zero when none is queued
 	running   bool
 	busy      bool
 }
@@ -35,7 +44,7 @@ func NewBackoff(eng *Engine, params EDCAParams, src *rng.Source, granted func())
 		granted: granted,
 		cw:      params.CWMin,
 	}
-	b.tickFn = b.tick
+	b.grantFn = b.grant
 	return b
 }
 
@@ -57,8 +66,7 @@ func (b *Backoff) Running() bool { return b.running }
 // (physical or virtual carrier sense); it freezes the countdown.
 func (b *Backoff) MediumBusy() {
 	b.busy = true
-	b.timer.Cancel()
-	b.timer = Timer{}
+	b.freeze()
 }
 
 // MediumIdle must be called when the medium becomes idle again; the
@@ -71,30 +79,35 @@ func (b *Backoff) MediumIdle() {
 }
 
 // resume restarts the countdown after an idle transition: a full AIFS,
-// then one decrement per idle slot. Progress through the backoff counter
-// is preserved across busy periods (the standard freeze/resume rule), so
-// every contender eventually drains its counter and wins.
+// then one decrement per idle slot, granting once the counter is spent.
+// Progress through the backoff counter is preserved across busy periods
+// (the standard freeze/resume rule), so every contender eventually
+// drains its counter and wins.
 func (b *Backoff) resume() {
 	if b.busy {
 		return
 	}
-	b.timer.Cancel()
-	b.timer = b.eng.Schedule(b.Params.AIFS(), b.tickFn)
+	b.freeze()
+	b.timer = b.eng.countdown(b.eng.Now()+b.Params.AIFS(), b.slotsLeft, b.grantFn)
 }
 
-// tick consumes one idle backoff slot, granting at zero.
-func (b *Backoff) tick() {
-	if b.busy || !b.running {
+// freeze cancels the pending countdown, if any, charging the idle slots
+// it has counted so far.
+func (b *Backoff) freeze() {
+	if b.timer == (Timer{}) {
 		return
 	}
-	if b.slotsLeft <= 0 {
-		b.running = false
-		b.timer = Timer{}
-		b.granted()
-		return
-	}
-	b.slotsLeft--
-	b.timer = b.eng.Schedule(SlotTime, b.tickFn)
+	b.slotsLeft -= b.eng.slotsElapsed(b.timer)
+	b.timer.Cancel()
+	b.timer = Timer{}
+}
+
+// grant ends a countdown whose counter ran out.
+func (b *Backoff) grant() {
+	b.running = false
+	b.slotsLeft = 0
+	b.timer = Timer{}
+	b.granted()
 }
 
 // Collision doubles the contention window (up to CWMax) and starts a new
@@ -104,7 +117,7 @@ func (b *Backoff) Collision() {
 	if b.cw > b.Params.CWMax {
 		b.cw = b.Params.CWMax
 	}
-	b.running = false
+	b.Stop()
 	b.Start()
 }
 

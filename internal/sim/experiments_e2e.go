@@ -117,22 +117,8 @@ func Fig15EndToEnd(o E2EOpts) (cas, midas *stats.Sample) {
 // did, and the denser region restores the inter-cell coupling their
 // deployment had.
 func Fig16LargeScale(o E2EOpts) (cas, midas *stats.Sample, err error) {
-	p := o.params()
 	res, err := sweepErr(o.Topologies, o.Seed, "fig16", o.Parallelism, func(t int, src *rng.Source) (arm2, error) {
-		cfgC := o.largeConfig(topology.CAS)
-		cfgM := o.largeConfig(topology.DAS)
-		depC, err := topology.LargeScale(cfgC, src.Split("topo"))
-		if err != nil {
-			return arm2{}, err
-		}
-		depM, err := topology.LargeScale(cfgM, src.Split("topo"))
-		if err != nil {
-			return arm2{}, err
-		}
-		return arm2{
-			a: runOne(depC, p, DefaultStationOpts(KindCAS), src.Split("runC"), o.SimTime),
-			b: runOne(depM, p, DefaultStationOpts(KindMIDAS), src.Split("runM"), o.SimTime),
-		}, nil
+		return fig16Topology(o, src)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -143,6 +129,24 @@ func Fig16LargeScale(o E2EOpts) (cas, midas *stats.Sample, err error) {
 		midas.Add(r.b)
 	}
 	return cas, midas, nil
+}
+
+// fig16Topology runs one Figure 16 topology drawn from src: the CAS
+// capacity in a, MIDAS in b.
+func fig16Topology(o E2EOpts, src *rng.Source) (arm2, error) {
+	p := o.params()
+	depC, err := topology.LargeScale(o.largeConfig(topology.CAS), src.Split("topo"))
+	if err != nil {
+		return arm2{}, err
+	}
+	depM, err := topology.LargeScale(o.largeConfig(topology.DAS), src.Split("topo"))
+	if err != nil {
+		return arm2{}, err
+	}
+	return arm2{
+		a: runOne(depC, p, DefaultStationOpts(KindCAS), src.Split("runC"), o.SimTime),
+		b: runOne(depM, p, DefaultStationOpts(KindMIDAS), src.Split("runM"), o.SimTime),
+	}, nil
 }
 
 // DecompositionResult isolates where MIDAS's end-to-end gain comes from

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -232,6 +233,32 @@ func TestFig16ShapeLargeScale(t *testing.T) {
 		t.Errorf("Fig16: median gain %.0f%%, want ≥5%% (paper >150%%)", gain*100)
 	}
 	t.Logf("Fig16 (reduced run): CAS %.1f MIDAS %.1f (+%.0f%%)", mc, mm, gain*100)
+}
+
+// TestFig16BackoffTiesPinned pins two Figure 16 topologies, bit for
+// bit, whose runs hinge on a same-instant tie the goldens never reach: a
+// station's TXOP start, queued one slot ahead by its grant, against
+// another contender's backoff slot boundary. An engine that ordered a
+// countdown's grant against other events by resume order alone changes
+// topology 81's MIDAS result; one that ignored which event queued the
+// TXOP start changes both topologies'.
+func TestFig16BackoffTiesPinned(t *testing.T) {
+	o := E2EOpts{Seed: 3, SimTime: 300 * time.Millisecond}
+	for _, c := range []struct {
+		topo       int
+		cas, midas float64
+	}{
+		{20, 35.92484633958942, 35.506445121121104},
+		{81, 49.437841568134424, 39.982392102786456},
+	} {
+		got, err := fig16Topology(o, rng.New(3).SplitN("fig16", c.topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.a) != math.Float64bits(c.cas) || math.Float64bits(got.b) != math.Float64bits(c.midas) {
+			t.Errorf("topology %d: CAS %v, MIDAS %v; want %v, %v", c.topo, got.a, got.b, c.cas, c.midas)
+		}
+	}
 }
 
 func TestDecompositionMonotone(t *testing.T) {
