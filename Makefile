@@ -90,7 +90,10 @@ examples:
 # A fast end-to-end pass through the runner: a PHY figure, a MAC figure
 # and one short DES experiment, at reduced scale, through every sink,
 # plus a two-scenario list, a sweep and a replicated run through
-# midas-sim.
+# midas-sim, and one iteration of each root benchmark in BENCH_SMOKE.
+# A benchmark named there that does not run (renamed, say) fails the
+# target, so the smoke cannot silently go empty.
+BENCH_SMOKE = BenchmarkFig12SpatialReuse BenchmarkFig15EndToEnd BenchmarkFig15Replicated
 bench-smoke:
 	$(GO) run ./cmd/midas-sim -scenario fig3 -set topologies=8 > /dev/null
 	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=8 -format json -out /dev/null
@@ -98,7 +101,12 @@ bench-smoke:
 	$(GO) run ./cmd/midas-sim -scenario fig3,fig12 -set topologies=4 > /dev/null
 	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=4 -set seed=3,4 > /dev/null
 	$(GO) run ./cmd/midas-sim -scenario fig12 -set topologies=2 -set replicates=3 -format json > /dev/null
-	$(GO) test -run='^$$' -bench='BenchmarkFig12|BenchmarkFig15Replicated' -benchtime=1x .
+	@re=$$(echo $(BENCH_SMOKE) | tr ' ' '|'); \
+	out=$$($(GO) test -run='^$$' -bench="^($$re)$$" -benchtime=1x .) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	for b in $(BENCH_SMOKE); do \
+		echo "$$out" | grep -Eq "^$$b(-[0-9]+)?[[:space:]]" || { echo "bench-smoke: $$b did not run"; exit 1; }; \
+	done
 
 # End-to-end pass through the serving layer: start midas-serve on an
 # ephemeral port, submit a reduced-scale fig12 spec over HTTP, poll to

@@ -1,23 +1,25 @@
 // Package repro's root benchmark harness: one benchmark per table/figure
 // of the MIDAS paper's evaluation (§5), per the scenario registry (README
 // "Scenarios").
-// Each benchmark regenerates its figure's data at a reduced-but-meaningful
-// scale and reports the headline metric (median capacities, gains, spot
-// counts) through b.ReportMetric, so `go test -bench=. -benchmem` yields
-// both the runtime cost and the reproduced result for every experiment.
+// Each figure benchmark runs its registered scenario at a
+// reduced-but-meaningful scale and reports the result's metrics and
+// series medians through b.ReportMetric, so `go test -bench=. -benchmem`
+// yields both the runtime cost and the reproduced result for every
+// experiment.
 //
 // The full-resolution series (60 topologies, long DES runs) come from
 // `go run ./cmd/midas-sim -scenario all`.
 //
-// Every benchmark's topology sweep runs on the internal/runner worker
-// pool; -runner.parallel bounds it (0, the default, uses GOMAXPROCS).
-// Reported metrics are bit-identical at any pool size — only ns/op
-// changes — so perf runs at different widths stay comparable.
+// -runner.parallel sets the scenario spec's parallelism (0, the
+// default, uses GOMAXPROCS). Reported metrics are bit-identical at any
+// parallelism — only ns/op changes — so perf runs at different widths
+// stay comparable.
 package repro
 
 import (
 	"context"
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,22 +28,38 @@ import (
 	"repro/internal/precoding"
 	"repro/internal/rng"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
 const benchSeed = 2014
 
-// runnerParallel is the experiment drivers' topology-sweep pool width,
-// passed explicitly to every benchmark's driver call.
+// runnerParallel is the spec parallelism every figure benchmark runs
+// its scenario at.
 var runnerParallel = flag.Int("runner.parallel", 0,
-	"topology tasks evaluated concurrently per experiment (0 = GOMAXPROCS)")
+	"topology tasks evaluated concurrently per scenario run (0 = GOMAXPROCS)")
 
-// phyOpts is the PHY-figure parameter set for a benchmark run over
-// topos topologies.
-func phyOpts(topos int) sim.PhyOpts {
-	return sim.PhyOpts{Topologies: topos, Seed: benchSeed, Parallelism: *runnerParallel}
+// benchScenario runs the named scenario at the given overrides once per
+// iteration and reports every metric of its result and the median of
+// every series, each under its name with whitespace turned into '-'.
+func benchScenario(b *testing.B, name string, overrides scenario.Spec) {
+	b.Helper()
+	overrides.Parallelism = *runnerParallel
+	unit := func(s string) string { return strings.Join(strings.Fields(s), "-") }
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.RunByName(context.Background(), name, overrides)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range res.Series {
+			sample := stats.NewSample()
+			sample.AddAll(s.Values)
+			b.ReportMetric(sample.MustMedian(), unit("median "+s.Label+" "+s.Unit))
+		}
+		for _, m := range res.Metrics {
+			b.ReportMetric(m.Value, unit(m.Name+" "+m.Unit))
+		}
+	}
 }
 
 // BenchmarkKernelPowerBalanced4x4 is the headline micro-benchmark of the
@@ -63,125 +81,61 @@ func BenchmarkKernelPowerBalanced4x4(b *testing.B) {
 // BenchmarkFig03NaiveScalingDrop regenerates Figure 3: CDF of the
 // capacity lost to naive per-antenna power scaling, CAS vs DAS.
 func BenchmarkFig03NaiveScalingDrop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cas, das, err := sim.Fig3NaiveScalingDrop(phyOpts(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cas.MustMedian(), "CAS-drop-median")
-		b.ReportMetric(das.MustMedian(), "DAS-drop-median")
-	}
+	benchScenario(b, "fig3-naive-scaling-drop", scenario.Spec{Topologies: 60})
 }
 
 // BenchmarkFig07LinkSNR regenerates Figure 7: SISO link SNR CDFs.
 func BenchmarkFig07LinkSNR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cas, das := sim.Fig7LinkSNR(phyOpts(60))
-		b.ReportMetric(cas.MustMedian(), "CAS-SNR-dB")
-		b.ReportMetric(das.MustMedian()-cas.MustMedian(), "DAS-gain-dB")
-	}
+	benchScenario(b, "fig7-link-snr", scenario.Spec{Topologies: 60})
 }
 
-// BenchmarkFig08OfficeA regenerates Figure 8: capacity CDFs in Office A.
-func BenchmarkFig08OfficeA(b *testing.B) { benchCapacityCDF(b, sim.OfficeA) }
+// BenchmarkFig08OfficeA regenerates Figure 8: 4×4 capacity CDFs in Office A.
+func BenchmarkFig08OfficeA(b *testing.B) {
+	benchScenario(b, "fig8-office-a", scenario.Spec{Topologies: 60, Antennas: 4, Clients: 4})
+}
 
-// BenchmarkFig09OfficeB regenerates Figure 9: capacity CDFs in Office B.
-func BenchmarkFig09OfficeB(b *testing.B) { benchCapacityCDF(b, sim.OfficeB) }
-
-func benchCapacityCDF(b *testing.B, o sim.Office) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cas, midas, err := sim.FigCapacityCDF(o, phyOpts(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, gain := sim.SummarizeGain(cas, midas)
-		b.ReportMetric(gain*100, "median-gain-%")
-	}
+// BenchmarkFig09OfficeB regenerates Figure 9: 4×4 capacity CDFs in Office B.
+func BenchmarkFig09OfficeB(b *testing.B) {
+	benchScenario(b, "fig9-office-b", scenario.Spec{Topologies: 60, Antennas: 4, Clients: 4})
 }
 
 // BenchmarkFig10SmartPrecoding regenerates Figure 10: the power-balanced
 // precoder's gain over naive scaling, on CAS and on DAS.
 func BenchmarkFig10SmartPrecoding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		c, err := sim.Fig10SmartPrecoding(phyOpts(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cg, _ := stats.MedianGain(c.CASBalanced, c.CASNaive)
-		dg, _ := stats.MedianGain(c.DASBalanced, c.DASNaive)
-		b.ReportMetric(cg*100, "CAS-gain-%")
-		b.ReportMetric(dg*100, "DAS-gain-%")
-	}
+	benchScenario(b, "fig10-smart-precoding", scenario.Spec{Topologies: 60})
 }
 
 // BenchmarkFig11OptimalGap regenerates Figure 11: MIDAS's lightweight
 // precoder against the numerical optimum.
 func BenchmarkFig11OptimalGap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := sim.Fig11OptimalGap(phyOpts(10), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sm, so float64
-		for _, p := range pts {
-			sm += p.MIDAS
-			so += p.Optimal
-		}
-		b.ReportMetric(sm/so, "MIDAS/optimal")
-	}
+	benchScenario(b, "fig11-optimal-gap", scenario.Spec{Topologies: 10})
 }
 
 // BenchmarkFig12SpatialReuse regenerates Figure 12: the simultaneous-
 // stream ratio CDF.
 func BenchmarkFig12SpatialReuse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := sim.Fig12SpatialReuse(30, benchSeed, sim.EnvOverrides{}, *runnerParallel)
-		ratios := stats.NewSample()
-		for _, r := range res {
-			ratios.Add(r.Ratio)
-		}
-		b.ReportMetric(ratios.MustMedian(), "median-ratio")
-	}
+	benchScenario(b, "fig12-spatial-reuse", scenario.Spec{Topologies: 30})
 }
 
 // BenchmarkFig13Deadzones regenerates Figure 13 / §5.3.3.
 func BenchmarkFig13Deadzones(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := sim.Fig13Deadzones(5, benchSeed, sim.EnvOverrides{}, *runnerParallel)
-		b.ReportMetric(100*(1-float64(res.DASDeadspots)/float64(res.CASDeadspots)), "reduction-%")
-	}
+	benchScenario(b, "fig13-deadzones", scenario.Spec{Topologies: 5})
 }
 
 // BenchmarkHiddenTerminals regenerates §5.3.4.
 func BenchmarkHiddenTerminals(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := sim.HiddenTerminals(5, benchSeed, sim.EnvOverrides{}, *runnerParallel)
-		b.ReportMetric(100*(1-float64(res.DASSpots)/float64(res.CASSpots)), "reduction-%")
-	}
+	benchScenario(b, "ht-hidden-terminals", scenario.Spec{Topologies: 5})
 }
 
 // BenchmarkFig14PacketTagging regenerates Figure 14.
 func BenchmarkFig14PacketTagging(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		random, tagged, err := sim.Fig14PacketTagging(phyOpts(60))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, gain := sim.SummarizeGain(random, tagged)
-		b.ReportMetric(gain*100, "median-gain-%")
-	}
+	benchScenario(b, "fig14-packet-tagging", scenario.Spec{Topologies: 60})
 }
 
 // BenchmarkFig15EndToEnd regenerates Figure 15: the 3-AP closed-loop
 // MAC+PHY comparison.
 func BenchmarkFig15EndToEnd(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 8, SimTime: 200 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	for i := 0; i < b.N; i++ {
-		cas, midas := sim.Fig15EndToEnd(o)
-		_, _, gain := sim.SummarizeGain(cas, midas)
-		b.ReportMetric(gain*100, "median-gain-%")
-	}
+	benchScenario(b, "fig15-end-to-end", scenario.Spec{Topologies: 8, SimTime: scenario.Duration(200 * time.Millisecond)})
 }
 
 // BenchmarkFig15Replicated resolves the replicated scenario from the
@@ -215,26 +169,13 @@ func BenchmarkFig15Replicated(b *testing.B) {
 
 // BenchmarkFig16LargeScale regenerates Figure 16: the 8-AP network.
 func BenchmarkFig16LargeScale(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 10, SimTime: 200 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	for i := 0; i < b.N; i++ {
-		cas, midas, err := sim.Fig16LargeScale(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, gain := sim.SummarizeGain(cas, midas)
-		b.ReportMetric(gain*100, "median-gain-%")
-	}
+	benchScenario(b, "fig16-large-scale", scenario.Spec{Topologies: 10, SimTime: scenario.Duration(200 * time.Millisecond)})
 }
 
 // BenchmarkDecomposition reports the §1 gain breakdown (precoding / DAS
 // deployment / MAC).
 func BenchmarkDecomposition(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 6, SimTime: 150 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	for i := 0; i < b.N; i++ {
-		res := sim.Decomposition(o)
-		base := res.CAS.MustMedian()
-		b.ReportMetric(100*(res.FullMIDAS.MustMedian()/base-1), "full-gain-%")
-	}
+	benchScenario(b, "decomp-gain-breakdown", scenario.Spec{Topologies: 6, SimTime: scenario.Duration(150 * time.Millisecond)})
 }
 
 // BenchmarkAblationScaling compares the three power-constraint strategies
@@ -271,70 +212,34 @@ func BenchmarkAblationScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTagWidth sweeps tag widths 1/2/4 (§3.2.4).
+// BenchmarkAblationTagWidth sweeps tag widths 1–4 (§3.2.4).
 func BenchmarkAblationTagWidth(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	for i := 0; i < b.N; i++ {
-		res := sim.AblationTagWidth([]int{1, 2, 4}, o)
-		b.ReportMetric(res[1].MustMedian(), "width1")
-		b.ReportMetric(res[2].MustMedian(), "width2")
-		b.ReportMetric(res[4].MustMedian(), "width4")
-	}
+	benchScenario(b, "ablation-tagwidth", scenario.Spec{Topologies: 4, SimTime: scenario.Duration(120 * time.Millisecond)})
 }
 
 // BenchmarkAblationWaitWindow sweeps the opportunistic wait (§3.2.3).
 func BenchmarkAblationWaitWindow(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	windows := []time.Duration{0, 34 * time.Microsecond, 68 * time.Microsecond}
-	for i := 0; i < b.N; i++ {
-		res := sim.AblationWaitWindow(windows, o)
-		b.ReportMetric(res[0].MustMedian(), "win0")
-		b.ReportMetric(res[34*time.Microsecond].MustMedian(), "winDIFS")
-		b.ReportMetric(res[68*time.Microsecond].MustMedian(), "win2DIFS")
-	}
+	benchScenario(b, "ablation-waitwindow", scenario.Spec{Topologies: 4, SimTime: scenario.Duration(120 * time.Millisecond)})
 }
 
 // BenchmarkAblationScheduler compares DRR / round-robin / random (§3.2.5).
 func BenchmarkAblationScheduler(b *testing.B) {
-	o := sim.E2EOpts{Topologies: 4, SimTime: 120 * time.Millisecond, Seed: benchSeed, Parallelism: *runnerParallel}
-	for i := 0; i < b.N; i++ {
-		res := sim.AblationScheduler(o)
-		b.ReportMetric(res["drr"].MustMedian(), "drr")
-		b.ReportMetric(res["rr"].MustMedian(), "rr")
-		b.ReportMetric(res["random"].MustMedian(), "random")
-	}
+	benchScenario(b, "ablation-scheduler", scenario.Spec{Topologies: 4, SimTime: scenario.Duration(120 * time.Millisecond)})
 }
 
 // BenchmarkAblationCorrelation sweeps CAS antenna correlation.
 func BenchmarkAblationCorrelation(b *testing.B) {
-	rhos := []float64{0, 0.6, 0.9}
-	for i := 0; i < b.N; i++ {
-		res := sim.AblationCorrelation(rhos, 20, benchSeed, *runnerParallel)
-		b.ReportMetric(res[0].MustMedian(), "rho0.0")
-		b.ReportMetric(res[0.6].MustMedian(), "rho0.6")
-		b.ReportMetric(res[0.9].MustMedian(), "rho0.9")
-	}
+	benchScenario(b, "ablation-correlation", scenario.Spec{Topologies: 20})
 }
 
 // BenchmarkExtBeamforming quantifies §7's localized-beamforming tradeoff
 // (SNR given up vs. area left unsilenced for neighbours' spatial reuse).
 func BenchmarkExtBeamforming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := sim.BeamformingStudy(20, 12, benchSeed, *runnerParallel)
-		b.ReportMetric(res.SNRFull.MustMedian()-res.SNRLocal.MustMedian(), "SNR-cost-dB")
-		b.ReportMetric(100*(res.SilencedFull.MustMedian()-res.SilencedLocal.MustMedian()), "area-freed-%")
-	}
+	benchScenario(b, "ext-beamforming", scenario.Spec{Topologies: 20})
 }
 
 // BenchmarkExtPlacement quantifies the §7 open problem: optimised vs
 // random DAS antenna placement.
 func BenchmarkExtPlacement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := sim.PlacementStudy(24, 30, benchSeed, *runnerParallel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.OptimizedCoverage.MustMedian()-res.RandomCoverage.MustMedian(), "coverage-gain-dB")
-		b.ReportMetric(res.OptimizedCapacity.MustMedian()/res.RandomCapacity.MustMedian(), "capacity-ratio")
-	}
+	benchScenario(b, "ext-placement", scenario.Spec{Topologies: 24})
 }

@@ -10,7 +10,7 @@
 //	midas-serve [-addr host:port] [-workers N] [-queue N] [-cache N]
 //	            [-store-dir DIR] [-store-max-bytes N]
 //	            [-dispatch-listen host:port] [-lease-ttl DUR]
-//	            [-shard-attempts N] [-resume=false]
+//	            [-shard-attempts N]
 //	            [-log text|json|off] [-pprof]
 //
 //	POST   /v1/jobs             submit a spec (midas-sim -spec schema)
@@ -48,10 +48,9 @@
 // job (the resolved spec, for re-admission, under <store-dir>/journal)
 // and publishes each accepted shard result into the store by the
 // shard spec's content address. On restart the journal's non-terminal
-// jobs are re-admitted automatically (disable with -resume=false):
-// shards whose results are already on disk are answered from the store
-// without re-execution, so a kill -9 mid-sweep costs at most the
-// shards that were in flight. The same addressing means sweeps sharing
+// jobs are always re-admitted: shards whose results are already on disk
+// are answered from the store without re-execution, so a kill -9
+// mid-sweep costs at most the shards that were in flight. The same addressing means sweeps sharing
 // sweep points — across jobs, restarts or tenants of one store —
 // compute each shared shard exactly once.
 //
@@ -106,8 +105,6 @@ var (
 		"shard lease deadline; a worker silent this long after taking a shard has it requeued")
 	shardAttempts = flag.Int("shard-attempts", 5,
 		"lease attempts per shard before its job fails (requeues from expiry or worker errors consume the budget)")
-	resume = flag.Bool("resume", true,
-		"replay journaled in-flight sweeps at startup (journaling needs -store-dir and -dispatch-listen)")
 )
 
 // newLogger builds the slog logger the -log flag asks for.
@@ -231,7 +228,7 @@ func run() error {
 	// re-admitted as a fresh job that routes through the coordinator,
 	// where the store prefill answers the already-published shards and
 	// only the missing ones wait for the fleet.
-	if *resume && coord != nil {
+	if coord != nil {
 		for _, e := range coord.Recovered() {
 			jst, rerr := svc.Resume(e.Spec)
 			if rerr != nil {

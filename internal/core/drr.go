@@ -65,9 +65,6 @@ func (d *DRR) Charge(served, backlogged []int, txop time.Duration) {
 	}
 }
 
-// Reset clears all counters.
-func (d *DRR) Reset() { d.deficit = map[int]float64{} }
-
 // Scheduler selects one client for an antenna from an eligible set.
 // MIDAS uses DRR; the ablations swap in round-robin and random policies.
 type Scheduler interface {

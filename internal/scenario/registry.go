@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/rng"
+	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // Scenario is one registered experiment: a name, the spec that
@@ -138,8 +141,12 @@ type Ignorer interface {
 	IgnoredKnobs() []string
 }
 
-// scenarioFunc is the concrete Scenario the built-in registrations use.
-type scenarioFunc struct {
+// scenarioFunc is the concrete Scenario every registration uses: a
+// per-topology function and a fold. Run computes the records of
+// topologies 0 … spec.Topologies-1 on the runner pool and folds them,
+// in topology order, into the Result — the one loop over topologies
+// in the module.
+type scenarioFunc[R any] struct {
 	name     string
 	about    string
 	defaults Spec
@@ -149,19 +156,42 @@ type scenarioFunc struct {
 	// ignores lists the spec knobs this experiment does not consume
 	// (Knob* constants). Overriding one is a Resolve error.
 	ignores []string
-	run     func(spec Spec, src *rng.Source, r *Result) error
+	// topology computes topology t's record. It derives all its
+	// randomness from root by Split/SplitN (root is shared by every
+	// task, so drawing from it would race). Its options carry neither
+	// the seed nor the topology count, so the records of a run are a
+	// prefix of those of any run over more topologies.
+	topology func(o sim.Opts, t int, root *rng.Source) (R, error)
+	// fold turns the records, in topology order, into the result.
+	fold func(recs []R, r *Result)
 }
 
-func (s *scenarioFunc) Name() string           { return s.name }
-func (s *scenarioFunc) About() string          { return s.about }
-func (s *scenarioFunc) DefaultSpec() Spec      { return s.defaults.clone() }
-func (s *scenarioFunc) Aliases() []string      { return s.aliases }
-func (s *scenarioFunc) IgnoredKnobs() []string { return s.ignores }
+func (s *scenarioFunc[R]) Name() string           { return s.name }
+func (s *scenarioFunc[R]) About() string          { return s.about }
+func (s *scenarioFunc[R]) DefaultSpec() Spec      { return s.defaults.clone() }
+func (s *scenarioFunc[R]) Aliases() []string      { return s.aliases }
+func (s *scenarioFunc[R]) IgnoredKnobs() []string { return s.ignores }
 
-func (s *scenarioFunc) Run(spec Spec, src *rng.Source) (Result, error) {
-	r := Result{Scenario: s.name}
-	if err := s.run(spec, src, &r); err != nil {
+// Run folds the spec's topology records into a result. The engine's
+// source is not needed: runner.SweepRoot derives the same root from
+// spec.Seed.
+func (s *scenarioFunc[R]) Run(spec Spec, _ *rng.Source) (Result, error) {
+	recs, err := s.records(spec)
+	if err != nil {
 		return Result{}, err
 	}
+	r := Result{Scenario: s.name}
+	s.fold(recs, &r)
 	return r, nil
+}
+
+// records runs the per-topology function over the spec's topologies at
+// the spec's parallelism and returns the records in topology order, or
+// the lowest-index failure.
+func (s *scenarioFunc[R]) records(spec Spec) ([]R, error) {
+	o := spec.simOpts()
+	return runner.SweepRoot(context.Background(), spec.Topologies, spec.Seed, runner.Options{Parallelism: spec.Parallelism},
+		func(_ context.Context, t int, root *rng.Source) (R, error) {
+			return s.topology(o, t, root)
+		})
 }

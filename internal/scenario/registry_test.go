@@ -62,14 +62,14 @@ func TestRegisterRejectsAliasCollisions(t *testing.T) {
 		}()
 		Register(sc)
 	}
-	mustPanic("alias collides with name", &scenarioFunc{
+	mustPanic("alias collides with name", &scenarioFunc[struct{}]{
 		name:    "collide-name-test",
 		aliases: []string{"fig12-spatial-reuse"},
 	})
-	mustPanic("alias collides with alias", &scenarioFunc{
+	mustPanic("alias collides with alias", &scenarioFunc[struct{}]{
 		name:    "collide-alias-test",
 		aliases: []string{"fig15"},
 	})
-	mustPanic("name collides with alias", &scenarioFunc{name: "fig15"})
-	mustPanic("empty alias", &scenarioFunc{name: "empty-alias-test", aliases: []string{""}})
+	mustPanic("name collides with alias", &scenarioFunc[struct{}]{name: "fig15"})
+	mustPanic("empty alias", &scenarioFunc[struct{}]{name: "empty-alias-test", aliases: []string{""}})
 }

@@ -32,10 +32,9 @@ func TestReplicateAggregationMatchesDirectRuns(t *testing.T) {
 		if r > 0 {
 			seed = root.SplitN("replicate", r).Seed()
 		}
-		direct := sim.Fig12SpatialReuse(2, seed, sim.EnvOverrides{}, 0)
 		ratios := stats.NewSample()
-		for _, p := range direct {
-			ratios.Add(p.Ratio)
+		for topo := 0; topo < 2; topo++ {
+			ratios.Add(sim.Fig12SpatialReuse(sim.Opts{}, topo, rng.New(seed)).Ratio)
 		}
 		medians.Add(ratios.MustMedian())
 		metric.Add(ratios.MustMedian()) // fig12's "median ratio" metric

@@ -4,7 +4,9 @@
 // interface and driven by a JSON Spec instead of hard-coded Go. Specs
 // carry venue dimensions, antenna/client counts, shadowing parameters,
 // seeds, replicate counts and parallelism; sweeps expand to a
-// cross-product of runs dispatched through internal/runner. The
+// cross-product of runs dispatched through internal/runner, and each
+// run folds the records of its topologies, computed by one loop over
+// the experiment's per-topology function in internal/sim. The
 // committed golden suite (testdata/golden) pins every registered
 // scenario's output byte-for-byte at parallelism 1 and 8.
 package scenario
@@ -98,8 +100,8 @@ type Spec struct {
 	// run.
 	Replicates int `json:"replicates,omitempty"`
 	// Parallelism bounds how many expanded runs (sweep points ×
-	// replicates) execute concurrently; 0 selects GOMAXPROCS. Results
-	// never depend on it.
+	// replicates), and how many topologies of each, execute
+	// concurrently; 0 selects GOMAXPROCS. Results never depend on it.
 	Parallelism int        `json:"parallelism,omitempty"`
 	Venue       *Venue     `json:"venue,omitempty"`
 	Shadowing   *Shadowing `json:"shadowing,omitempty"`

@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"time"
+
 	"repro/internal/channel"
 	"repro/internal/topology"
 )
 
-// This file defines the override structs through which declarative
-// scenario specs (internal/scenario) parameterize the figure drivers.
-// Every field is optional; the zero value of each struct is a strict
-// no-op, so drivers called with zero overrides reproduce the paper
-// experiments bit-for-bit.
+// This file defines the options through which declarative scenario
+// specs (internal/scenario) parameterize the per-topology experiment
+// functions. Every field is optional; the zero value of each struct is
+// a strict no-op, so functions called with zero options reproduce the
+// paper experiments bit-for-bit.
 
 // EnvOverrides adjusts an experiment environment's channel and coverage
 // defaults. Nil fields keep the environment's own values (the office
@@ -55,29 +57,33 @@ func (e EnvOverrides) Topology(cfg topology.Config) topology.Config {
 	return cfg
 }
 
-// PhyOpts parameterizes the PHY-layer figure drivers of
-// experiments_phy.go. Antennas and Clients of 0 select the paper
-// defaults: 4 antennas, and as many clients as antennas.
-type PhyOpts struct {
-	Topologies int
-	Seed       int64
-	Antennas   int
-	Clients    int
-	Env        EnvOverrides
-	// Parallelism bounds the topology-sweep worker pool for this call;
-	// <= 0 selects GOMAXPROCS. Per-call so concurrent jobs in one
-	// process can run at different widths without sharing mutable state.
-	Parallelism int
+// Opts parameterizes every per-topology experiment function. Each
+// field is optional; the zero value reproduces the paper configuration.
+type Opts struct {
+	// Antennas and Clients size each AP when > 0. The PHY figures
+	// default to 4 antennas and as many clients as antennas; the
+	// end-to-end figures to the topology's own defaults.
+	Antennas int
+	Clients  int
+	// Env adjusts the channel parameters and coverage radius.
+	Env EnvOverrides
+	// SimTime is the simulated airtime of each end-to-end network run.
+	SimTime time.Duration
+	// VenueWidth/VenueHeight override the large-scale deployment region
+	// (paper: 52×52 m) when both > 0; VenueAPs overrides its AP count
+	// (paper: 8) when > 0. Only the large-scale experiments read these.
+	VenueWidth, VenueHeight float64
+	VenueAPs                int
 }
 
-func (o PhyOpts) antennas() int {
+func (o Opts) antennas() int {
 	if o.Antennas > 0 {
 		return o.Antennas
 	}
 	return 4
 }
 
-func (o PhyOpts) clients() int {
+func (o Opts) clients() int {
 	if o.Clients > 0 {
 		return o.Clients
 	}

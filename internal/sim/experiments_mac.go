@@ -39,73 +39,74 @@ type Fig12Result struct {
 	Ratio        float64
 }
 
-// Fig12SpatialReuse reproduces Figure 12: three overhearing APs; random
-// transmissions are enabled at AP A, then the antennas of AP B that still
-// sense an idle medium are enabled, then AP C's (§5.3.1). The same
-// procedure at AP granularity gives the CAS count. Returns per-topology
-// results; the paper plots the CDF of MIDAS/CAS. The zero env and
-// parallel reproduce the paper run.
-func Fig12SpatialReuse(topos int, seed int64, env EnvOverrides, parallel int) []Fig12Result {
+// Fig12SpatialReuse is one topology of Figure 12: three overhearing
+// APs; random transmissions are enabled at AP A, then the antennas of AP
+// B that still sense an idle medium are enabled, then AP C's (§5.3.1).
+// The same procedure at AP granularity gives the CAS count; the paper
+// plots the CDF of MIDAS/CAS. Only o.Env is read; the zero value
+// reproduces the paper run.
+func Fig12SpatialReuse(o Opts, t int, root *rng.Source) Fig12Result {
+	env := o.Env
 	p := env.Params(channel.Default())
 	csDBm := -82.0
-	return sweep(topos, seed, "fig12", parallel, func(t int, src *rng.Source) Fig12Result {
-		cfg := env.Topology(topology.DefaultConfig(topology.DAS))
-		dep := topology.ThreeAPTestbed(cfg, src.Split("topo"))
-		// §5.3.1 premise: the three APs overhear each other; choose a
-		// floor plan satisfying it.
-		var f *channel.ShadowField
-		for i := 0; i < 64; i++ {
-			f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
-			if allPairsOverhear(dep, p, f) {
-				break
-			}
+	src := root.SplitN("fig12", t)
+	cfg := env.Topology(topology.DefaultConfig(topology.DAS))
+	dep := topology.ThreeAPTestbed(cfg, src.Split("topo"))
+	// §5.3.1 premise: the three APs overhear each other; choose a
+	// floor plan satisfying it.
+	var f *channel.ShadowField
+	for i := 0; i < 64; i++ {
+		f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
+		if allPairsOverhear(dep, p, f) {
+			break
 		}
+	}
 
-		// MIDAS: antenna granularity.
-		nA := 1 + src.Intn(4)
-		perm := src.Perm(4)
-		var active []geom.Point
-		ants0 := dep.AntennasOf(0)
-		for i := 0; i < nA; i++ {
-			active = append(active, dep.Antennas[ants0[perm[i]]].Pos)
-		}
-		midas := nA
-		for _, ap := range []int{1, 2} {
-			var enabled []geom.Point
-			for _, k := range dep.AntennasOf(ap) {
-				pos := dep.Antennas[k].Pos
-				if !sensesAny(p, f, active, pos, csDBm) {
-					enabled = append(enabled, pos)
-					midas++
-				}
+	// MIDAS: antenna granularity.
+	nA := 1 + src.Intn(4)
+	perm := src.Perm(4)
+	var active []geom.Point
+	ants0 := dep.AntennasOf(0)
+	for i := 0; i < nA; i++ {
+		active = append(active, dep.Antennas[ants0[perm[i]]].Pos)
+	}
+	midas := nA
+	for _, ap := range []int{1, 2} {
+		var enabled []geom.Point
+		for _, k := range dep.AntennasOf(ap) {
+			pos := dep.Antennas[k].Pos
+			if !sensesAny(p, f, active, pos, csDBm) {
+				enabled = append(enabled, pos)
+				midas++
 			}
-			active = append(active, enabled...)
 		}
+		active = append(active, enabled...)
+	}
 
-		// CAS: AP granularity — an AP transmits all four streams or none.
-		casActive := []geom.Point{dep.APs[0]}
-		cas := 4
-		for _, ap := range []int{1, 2} {
-			if !sensesAny(p, f, casActive, dep.APs[ap], csDBm) {
-				casActive = append(casActive, dep.APs[ap])
-				cas += 4
-			}
+	// CAS: AP granularity — an AP transmits all four streams or none.
+	casActive := []geom.Point{dep.APs[0]}
+	cas := 4
+	for _, ap := range []int{1, 2} {
+		if !sensesAny(p, f, casActive, dep.APs[ap], csDBm) {
+			casActive = append(casActive, dep.APs[ap])
+			cas += 4
 		}
-		return Fig12Result{
-			MIDASStreams: midas,
-			CASStreams:   cas,
-			Ratio:        float64(midas) / float64(cas),
-		}
-	})
+	}
+	return Fig12Result{
+		MIDASStreams: midas,
+		CASStreams:   cas,
+		Ratio:        float64(midas) / float64(cas),
+	}
 }
 
-// DeadzoneResult summarises one deployment's coverage map.
+// DeadzoneResult is one deployment's coverage tally.
 type DeadzoneResult struct {
 	CASDeadspots int
 	DASDeadspots int
 	Spots        int
-	// Map is a sampled boolean deadzone grid (true = dead) for one
-	// deployment, row-major with MapCols columns — Fig 13's map.
+	// CASMap and DASMap are the sampled boolean deadzone grids (true =
+	// dead), row-major with MapCols columns — Fig 13's map. Only
+	// deployment 0 records them.
 	CASMap, DASMap []bool
 	MapCols        int
 }
@@ -114,60 +115,43 @@ type DeadzoneResult struct {
 // sustain the lowest MCS with margin).
 const minServiceSNRdB = 4.0
 
-// Fig13Deadzones reproduces Figure 13 / §5.3.3: a 0.5 m measurement grid
-// over the coverage area; a spot is dead when no AP antenna delivers a
-// usable mean SNR. Averages over `deployments` random DAS layouts (the
-// CAS layout is fixed, as in the paper). env adjusts the channel and
-// topology defaults; the zero value keeps the paper's.
-func Fig13Deadzones(deployments int, seed int64, env EnvOverrides, parallel int) DeadzoneResult {
+// Fig13Deadzones is one deployment of Figure 13 / §5.3.3: a 0.5 m
+// measurement grid over the coverage area; a spot is dead when no AP
+// antenna delivers a usable mean SNR. The figure averages over random
+// DAS layouts (the CAS layout is fixed, as in the paper). Only o.Env is
+// read; the zero value keeps the paper's channel and topology defaults.
+func Fig13Deadzones(o Opts, d int, root *rng.Source) DeadzoneResult {
+	env := o.Env
 	p := env.Params(channel.Default())
-	// deadzoneTask is one deployment's tally; the example maps are kept
-	// only for deployment 0, as before.
-	type deadzoneTask struct {
-		casDead, dasDead, spots int
-		casMap, dasMap          []bool
-		cols                    int
-	}
-	tasks := sweep(deployments, seed, "fig13", parallel, func(d int, src *rng.Source) deadzoneTask {
-		var out deadzoneTask
-		casDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.CAS)), src.Split("cas"))
-		dasDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.DAS)), src.Split("das"))
-		f := p.NewField(rng.SplitSeed(src.Seed(), "field"))
-		r := env.Topology(topology.DefaultConfig(topology.CAS)).CoverageRadius
-		rect := geom.NewRect(-r, -r, r, r)
-		geom.Grid(rect, 0.5, func(pt geom.Point) {
-			if pt.Dist(geom.Pt(0, 0)) > r {
-				return
-			}
-			out.spots++
-			casDead := deadAt(p, f, casDep, pt)
-			dasDead := deadAt(p, f, dasDep, pt)
-			if casDead {
-				out.casDead++
-			}
-			if dasDead {
-				out.dasDead++
-			}
-			if d == 0 {
-				out.casMap = append(out.casMap, casDead)
-				out.dasMap = append(out.dasMap, dasDead)
-			}
-		})
-		if d == 0 {
-			out.cols = int(math.Floor(2*r/0.5)) + 1
+	src := root.SplitN("fig13", d)
+	var out DeadzoneResult
+	casDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.CAS)), src.Split("cas"))
+	dasDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.DAS)), src.Split("das"))
+	f := p.NewField(rng.SplitSeed(src.Seed(), "field"))
+	r := env.Topology(topology.DefaultConfig(topology.CAS)).CoverageRadius
+	rect := geom.NewRect(-r, -r, r, r)
+	geom.Grid(rect, 0.5, func(pt geom.Point) {
+		if pt.Dist(geom.Pt(0, 0)) > r {
+			return
 		}
-		return out
+		out.Spots++
+		casDead := deadAt(p, f, casDep, pt)
+		dasDead := deadAt(p, f, dasDep, pt)
+		if casDead {
+			out.CASDeadspots++
+		}
+		if dasDead {
+			out.DASDeadspots++
+		}
+		if d == 0 {
+			out.CASMap = append(out.CASMap, casDead)
+			out.DASMap = append(out.DASMap, dasDead)
+		}
 	})
-	var res DeadzoneResult
-	for d, t := range tasks {
-		res.CASDeadspots += t.casDead
-		res.DASDeadspots += t.dasDead
-		res.Spots += t.spots
-		if d == 0 {
-			res.CASMap, res.DASMap, res.MapCols = t.casMap, t.dasMap, t.cols
-		}
+	if d == 0 {
+		out.MapCols = int(math.Floor(2*r/0.5)) + 1
 	}
-	return res
+	return out
 }
 
 // deadAt reports whether no antenna of the deployment delivers the
@@ -183,63 +167,55 @@ func deadAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment, 
 	return true
 }
 
-// HiddenTerminalResult summarises §5.3.4's measurement.
+// HiddenTerminalResult is one deployment's §5.3.4 tally.
 type HiddenTerminalResult struct {
 	CASSpots, DASSpots, Spots int
 }
 
-// HiddenTerminals reproduces §5.3.4: two APs placed so they cannot
-// (reliably) overhear each other; a 1 m grid spot is a hidden-terminal
-// spot when both APs' transmissions reach it at decodable strength while
-// the two transmitters cannot sense one another. DAS antennas are
-// distributed at 50–75% of the CAS transmission range (§5.3.4), which
-// both widens each AP's sensing footprint and evens out the delivered
-// power — the two effects the paper credits for the reduction. env
-// adjusts the channel and topology defaults; the zero value keeps the
-// paper's.
-func HiddenTerminals(deployments int, seed int64, env EnvOverrides, parallel int) HiddenTerminalResult {
+// HiddenTerminals is one deployment of §5.3.4: two APs placed so they
+// cannot (reliably) overhear each other; a 1 m grid spot is a
+// hidden-terminal spot when both APs' transmissions reach it at
+// decodable strength while the two transmitters cannot sense one
+// another. DAS antennas are distributed at 50–75% of the CAS
+// transmission range (§5.3.4), which both widens each AP's sensing
+// footprint and evens out the delivered power — the two effects the
+// paper credits for the reduction. Only o.Env is read; the zero value
+// keeps the paper's channel and topology defaults.
+func HiddenTerminals(o Opts, d int, root *rng.Source) HiddenTerminalResult {
+	env := o.Env
 	p := env.Params(channel.Default())
 	const csDBm = -82.0
 	const decodeDBm = -82.0 // conflict-relevant power, not payload decode
-	type htTask struct{ cas, das, spots int }
-	tasks := sweep(deployments, seed, "ht", parallel, func(d int, src *rng.Source) htTask {
-		var out htTask
-		cfg := env.Topology(topology.DefaultConfig(topology.DAS))
-		cfg.DASInnerFrac = 0.5
-		cfg.DASOuterFrac = 0.75
-		apDist := 20.0 // near enough for the both-reach midzone to exist
-		aps := []geom.Point{geom.Pt(0, 0), geom.Pt(apDist, 0)}
-		casDep := topology.MultiAP(env.Topology(topology.DefaultConfig(topology.CAS)), aps, src.Split("cas"))
-		dasDep := topology.MultiAP(cfg, aps, src.Split("das"))
-		// §5.3.4 premise: the APs cannot overhear each other; choose a
-		// floor plan satisfying it.
-		var f *channel.ShadowField
-		for i := 0; i < 64; i++ {
-			f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
-			if !senses(p, f, aps[0], aps[1], csDBm) {
-				break
-			}
+	src := root.SplitN("ht", d)
+	var out HiddenTerminalResult
+	cfg := env.Topology(topology.DefaultConfig(topology.DAS))
+	cfg.DASInnerFrac = 0.5
+	cfg.DASOuterFrac = 0.75
+	apDist := 20.0 // near enough for the both-reach midzone to exist
+	aps := []geom.Point{geom.Pt(0, 0), geom.Pt(apDist, 0)}
+	casDep := topology.MultiAP(env.Topology(topology.DefaultConfig(topology.CAS)), aps, src.Split("cas"))
+	dasDep := topology.MultiAP(cfg, aps, src.Split("das"))
+	// §5.3.4 premise: the APs cannot overhear each other; choose a
+	// floor plan satisfying it.
+	var f *channel.ShadowField
+	for i := 0; i < 64; i++ {
+		f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
+		if !senses(p, f, aps[0], aps[1], csDBm) {
+			break
 		}
-
-		rect := geom.NewRect(-10, -15, apDist+10, 15)
-		geom.Grid(rect, 1.0, func(pt geom.Point) {
-			out.spots++
-			if hiddenAt(p, f, casDep, pt, csDBm, decodeDBm) {
-				out.cas++
-			}
-			if hiddenAt(p, f, dasDep, pt, csDBm, decodeDBm) {
-				out.das++
-			}
-		})
-		return out
-	})
-	var res HiddenTerminalResult
-	for _, t := range tasks {
-		res.CASSpots += t.cas
-		res.DASSpots += t.das
-		res.Spots += t.spots
 	}
-	return res
+
+	rect := geom.NewRect(-10, -15, apDist+10, 15)
+	geom.Grid(rect, 1.0, func(pt geom.Point) {
+		out.Spots++
+		if hiddenAt(p, f, casDep, pt, csDBm, decodeDBm) {
+			out.CASSpots++
+		}
+		if hiddenAt(p, f, dasDep, pt, csDBm, decodeDBm) {
+			out.DASSpots++
+		}
+	})
+	return out
 }
 
 // hiddenAt reports whether pt is a hidden-terminal spot for the two-AP

@@ -15,7 +15,7 @@ import (
 
 // This file implements the PHY-layer experiments of §5.2 — the figures
 // that need only topologies, channels and precoders (no MAC event loop).
-// Each function regenerates one figure's data series.
+// Each function computes one topology's contribution to one figure.
 
 // Office selects the two indoor environments of §5.2.2.
 type Office int
@@ -78,66 +78,49 @@ func phyProblem(o Office, mode topology.Mode, antennas, clients int, env EnvOver
 	return prob, m, dep
 }
 
-// Fig3NaiveScalingDrop reproduces Figure 3: the CDF of the capacity drop
+// Fig3NaiveScalingDrop is one topology of Figure 3: the capacity drop
 // suffered when conventional equal-power ZFBF is forced to meet the
-// per-antenna power constraint by one global scale factor, for CAS and
-// DAS 4×4 topologies. The zero optional fields of o reproduce the paper
-// run.
-func Fig3NaiveScalingDrop(o PhyOpts) (cas, das *stats.Sample, err error) {
-	cas, das = stats.NewSample(), stats.NewSample()
-	for _, mode := range []topology.Mode{topology.CAS, topology.DAS} {
-		out := cas
-		if mode == topology.DAS {
-			out = das
-		}
-		drops, err := sweepErr(o.Topologies, o.Seed, "fig3-"+mode.String(), o.Parallelism, func(t int, src *rng.Source) (float64, error) {
-			sv := getSolver()
-			defer putSolver(sv)
-			prob, _, _ := phyProblem(OfficeB, mode, o.antennas(), o.clients(), o.Env, src)
-			// Solver results are overwritten by the next precoder call, so
-			// each rate is taken before the next solve.
-			ideal, err := sv.ZFBF(prob)
-			if err != nil {
-				return 0, fmt.Errorf("fig3 topo %d: %w", t, err)
-			}
-			idealRate := sv.SumRate(prob.H, ideal, prob.Noise)
-			naive, err := sv.NaiveScaled(prob)
-			if err != nil {
-				return 0, fmt.Errorf("fig3 topo %d: %w", t, err)
-			}
-			drop := idealRate - sv.SumRate(prob.H, naive, prob.Noise)
-			if drop < 0 {
-				drop = 0
-			}
-			return drop, nil
-		})
+// per-antenna power constraint by one global scale factor, for a CAS and
+// a DAS 4×4 topology (in that order). The zero optional fields of o
+// reproduce the paper run.
+func Fig3NaiveScalingDrop(o Opts, t int, root *rng.Source) ([2]float64, error) {
+	var drops [2]float64
+	sv := getSolver()
+	defer putSolver(sv)
+	for i, mode := range []topology.Mode{topology.CAS, topology.DAS} {
+		src := root.SplitN("fig3-"+mode.String(), t)
+		prob, _, _ := phyProblem(OfficeB, mode, o.antennas(), o.clients(), o.Env, src)
+		// Solver results are overwritten by the next precoder call, so
+		// each rate is taken before the next solve.
+		ideal, err := sv.ZFBF(prob)
 		if err != nil {
-			return nil, nil, err
+			return drops, fmt.Errorf("fig3 topo %d: %w", t, err)
 		}
-		out.AddAll(drops)
+		idealRate := sv.SumRate(prob.H, ideal, prob.Noise)
+		naive, err := sv.NaiveScaled(prob)
+		if err != nil {
+			return drops, fmt.Errorf("fig3 topo %d: %w", t, err)
+		}
+		drop := idealRate - sv.SumRate(prob.H, naive, prob.Noise)
+		if drop < 0 {
+			drop = 0
+		}
+		drops[i] = drop
 	}
-	return cas, das, nil
+	return drops, nil
 }
 
-// Fig7LinkSNR reproduces Figure 7: the CDF of SISO link SNR for CAS and
-// DAS with the greedy client→antenna mapping of §5.2.1 (strongest pair
-// first, each antenna and client used once).
-func Fig7LinkSNR(o PhyOpts) (cas, das *stats.Sample) {
-	cas, das = stats.NewSample(), stats.NewSample()
-	for _, mode := range []topology.Mode{topology.CAS, topology.DAS} {
-		out := cas
-		if mode == topology.DAS {
-			out = das
-		}
-		snrs := sweep(o.Topologies, o.Seed, "fig7-"+mode.String(), o.Parallelism, func(t int, src *rng.Source) []float64 {
-			_, m, _ := phyProblem(OfficeA, mode, o.antennas(), o.clients(), o.Env, src)
-			return greedySISOMap(m)
-		})
-		for _, s := range snrs {
-			out.AddAll(s)
-		}
+// Fig7LinkSNR is one topology of Figure 7: the SISO link SNRs of a CAS
+// and a DAS topology (in that order) under the greedy client→antenna
+// mapping of §5.2.1 (strongest pair first, each antenna and client used
+// once).
+func Fig7LinkSNR(o Opts, t int, root *rng.Source) [2][]float64 {
+	var snrs [2][]float64
+	for i, mode := range []topology.Mode{topology.CAS, topology.DAS} {
+		_, m, _ := phyProblem(OfficeA, mode, o.antennas(), o.clients(), o.Env, root.SplitN("fig7-"+mode.String(), t))
+		snrs[i] = greedySISOMap(m)
 	}
-	return cas, das
+	return snrs
 }
 
 // greedySISOMap pairs clients with antennas greedily by instantaneous SNR
@@ -168,88 +151,52 @@ func greedySISOMap(m *channel.Model) []float64 {
 	return out
 }
 
-// FigCapacityCDF reproduces Figures 8 and 9: MU-MIMO sum-capacity CDFs
-// for CAS (baseline precoding) versus MIDAS (DAS + power-balanced
-// precoding) with the given antenna count (2 → "2x2", 4 → "4x4") in the
-// given office (po.Antennas).
-func FigCapacityCDF(o Office, po PhyOpts) (cas, midas *stats.Sample, err error) {
+// FigCapacityCDF is one topology of Figures 8 and 9: the MU-MIMO sum
+// capacity of CAS (baseline precoding) and of MIDAS (DAS +
+// power-balanced precoding), in that order, with o.Antennas antennas
+// (2 → "2x2", 4 → "4x4") in the given office.
+func FigCapacityCDF(office Office, o Opts, t int, root *rng.Source) ([2]float64, error) {
 	// One source for both arms: §5.2.2 fixes the clients and varies
 	// only the antenna deployment between CAS and DAS.
-	label := fmt.Sprintf("fig89-%v-%d", o, po.antennas())
-	res, err := sweepErr(po.Topologies, po.Seed, label, po.Parallelism, func(t int, src *rng.Source) (arm2, error) {
-		sv := getSolver()
-		defer putSolver(sv)
-		probC, _, _ := phyProblem(o, topology.CAS, po.antennas(), po.clients(), po.Env, src)
-		vC, err := sv.NaiveScaled(probC)
-		if err != nil {
-			return arm2{}, err
-		}
-		rateC := sv.SumRate(probC.H, vC, probC.Noise)
-		probM, _, _ := phyProblem(o, topology.DAS, po.antennas(), po.clients(), po.Env, src)
-		vM, _, err := sv.PowerBalanced(probM)
-		if err != nil {
-			return arm2{}, err
-		}
-		return arm2{
-			a: rateC,
-			b: sv.SumRate(probM.H, vM, probM.Noise),
-		}, nil
-	})
+	src := root.SplitN(fmt.Sprintf("fig89-%v-%d", office, o.antennas()), t)
+	sv := getSolver()
+	defer putSolver(sv)
+	probC, _, _ := phyProblem(office, topology.CAS, o.antennas(), o.clients(), o.Env, src)
+	vC, err := sv.NaiveScaled(probC)
 	if err != nil {
-		return nil, nil, err
+		return [2]float64{}, err
 	}
-	cas, midas = stats.NewSample(), stats.NewSample()
-	for _, r := range res {
-		cas.Add(r.a)
-		midas.Add(r.b)
+	rateC := sv.SumRate(probC.H, vC, probC.Noise)
+	probM, _, _ := phyProblem(office, topology.DAS, o.antennas(), o.clients(), o.Env, src)
+	vM, _, err := sv.PowerBalanced(probM)
+	if err != nil {
+		return [2]float64{}, err
 	}
-	return cas, midas, nil
+	return [2]float64{rateC, sv.SumRate(probM.H, vM, probM.Noise)}, nil
 }
 
-// Fig10Curves labels the four curves of Figure 10.
-type Fig10Curves struct {
-	CASNaive, CASBalanced, DASNaive, DASBalanced *stats.Sample
-}
-
-// Fig10SmartPrecoding reproduces Figure 10: the impact of power-balanced
-// precoding on CAS and on DAS separately (4×4, Office B).
-func Fig10SmartPrecoding(o PhyOpts) (*Fig10Curves, error) {
-	// [casNaive, casBalanced, dasNaive, dasBalanced] per topology; the
-	// per-mode child streams keep their original labels.
-	vals, err := sweepRootErr(o.Topologies, o.Seed, o.Parallelism, func(t int, root *rng.Source) ([4]float64, error) {
-		var out [4]float64
-		sv := getSolver()
-		defer putSolver(sv)
-		for mi, mode := range []topology.Mode{topology.CAS, topology.DAS} {
-			src := root.SplitN("fig10-"+mode.String(), t)
-			prob, _, _ := phyProblem(OfficeB, mode, o.antennas(), o.clients(), o.Env, src)
-			naive, err := sv.NaiveScaled(prob)
-			if err != nil {
-				return out, err
-			}
-			out[2*mi] = sv.SumRate(prob.H, naive, prob.Noise)
-			bal, _, err := sv.PowerBalanced(prob)
-			if err != nil {
-				return out, err
-			}
-			out[2*mi+1] = sv.SumRate(prob.H, bal, prob.Noise)
+// Fig10SmartPrecoding is one topology of Figure 10: the impact of
+// power-balanced precoding on CAS and on DAS separately (4×4, Office B),
+// as [CAS naive, CAS balanced, DAS naive, DAS balanced] sum rates.
+func Fig10SmartPrecoding(o Opts, t int, root *rng.Source) ([4]float64, error) {
+	var out [4]float64
+	sv := getSolver()
+	defer putSolver(sv)
+	for mi, mode := range []topology.Mode{topology.CAS, topology.DAS} {
+		src := root.SplitN("fig10-"+mode.String(), t)
+		prob, _, _ := phyProblem(OfficeB, mode, o.antennas(), o.clients(), o.Env, src)
+		naive, err := sv.NaiveScaled(prob)
+		if err != nil {
+			return out, err
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		out[2*mi] = sv.SumRate(prob.H, naive, prob.Noise)
+		bal, _, err := sv.PowerBalanced(prob)
+		if err != nil {
+			return out, err
+		}
+		out[2*mi+1] = sv.SumRate(prob.H, bal, prob.Noise)
 	}
-	c := &Fig10Curves{
-		CASNaive: stats.NewSample(), CASBalanced: stats.NewSample(),
-		DASNaive: stats.NewSample(), DASBalanced: stats.NewSample(),
-	}
-	for _, v := range vals {
-		c.CASNaive.Add(v[0])
-		c.CASBalanced.Add(v[1])
-		c.DASNaive.Add(v[2])
-		c.DASBalanced.Add(v[3])
-	}
-	return c, nil
+	return out, nil
 }
 
 // Fig11Point is one topology of the Figure 11 comparison.
@@ -259,116 +206,105 @@ type Fig11Point struct {
 	Optimal  float64 // numerical optimum, bit/s/Hz
 }
 
-// Fig11OptimalGap reproduces Figure 11: per-topology sum rate of MIDAS's
-// power-balanced precoder against the numerical optimum. testbed selects
-// the testbed-like variant, where the optimiser's answer is applied to a
-// channel that has evolved during its (simulated) seconds-long solve —
-// the effect that let MIDAS beat "optimal" on some testbed topologies.
-func Fig11OptimalGap(o PhyOpts, testbed bool) ([]Fig11Point, error) {
-	opts := precoding.DefaultOptimalOptions()
-	return sweepErr(o.Topologies, o.Seed, "fig11", o.Parallelism, func(t int, src *rng.Source) (Fig11Point, error) {
-		sv := getSolver()
-		defer putSolver(sv)
-		prob, m, _ := phyProblem(OfficeB, topology.DAS, o.antennas(), o.clients(), o.Env, src)
-		// bal stays valid across the OptimalZF call (the numerical
-		// reference solver does not share the Solver's buffers).
-		bal, _, err := sv.PowerBalanced(prob)
-		if err != nil {
-			return Fig11Point{}, err
+// Fig11OptimalGap is one topology of Figure 11: the sum rate of
+// MIDAS's power-balanced precoder against the numerical optimum. testbed
+// selects the testbed-like variant, where the optimiser's answer is
+// applied to a channel that has evolved during its (simulated)
+// seconds-long solve — the effect that let MIDAS beat "optimal" on some
+// testbed topologies.
+func Fig11OptimalGap(o Opts, t int, root *rng.Source, testbed bool) (Fig11Point, error) {
+	sv := getSolver()
+	defer putSolver(sv)
+	prob, m, _ := phyProblem(OfficeB, topology.DAS, o.antennas(), o.clients(), o.Env, root.SplitN("fig11", t))
+	// bal stays valid across the OptimalZF call (the numerical
+	// reference solver does not share the Solver's buffers).
+	bal, _, err := sv.PowerBalanced(prob)
+	if err != nil {
+		return Fig11Point{}, err
+	}
+	opt, err := precoding.OptimalZF(prob, precoding.DefaultOptimalOptions())
+	if err != nil {
+		return Fig11Point{}, err
+	}
+	hEval := prob.H
+	hEvalOpt := prob.H
+	if testbed {
+		// The optimiser takes ~2 s (§5.2.3); the channel moves on.
+		// MIDAS's lightweight precoder is applied within the
+		// coherence time; the optimal one is applied late.
+		for i := 0; i < 40; i++ {
+			m.Evolve()
 		}
-		opt, err := precoding.OptimalZF(prob, opts)
-		if err != nil {
-			return Fig11Point{}, err
-		}
-		hEval := prob.H
-		hEvalOpt := prob.H
-		if testbed {
-			// The optimiser takes ~2 s (§5.2.3); the channel moves on.
-			// MIDAS's lightweight precoder is applied within the
-			// coherence time; the optimal one is applied late.
-			for i := 0; i < 40; i++ {
-				m.Evolve()
-			}
-			hEvalOpt = m.Matrix(nil, nil)
-		}
-		return Fig11Point{
-			Topology: t,
-			MIDAS:    sv.SumRate(hEval, bal, prob.Noise),
-			Optimal:  sv.SumRate(hEvalOpt, opt.V, prob.Noise),
-		}, nil
-	})
+		hEvalOpt = m.Matrix(nil, nil)
+	}
+	return Fig11Point{
+		Topology: t,
+		MIDAS:    sv.SumRate(hEval, bal, prob.Noise),
+		Optimal:  sv.SumRate(hEvalOpt, opt.V, prob.Noise),
+	}, nil
 }
 
-// Fig14PacketTagging reproduces Figure 14: one MIDAS AP with only two of
-// four antennas available and four backlogged clients; virtual packet
-// tagging selects the client pair versus a random pair, and the CDF of
-// the resulting 2-stream capacity is compared.
-func Fig14PacketTagging(o PhyOpts) (random, tagged *stats.Sample, err error) {
+// Fig14PacketTagging is one topology of Figure 14: one MIDAS AP with
+// only two of four antennas available and four backlogged clients;
+// virtual packet tagging selects the client pair versus a random pair,
+// and the resulting 2-stream capacities are returned as [random,
+// tagged].
+func Fig14PacketTagging(o Opts, t int, root *rng.Source) ([2]float64, error) {
 	// The experiment disables two of the antennas and compares client
 	// *pairs*, so degenerate arrays cannot run it.
 	if o.antennas() < 2 || o.clients() < 2 {
-		return nil, nil, fmt.Errorf("fig14: packet tagging needs at least 2 antennas and 2 clients (got %d antennas × %d clients)",
+		return [2]float64{}, fmt.Errorf("fig14: packet tagging needs at least 2 antennas and 2 clients (got %d antennas × %d clients)",
 			o.antennas(), o.clients())
 	}
-	res, err := sweepErr(o.Topologies, o.Seed, "fig14", o.Parallelism, func(t int, src *rng.Source) (arm2, error) {
-		sv := getSolver()
-		defer putSolver(sv)
-		_, m, dep := phyProblem(OfficeB, topology.DAS, o.antennas(), o.clients(), o.Env, src)
-		avail := pickTwoAntennas(src, o.antennas())
-		// Tag-driven choice: rank clients by mean RSSI on the available
-		// antennas (the §3.2.4 preference), pick the top client of each
-		// available antenna, distinct.
-		tagClients := tagDrivenPair(m, dep, avail)
-		randClients := randomPair(src, m.NumClients())
-		p := o.Env.Params(officeParams(OfficeB))
-		var capOf func(clients []int) (float64, error)
-		capOf = func(clients []int) (float64, error) {
-			sub := precoding.Problem{
-				H:               m.Matrix(clients, avail),
-				PerAntennaPower: p.TxPowerLinear(),
-				Noise:           p.NoiseLinear(),
-			}
-			v, _, err := sv.PowerBalanced(sub)
-			if errors.Is(err, matrix.ErrSingular) && len(clients) > 1 {
-				// The pair cannot be zero-forced: both clients hear the
-				// available antennas in so nearly the same proportion
-				// (one antenna tens of dB above the other for both) that
-				// their channels are collinear to working precision. The
-				// AP then serves the better of the two alone.
-				best := 0.0
-				for _, c := range clients {
-					r, err := capOf([]int{c})
-					if err != nil {
-						return 0, err
-					}
-					best = max(best, r)
+	src := root.SplitN("fig14", t)
+	sv := getSolver()
+	defer putSolver(sv)
+	_, m, dep := phyProblem(OfficeB, topology.DAS, o.antennas(), o.clients(), o.Env, src)
+	avail := pickTwoAntennas(src, o.antennas())
+	// Tag-driven choice: rank clients by mean RSSI on the available
+	// antennas (the §3.2.4 preference), pick the top client of each
+	// available antenna, distinct.
+	tagClients := tagDrivenPair(m, dep, avail)
+	randClients := randomPair(src, m.NumClients())
+	p := o.Env.Params(officeParams(OfficeB))
+	var capOf func(clients []int) (float64, error)
+	capOf = func(clients []int) (float64, error) {
+		sub := precoding.Problem{
+			H:               m.Matrix(clients, avail),
+			PerAntennaPower: p.TxPowerLinear(),
+			Noise:           p.NoiseLinear(),
+		}
+		v, _, err := sv.PowerBalanced(sub)
+		if errors.Is(err, matrix.ErrSingular) && len(clients) > 1 {
+			// The pair cannot be zero-forced: both clients hear the
+			// available antennas in so nearly the same proportion
+			// (one antenna tens of dB above the other for both) that
+			// their channels are collinear to working precision. The
+			// AP then serves the better of the two alone.
+			best := 0.0
+			for _, c := range clients {
+				r, err := capOf([]int{c})
+				if err != nil {
+					return 0, err
 				}
-				return best, nil
+				best = max(best, r)
 			}
-			if err != nil {
-				return 0, err
-			}
-			return sv.SumRate(sub.H, v, sub.Noise), nil
+			return best, nil
 		}
-		ct, err := capOf(tagClients)
 		if err != nil {
-			return arm2{}, err
+			return 0, err
 		}
-		cr, err := capOf(randClients)
-		if err != nil {
-			return arm2{}, err
-		}
-		return arm2{a: cr, b: ct}, nil
-	})
+		return sv.SumRate(sub.H, v, sub.Noise), nil
+	}
+	ct, err := capOf(tagClients)
 	if err != nil {
-		return nil, nil, err
+		return [2]float64{}, err
 	}
-	random, tagged = stats.NewSample(), stats.NewSample()
-	for _, r := range res {
-		random.Add(r.a)
-		tagged.Add(r.b)
+	cr, err := capOf(randClients)
+	if err != nil {
+		return [2]float64{}, err
 	}
-	return random, tagged, nil
+	return [2]float64{cr, ct}, nil
 }
 
 func pickTwoAntennas(src *rng.Source, nAntennas int) []int {

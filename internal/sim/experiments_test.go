@@ -9,12 +9,48 @@ import (
 	"repro/internal/stats"
 )
 
-func TestFig3ShapeDASDropsMore(t *testing.T) {
-	cas, das, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 30, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+// collect runs fn over topologies 0 … n-1 of seed, in order: the
+// sequential form of the scenario layer's topology loop.
+func collect[R any](n int, seed int64, fn func(t int, root *rng.Source) R) []R {
+	root := rng.New(seed)
+	out := make([]R, n)
+	for t := range out {
+		out[t] = fn(t, root)
 	}
-	mc, md := cas.MustMedian(), das.MustMedian()
+	return out
+}
+
+// collectErr is collect for fallible functions; it fails tb on the
+// first error.
+func collectErr[R any](tb testing.TB, n int, seed int64, fn func(t int, root *rng.Source) (R, error)) []R {
+	tb.Helper()
+	return collect(n, seed, func(t int, root *rng.Source) R {
+		r, err := fn(t, root)
+		if err != nil {
+			tb.Fatalf("topology %d: %v", t, err)
+		}
+		return r
+	})
+}
+
+// columns splits two-arm records into one sample per arm.
+func columns[R ~[2]float64 | ~[3]float64 | ~[4]float64](recs []R) []*stats.Sample {
+	var out []*stats.Sample
+	for i := 0; len(recs) > 0 && i < len(recs[0]); i++ {
+		s := stats.NewSample()
+		for _, r := range recs {
+			s.Add(r[i])
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+func TestFig3ShapeDASDropsMore(t *testing.T) {
+	s := columns(collectErr(t, 30, 3, func(i int, root *rng.Source) ([2]float64, error) {
+		return Fig3NaiveScalingDrop(Opts{}, i, root)
+	}))
+	mc, md := s[0].MustMedian(), s[1].MustMedian()
 	if md <= mc {
 		t.Errorf("Fig3: DAS median drop %v should exceed CAS %v", md, mc)
 	}
@@ -24,7 +60,13 @@ func TestFig3ShapeDASDropsMore(t *testing.T) {
 }
 
 func TestFig7ShapeDASGainsSNR(t *testing.T) {
-	cas, das := Fig7LinkSNR(PhyOpts{Topologies: 40, Seed: 5})
+	cas, das := stats.NewSample(), stats.NewSample()
+	for _, snrs := range collect(40, 5, func(i int, root *rng.Source) [2][]float64 {
+		return Fig7LinkSNR(Opts{}, i, root)
+	}) {
+		cas.AddAll(snrs[0])
+		das.AddAll(snrs[1])
+	}
 	mc, md := cas.MustMedian(), das.MustMedian()
 	gain := md - mc
 	if gain < 2 {
@@ -39,11 +81,10 @@ func TestFig7ShapeDASGainsSNR(t *testing.T) {
 func TestFig8And9ShapeMIDASWins(t *testing.T) {
 	for _, o := range []Office{OfficeA, OfficeB} {
 		for _, nAnt := range []int{2, 4} {
-			cas, midas, err := FigCapacityCDF(o, PhyOpts{Topologies: 40, Seed: 7, Antennas: nAnt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mc, mm, gain := SummarizeGain(cas, midas)
+			s := columns(collectErr(t, 40, 7, func(i int, root *rng.Source) ([2]float64, error) {
+				return FigCapacityCDF(o, Opts{Antennas: nAnt}, i, root)
+			}))
+			mc, mm, gain := SummarizeGain(s[0], s[1])
 			// Paper: 40–67% (2 ant) and 45–80% (4 ant). Our 4×4 lands in
 			// band; the 2×2 gain is attenuated because uniformly-placed
 			// clients can sit behind both of only two distributed
@@ -63,15 +104,14 @@ func TestFig8And9ShapeMIDASWins(t *testing.T) {
 }
 
 func TestFig10ShapePrecodingHelpsDASMore(t *testing.T) {
-	c, err := Fig10SmartPrecoding(PhyOpts{Topologies: 40, Seed: 11})
+	c := columns(collectErr(t, 40, 11, func(i int, root *rng.Source) ([4]float64, error) {
+		return Fig10SmartPrecoding(Opts{}, i, root)
+	}))
+	casGain, err := stats.MedianGain(c[1], c[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	casGain, err := stats.MedianGain(c.CASBalanced, c.CASNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dasGain, err := stats.MedianGain(c.DASBalanced, c.DASNaive)
+	dasGain, err := stats.MedianGain(c[3], c[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +127,9 @@ func TestFig10ShapePrecodingHelpsDASMore(t *testing.T) {
 }
 
 func TestFig11ShapeNearOptimal(t *testing.T) {
-	pts, err := Fig11OptimalGap(PhyOpts{Topologies: 12, Seed: 13}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := collectErr(t, 12, 13, func(i int, root *rng.Source) (Fig11Point, error) {
+		return Fig11OptimalGap(Opts{}, i, root, false)
+	})
 	var sumM, sumO float64
 	for _, p := range pts {
 		sumM += p.MIDAS
@@ -107,10 +146,9 @@ func TestFig11ShapeNearOptimal(t *testing.T) {
 func TestFig11TestbedVariantCanBeat(t *testing.T) {
 	// With the channel moving during the optimiser's long solve, MIDAS
 	// should beat the (stale) optimum on a decent fraction of topologies.
-	pts, err := Fig11OptimalGap(PhyOpts{Topologies: 15, Seed: 17}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := collectErr(t, 15, 17, func(i int, root *rng.Source) (Fig11Point, error) {
+		return Fig11OptimalGap(Opts{}, i, root, true)
+	})
 	beats := 0
 	for _, p := range pts {
 		if p.MIDAS > p.Optimal {
@@ -123,10 +161,9 @@ func TestFig11TestbedVariantCanBeat(t *testing.T) {
 }
 
 func TestFig12ShapeMoreStreams(t *testing.T) {
-	res := Fig12SpatialReuse(30, 19, EnvOverrides{}, 0)
-	if len(res) != 30 {
-		t.Fatalf("got %d topologies", len(res))
-	}
+	res := collect(30, 19, func(i int, root *rng.Source) Fig12Result {
+		return Fig12SpatialReuse(Opts{}, i, root)
+	})
 	ratios := stats.NewSample()
 	worse := 0
 	for _, r := range res {
@@ -146,7 +183,19 @@ func TestFig12ShapeMoreStreams(t *testing.T) {
 }
 
 func TestFig13ShapeFewerDeadzones(t *testing.T) {
-	res := Fig13Deadzones(6, 23, EnvOverrides{}, 0)
+	var res DeadzoneResult
+	for d, r := range collect(6, 23, func(i int, root *rng.Source) DeadzoneResult {
+		return Fig13Deadzones(Opts{}, i, root)
+	}) {
+		res.CASDeadspots += r.CASDeadspots
+		res.DASDeadspots += r.DASDeadspots
+		res.Spots += r.Spots
+		if d == 0 {
+			res.CASMap, res.DASMap, res.MapCols = r.CASMap, r.DASMap, r.MapCols
+		} else if r.CASMap != nil || r.MapCols != 0 {
+			t.Errorf("deployment %d recorded a map; only deployment 0 does", d)
+		}
+	}
 	if res.Spots == 0 || res.CASDeadspots == 0 {
 		t.Fatalf("degenerate deadzone result: %+v spots=%d cas=%d",
 			res.MapCols, res.Spots, res.CASDeadspots)
@@ -163,7 +212,14 @@ func TestFig13ShapeFewerDeadzones(t *testing.T) {
 }
 
 func TestHiddenTerminalShape(t *testing.T) {
-	res := HiddenTerminals(6, 29, EnvOverrides{}, 0)
+	var res HiddenTerminalResult
+	for _, r := range collect(6, 29, func(i int, root *rng.Source) HiddenTerminalResult {
+		return HiddenTerminals(Opts{}, i, root)
+	}) {
+		res.CASSpots += r.CASSpots
+		res.DASSpots += r.DASSpots
+		res.Spots += r.Spots
+	}
 	if res.CASSpots == 0 {
 		t.Fatal("expected some CAS hidden-terminal spots")
 	}
@@ -176,11 +232,10 @@ func TestHiddenTerminalShape(t *testing.T) {
 }
 
 func TestFig14ShapeTaggingWins(t *testing.T) {
-	random, tagged, err := Fig14PacketTagging(PhyOpts{Topologies: 40, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, mt, gain := SummarizeGain(random, tagged)
+	s := columns(collectErr(t, 40, 31, func(i int, root *rng.Source) ([2]float64, error) {
+		return Fig14PacketTagging(Opts{}, i, root)
+	}))
+	mr, mt, gain := SummarizeGain(s[0], s[1])
 	if gain < 0.15 {
 		t.Errorf("Fig14: tagging median gain %.0f%%, want ≥15%% (paper ≈50%%)", gain*100)
 	}
@@ -193,15 +248,11 @@ func TestFig14ShapeTaggingWins(t *testing.T) {
 // experiment must still produce every topology's point, crediting that
 // pair with the better single client's capacity.
 func TestFig14CollinearPairServesOneClient(t *testing.T) {
-	random, tagged, err := Fig14PacketTagging(PhyOpts{Topologies: 8, Seed: 26656402802})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if random.N() != 8 || tagged.N() != 8 {
-		t.Fatalf("got %d random and %d tagged points, want 8 each", random.N(), tagged.N())
-	}
-	for _, s := range []*stats.Sample{random, tagged} {
-		for _, v := range s.Values() {
+	recs := collectErr(t, 8, 26656402802, func(i int, root *rng.Source) ([2]float64, error) {
+		return Fig14PacketTagging(Opts{}, i, root)
+	})
+	for _, r := range recs {
+		for _, v := range r {
 			if !(v > 0) || math.IsInf(v, 0) {
 				t.Fatalf("capacity %v, want a positive finite rate", v)
 			}
@@ -210,9 +261,11 @@ func TestFig14CollinearPairServesOneClient(t *testing.T) {
 }
 
 func TestFig15ShapeEndToEnd(t *testing.T) {
-	o := E2EOpts{Topologies: 12, SimTime: 250 * time.Millisecond, Seed: 37}
-	cas, midas := Fig15EndToEnd(o)
-	mc, mm, gain := SummarizeGain(cas, midas)
+	o := Opts{SimTime: 250 * time.Millisecond}
+	s := columns(collect(12, 37, func(i int, root *rng.Source) [2]float64 {
+		return Fig15EndToEnd(o, i, root)
+	}))
+	mc, mm, gain := SummarizeGain(s[0], s[1])
 	if gain < 0.1 {
 		t.Errorf("Fig15: median gain %.0f%%, want ≥10%% (paper ≈200%%)", gain*100)
 	}
@@ -223,12 +276,11 @@ func TestFig16ShapeLargeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-scale DES in -short mode")
 	}
-	o := E2EOpts{Topologies: 6, SimTime: 200 * time.Millisecond, Seed: 41}
-	cas, midas, err := Fig16LargeScale(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, mm, gain := SummarizeGain(cas, midas)
+	o := Opts{SimTime: 200 * time.Millisecond}
+	s := columns(collectErr(t, 6, 41, func(i int, root *rng.Source) ([2]float64, error) {
+		return Fig16LargeScale(o, i, root)
+	}))
+	mc, mm, gain := SummarizeGain(s[0], s[1])
 	if gain < 0.05 {
 		t.Errorf("Fig16: median gain %.0f%%, want ≥5%% (paper >150%%)", gain*100)
 	}
@@ -243,7 +295,7 @@ func TestFig16ShapeLargeScale(t *testing.T) {
 // topology 81's MIDAS result; one that ignored which event queued the
 // TXOP start changes both topologies'.
 func TestFig16BackoffTiesPinned(t *testing.T) {
-	o := E2EOpts{Seed: 3, SimTime: 300 * time.Millisecond}
+	o := Opts{SimTime: 300 * time.Millisecond}
 	for _, c := range []struct {
 		topo       int
 		cas, midas float64
@@ -251,83 +303,97 @@ func TestFig16BackoffTiesPinned(t *testing.T) {
 		{20, 35.92484633958942, 35.506445121121104},
 		{81, 49.437841568134424, 39.982392102786456},
 	} {
-		got, err := fig16Topology(o, rng.New(3).SplitN("fig16", c.topo))
+		got, err := Fig16LargeScale(o, c.topo, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got.a) != math.Float64bits(c.cas) || math.Float64bits(got.b) != math.Float64bits(c.midas) {
-			t.Errorf("topology %d: CAS %v, MIDAS %v; want %v, %v", c.topo, got.a, got.b, c.cas, c.midas)
+		if math.Float64bits(got[0]) != math.Float64bits(c.cas) || math.Float64bits(got[1]) != math.Float64bits(c.midas) {
+			t.Errorf("topology %d: CAS %v, MIDAS %v; want %v, %v", c.topo, got[0], got[1], c.cas, c.midas)
 		}
 	}
 }
 
 func TestDecompositionMonotone(t *testing.T) {
-	o := E2EOpts{Topologies: 8, SimTime: 200 * time.Millisecond, Seed: 43}
-	res := Decomposition(o)
-	base := res.CAS.MustMedian()
-	full := res.FullMIDAS.MustMedian()
+	o := Opts{SimTime: 200 * time.Millisecond}
+	res := columns(collect(8, 43, func(i int, root *rng.Source) [4]float64 {
+		return Decomposition(o, i, root)
+	}))
+	base := res[0].MustMedian()
+	full := res[3].MustMedian()
 	if full <= base {
 		t.Errorf("decomposition: full MIDAS %.1f should beat CAS %.1f", full, base)
 	}
 	t.Logf("decomposition medians: CAS %.1f, +precoding %.1f, +DAS %.1f, full %.1f",
-		base, res.CASPlusPrecoding.MustMedian(),
-		res.DASPlusPrecoding.MustMedian(), full)
+		base, res[1].MustMedian(), res[2].MustMedian(), full)
 }
 
 func TestAblationTagWidthRuns(t *testing.T) {
-	o := E2EOpts{Topologies: 4, SimTime: 150 * time.Millisecond, Seed: 47}
-	res := AblationTagWidth([]int{1, 2, 4}, o)
-	for w, s := range res {
-		if s.N() != o.Topologies {
-			t.Errorf("width %d: %d samples", w, s.N())
+	o := Opts{SimTime: 150 * time.Millisecond}
+	for _, w := range []int{1, 2, 4} {
+		caps := stats.NewSample()
+		for _, c := range collect(4, 47, func(i int, root *rng.Source) float64 {
+			return AblationTagWidth(o, w, i, root)
+		}) {
+			caps.Add(c)
 		}
-		if m := s.MustMedian(); m <= 0 {
+		if caps.N() != 4 {
+			t.Errorf("width %d: %d samples", w, caps.N())
+		}
+		if m := caps.MustMedian(); m <= 0 {
 			t.Errorf("width %d: non-positive capacity %v", w, m)
 		}
 	}
 }
 
 func TestAblationSchedulerRuns(t *testing.T) {
-	o := E2EOpts{Topologies: 4, SimTime: 150 * time.Millisecond, Seed: 53}
-	res := AblationScheduler(o)
-	for name, s := range res {
+	o := Opts{SimTime: 150 * time.Millisecond}
+	res := columns(collect(4, 53, func(i int, root *rng.Source) [3]float64 {
+		return AblationScheduler(o, i, root)
+	}))
+	for i, s := range res {
 		if m := s.MustMedian(); m <= 0 {
-			t.Errorf("%s: non-positive capacity %v", name, m)
+			t.Errorf("%s: non-positive capacity %v", SchedulerNames[i], m)
 		}
 	}
 }
 
 func TestAblationWaitWindowRuns(t *testing.T) {
-	o := E2EOpts{Topologies: 4, SimTime: 150 * time.Millisecond, Seed: 59}
-	res := AblationWaitWindow([]time.Duration{0, 34 * time.Microsecond, 68 * time.Microsecond}, o)
-	for w, s := range res {
-		if m := s.MustMedian(); m <= 0 {
+	o := Opts{SimTime: 150 * time.Millisecond}
+	for _, w := range []time.Duration{0, 34 * time.Microsecond, 68 * time.Microsecond} {
+		caps := stats.NewSample()
+		for _, c := range collect(4, 59, func(i int, root *rng.Source) float64 {
+			return AblationWaitWindow(o, w, i, root)
+		}) {
+			caps.Add(c)
+		}
+		if m := caps.MustMedian(); m <= 0 {
 			t.Errorf("window %v: non-positive capacity %v", w, m)
 		}
 	}
 }
 
 func TestAblationCorrelationMonotoneish(t *testing.T) {
-	res := AblationCorrelation([]float64{0, 0.9}, 30, 61, 0)
-	lo := res[0].MustMedian()
-	hi := res[0.9].MustMedian()
-	if hi >= lo {
-		t.Errorf("high CAS correlation (%.1f) should cost capacity vs none (%.1f)", hi, lo)
+	lo, hi := stats.NewSample(), stats.NewSample()
+	for _, rates := range collect(30, 61, func(i int, root *rng.Source) []float64 {
+		return AblationCorrelation([]float64{0, 0.9}, i, root)
+	}) {
+		lo.Add(rates[0])
+		hi.Add(rates[1])
+	}
+	if hi.MustMedian() >= lo.MustMedian() {
+		t.Errorf("high CAS correlation (%.1f) should cost capacity vs none (%.1f)", hi.MustMedian(), lo.MustMedian())
 	}
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	a, _, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 5, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
+	run := func() [][2]float64 {
+		return collectErr(t, 5, 99, func(i int, root *rng.Source) ([2]float64, error) {
+			return Fig3NaiveScalingDrop(Opts{}, i, root)
+		})
 	}
-	b, _, err := Fig3NaiveScalingDrop(PhyOpts{Topologies: 5, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	av, bv := a.Values(), b.Values()
-	for i := range av {
-		if av[i] != bv[i] {
+	a, b := run(), run()
+	for i := range a {
+		if math.Float64bits(a[i][0]) != math.Float64bits(b[i][0]) || math.Float64bits(a[i][1]) != math.Float64bits(b[i][1]) {
 			t.Fatal("Fig3 not deterministic")
 		}
 	}

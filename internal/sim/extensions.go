@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/channel"
 	"repro/internal/geom"
 	"repro/internal/precoding"
@@ -10,83 +12,57 @@ import (
 )
 
 // Extension studies beyond the paper's evaluation: the §7 discussion
-// items, quantified. These back the root package's Benchmark* ablations
-// and the ext-beamforming and ext-placement scenarios.
+// items, quantified, behind the ext-beamforming and ext-placement
+// scenarios.
 
-// BeamformingResult compares full-array and localized single-user
-// beamforming (§7 "Beamforming").
-type BeamformingResult struct {
-	// SNRFull / SNRLocal are client SNR samples (dB).
-	SNRFull, SNRLocal *stats.Sample
-	// SilencedFull / SilencedLocal are the fractions of the coverage
-	// area where the AP's transmission raises the medium above the
-	// carrier-sense threshold — the spatial reuse each variant denies to
-	// neighbouring APs.
-	SilencedFull, SilencedLocal *stats.Sample
-}
-
-// BeamformingStudy quantifies §7's recommendation: when an AP beamforms
-// to a single client, using only the antennas in the client's
+// BeamformingStudy is one topology of §7's recommendation: when an AP
+// beamforms to a single client, using only the antennas in the client's
 // neighbourhood sacrifices little SNR while silencing a much smaller
 // area. windowDB is the neighbourhood window (12 dB default in the
-// paper's spirit of "antennas in the neighbourhood of the client").
-func BeamformingStudy(topos int, windowDB float64, seed int64, parallel int) *BeamformingResult {
+// paper's spirit of "antennas in the neighbourhood of the client"). It
+// returns [full-array SNR, localized SNR] (dB) and the fractions of the
+// coverage area where each variant's transmission raises the medium
+// above the carrier-sense threshold — the spatial reuse it denies to
+// neighbouring APs — as [.., .., silenced full, silenced localized]. A
+// degenerate topology, where beamforming has no solution, is all NaN.
+func BeamformingStudy(windowDB float64, t int, root *rng.Source) [4]float64 {
 	p := channel.Default()
 	csThreshold := stats.Milliwatt(-82)
-	type beamTask struct {
-		ok                       bool // false: degenerate topology, skipped
-		snrFull, snrLocal        float64
-		silencedFull, silencedLo float64
-	}
-	tasks := sweep(topos, seed, "beamform", parallel, func(t int, src *rng.Source) beamTask {
-		cfg := topology.DefaultConfig(topology.DAS)
-		cfg.ClientsPerAP = 1
-		dep := topology.SingleAP(cfg, src.Split("topo"))
-		m := dep.Model(p, src.Split("chan"))
-		h := m.Matrix(nil, nil).Row(0)
+	nan := math.NaN()
+	skip := [4]float64{nan, nan, nan, nan}
+	src := root.SplitN("beamform", t)
+	cfg := topology.DefaultConfig(topology.DAS)
+	cfg.ClientsPerAP = 1
+	dep := topology.SingleAP(cfg, src.Split("topo"))
+	m := dep.Model(p, src.Split("chan"))
+	h := m.Matrix(nil, nil).Row(0)
 
-		full, err := precoding.EGT(h, p.TxPowerLinear())
-		if err != nil {
-			return beamTask{}
-		}
-		local, idx, err := precoding.LocalizedEGT(h, p.TxPowerLinear(), windowDB)
-		if err != nil {
-			return beamTask{}
-		}
+	full, err := precoding.EGT(h, p.TxPowerLinear())
+	if err != nil {
+		return skip
+	}
+	local, idx, err := precoding.LocalizedEGT(h, p.TxPowerLinear(), windowDB)
+	if err != nil {
+		return skip
+	}
 
-		// Silenced area: sample the coverage disc; a spot is silenced
-		// when the sum of the active antennas' powers crosses CS.
-		field := m.Field()
-		allAntennas := make([]geom.Point, len(dep.Antennas))
-		for i, a := range dep.Antennas {
-			allAntennas[i] = a.Pos
-		}
-		localAntennas := make([]geom.Point, 0, len(idx))
-		for _, k := range idx {
-			localAntennas = append(localAntennas, dep.Antennas[k].Pos)
-		}
-		return beamTask{
-			ok:           true,
-			snrFull:      stats.DB(precoding.BeamformSNR(h, full, p.NoiseLinear())),
-			snrLocal:     stats.DB(precoding.BeamformSNR(h, local, p.NoiseLinear())),
-			silencedFull: silencedFraction(p, field, allAntennas, cfg.CoverageRadius, csThreshold),
-			silencedLo:   silencedFraction(p, field, localAntennas, cfg.CoverageRadius, csThreshold),
-		}
-	})
-	res := &BeamformingResult{
-		SNRFull: stats.NewSample(), SNRLocal: stats.NewSample(),
-		SilencedFull: stats.NewSample(), SilencedLocal: stats.NewSample(),
+	// Silenced area: sample the coverage disc; a spot is silenced
+	// when the sum of the active antennas' powers crosses CS.
+	field := m.Field()
+	allAntennas := make([]geom.Point, len(dep.Antennas))
+	for i, a := range dep.Antennas {
+		allAntennas[i] = a.Pos
 	}
-	for _, t := range tasks {
-		if !t.ok {
-			continue
-		}
-		res.SNRFull.Add(t.snrFull)
-		res.SNRLocal.Add(t.snrLocal)
-		res.SilencedFull.Add(t.silencedFull)
-		res.SilencedLocal.Add(t.silencedLo)
+	localAntennas := make([]geom.Point, 0, len(idx))
+	for _, k := range idx {
+		localAntennas = append(localAntennas, dep.Antennas[k].Pos)
 	}
-	return res
+	return [4]float64{
+		stats.DB(precoding.BeamformSNR(h, full, p.NoiseLinear())),
+		stats.DB(precoding.BeamformSNR(h, local, p.NoiseLinear())),
+		silencedFraction(p, field, allAntennas, cfg.CoverageRadius, csThreshold),
+		silencedFraction(p, field, localAntennas, cfg.CoverageRadius, csThreshold),
+	}
 }
 
 // silencedFraction returns the fraction of a radius-r disc (sampled on a
@@ -110,72 +86,53 @@ func silencedFraction(p channel.Params, f *channel.ShadowField, antennas []geom.
 	return float64(busy) / float64(total)
 }
 
-// PlacementResult carries both metrics of the placement study: the
-// coverage objective the optimiser targets (5 %-quantile of best-antenna
-// SNR over the area, in dB) and the 4×4 MU-MIMO capacity for the matched
-// random clients. Optimisation reliably improves the former; the latter
-// depends on where the particular clients landed.
-type PlacementResult struct {
-	RandomCoverage, OptimizedCoverage *stats.Sample // dB
-	RandomCapacity, OptimizedCapacity *stats.Sample // bit/s/Hz
-}
-
-// PlacementStudy compares random DAS antenna placement against the
-// coverage-optimised placement of internal/topology (§7's open problem),
-// on matched clients and floor plans.
-func PlacementStudy(topos, candidates int, seed int64, parallel int) (*PlacementResult, error) {
+// PlacementStudy is one topology of the placement study: random DAS
+// antenna placement against the coverage-optimised placement of
+// internal/topology (§7's open problem), on matched clients and floor
+// plans. candidates bounds the optimiser's search. It returns [random
+// coverage, random capacity, optimized coverage, optimized capacity]:
+// the coverage objective the optimiser targets (5 %-quantile of
+// best-antenna SNR over the area, in dB) and the 4×4 MU-MIMO capacity
+// for the matched random clients (bit/s/Hz). Optimisation reliably
+// improves the former; the latter depends on where the particular
+// clients landed.
+func PlacementStudy(candidates, t int, root *rng.Source) ([4]float64, error) {
 	p := channel.Default()
-	// [randCoverage, randCapacity, optCoverage, optCapacity] per topology.
 	perAntenna, noise := p.TxPowerLinear(), p.NoiseLinear()
-	vals, err := sweepErr(topos, seed, "placement", parallel, func(t int, src *rng.Source) ([4]float64, error) {
-		sv := getSolver()
-		defer putSolver(sv)
-		var out [4]float64
-		cfg := topology.DefaultConfig(topology.DAS)
-		fieldSeed := rng.SplitSeed(rng.SplitSeed(src.Seed(), "chan"), "shadow")
-		obj := &topology.PlacementObjective{
-			Params: p, Field: p.NewField(fieldSeed),
-			Spots: coverageGrid(cfg.CoverageRadius), Quantile: 0.05,
-		}
+	src := root.SplitN("placement", t)
+	sv := getSolver()
+	defer putSolver(sv)
+	var out [4]float64
+	cfg := topology.DefaultConfig(topology.DAS)
+	fieldSeed := rng.SplitSeed(rng.SplitSeed(src.Seed(), "chan"), "shadow")
+	obj := &topology.PlacementObjective{
+		Params: p, Field: p.NewField(fieldSeed),
+		Spots: coverageGrid(cfg.CoverageRadius), Quantile: 0.05,
+	}
 
-		randDep := topology.SingleAP(cfg, src.Split("topo"))
-		optDep := topology.OptimizedSingleAP(cfg, p, fieldSeed, candidates, src.Split("topo"))
+	randDep := topology.SingleAP(cfg, src.Split("topo"))
+	optDep := topology.OptimizedSingleAP(cfg, p, fieldSeed, candidates, src.Split("topo"))
 
-		for di, dep := range []*topology.Deployment{randDep, optDep} {
-			pos := make([]geom.Point, len(dep.Antennas))
-			for i, a := range dep.Antennas {
-				pos[i] = a.Pos
-			}
-			score := obj.Score(pos)
-			m := dep.Model(p, src.Split("chan"))
-			prob := precoding.Problem{
-				H:               m.Matrix(nil, nil),
-				PerAntennaPower: perAntenna,
-				Noise:           noise,
-			}
-			bal, _, err := sv.PowerBalanced(prob)
-			if err != nil {
-				return out, err
-			}
-			out[2*di] = score
-			out[2*di+1] = sv.SumRate(prob.H, bal, prob.Noise)
+	for di, dep := range []*topology.Deployment{randDep, optDep} {
+		pos := make([]geom.Point, len(dep.Antennas))
+		for i, a := range dep.Antennas {
+			pos[i] = a.Pos
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		score := obj.Score(pos)
+		m := dep.Model(p, src.Split("chan"))
+		prob := precoding.Problem{
+			H:               m.Matrix(nil, nil),
+			PerAntennaPower: perAntenna,
+			Noise:           noise,
+		}
+		bal, _, err := sv.PowerBalanced(prob)
+		if err != nil {
+			return out, err
+		}
+		out[2*di] = score
+		out[2*di+1] = sv.SumRate(prob.H, bal, prob.Noise)
 	}
-	res := &PlacementResult{
-		RandomCoverage: stats.NewSample(), OptimizedCoverage: stats.NewSample(),
-		RandomCapacity: stats.NewSample(), OptimizedCapacity: stats.NewSample(),
-	}
-	for _, v := range vals {
-		res.RandomCoverage.Add(v[0])
-		res.RandomCapacity.Add(v[1])
-		res.OptimizedCoverage.Add(v[2])
-		res.OptimizedCapacity.Add(v[3])
-	}
-	return res, nil
+	return out, nil
 }
 
 // coverageGrid samples the coverage disc for the placement objective.

@@ -2,17 +2,29 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
+// beamforming collects n topologies of the beamforming study at one
+// window as [SNR full, SNR local, silenced full, silenced local]
+// samples.
+func beamforming(n int, windowDB float64, seed int64) []*stats.Sample {
+	return columns(collect(n, seed, func(i int, root *rng.Source) [4]float64 {
+		return BeamformingStudy(windowDB, i, root)
+	}))
+}
+
 func TestBeamformingStudyShape(t *testing.T) {
-	res := BeamformingStudy(40, 12, 83, 0)
-	if res.SNRFull.N() == 0 {
+	res := beamforming(40, 12, 83)
+	if res[0].N() == 0 {
 		t.Fatal("no beamforming samples")
 	}
-	snrFull := res.SNRFull.MustMedian()
-	snrLocal := res.SNRLocal.MustMedian()
-	silFull := res.SilencedFull.MustMedian()
-	silLocal := res.SilencedLocal.MustMedian()
+	snrFull := res[0].MustMedian()
+	snrLocal := res[1].MustMedian()
+	silFull := res[2].MustMedian()
+	silLocal := res[3].MustMedian()
 	// §7's tradeoff: localized beamforming gives up a little SNR...
 	if snrLocal > snrFull+1e-9 {
 		t.Errorf("localized SNR %v cannot exceed full-array %v", snrLocal, snrFull)
@@ -31,23 +43,22 @@ func TestBeamformingStudyShape(t *testing.T) {
 func TestBeamformingWindowMonotone(t *testing.T) {
 	// A wider neighbourhood window can only add antennas: SNR up,
 	// silenced area up.
-	narrow := BeamformingStudy(20, 6, 89, 0)
-	wide := BeamformingStudy(20, 30, 89, 0)
-	if wide.SNRLocal.MustMedian() < narrow.SNRLocal.MustMedian()-1e-9 {
+	narrow := beamforming(20, 6, 89)
+	wide := beamforming(20, 30, 89)
+	if wide[1].MustMedian() < narrow[1].MustMedian()-1e-9 {
 		t.Error("wider window should not lose SNR")
 	}
-	if wide.SilencedLocal.MustMedian() < narrow.SilencedLocal.MustMedian()-1e-9 {
+	if wide[3].MustMedian() < narrow[3].MustMedian()-1e-9 {
 		t.Error("wider window should not silence less")
 	}
 }
 
 func TestPlacementStudyOptimizedWinsCoverage(t *testing.T) {
-	res, err := PlacementStudy(16, 30, 97, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.RandomCoverage.MustMedian()
-	co := res.OptimizedCoverage.MustMedian()
+	res := columns(collectErr(t, 16, 97, func(i int, root *rng.Source) ([4]float64, error) {
+		return PlacementStudy(30, i, root)
+	}))
+	cr := res[0].MustMedian()
+	co := res[2].MustMedian()
 	// The optimiser's own objective must improve.
 	if co < cr {
 		t.Errorf("optimized coverage %v dB below random %v dB", co, cr)
@@ -55,8 +66,8 @@ func TestPlacementStudyOptimizedWinsCoverage(t *testing.T) {
 	// Capacity for the matched random clients is a different metric: it
 	// must stay in the same band (the optimiser is not allowed to wreck
 	// service for typical clients while chasing corners).
-	mr := res.RandomCapacity.MustMedian()
-	mo := res.OptimizedCapacity.MustMedian()
+	mr := res[1].MustMedian()
+	mo := res[3].MustMedian()
 	if mo < mr*0.6 {
 		t.Errorf("optimized capacity %v collapsed vs random %v", mo, mr)
 	}

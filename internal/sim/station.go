@@ -1,7 +1,11 @@
 // Package sim binds the substrates together into running networks — the
 // role the WARP testbed plays in the paper. It provides closed-loop AP
 // station drivers (MIDAS and CAS) on top of the discrete-event medium,
-// and one experiment function per figure of the evaluation (§5).
+// and one per-topology function per figure of the evaluation (§5):
+// given the options, a topology index t and the experiment's root
+// stream, each computes that topology's record. The loop over
+// topologies and the fold of the records into a figure live in
+// internal/scenario.
 package sim
 
 import (

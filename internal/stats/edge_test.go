@@ -101,13 +101,6 @@ func TestSummaryNaNRejection(t *testing.T) {
 	if s.Mean() != 2 || s.Min() != 1 || s.Max() != 3 {
 		t.Errorf("stats poisoned: %v", s.String())
 	}
-	// Merge carries the rejection count.
-	var o Summary
-	o.Add(math.NaN())
-	s.Merge(o)
-	if s.NaNs() != 4 || s.N() != 2 {
-		t.Errorf("merge lost NaN tally: N=%d NaNs=%d", s.N(), s.NaNs())
-	}
 }
 
 // TestMedianGainEdgeCases covers the remaining whole-sample helpers on

@@ -1,6 +1,5 @@
 // Streaming replicate statistics: Student-t confidence intervals on the
-// Welford Summary, a parallel-merge rule, the P² single-quantile
-// estimator and a fixed-bucket CDF sketch. Together they let the
+// Welford Summary, the P² single-quantile estimator and a fixed-bucket CDF sketch. Together they let the
 // scenario engine aggregate any number of replicate runs online —
 // memory stays bounded by the result schema, never by replicates ×
 // samples — while the exact whole-sample path (Sample/CDF) remains for
@@ -52,33 +51,6 @@ func (s *Summary) CI95() float64 {
 	return TCritical95(s.n-1) * s.Std() / math.Sqrt(float64(s.n))
 }
 
-// Merge folds another summary into s (Chan et al. pairwise update), as
-// if every observation of o had been Added to s. Merge order affects
-// only floating-point rounding, not the statistics.
-func (s *Summary) Merge(o Summary) {
-	s.nans += o.nans
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		nans := s.nans
-		*s = o
-		s.nans = nans
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	s.n = n
-}
-
 // P2Quantile estimates a single quantile of a stream in O(1) memory
 // using the P² algorithm (Jain & Chlamtac 1985): five markers track the
 // min, max, the target quantile and its two flanking quantiles, and are
@@ -111,9 +83,6 @@ func NewP2Quantile(q float64) *P2Quantile {
 	p.inc = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
 	return p
 }
-
-// Q returns the quantile this estimator targets.
-func (p *P2Quantile) Q() float64 { return p.q }
 
 // N returns the number of (finite) observations recorded.
 func (p *P2Quantile) N() int { return p.n }

@@ -63,51 +63,6 @@ func TestSummaryCI95(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	xs := make([]float64, 257)
-	for i := range xs {
-		xs[i] = rnd.NormFloat64()*3 + 7
-	}
-	var whole Summary
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	// Merge in uneven chunks; statistics must match the single pass to
-	// rounding error.
-	var merged Summary
-	for lo := 0; lo < len(xs); {
-		hi := lo + 1 + rnd.Intn(64)
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		var part Summary
-		for _, x := range xs[lo:hi] {
-			part.Add(x)
-		}
-		merged.Merge(part)
-		lo = hi
-	}
-	if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merge lost counts/extremes: %v vs %v", merged.String(), whole.String())
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-12 || math.Abs(merged.Var()-whole.Var()) > 1e-10 {
-		t.Errorf("merge drifted: mean %v vs %v, var %v vs %v",
-			merged.Mean(), whole.Mean(), merged.Var(), whole.Var())
-	}
-
-	// Merging into/from empties.
-	var empty, target Summary
-	target.Merge(empty)
-	if target.N() != 0 {
-		t.Error("merging an empty summary must be a no-op")
-	}
-	target.Merge(whole)
-	if target.N() != whole.N() || target.Mean() != whole.Mean() {
-		t.Error("merging into an empty summary must copy")
-	}
-}
-
 func TestP2QuantileSmallSamplesExact(t *testing.T) {
 	// Below five observations the estimate is the exact order statistic.
 	p := NewP2Quantile(0.5)

@@ -312,6 +312,8 @@ func (g *Gauge) Add(v float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// gaugeFamily is a callback family: its samples come from one call of
+// fn at render time.
 type gaugeFamily struct {
 	fname, fhelp string
 	// ftyp is the exposition TYPE line: "gauge", or "counter" for a
@@ -319,12 +321,7 @@ type gaugeFamily struct {
 	// monotonic value at scrape time.
 	ftyp   string
 	labels []string
-	mu     sync.Mutex
-	cells  map[string]*Gauge
-	keys   map[string][]string
-	// fn, when non-nil, makes this a callback family: samples come from
-	// one function call at render time instead of stored cells.
-	fn func() []GaugeSample
+	fn     func() []GaugeSample
 }
 
 // GaugeSample is one series a GaugeFunc reports at scrape time.
@@ -338,72 +335,24 @@ func (f *gaugeFamily) help() string { return f.fhelp }
 func (f *gaugeFamily) typ() string  { return f.ftyp }
 
 func (f *gaugeFamily) samples(dst []string) []string {
-	if f.fn != nil {
-		ss := f.fn()
-		sort.Slice(ss, func(i, j int) bool { return joinKey(ss[i].LabelValues) < joinKey(ss[j].LabelValues) })
-		for _, s := range ss {
-			if len(s.LabelValues) != len(f.labels) {
-				panic(fmt.Sprintf("telemetry: %s callback returned %d label values, want %d", f.fname, len(s.LabelValues), len(f.labels)))
-			}
-			dst = append(dst, f.fname+labelPairs(f.labels, s.LabelValues, "")+" "+formatFloat(s.Value))
+	ss := f.fn()
+	sort.Slice(ss, func(i, j int) bool { return joinKey(ss[i].LabelValues) < joinKey(ss[j].LabelValues) })
+	for _, s := range ss {
+		if len(s.LabelValues) != len(f.labels) {
+			panic(fmt.Sprintf("telemetry: %s callback returned %d label values, want %d", f.fname, len(s.LabelValues), len(f.labels)))
 		}
-		return dst
-	}
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.cells))
-	for k := range f.cells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type row struct {
-		labels string
-		val    float64
-	}
-	rows := make([]row, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, row{labelPairs(f.labels, f.keys[k], ""), f.cells[k].Value()})
-	}
-	f.mu.Unlock()
-	for _, r := range rows {
-		dst = append(dst, f.fname+r.labels+" "+formatFloat(r.val))
+		dst = append(dst, f.fname+labelPairs(f.labels, s.LabelValues, "")+" "+formatFloat(s.Value))
 	}
 	return dst
 }
 
-func (f *gaugeFamily) with(values []string) *Gauge {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d", f.fname, len(f.labels), len(values)))
-	}
-	key := joinKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, ok := f.cells[key]
-	if !ok {
-		g = &Gauge{}
-		f.cells[key] = g
-		f.keys[key] = append([]string(nil), values...)
-	}
-	return g
-}
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ f *gaugeFamily }
-
-// NewGaugeVec registers a labelled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	mustValidNames(name, labels)
-	f := &gaugeFamily{fname: name, fhelp: help, ftyp: "gauge", labels: labels,
-		cells: make(map[string]*Gauge), keys: make(map[string][]string)}
-	r.register(f)
-	return &GaugeVec{f: f}
-}
-
-// With returns the gauge cell for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.with(values) }
-
 // NewGauge registers an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.NewGaugeVec(name, help).With()
+	g := &Gauge{}
+	r.NewGaugeFunc(name, help, nil, func() []GaugeSample {
+		return []GaugeSample{{Value: g.Value()}}
+	})
+	return g
 }
 
 // NewGaugeFunc registers a gauge family whose series are produced by fn

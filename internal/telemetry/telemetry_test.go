@@ -265,9 +265,9 @@ func TestConcurrentObserveRender(t *testing.T) {
 func TestRenderGolden(t *testing.T) {
 	r := NewRegistry()
 
-	jobs := r.NewGaugeVec("midas_jobs", "Jobs in the retained table by state.", "state")
-	jobs.With("queued").Set(2)
-	jobs.With("running").Set(1)
+	r.NewGaugeFunc("midas_jobs", "Jobs in the retained table by state.", []string{"state"}, func() []GaugeSample {
+		return []GaugeSample{{LabelValues: []string{"running"}, Value: 1}, {LabelValues: []string{"queued"}, Value: 2}}
+	})
 
 	hits := r.NewCounter("midas_cache_hits_total", "Result-cache hits.")
 	hits.Add(41)
