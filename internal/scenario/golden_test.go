@@ -29,9 +29,7 @@ type goldenFile struct {
 func goldenOverrides(name string) Spec {
 	short := Duration(20 * time.Millisecond)
 	switch name {
-	case "fig11-optimal-gap": // numerical optimum: seconds per topology
-		return Spec{Topologies: 2}
-	case "fig13-deadzones", "ht-hidden-terminals": // dense grids per deployment
+	case "fig11-optimal-gap", "fig13-deadzones", "ht-hidden-terminals":
 		return Spec{Topologies: 2}
 	case "fig15-end-to-end", "decomp-gain-breakdown", "client-churn",
 		"ablation-tagwidth", "ablation-waitwindow", "ablation-scheduler":
@@ -52,17 +50,30 @@ func goldenOverrides(name string) Spec {
 	}
 }
 
-func goldenPath(name string) string {
-	return filepath.Join("testdata", "golden", name+".json")
-}
-
-// TestGoldenFigures replays every registered scenario's committed spec
-// at parallelism 1 and 8 and requires the serialized result to match
-// the golden file byte-for-byte. Run with -update to regenerate the
-// goldens after an intentional change:
+// TestGoldenFigures replays every registered scenario's committed
+// reduced-scale spec (goldenOverrides) at parallelism 1 and 8 and
+// requires the serialized result to match the golden file
+// byte-for-byte. Run with -update to regenerate the goldens after an
+// intentional change:
 //
 //	go test ./internal/scenario -run TestGoldenFigures -update
 func TestGoldenFigures(t *testing.T) {
+	replayGoldens(t, "golden", goldenOverrides)
+}
+
+// TestGoldenDefaultScale is TestGoldenFigures at each scenario's
+// registered default spec — the figure the README reports — so a change
+// that shows only after the reduced runs' 20 ms, or only past their
+// first topologies, fails too. -update regenerates these goldens as
+// well.
+func TestGoldenDefaultScale(t *testing.T) {
+	replayGoldens(t, "golden-default", func(string) Spec { return Spec{} })
+}
+
+// replayGoldens replays every registered scenario's golden under
+// testdata/dir at parallelism 1 and 8; with -update it first records
+// each golden from the scenario resolved against overrides(name).
+func replayGoldens(t *testing.T, dir string, overrides func(name string) Spec) {
 	if testing.Short() {
 		t.Skip("golden replay runs every scenario; skipped in -short")
 	}
@@ -70,10 +81,10 @@ func TestGoldenFigures(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			sc, _ := Get(name)
-			path := goldenPath(name)
+			path := filepath.Join("testdata", dir, name+".json")
 
 			if *update {
-				spec, err := Resolve(sc, goldenOverrides(name))
+				spec, err := Resolve(sc, overrides(name))
 				if err != nil {
 					t.Fatal(err)
 				}
