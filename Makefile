@@ -77,7 +77,7 @@ fuzz-smoke:
 # byte-identical results. After an intentional output change:
 #   go test ./internal/scenario -run TestGoldenFigures -update
 golden:
-	$(GO) test -run TestGoldenFigures ./internal/scenario
+	$(GO) test -run 'TestGoldenFigures|TestGoldenDefaultScale' ./internal/scenario
 
 # Run the quickstart walkthrough and midas-sim over every committed
 # example spec file so none can silently rot.
@@ -175,20 +175,23 @@ alloc-guard:
 	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestBackoffZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
-# engine's random streams, linear algebra, precoders, channel model,
-# AP decision layer, event engine and medium, and simulation drivers, the stats accumulators and the scenario/replication engine
-# (wrong numbers type-check fine), the serving layer (lifecycle/caching
-# races surface only under load), and the durable store (crash-safety
-# bugs surface only on the restart after the crash) must stay >= 80%
-# line-covered, as must the dispatch coordinator (lease-requeue
-# correctness is exactly the kind of logic that rots silently), the
-# job journal (a replay bug only surfaces on the restart after the
-# crash) and the API error envelope. The per-package totals print
-# either way; a package under its floor fails the target (and
+# engine's random streams, geometry, topology generators and placement,
+# linear algebra, PHY sounding, precoders, channel model and link
+# table, AP decision layer, event engine and medium, and simulation
+# drivers, the stats accumulators and the scenario/replication engine
+# (wrong numbers type-check fine), the runner's worker pool
+# (concurrency bugs surface only under load), the serving layer
+# (lifecycle/caching races surface only under load), and the durable
+# store (crash-safety bugs surface only on the restart after the crash)
+# must stay >= 80% line-covered, as must the dispatch coordinator
+# (lease-requeue correctness is exactly the kind of logic that rots
+# silently), the job journal (a replay bug only surfaces on the restart
+# after the crash) and the API error envelope. The per-package totals
+# print either way; a package under its floor fails the target (and
 # `make ci`).
 COVER_FLOOR = 80
 cover:
-	@set -e; for pkg in ./internal/rng ./internal/matrix ./internal/precoding ./internal/channel ./internal/core ./internal/mac ./internal/sim ./internal/stats ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
+	@set -e; for pkg in ./internal/rng ./internal/geom ./internal/topology ./internal/matrix ./internal/phy ./internal/precoding ./internal/channel ./internal/core ./internal/mac ./internal/sim ./internal/stats ./internal/runner ./internal/scenario ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api; do \
 		profile=$$(mktemp); \
 		$(GO) test -coverprofile=$$profile $$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$profile | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \

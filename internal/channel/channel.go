@@ -9,6 +9,9 @@
 // mechanisms exploit — the large path-loss disparity across distributed
 // antennas, and the higher-rank channel matrices that uncorrelated DAS
 // fading produces.
+//
+// A link's static power is decided in one place, Budget, and a
+// network's model and medium share one Links table of those values.
 package channel
 
 import (
@@ -107,14 +110,6 @@ func (p Params) NoiseLinear() float64 { return stats.Milliwatt(p.NoiseFloorDBm) 
 // milliwatt units.
 func (p Params) TxPowerLinear() float64 { return stats.Milliwatt(p.TxPowerDBm) }
 
-// RangeAt returns the distance at which the mean SNR falls to snrDB — the
-// nominal coverage (or carrier-sense) range for that threshold.
-func (p Params) RangeAt(snrDB float64) float64 {
-	// TxPower - RefLoss - 10·n·log10(d) - Noise = snr  =>  solve for d.
-	budget := p.TxPowerDBm - p.RefLossDB - p.NoiseFloorDBm - snrDB
-	return math.Pow(10, budget/(10*p.PathLossExp))
-}
-
 // Antenna is a transmit antenna position together with the AP (co-location
 // group) it belongs to. Antennas of one CAS AP share correlated fading;
 // all other pairs fade independently.
@@ -125,7 +120,7 @@ type Antenna struct {
 }
 
 // Model generates channel realisations for a fixed set of antennas and
-// clients. Shadowing is drawn once per (antenna, client) pair at
+// clients. Shadowing is read once per (antenna, client) pair at
 // construction — it models obstacles, which do not change across frames —
 // while small-scale fading evolves from frame to frame. The parameters
 // and positions are fixed at construction too, so every static per-link
@@ -141,7 +136,7 @@ type Model struct {
 	p        Params
 	antennas []Antenna
 	clients  []geom.Point
-	field    *ShadowField
+	links    Links
 	src      *rng.Source
 	// amp and mean are the static per-link values, [client·antennas +
 	// antenna]: the path-loss-and-shadowing amplitude Gain scales fading
@@ -171,15 +166,22 @@ type corrGroup struct {
 	l   [][]float64
 }
 
-// NewModel builds a channel model. correlated selects CAS-style antenna
-// correlation within each AP group (set true for co-located arrays).
-// The source is split internally; the caller's stream is not advanced.
-func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated bool, src *rng.Source) *Model {
+// NewModel builds a channel model over the budget and a new link table
+// (Links) whose first sites are the antennas and then the clients, and
+// reads their shadow factors there. correlated selects CAS-style antenna
+// correlation within each AP group (set true for co-located arrays). The
+// source is split internally; the caller's stream is not advanced.
+func NewModel(b Budget, antennas []Antenna, clients []geom.Point, correlated bool, src *rng.Source) *Model {
+	p, n, sites := b.P, len(clients)*len(antennas), len(antennas)+len(clients)
+	static := make([]float64, 2*n) // amp, then mean
 	m := &Model{
 		p:        p,
 		antennas: antennas,
 		clients:  clients,
+		links:    Links{Budget: b, pos: make([]geom.Point, 0, sites), pairs: make([]linkPair, 0, sites*(sites+1)/2)},
 		src:      src.Split("channel"),
+		amp:      static[:n:n],
+		mean:     static[n:],
 		fading:   make([]complex128, (len(clients)+1)*len(antennas)),
 		synced:   make([]int, len(clients)),
 		logKeep2: math.Log1p(-p.Doppler * p.Doppler),
@@ -187,16 +189,19 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 	if correlated && p.CASCorrelation != 0 {
 		m.corr = corrGroups(antennas, p.CASCorrelation)
 	}
-	m.field = p.NewField(rng.SplitSeed(src.Seed(), "shadow"))
+	for _, a := range antennas {
+		m.links.add(a.Pos) // antenna k is site k
+	}
 	txPow := p.TxPowerLinear()
-	m.amp = make([]float64, len(clients)*len(antennas))
-	m.mean = make([]float64, len(clients)*len(antennas))
 	for j := range clients {
+		cs := m.links.add(clients[j])
 		for k := range antennas {
-			shadow := m.field.Shadow(antennas[k].Pos, clients[j])
+			shadow := m.links.Shadow(k, cs)
 			pathGain := stats.Linear(-p.PathLossDB(antennas[k].Pos.Dist(clients[j])))
 			i := m.link(j, k)
 			m.amp[i] = math.Sqrt(pathGain * shadow)
+			// Not links.Power: txPow·pathGain·shadow rounds differently
+			// from the budget's PowerAtPoint·shadow.
 			m.mean[i] = txPow * pathGain * shadow
 		}
 	}
@@ -207,10 +212,8 @@ func NewModel(p Params, antennas []Antenna, clients []geom.Point, correlated boo
 // link is the index of the (client j, antenna k) pair in amp and mean.
 func (m *Model) link(j, k int) int { return j*len(m.antennas) + k }
 
-// Field returns the shadow-fading field underlying this model, so the
-// medium (mac.Air) can sense through the same walls the data plane fades
-// through.
-func (m *Model) Field() *ShadowField { return m.field }
+// Links returns the model's link table, for the network's medium.
+func (m *Model) Links() *Links { return &m.links }
 
 // NumAntennas returns the number of transmit antennas.
 func (m *Model) NumAntennas() int { return len(m.antennas) }
@@ -423,8 +426,7 @@ func (m *Model) SNRdB(j, k int) float64 {
 
 // PowerAtPoint returns the received power (linear mW) at an arbitrary
 // point from a transmitter at txPos sending with txPowerDBm, using path
-// loss only (no shadowing or fading) — used for carrier-sense and
-// coverage-map calculations where deterministic geometry is wanted.
+// loss only (no shadowing or fading). Budget adds the shadow field.
 func (p Params) PowerAtPoint(txPos, rxPos geom.Point, txPowerDBm float64) float64 {
 	d := txPos.Dist(rxPos)
 	return stats.Milliwatt(txPowerDBm - p.PathLossDB(d))

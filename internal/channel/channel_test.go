@@ -40,16 +40,6 @@ func TestPathLossSlope(t *testing.T) {
 	}
 }
 
-func TestRangeAtInvertsSNR(t *testing.T) {
-	p := Default()
-	for _, snr := range []float64{0, 10, 20} {
-		d := p.RangeAt(snr)
-		if got := p.TxPowerDBm - p.PathLossDB(d) - p.NoiseFloorDBm; math.Abs(got-snr) > 1e-9 {
-			t.Errorf("mean SNR at RangeAt(%v) = %v", snr, got)
-		}
-	}
-}
-
 func TestLinearHelpers(t *testing.T) {
 	p := Default()
 	if math.Abs(p.TxPowerLinear()-stats.Milliwatt(p.TxPowerDBm)) > 1e-9 {
@@ -58,6 +48,12 @@ func TestLinearHelpers(t *testing.T) {
 	if p.NoiseLinear() <= 0 {
 		t.Error("noise must be positive")
 	}
+}
+
+// testModel builds a model through the field topology.Deployment.Model
+// derives.
+func testModel(p Params, antennas []Antenna, clients []geom.Point, correlated bool, src *rng.Source) *Model {
+	return NewModel(Budget{P: p, Field: p.ModelField(src.Seed())}, antennas, clients, correlated, src)
 }
 
 func mkModel(correlated bool, seed int64) *Model {
@@ -69,7 +65,7 @@ func mkModel(correlated bool, seed int64) *Model {
 		{Pos: geom.Pt(0.09, 0), AP: 0, Local: 3},
 	}
 	clients := []geom.Point{geom.Pt(8, 0), geom.Pt(0, 10), geom.Pt(-6, -6)}
-	return NewModel(p, antennas, clients, correlated, rng.New(seed))
+	return testModel(p, antennas, clients, correlated, rng.New(seed))
 }
 
 func TestModelShapes(t *testing.T) {
@@ -112,7 +108,7 @@ func TestFadingMeanPowerMatchesPathLoss(t *testing.T) {
 	}
 	got := sum / iters
 	d := geom.Pt(8, 0).Dist(geom.Pt(0, 0))
-	want := stats.Linear(-m.p.PathLossDB(d)) * m.field.Shadow(geom.Pt(0, 0), geom.Pt(8, 0))
+	want := stats.Linear(-m.p.PathLossDB(d)) * m.links.Field.Shadow(geom.Pt(0, 0), geom.Pt(8, 0))
 	if math.Abs(got/want-1) > 0.1 {
 		t.Errorf("mean |h|² = %v, want ~%v", got, want)
 	}
@@ -131,7 +127,7 @@ func TestCachedLinkValuesMatchDirect(t *testing.T) {
 			for j, c := range m.clients {
 				for k, a := range m.antennas {
 					d := a.Pos.Dist(c)
-					shadow := m.field.Shadow(a.Pos, c)
+					shadow := m.links.Field.Shadow(a.Pos, c)
 					pl := stats.Linear(-p.PathLossDB(d)) * shadow
 					gain := complex(math.Sqrt(pl), 0) * m.row(j)[k]
 					mean := p.TxPowerLinear() * stats.Linear(-p.PathLossDB(d)) * shadow
@@ -238,7 +234,7 @@ func sqAbs(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 func TestEvolveNoopWithZeroDoppler(t *testing.T) {
 	p := Default()
 	p.Doppler = 0
-	m := NewModel(p, []Antenna{{Pos: geom.Pt(0, 0)}}, []geom.Point{geom.Pt(5, 0)}, false, rng.New(3))
+	m := testModel(p, []Antenna{{Pos: geom.Pt(0, 0)}}, []geom.Point{geom.Pt(5, 0)}, false, rng.New(3))
 	before := m.Gain(0, 0)
 	m.Evolve()
 	if m.Gain(0, 0) != before {
@@ -252,7 +248,7 @@ func TestSNRDecreasesWithDistance(t *testing.T) {
 	clients := []geom.Point{geom.Pt(3, 0), geom.Pt(30, 0)}
 	// Average over fading to compare reliably.
 	var near, far stats.Summary
-	m := NewModel(p, antennas, clients, false, rng.New(17))
+	m := testModel(p, antennas, clients, false, rng.New(17))
 	for i := 0; i < 500; i++ {
 		near.Add(m.SNRdB(0, 0))
 		far.Add(m.SNRdB(1, 0))
@@ -320,7 +316,7 @@ func TestCalibrationMedianSNR(t *testing.T) {
 	for topo := 0; topo < 200; topo++ {
 		ts := src.SplitN("topo", topo)
 		x, y := ts.PointInDisc(12) // client within 12 m of the AP
-		m := NewModel(p,
+		m := testModel(p,
 			[]Antenna{{Pos: geom.Pt(0, 0)}},
 			[]geom.Point{geom.Pt(x, y)}, false, ts)
 		snrs.Add(m.SNRdB(0, 0))
@@ -349,7 +345,7 @@ func TestCorrelatedDrawMatchesPerRowConstruction(t *testing.T) {
 	}
 	clients := []geom.Point{geom.Pt(4, 4), geom.Pt(20, -3), geom.Pt(9, 12)}
 	p := Default()
-	m := NewModel(p, ants, clients, true, rng.New(21))
+	m := testModel(p, ants, clients, true, rng.New(21))
 
 	ref := rng.New(21).Split("channel")
 	refRow := func() []complex128 {
@@ -542,7 +538,7 @@ func TestModelZeroAlloc(t *testing.T) {
 	for j := 0; j < 12; j++ {
 		clients = append(clients, geom.Pt(float64(j), 6))
 	}
-	m := NewModel(Default(), ants, clients, true, rng.New(5))
+	m := testModel(Default(), ants, clients, true, rng.New(5))
 	var dst matrix.Mat
 	sets := [][]int{{0, 3, 5, 9}, {1, 2, 7, 11}, {4, 6, 8, 10}}
 	m.MatrixInto(&dst, sets[0], sets[1])

@@ -53,13 +53,12 @@ type Listener struct {
 }
 
 // Tx describes one transmission: a set of transmitting antenna sites
-// (one for SISO control frames; several for an MU PPDU), a per-antenna
-// power, a duration and the NAV the frame's Duration field announces to
-// third parties, counted from the frame's end (0 announces none). Sites
-// come from Air.Site.
+// (one for SISO control frames; several for an MU PPDU), each at the
+// full per-antenna power, a duration and the NAV the frame's Duration
+// field announces to third parties, counted from the frame's end (0
+// announces none). Sites come from the medium's channel.Links.
 type Tx struct {
 	Antennas []int
-	PowerDBm float64
 	Airtime  time.Duration
 	NAV      time.Duration
 }
@@ -72,32 +71,22 @@ type Tx struct {
 // SINRs from the full fading channel (see internal/sim).
 //
 // Antennas and clients do not move during a run, so the same positions
-// recur on every medium change. Callers intern each position once as a
-// small integer site (Site) and name transmitting antennas and
-// data-plane receivers by site. Each (from, to) site pair's link power is
-// computed on first use and cached, and so are each transmission's total
-// and strongest-antenna power at each site it is read at; a
-// carrier-sense watcher keeps the running sum of the active
-// transmissions' power at its site. Every cache holds exactly the value
-// the direct computation returns, summed in the same order, so answers
-// are bit-identical to computing every link afresh. The shadow field is
-// fixed at construction; P must not change after it either. The
-// thresholds may change at any time: their linear values are cached per
-// dB value in the same way.
+// recur on every medium change. Link powers come from the network's
+// channel.Links table, which names positions by site; each
+// transmission's total and strongest-antenna power at each site it is
+// read at is cached, and a carrier-sense watcher keeps the running sum
+// of the active transmissions' power at its site. Every cache holds
+// exactly the value the direct computation returns, summed in the same
+// order, so answers are bit-identical to computing every link afresh.
+// Every transmission is at full per-antenna power, and the thresholds
+// are the Default* constants.
 type Air struct {
-	Eng            *Engine
-	P              channel.Params
-	CSThresholdDBm float64
-	DecodeMinDBm   float64
-	CaptureSINRdB  float64
+	Eng *Engine
 
-	shadow *channel.ShadowField
-
-	noiseLin, csLin, decodeLin, captureLin linear
-
-	sites map[geom.Point]int // position → site
-	pos   []geom.Point       // site → position
-	links [][]cachedLink     // [from][to] site, grown and filled lazily
+	links *channel.Links
+	// noise is the noise floor and csThreshold, decodeMin and capture
+	// the default thresholds, in linear units.
+	noise, csThreshold, decodeMin, capture float64
 
 	// Registrations and transmissions are kept in ascending id order,
 	// which fixes float summation and delivery order. Unwatch and
@@ -111,48 +100,22 @@ type Air struct {
 	spare []*activeTx
 }
 
-// cachedLink holds linkPower(from, to, dBm) for the dBm it was computed
-// at.
-type cachedLink struct {
-	dBm, mW float64
-	set     bool
-}
+// CaptureSINR returns DefaultCaptureSINRdB as a linear ratio.
+func (a *Air) CaptureSINR() float64 { return a.capture }
 
-// linear caches a dB field's linear value for the dB it was computed at.
-type linear struct {
-	dB, lin float64
-	set     bool
-}
-
-// of returns conv(dB), computing it only when dB differs from the last
-// call's.
-func (l *linear) of(dB float64, conv func(float64) float64) float64 {
-	if !l.set || l.dB != dB {
-		*l = linear{dB: dB, lin: conv(dB), set: true}
-	}
-	return l.lin
-}
-
-// csThreshold is CSThresholdDBm in linear mW.
-func (a *Air) csThreshold() float64 { return a.csLin.of(a.CSThresholdDBm, stats.Milliwatt) }
-
-// CaptureSINR returns CaptureSINRdB as a linear ratio.
-func (a *Air) CaptureSINR() float64 { return a.captureLin.of(a.CaptureSINRdB, stats.Linear) }
-
-// captures reports whether stats.DB(sinr) >= CaptureSINRdB. More than a
-// relative 1e-9 away from the linear threshold the two sides differ by
-// over 4e-9 dB, far beyond the few-ulp error of either conversion, so
-// the linear comparison gives the same answer; only nearer the threshold
-// is the logarithm taken.
+// captures reports whether stats.DB(sinr) >= DefaultCaptureSINRdB. More
+// than a relative 1e-9 away from the linear threshold the two sides
+// differ by over 4e-9 dB, far beyond the few-ulp error of either
+// conversion, so the linear comparison gives the same answer; only
+// nearer the threshold is the logarithm taken.
 func (a *Air) captures(sinr float64) bool {
-	thr := a.CaptureSINR()
 	switch {
-	case sinr > thr*(1+1e-9):
+	case sinr > a.capture*(1+1e-9):
 		return true
-	case sinr < thr*(1-1e-9):
+	case sinr < a.capture*(1-1e-9):
 		return false
 	}
-	return stats.DB(sinr) >= a.CaptureSINRdB
+	return stats.DB(sinr) >= DefaultCaptureSINRdB
 }
 
 // watcher tracks physical carrier-sense edges at one site. sum is
@@ -173,13 +136,12 @@ type listener struct {
 type activeTx struct {
 	id         int
 	ants       []int // transmitting antenna sites
-	dBm        float64
 	nav        time.Duration
 	start, end time.Duration
 	overlap    []overlapSpan // transmissions that overlapped this one, by id
 	fire       func()        // ends this transmission; bound once per record
-	// pow[site] is the receive power at site from ants at dBm each,
-	// computed on first read.
+	// pow[site] is the receive power at site from ants, computed on
+	// first read.
 	pow []sitePower
 	// live is set while the transmission is on the air; refs counts the
 	// overlap spans of live transmissions that name this record. The
@@ -206,64 +168,31 @@ type overlapSpan struct {
 	from, to time.Duration
 }
 
-// NewAir creates a medium bound to the engine with the given propagation
-// parameters and default thresholds. shadow, when non-nil, applies the
-// deployment's shadow-fading field to every sensing and control-frame
-// link, making carrier sensing as local (and as irregular) as the
-// paper's office walls make it.
-func NewAir(eng *Engine, p channel.Params, shadow *channel.ShadowField) *Air {
+// NewAir creates a medium bound to the engine that reads its link powers
+// from links, the table the network's channel model shares, so carrier
+// sensing is as local (and as irregular) as the paper's office walls
+// make the payload's channel.
+func NewAir(eng *Engine, links *channel.Links) *Air {
 	return &Air{
-		Eng:            eng,
-		P:              p,
-		CSThresholdDBm: DefaultCSThresholdDBm,
-		DecodeMinDBm:   DefaultDecodeMinDBm,
-		CaptureSINRdB:  DefaultCaptureSINRdB,
-		shadow:         shadow,
-		sites:          map[geom.Point]int{},
+		Eng:         eng,
+		links:       links,
+		noise:       links.P.NoiseLinear(),
+		csThreshold: stats.Milliwatt(DefaultCSThresholdDBm),
+		decodeMin:   stats.Milliwatt(DefaultDecodeMinDBm),
+		capture:     stats.Linear(DefaultCaptureSINRdB),
 	}
 }
 
-// Site interns a position and returns its site id. The same position
-// always maps to the same site.
-func (a *Air) Site(p geom.Point) int {
-	if s, ok := a.sites[p]; ok {
-		return s
-	}
-	s := len(a.pos)
-	a.sites[p] = s
-	a.pos = append(a.pos, p)
-	a.links = append(a.links, nil)
-	return s
-}
-
-// link returns linkPower between two sites, computing it on first use
-// and again only when dBm changes.
-func (a *Air) link(from, to int, dBm float64) float64 {
-	row := a.links[from]
-	if to >= len(row) {
-		row = slices.Grow(row, len(a.pos)-len(row))[:len(a.pos)]
-		a.links[from] = row
-	}
-	l := &row[to]
-	if !l.set || l.dBm != dBm {
-		*l = cachedLink{dBm: dBm, mW: a.linkPower(a.pos[from], a.pos[to], dBm), set: true}
-	}
-	return l.mW
-}
-
-// linkPower is the control-plane link budget: path loss plus the shared
-// shadow field.
-func (a *Air) linkPower(from, to geom.Point, powerDBm float64) float64 {
-	return a.P.PowerAtPoint(from, to, powerDBm) * a.shadow.Shadow(from, to)
-}
+// linkPower is the medium's one read of the link table.
+func (a *Air) linkPower(from, to int) float64 { return a.links.Power(from, to) }
 
 // Watch registers a physical carrier-sense watcher at pos: fn fires on
 // every busy/idle transition as transmissions start and end. The initial
 // state is reported immediately. Returns the watcher id.
 func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
-	w := watcher{site: a.Site(pos), fn: fn}
+	w := watcher{site: a.links.Site(pos), fn: fn}
 	w.sum = a.powerAt(w.site, -1)
-	w.busy = w.sum >= a.csThreshold()
+	w.busy = w.sum >= a.csThreshold
 	a.watchers = append(a.watchers, w)
 	fn(w.busy)
 	return len(a.watchers) - 1
@@ -294,13 +223,12 @@ func (a *Air) notifyWatchers(started *activeTx) {
 			w.sum = a.powerAt(w.site, -1)
 		}
 	}
-	thr := a.csThreshold()
 	for i := 0; i < n; i++ {
 		w := &a.watchers[i]
 		if w.fn == nil {
 			continue
 		}
-		if b := w.sum >= thr; b != w.busy {
+		if b := w.sum >= a.csThreshold; b != w.busy {
 			w.busy = b
 			w.fn(b)
 		}
@@ -309,7 +237,7 @@ func (a *Air) notifyWatchers(started *activeTx) {
 
 // Listen registers a listener and returns its id.
 func (a *Air) Listen(l Listener) int {
-	a.listeners = append(a.listeners, listener{site: a.Site(l.Pos), fn: l.Fn})
+	a.listeners = append(a.listeners, listener{site: a.links.Site(l.Pos), fn: l.Fn})
 	return len(a.listeners) - 1
 }
 
@@ -336,13 +264,13 @@ func (a *Air) txSignal(at *activeTx, to int) float64 {
 // first read at that site.
 func (a *Air) sitePower(at *activeTx, to int) sitePower {
 	if to >= len(at.pow) {
-		at.pow = unsetRow(at.pow, len(at.pow), len(a.pos))
+		at.pow = unsetRow(at.pow, len(at.pow), a.links.Sites())
 	}
 	p := &at.pow[to]
 	if p.total == unsetPower {
 		p.total = 0
 		for _, ant := range at.ants {
-			l := a.link(ant, to, at.dBm)
+			l := a.linkPower(ant, to)
 			p.total += l
 			if l > p.best {
 				p.best = l
@@ -362,12 +290,8 @@ func unsetRow(row []sitePower, from, n int) []sitePower {
 	return row
 }
 
-// PowerAt returns the aggregate active transmit power (linear mW) at pos,
-// excluding transmission id exclude (-1 for none).
-func (a *Air) PowerAt(pos geom.Point, exclude int) float64 {
-	return a.powerAt(a.Site(pos), exclude)
-}
-
+// powerAt returns the aggregate active transmit power (linear mW) at
+// site to, excluding transmission id exclude (-1 for none).
 func (a *Air) powerAt(to, exclude int) float64 {
 	sum := 0.0
 	for _, at := range a.active {
@@ -377,11 +301,6 @@ func (a *Air) powerAt(to, exclude int) float64 {
 		sum += a.txPower(at, to)
 	}
 	return sum
-}
-
-// Busy reports whether the medium is physically sensed busy at pos.
-func (a *Air) Busy(pos geom.Point) bool {
-	return a.powerAt(a.Site(pos), -1) >= a.csThreshold()
 }
 
 // ActiveCount returns the number of in-flight transmissions.
@@ -400,7 +319,7 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 		return 0, fmt.Errorf("mac: non-positive airtime %v", tx.Airtime)
 	}
 	for _, s := range tx.Antennas {
-		if s < 0 || s >= len(a.pos) {
+		if s < 0 || s >= a.links.Sites() {
 			return 0, fmt.Errorf("mac: unknown antenna site %d", s)
 		}
 	}
@@ -408,10 +327,10 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	a.nextTx++
 	now := a.Eng.Now()
 	at := a.newActive()
-	at.id, at.dBm, at.nav = id, tx.PowerDBm, durationField(tx.NAV)
+	at.id, at.nav = id, durationField(tx.NAV)
 	at.start, at.end = now, now+tx.Airtime
 	at.ants = append(at.ants[:0], tx.Antennas...)
-	at.pow = unsetRow(at.pow, 0, len(a.pos))
+	at.pow = unsetRow(at.pow, 0, a.links.Sites())
 	at.live = true
 	// Mutual overlap bookkeeping with everything currently active. Ids
 	// only grow, so appending keeps every overlap list in id order.
@@ -459,8 +378,6 @@ func (a *Air) endTx(at *activeTx) {
 	}
 	at.live = false
 	a.notifyWatchers(nil)
-	noise := a.noiseLin.of(a.P.NoiseFloorDBm, stats.Milliwatt) // P.NoiseLinear()
-	minPower := a.decodeLin.of(a.DecodeMinDBm, stats.Milliwatt)
 	for i, n := 0, len(a.listeners); i < n; i++ {
 		l := a.listeners[i]
 		if l.fn == nil {
@@ -471,12 +388,12 @@ func (a *Air) endTx(at *activeTx) {
 		for _, sp := range at.overlap {
 			interf += a.txPower(sp.tx, l.site)
 		}
-		sinr := sig / (noise + interf)
+		sinr := sig / (a.noise + interf)
 		rx := Rx{
 			NAV:       at.nav,
 			Power:     sig,
 			SINR:      sinr,
-			Decodable: sig >= minPower && a.captures(sinr),
+			Decodable: sig >= a.decodeMin && a.captures(sinr),
 			From:      at.id,
 			Start:     at.start,
 			End:       at.end,
@@ -489,19 +406,6 @@ func (a *Air) endTx(at *activeTx) {
 	}
 	at.overlap = at.overlap[:0]
 	a.release(at)
-}
-
-// DecodeRange returns the free-space distance at which a single antenna
-// at full per-antenna power falls to the decode threshold — the nominal
-// overhearing range of the medium (walls shorten it per link).
-func (a *Air) DecodeRange() float64 {
-	return a.P.RangeAt(a.DecodeMinDBm - a.P.NoiseFloorDBm)
-}
-
-// CSRange returns the free-space distance at which transmissions stop
-// being sensed.
-func (a *Air) CSRange() float64 {
-	return a.P.RangeAt(a.CSThresholdDBm - a.P.NoiseFloorDBm)
 }
 
 // OverlapInterference returns, for an active transmission id, the total
@@ -557,16 +461,6 @@ func (a *Air) WeightedInterference(id, to int) float64 {
 		sum += a.txPower(sp.tx, to) * frac
 	}
 	return sum
-}
-
-// OverlapCount returns the number of transmissions that have overlapped
-// the active transmission id so far.
-func (a *Air) OverlapCount(id int) int {
-	at := a.lookup(id)
-	if at == nil {
-		return 0
-	}
-	return len(at.overlap)
 }
 
 // TxSignalAt returns the strongest-antenna receive power (linear mW) at

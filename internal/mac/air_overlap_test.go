@@ -16,13 +16,13 @@ func TestWatchEdges(t *testing.T) {
 	if len(edges) != 1 || edges[0] {
 		t.Fatalf("initial watch state = %v, want [false]", edges)
 	}
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 50 * time.Microsecond})
 	e.Run(time.Second)
 	if len(edges) != 3 || !edges[1] || edges[2] {
 		t.Fatalf("edges = %v, want [false true false]", edges)
 	}
 	a.Unwatch(id)
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 50 * time.Microsecond})
 	e.Run(2 * time.Second)
 	if len(edges) != 3 {
 		t.Error("unwatched watcher still notified")
@@ -34,9 +34,9 @@ func TestWatchNoEdgeWhenAlreadyBusy(t *testing.T) {
 	e, a := newTestAir()
 	var edges []bool
 	a.Watch(geom.Pt(5, 0), func(busy bool) { edges = append(edges, busy) })
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 100 * time.Microsecond})
 	e.Schedule(20*time.Microsecond, func() {
-		a.StartTx(Tx{Antennas: sites(a, geom.Pt(1, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(1, 0)), Airtime: 100 * time.Microsecond})
 	})
 	e.Run(time.Second)
 	// initial(false), busy at t=0, idle when the second tx ends.
@@ -48,31 +48,31 @@ func TestWatchNoEdgeWhenAlreadyBusy(t *testing.T) {
 func TestOverlapQueriesDuringFlight(t *testing.T) {
 	e, a := newTestAir()
 	pos := geom.Pt(10, 0)
-	id1, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
-	if got := a.OverlapCount(id1); got != 0 {
+	id1, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 100 * time.Microsecond})
+	if got := overlapCount(a, id1); got != 0 {
 		t.Errorf("fresh tx overlap count = %d", got)
 	}
-	if got := a.OverlapInterference(id1, a.Site(pos)); got != 0 {
+	if got := a.OverlapInterference(id1, a.links.Site(pos)); got != 0 {
 		t.Errorf("fresh tx interference = %v", got)
 	}
-	sig := a.TxSignalAt(id1, a.Site(pos))
+	sig := a.TxSignalAt(id1, a.links.Site(pos))
 	if sig <= 0 {
 		t.Error("active tx should have positive signal")
 	}
 	var id2 int
 	e.Schedule(50*time.Microsecond, func() {
-		id2, _ = a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
+		id2, _ = a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), Airtime: 100 * time.Microsecond})
 	})
 	e.Schedule(99*time.Microsecond, func() {
-		if got := a.OverlapCount(id1); got != 1 {
+		if got := overlapCount(a, id1); got != 1 {
 			t.Errorf("overlap count = %d, want 1", got)
 		}
-		oi := a.OverlapInterference(id1, a.Site(pos))
+		oi := a.OverlapInterference(id1, a.links.Site(pos))
 		if oi <= 0 {
 			t.Error("overlap interference should be positive")
 		}
 		// Weighted interference scales by the 50% overlap fraction.
-		wi := a.WeightedInterference(id1, a.Site(pos))
+		wi := a.WeightedInterference(id1, a.links.Site(pos))
 		if wi <= 0 || wi >= oi {
 			t.Errorf("weighted %v should be positive and below worst-case %v", wi, oi)
 		}
@@ -81,8 +81,8 @@ func TestOverlapQueriesDuringFlight(t *testing.T) {
 		}
 		// And from id2's perspective the whole overlap window is within
 		// its own airtime start..id1End — fraction (100-50)/100 = 0.5.
-		if a.OverlapCount(id2) != 1 {
-			t.Errorf("id2 overlap count = %d", a.OverlapCount(id2))
+		if got := overlapCount(a, id2); got != 1 {
+			t.Errorf("id2 overlap count = %d", got)
 		}
 	})
 	e.Run(time.Second)
@@ -90,28 +90,28 @@ func TestOverlapQueriesDuringFlight(t *testing.T) {
 
 func TestOverlapQueriesAfterEnd(t *testing.T) {
 	e, a := newTestAir()
-	id, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Microsecond})
+	id, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: time.Microsecond})
 	e.Run(time.Second)
-	if a.OverlapCount(id) != 0 || a.OverlapInterference(id, a.Site(geom.Pt(1, 0))) != 0 ||
-		a.WeightedInterference(id, a.Site(geom.Pt(1, 0))) != 0 || a.TxSignalAt(id, a.Site(geom.Pt(1, 0))) != 0 {
+	if overlapCount(a, id) != 0 || a.OverlapInterference(id, a.links.Site(geom.Pt(1, 0))) != 0 ||
+		a.WeightedInterference(id, a.links.Site(geom.Pt(1, 0))) != 0 || a.TxSignalAt(id, a.links.Site(geom.Pt(1, 0))) != 0 {
 		t.Error("ended tx should answer zero to all overlap queries")
 	}
 }
 
 func TestAirWithShadowField(t *testing.T) {
 	// The same link budget query through a field must differ from the
-	// free-space one, and Busy must follow the field.
+	// free-space one.
 	e := NewEngine()
 	p := channel.Default()
 	field := p.NewField(12345)
-	free := NewAir(e, p, nil)
-	walled := NewAir(e, p, field)
+	free := NewAir(e, &channel.Links{Budget: channel.Budget{P: p}})
+	walled := NewAir(e, &channel.Links{Budget: channel.Budget{P: p, Field: field}})
 	for _, a := range []*Air{free, walled} {
-		a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Second})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: time.Second})
 	}
 	pos := geom.Pt(25, 0)
-	pf := free.PowerAt(pos, -1)
-	pw := walled.PowerAt(pos, -1)
+	pf := powerAt(free, pos, -1)
+	pw := powerAt(walled, pos, -1)
 	if pf == pw {
 		t.Error("shadow field should change the link budget")
 	}
@@ -129,8 +129,16 @@ func TestNAVExpiryAccessor(t *testing.T) {
 }
 
 func TestCSRangeOrdering(t *testing.T) {
-	_, a := newTestAir()
-	if a.CSRange() <= a.DecodeRange() {
-		t.Errorf("CS range %v should exceed decode range %v", a.CSRange(), a.DecodeRange())
+	if cs, dec := freeRange(DefaultCSThresholdDBm), freeRange(DefaultDecodeMinDBm); cs <= dec {
+		t.Errorf("CS range %v should exceed decode range %v", cs, dec)
 	}
+}
+
+// overlapCount returns the number of transmissions that have overlapped
+// the active transmission id so far, or 0 once it has ended.
+func overlapCount(a *Air, id int) int {
+	if at := a.lookup(id); at != nil {
+		return len(at.overlap)
+	}
+	return 0
 }

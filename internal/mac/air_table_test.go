@@ -16,9 +16,9 @@ import (
 // budget computed afresh, bit for bit: random positions, each queried
 // three times (cache misses, then hits), probe sites interned only after
 // the transmissions started, transmissions starting after probes were
-// interned, one antenna site used at two powers at once, overlap spans
-// naming a transmission that has ended while the span's owner is still
-// on the air, and records reused once nothing names them. After every
+// interned, one antenna site in two live transmissions at once, overlap
+// spans naming a transmission that has ended while the span's owner is
+// still on the air, and records reused once nothing names them. After every
 // StartTx and every end of airtime, each watcher's running carrier-sense
 // sum must equal the in-order sum of the live transmissions' direct
 // powers, including a watcher registered while transmissions were live
@@ -29,14 +29,21 @@ import (
 func TestLinkTableMatchesDirect(t *testing.T) {
 	p := channel.Default()
 	field := p.NewField(7)
-	direct := func(from, to geom.Point, dBm float64) float64 {
-		return p.PowerAtPoint(from, to, dBm) * field.Shadow(from, to)
+	direct := func(from, to geom.Point) float64 {
+		return p.PowerAtPoint(from, to, p.TxPowerDBm) * field.Shadow(from, to)
 	}
 	r := rand.New(rand.NewPCG(11, 13))
+	// posOf maps every site the test interns back to its position.
+	posOf := map[int]geom.Point{}
 	pt := func() geom.Point { return geom.Pt(r.Float64()*60, r.Float64()*45) }
 
 	e := NewEngine()
-	a := NewAir(e, p, field)
+	a := NewAir(e, &channel.Links{Budget: channel.Budget{P: p, Field: field}})
+	intern := func(pos geom.Point) int {
+		s := a.links.Site(pos)
+		posOf[s] = pos
+		return s
+	}
 	bits := func(what string, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -46,7 +53,6 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	type sent struct {
 		id         int
 		ants       []geom.Point
-		dBm        float64
 		start, end time.Duration
 	}
 	var txs []sent // ascending id
@@ -54,14 +60,14 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	sumFrom := func(s sent, pos geom.Point) float64 {
 		sum := 0.0
 		for _, ant := range s.ants {
-			sum += direct(ant, pos, s.dBm)
+			sum += direct(ant, pos)
 		}
 		return sum
 	}
 	bestFrom := func(s sent, pos geom.Point) float64 {
 		best := 0.0
 		for _, ant := range s.ants {
-			best = max(best, direct(ant, pos, s.dBm))
+			best = max(best, direct(ant, pos))
 		}
 		return best
 	}
@@ -76,8 +82,8 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 					continue
 				}
 				what := fmt.Sprintf("tx %d %s at %v: cached %%s at site %d", at.id, when, e.Now(), site)
-				bits(fmt.Sprintf(what, "total"), p.total, sumFrom(s, a.pos[site]))
-				bits(fmt.Sprintf(what, "strongest"), p.best, bestFrom(s, a.pos[site]))
+				bits(fmt.Sprintf(what, "total"), p.total, sumFrom(s, posOf[site]))
+				bits(fmt.Sprintf(what, "strongest"), p.best, bestFrom(s, posOf[site]))
 			}
 		}
 	}
@@ -85,6 +91,7 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	var checkSums func(when string)
 	watch := func(pos geom.Point) int {
 		watchPos = append(watchPos, pos)
+		intern(pos)
 		id := a.Watch(pos, func(bool) {})
 		checkSums("after Watch")
 		return id
@@ -103,7 +110,7 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 				}
 			}
 			bits(fmt.Sprintf("watcher %d sum %s at %v", i, when, e.Now()), w.sum, want)
-			if b := want >= stats.Milliwatt(a.CSThresholdDBm); w.busy != b {
+			if b := want >= stats.Milliwatt(DefaultCSThresholdDBm); w.busy != b {
 				t.Errorf("watcher %d busy = %v %s at %v, direct %v", i, w.busy, when, e.Now(), b)
 			}
 			checked++
@@ -113,17 +120,22 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		}
 		checkRows(when)
 	}
-	start := func(dBm float64, airtime time.Duration, ants ...geom.Point) {
-		id, err := a.StartTx(Tx{Antennas: sites(a, ants...), PowerDBm: dBm, Airtime: airtime})
+	start := func(airtime time.Duration, ants ...geom.Point) {
+		ids := make([]int, len(ants))
+		for i, ant := range ants {
+			ids[i] = intern(ant)
+		}
+		id, err := a.StartTx(Tx{Antennas: ids, Airtime: airtime})
 		if err != nil {
 			t.Fatal(err)
 		}
-		txs = append(txs, sent{id, ants, dBm, e.Now(), e.Now() + airtime})
+		txs = append(txs, sent{id, ants, e.Now(), e.Now() + airtime})
 		live[id] = true
 		checkSums("after StartTx")
 	}
 	ends := 0
 	listenPos := pt()
+	intern(listenPos)
 	a.Listen(Listener{Pos: listenPos, Fn: func(rx Rx) {
 		bits(fmt.Sprintf("tx %d delivered power", rx.From), rx.Power, bestFrom(txs[rx.From], listenPos))
 		delete(live, rx.From)
@@ -138,29 +150,26 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	unwatched := watch(shared)
 	// tx0 and tx1 overlap for their whole lives; tx2 ends before the
 	// first probe while tx0 and tx1 still name it; tx3 starts after the
-	// first probe, with tx0's antenna at another power. All four records
-	// are free again once tx1 ends, so tx4 and tx5 reuse them.
-	e.At(0, func() { start(24, 100*time.Microsecond, shared, pt()) })
-	e.At(10*time.Microsecond, func() { start(20, 200*time.Microsecond, pt(), pt(), pt()) })
-	e.At(30*time.Microsecond, func() { start(17, 20*time.Microsecond, pt()) })
+	// first probe, from tx0's antenna too. All four records are free
+	// again once tx1 ends, so tx4 and tx5 reuse them.
+	e.At(0, func() { start(100*time.Microsecond, shared, pt()) })
+	e.At(10*time.Microsecond, func() { start(200*time.Microsecond, pt(), pt(), pt()) })
+	e.At(30*time.Microsecond, func() { start(20*time.Microsecond, pt()) })
 	e.At(40*time.Microsecond, func() { watch(pt()) })
-	e.At(70*time.Microsecond, func() { start(11, 100*time.Microsecond, shared) })
+	e.At(70*time.Microsecond, func() { start(100*time.Microsecond, shared) })
 	e.At(85*time.Microsecond, func() { a.Unwatch(unwatched) })
-	e.At(220*time.Microsecond, func() { start(15, 50*time.Microsecond, pt(), shared) })
-	e.At(230*time.Microsecond, func() { start(20, 20*time.Microsecond, pt()) })
+	e.At(220*time.Microsecond, func() { start(50*time.Microsecond, pt(), shared) })
+	e.At(230*time.Microsecond, func() { start(20*time.Microsecond, pt()) })
 
 	probe := func(pos geom.Point) {
-		site := a.Site(pos)
+		site := intern(pos)
 		want := 0.0
 		for _, s := range txs {
 			if live[s.id] {
 				want += sumFrom(s, pos)
 			}
 		}
-		bits("PowerAt", a.PowerAt(pos, -1), want)
-		if got, w := a.Busy(pos), want >= stats.Milliwatt(a.CSThresholdDBm); got != w {
-			t.Errorf("Busy = %v, direct %v", got, w)
-		}
+		bits("powerAt", a.powerAt(site, -1), want)
 		for _, s := range txs {
 			if !live[s.id] {
 				continue
@@ -198,8 +207,8 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	if len(txs) != 6 || ends != 6 || len(probes) != 45 {
 		t.Fatalf("ran %d transmissions, %d ends and %d probes, want 6, 6 and 45", len(txs), ends, len(probes))
 	}
-	if a.OverlapCount(txs[1].id) != 0 {
-		t.Error("ended transmission still reports overlaps")
+	if a.lookup(txs[1].id) != nil {
+		t.Error("ended transmission still active")
 	}
 	if len(a.spare) != 4 {
 		t.Errorf("%d records free after the run, want all 4", len(a.spare))
@@ -215,16 +224,16 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 func TestAirZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	p := channel.Default()
-	a := NewAir(e, p, p.NewField(3))
+	a := NewAir(e, &channel.Links{Budget: channel.Budget{P: p, Field: p.NewField(3)}})
 	edges, rxs := 0, 0
 	for i := 0; i < 4; i++ {
 		pos := geom.Pt(float64(6*i), 0)
 		a.Watch(pos, func(bool) { edges++ })
 		a.Listen(Listener{Pos: pos, Fn: func(Rx) { rxs++ }})
 	}
-	first := Tx{Antennas: sites(a, geom.Pt(0, 0), geom.Pt(6, 0)), PowerDBm: p.TxPowerDBm, Airtime: 50 * time.Microsecond}
-	second := Tx{Antennas: sites(a, geom.Pt(18, 0)), PowerDBm: p.TxPowerDBm, Airtime: 30 * time.Microsecond}
-	third := Tx{Antennas: sites(a, geom.Pt(12, 0)), PowerDBm: p.TxPowerDBm, Airtime: 60 * time.Microsecond}
+	first := Tx{Antennas: sites(a, geom.Pt(0, 0), geom.Pt(6, 0)), Airtime: 50 * time.Microsecond}
+	second := Tx{Antennas: sites(a, geom.Pt(18, 0)), Airtime: 30 * time.Microsecond}
+	third := Tx{Antennas: sites(a, geom.Pt(12, 0)), Airtime: 60 * time.Microsecond}
 	startThird := func() {
 		if _, err := a.StartTx(third); err != nil {
 			t.Fatal(err)

@@ -12,32 +12,48 @@ import (
 
 func newTestAir() (*Engine, *Air) {
 	e := NewEngine()
-	return e, NewAir(e, channel.Default(), nil)
+	return e, NewAir(e, &channel.Links{Budget: channel.Budget{P: channel.Default()}})
+}
+
+// powerAt is the medium's aggregate power at pos, excluding transmission
+// exclude (-1 for none).
+func powerAt(a *Air, pos geom.Point, exclude int) float64 {
+	return a.powerAt(a.links.Site(pos), exclude)
+}
+
+// busy reports whether the medium is physically sensed busy at pos.
+func busy(a *Air, pos geom.Point) bool { return powerAt(a, pos, -1) >= a.csThreshold }
+
+// freeRange is the free-space distance d at which a single antenna at
+// full per-antenna power falls to thresholdDBm:
+// TxPower − RefLoss − 10·n·log10(d) = threshold.
+func freeRange(thresholdDBm float64) float64 {
+	p := channel.Default()
+	return math.Pow(10, (p.TxPowerDBm-p.RefLossDB-thresholdDBm)/(10*p.PathLossExp))
 }
 
 func TestBusyReflectsActiveTx(t *testing.T) {
 	e, a := newTestAir()
 	pos := geom.Pt(5, 0)
-	if a.Busy(pos) {
+	if busy(a, pos) {
 		t.Fatal("medium should start idle")
 	}
 	_, err := a.StartTx(Tx{
 		Antennas: sites(a, geom.Pt(0, 0)),
-		PowerDBm: 20,
 		Airtime:  100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Busy(pos) {
+	if !busy(a, pos) {
 		t.Error("medium near an active tx should be busy")
 	}
 	far := geom.Pt(500, 0)
-	if a.Busy(far) {
+	if busy(a, far) {
 		t.Error("medium 500 m away should be idle")
 	}
 	e.Run(time.Second)
-	if a.Busy(pos) {
+	if busy(a, pos) {
 		t.Error("medium should be idle after tx ends")
 	}
 	if a.ActiveCount() != 0 {
@@ -47,13 +63,13 @@ func TestBusyReflectsActiveTx(t *testing.T) {
 
 func TestStartTxValidation(t *testing.T) {
 	_, a := newTestAir()
-	if _, err := a.StartTx(Tx{PowerDBm: 20, Airtime: time.Microsecond}); err == nil {
+	if _, err := a.StartTx(Tx{Airtime: time.Microsecond}); err == nil {
 		t.Error("no antennas should error")
 	}
 	if _, err := a.StartTx(Tx{Antennas: sites(a, geom.Point{}), Airtime: 0}); err == nil {
 		t.Error("zero airtime should error")
 	}
-	if _, err := a.StartTx(Tx{Antennas: []int{a.Site(geom.Pt(1, 1)) + 1}, Airtime: time.Microsecond}); err == nil {
+	if _, err := a.StartTx(Tx{Antennas: []int{a.links.Site(geom.Pt(1, 1)) + 1}, Airtime: time.Microsecond}); err == nil {
 		t.Error("an antenna site never interned should error")
 	}
 }
@@ -64,7 +80,6 @@ func TestDeliveryToListener(t *testing.T) {
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
 	a.StartTx(Tx{
 		Antennas: sites(a, geom.Pt(0, 0)),
-		PowerDBm: 20,
 		Airtime:  50 * time.Microsecond,
 		NAV:      300*time.Microsecond + 999*time.Nanosecond,
 	})
@@ -90,7 +105,6 @@ func TestFarListenerCannotDecode(t *testing.T) {
 	a.Listen(Listener{Pos: geom.Pt(100, 0), Fn: func(rx Rx) { got = append(got, rx) }})
 	a.StartTx(Tx{
 		Antennas: sites(a, geom.Pt(0, 0)),
-		PowerDBm: 20,
 		Airtime:  50 * time.Microsecond,
 	})
 	e.Run(time.Second)
@@ -107,8 +121,8 @@ func TestCollisionDestroysBothFrames(t *testing.T) {
 	var got []Rx
 	// Listener midway between two simultaneous transmitters.
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), Airtime: 50 * time.Microsecond})
 	e.Run(time.Second)
 	if len(got) != 2 {
 		t.Fatalf("got %d deliveries", len(got))
@@ -125,8 +139,8 @@ func TestCaptureEffect(t *testing.T) {
 	var got []Rx
 	// Listener right next to tx A; tx B far away → A captures.
 	a.Listen(Listener{Pos: geom.Pt(2, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(40, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(40, 0)), Airtime: 50 * time.Microsecond})
 	e.Run(time.Second)
 	var nearDecodable, farDecodable bool
 	for _, rx := range got {
@@ -150,9 +164,9 @@ func TestOverlapIsConservative(t *testing.T) {
 	e, a := newTestAir()
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 100 * time.Microsecond})
 	e.Schedule(90*time.Microsecond, func() {
-		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 100 * time.Microsecond})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), Airtime: 100 * time.Microsecond})
 	})
 	e.Run(time.Second)
 	if len(got) != 2 {
@@ -167,9 +181,9 @@ func TestSequentialTxDoNotInterfere(t *testing.T) {
 	e, a := newTestAir()
 	var got []Rx
 	a.Listen(Listener{Pos: geom.Pt(10, 0), Fn: func(rx Rx) { got = append(got, rx) }})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 50 * time.Microsecond})
 	e.Schedule(60*time.Microsecond, func() {
-		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), PowerDBm: 20, Airtime: 50 * time.Microsecond})
+		a.StartTx(Tx{Antennas: sites(a, geom.Pt(20, 0)), Airtime: 50 * time.Microsecond})
 	})
 	e.Run(time.Second)
 	if len(got) != 2 {
@@ -186,16 +200,17 @@ func TestMultiAntennaTxPower(t *testing.T) {
 	_, a := newTestAir()
 	ants := sites(a, geom.Pt(0, 0), geom.Pt(10, 10))
 	pos := geom.Pt(1, 0)
-	id, err := a.StartTx(Tx{Antennas: ants, PowerDBm: 20, Airtime: 10 * time.Microsecond})
+	id, err := a.StartTx(Tx{Antennas: ants, Airtime: 10 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := a.TxSignalAt(id, a.Site(pos))
-	sum := a.PowerAt(pos, -1)
+	best := a.TxSignalAt(id, a.links.Site(pos))
+	sum := powerAt(a, pos, -1)
 	if best >= sum {
 		t.Error("sum power should exceed best-antenna power")
 	}
-	wantBest := a.P.PowerAtPoint(geom.Pt(0, 0), pos, 20)
+	p := channel.Default()
+	wantBest := p.PowerAtPoint(geom.Pt(0, 0), pos, p.TxPowerDBm)
 	if math.Abs(best-wantBest) > 1e-15 {
 		t.Errorf("best = %v, want %v", best, wantBest)
 	}
@@ -203,19 +218,18 @@ func TestMultiAntennaTxPower(t *testing.T) {
 
 func TestDecodeRangeConsistent(t *testing.T) {
 	e, a := newTestAir()
-	r := a.DecodeRange()
+	r := freeRange(DefaultDecodeMinDBm)
 	if r < 10 || r > 40 {
 		t.Errorf("decode range %v m outside the testbed-like band", r)
 	}
-	_ = r
 	// A frame from just inside the range decodes; outside does not.
 	var in, out Rx
 	a.Listen(Listener{Pos: geom.Pt(r*0.9, 0), Fn: func(rx Rx) { in = rx }})
 	a.Listen(Listener{Pos: geom.Pt(r*1.2, 0), Fn: func(rx Rx) { out = rx }})
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: a.P.TxPowerDBm, Airtime: 10 * time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: 10 * time.Microsecond})
 	e.Run(time.Second)
 	if !in.Decodable {
-		t.Errorf("inside range should decode (power %v dBm, thr %v)", in.PowerDBm(), a.CSThresholdDBm)
+		t.Errorf("inside range should decode (power %v dBm, thr %v)", in.PowerDBm(), DefaultDecodeMinDBm)
 	}
 	if out.Decodable {
 		t.Errorf("outside range should not decode (power %v dBm)", out.PowerDBm())
@@ -227,7 +241,7 @@ func TestUnlisten(t *testing.T) {
 	calls := 0
 	id := a.Listen(Listener{Pos: geom.Pt(1, 0), Fn: func(Rx) { calls++ }})
 	a.Unlisten(id)
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Microsecond})
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: time.Microsecond})
 	e.Run(time.Second)
 	if calls != 0 {
 		t.Error("unlistened listener received a frame")
@@ -236,12 +250,12 @@ func TestUnlisten(t *testing.T) {
 
 func TestPowerAtExclusion(t *testing.T) {
 	_, a := newTestAir()
-	id, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Second})
+	id, _ := a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: time.Second})
 	pos := geom.Pt(5, 0)
-	if p := a.PowerAt(pos, id); p != 0 {
+	if p := powerAt(a, pos, id); p != 0 {
 		t.Errorf("excluding the only tx should give 0, got %v", p)
 	}
-	if p := a.PowerAt(pos, -1); p <= 0 {
+	if p := powerAt(a, pos, -1); p <= 0 {
 		t.Error("including the tx should give positive power")
 	}
 }
@@ -249,73 +263,46 @@ func TestPowerAtExclusion(t *testing.T) {
 func TestCSThresholdUnits(t *testing.T) {
 	// Internal consistency: Busy flips exactly at the CS-range distance,
 	// which exceeds the decode range (energy detect is more sensitive).
-	e, a := newTestAir()
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: a.P.TxPowerDBm, Airtime: time.Second})
-	r := a.CSRange()
-	if r <= a.DecodeRange() {
+	_, a := newTestAir()
+	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), Airtime: time.Second})
+	r := freeRange(DefaultCSThresholdDBm)
+	if r <= freeRange(DefaultDecodeMinDBm) {
 		t.Error("CS range should exceed decode range")
 	}
-	if !a.Busy(geom.Pt(r*0.95, 0)) {
+	if !busy(a, geom.Pt(r*0.95, 0)) {
 		t.Error("just inside CS range should be busy")
 	}
-	if a.Busy(geom.Pt(r*1.3, 0)) {
+	if busy(a, geom.Pt(r*1.3, 0)) {
 		t.Error("well outside CS range should be idle")
 	}
-	_ = e
-	_ = stats.DB // keep import for clarity of threshold units
 }
 
-// TestThresholdsFollowFields checks that the medium honours a threshold
-// written after NewAir, although it caches their linear values.
-func TestThresholdsFollowFields(t *testing.T) {
-	_, a := newTestAir()
-	pos := geom.Pt(5, 0)
-	a.StartTx(Tx{Antennas: sites(a, geom.Pt(0, 0)), PowerDBm: 20, Airtime: time.Second})
-	rx := stats.DBm(a.PowerAt(pos, -1))
-	if !a.Busy(pos) {
-		t.Fatalf("medium at %.1f dBm should be busy at the default threshold", rx)
-	}
-	a.CSThresholdDBm = rx + 1
-	if a.Busy(pos) {
-		t.Errorf("medium at %.1f dBm busy under a %.1f dBm threshold", rx, a.CSThresholdDBm)
-	}
-	a.CSThresholdDBm = rx - 1
-	if !a.Busy(pos) {
-		t.Errorf("medium at %.1f dBm idle under a %.1f dBm threshold", rx, a.CSThresholdDBm)
-	}
-	for _, dB := range []float64{DefaultCaptureSINRdB, 0, 10} {
-		a.CaptureSINRdB = dB
-		if got, want := a.CaptureSINR(), stats.Linear(dB); got != want {
-			t.Errorf("CaptureSINR at %v dB = %v, want %v", dB, got, want)
-		}
-	}
-}
-
-// sites interns positions on a's medium.
+// sites interns positions in a's link table.
 func sites(a *Air, ps ...geom.Point) []int {
 	out := make([]int, len(ps))
 	for i, p := range ps {
-		out[i] = a.Site(p)
+		out[i] = a.links.Site(p)
 	}
 	return out
 }
 
 // TestCapturesMatchesDB checks the linear capture test against the dB
 // comparison it replaces, at and around the threshold (down to adjacent
-// floats) and far from it, for several thresholds.
+// floats) and far from it.
 func TestCapturesMatchesDB(t *testing.T) {
 	_, a := newTestAir()
-	for _, c := range []float64{-10, 0, 6, 6.02, 25, 300, math.Inf(1), math.Inf(-1)} {
-		a.CaptureSINRdB = c
-		thr := stats.Linear(c)
-		cands := []float64{0, math.Inf(1), math.NaN(), thr, math.Nextafter(thr, 0), math.Nextafter(thr, math.Inf(1))}
-		for k := -30; k <= 30; k++ {
-			cands = append(cands, thr*(1+float64(k)*1e-10), thr*math.Pow(10, float64(k)/10))
-		}
-		for _, s := range cands {
-			if got, want := a.captures(s), stats.DB(s) >= c; got != want {
-				t.Errorf("CaptureSINRdB %v: captures(%v) = %v, dB comparison %v", c, s, got, want)
-			}
+	c := DefaultCaptureSINRdB
+	thr := stats.Linear(c)
+	if a.CaptureSINR() != thr {
+		t.Errorf("CaptureSINR = %v, want %v", a.CaptureSINR(), thr)
+	}
+	cands := []float64{0, math.Inf(1), math.NaN(), thr, math.Nextafter(thr, 0), math.Nextafter(thr, math.Inf(1))}
+	for k := -30; k <= 30; k++ {
+		cands = append(cands, thr*(1+float64(k)*1e-10), thr*math.Pow(10, float64(k)/10))
+	}
+	for _, s := range cands {
+		if got, want := a.captures(s), stats.DB(s) >= c; got != want {
+			t.Errorf("captures(%v) = %v, dB comparison %v", s, got, want)
 		}
 	}
 }

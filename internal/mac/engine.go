@@ -2,7 +2,8 @@
 // CAS access points are built on: a deterministic discrete-event engine,
 // a radio medium with per-position physical carrier sensing and frame
 // delivery, per-antenna NAV (virtual carrier sense) tables, and EDCA
-// backoff state machines (§3.2.2–3.2.3, §3.3 of the paper).
+// backoff state machines (§3.2.2–3.2.3, §3.3 of the paper). The medium
+// reads its link powers from the network's channel.Links table.
 package mac
 
 import (

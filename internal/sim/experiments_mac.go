@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/channel"
 	"repro/internal/geom"
+	"repro/internal/mac"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -16,16 +18,15 @@ import (
 // exactly like the paper's measurement methodology.
 
 // senses reports whether a receiver at rx detects a transmitter at tx
-// (single antenna, full power) through the obstruction field.
-func senses(p channel.Params, f *channel.ShadowField, tx, rx geom.Point, thresholdDBm float64) bool {
-	pw := p.PowerAtPoint(tx, rx, p.TxPowerDBm) * f.Shadow(tx, rx)
-	return pw >= stats.Milliwatt(thresholdDBm)
+// (single antenna, full power) at the default carrier-sense threshold.
+func senses(b channel.Budget, tx, rx geom.Point) bool {
+	return b.Power(tx, rx) >= stats.Milliwatt(mac.DefaultCSThresholdDBm)
 }
 
 // sensesAny reports whether rx detects any of the transmitters.
-func sensesAny(p channel.Params, f *channel.ShadowField, txs []geom.Point, rx geom.Point, thresholdDBm float64) bool {
+func sensesAny(b channel.Budget, txs []geom.Point, rx geom.Point) bool {
 	for _, tx := range txs {
-		if senses(p, f, tx, rx, thresholdDBm) {
+		if senses(b, tx, rx) {
 			return true
 		}
 	}
@@ -48,16 +49,15 @@ type Fig12Result struct {
 func Fig12SpatialReuse(o Opts, t int, root *rng.Source) Fig12Result {
 	env := o.Env
 	p := env.Params(channel.Default())
-	csDBm := -82.0
 	src := root.SplitN("fig12", t)
 	cfg := env.Topology(topology.DefaultConfig(topology.DAS))
 	dep := topology.ThreeAPTestbed(cfg, src.Split("topo"))
 	// §5.3.1 premise: the three APs overhear each other; choose a
 	// floor plan satisfying it.
-	var f *channel.ShadowField
+	b := channel.Budget{P: p}
 	for i := 0; i < 64; i++ {
-		f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
-		if allPairsOverhear(dep, p, f) {
+		b.Field = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
+		if allPairsOverhear(dep, b) {
 			break
 		}
 	}
@@ -75,7 +75,7 @@ func Fig12SpatialReuse(o Opts, t int, root *rng.Source) Fig12Result {
 		var enabled []geom.Point
 		for _, k := range dep.AntennasOf(ap) {
 			pos := dep.Antennas[k].Pos
-			if !sensesAny(p, f, active, pos, csDBm) {
+			if !sensesAny(b, active, pos) {
 				enabled = append(enabled, pos)
 				midas++
 			}
@@ -87,7 +87,7 @@ func Fig12SpatialReuse(o Opts, t int, root *rng.Source) Fig12Result {
 	casActive := []geom.Point{dep.APs[0]}
 	cas := 4
 	for _, ap := range []int{1, 2} {
-		if !sensesAny(p, f, casActive, dep.APs[ap], csDBm) {
+		if !sensesAny(b, casActive, dep.APs[ap]) {
 			casActive = append(casActive, dep.APs[ap])
 			cas += 4
 		}
@@ -127,7 +127,7 @@ func Fig13Deadzones(o Opts, d int, root *rng.Source) DeadzoneResult {
 	var out DeadzoneResult
 	casDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.CAS)), src.Split("cas"))
 	dasDep := topology.SingleAP(env.Topology(topology.DefaultConfig(topology.DAS)), src.Split("das"))
-	f := p.NewField(rng.SplitSeed(src.Seed(), "field"))
+	b := channel.Budget{P: p, Field: p.NewField(rng.SplitSeed(src.Seed(), "field"))}
 	r := env.Topology(topology.DefaultConfig(topology.CAS)).CoverageRadius
 	rect := geom.NewRect(-r, -r, r, r)
 	geom.Grid(rect, 0.5, func(pt geom.Point) {
@@ -135,8 +135,8 @@ func Fig13Deadzones(o Opts, d int, root *rng.Source) DeadzoneResult {
 			return
 		}
 		out.Spots++
-		casDead := deadAt(p, f, casDep, pt)
-		dasDead := deadAt(p, f, dasDep, pt)
+		casDead := deadAt(b, casDep, pt)
+		dasDead := deadAt(b, dasDep, pt)
 		if casDead {
 			out.CASDeadspots++
 		}
@@ -156,11 +156,10 @@ func Fig13Deadzones(o Opts, d int, root *rng.Source) DeadzoneResult {
 
 // deadAt reports whether no antenna of the deployment delivers the
 // minimum service SNR at pt (mean link budget through the walls).
-func deadAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment, pt geom.Point) bool {
-	noise := p.NoiseLinear()
+func deadAt(b channel.Budget, dep *topology.Deployment, pt geom.Point) bool {
+	noise := b.P.NoiseLinear()
 	for _, a := range dep.Antennas {
-		pw := p.PowerAtPoint(a.Pos, pt, p.TxPowerDBm) * f.Shadow(a.Pos, pt)
-		if stats.DB(pw/noise) >= minServiceSNRdB {
+		if stats.DB(b.Power(a.Pos, pt)/noise) >= minServiceSNRdB {
 			return false
 		}
 	}
@@ -184,7 +183,6 @@ type HiddenTerminalResult struct {
 func HiddenTerminals(o Opts, d int, root *rng.Source) HiddenTerminalResult {
 	env := o.Env
 	p := env.Params(channel.Default())
-	const csDBm = -82.0
 	const decodeDBm = -82.0 // conflict-relevant power, not payload decode
 	src := root.SplitN("ht", d)
 	var out HiddenTerminalResult
@@ -197,35 +195,50 @@ func HiddenTerminals(o Opts, d int, root *rng.Source) HiddenTerminalResult {
 	dasDep := topology.MultiAP(cfg, aps, src.Split("das"))
 	// §5.3.4 premise: the APs cannot overhear each other; choose a
 	// floor plan satisfying it.
-	var f *channel.ShadowField
+	b := channel.Budget{P: p}
 	for i := 0; i < 64; i++ {
-		f = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
-		if !senses(p, f, aps[0], aps[1], csDBm) {
+		b.Field = p.NewField(rng.SplitNSeed(src.Seed(), "field", i))
+		if !senses(b, aps[0], aps[1]) {
 			break
 		}
 	}
 
+	casDeaf, dasDeaf := deafAntennas(b, casDep), deafAntennas(b, dasDep)
 	rect := geom.NewRect(-10, -15, apDist+10, 15)
 	geom.Grid(rect, 1.0, func(pt geom.Point) {
 		out.Spots++
-		if hiddenAt(p, f, casDep, pt, csDBm, decodeDBm) {
+		if hiddenAt(b, casDep, casDeaf, pt, decodeDBm) {
 			out.CASSpots++
 		}
-		if hiddenAt(p, f, dasDep, pt, csDBm, decodeDBm) {
+		if hiddenAt(b, dasDep, dasDeaf, pt, decodeDBm) {
 			out.DASSpots++
 		}
 	})
 	return out
 }
 
+// deafAntennas reports, per antenna of the two-AP deployment, whether it
+// senses no antenna of the other AP: an MU transmission radiates from
+// all of an AP's engaged antennas, so a serving antenna defers if it
+// senses any of them — the "larger sensed region" the paper credits
+// (§5.3.4).
+func deafAntennas(b channel.Budget, dep *topology.Deployment) []bool {
+	deaf := make([]bool, len(dep.Antennas))
+	for i, a := range dep.Antennas {
+		deaf[i] = !slices.ContainsFunc(dep.Antennas, func(o channel.Antenna) bool { return o.AP != a.AP && senses(b, o.Pos, a.Pos) })
+	}
+	return deaf
+}
+
 // hiddenAt reports whether pt is a hidden-terminal spot for the two-AP
 // deployment: the strongest serving antenna of each AP reaches pt at
-// decodable power, yet those two antennas cannot sense each other.
-func hiddenAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment, pt geom.Point, csDBm, decodeDBm float64) bool {
+// decodable power, yet neither senses the other AP (deaf, from
+// deafAntennas).
+func hiddenAt(b channel.Budget, dep *topology.Deployment, deaf []bool, pt geom.Point, decodeDBm float64) bool {
 	best := [2]int{-1, -1}
 	bestP := [2]float64{math.Inf(-1), math.Inf(-1)}
 	for i, a := range dep.Antennas {
-		pw := stats.DBm(p.PowerAtPoint(a.Pos, pt, p.TxPowerDBm) * f.Shadow(a.Pos, pt))
+		pw := stats.DBm(b.Power(a.Pos, pt))
 		if pw > bestP[a.AP] {
 			bestP[a.AP] = pw
 			best[a.AP] = i
@@ -237,18 +250,5 @@ func hiddenAt(p channel.Params, f *channel.ShadowField, dep *topology.Deployment
 	if bestP[0] < decodeDBm || bestP[1] < decodeDBm {
 		return false // at most one transmitter matters here
 	}
-	// An MU transmission radiates from all of an AP's engaged antennas,
-	// so the serving antenna of one AP defers if it senses any antenna of
-	// the other — the "larger sensed region" the paper credits (§5.3.4).
-	a0 := dep.Antennas[best[0]].Pos
-	a1 := dep.Antennas[best[1]].Pos
-	var ap0, ap1 []geom.Point
-	for _, a := range dep.Antennas {
-		if a.AP == 0 {
-			ap0 = append(ap0, a.Pos)
-		} else {
-			ap1 = append(ap1, a.Pos)
-		}
-	}
-	return !sensesAny(p, f, ap1, a0, csDBm) && !sensesAny(p, f, ap0, a1, csDBm)
+	return deaf[best[0]] && deaf[best[1]]
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/geom"
+	"repro/internal/mac"
 	"repro/internal/precoding"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -27,7 +28,7 @@ import (
 // degenerate topology, where beamforming has no solution, is all NaN.
 func BeamformingStudy(windowDB float64, t int, root *rng.Source) [4]float64 {
 	p := channel.Default()
-	csThreshold := stats.Milliwatt(-82)
+	csThreshold := stats.Milliwatt(mac.DefaultCSThresholdDBm)
 	nan := math.NaN()
 	skip := [4]float64{nan, nan, nan, nan}
 	src := root.SplitN("beamform", t)
@@ -48,7 +49,7 @@ func BeamformingStudy(windowDB float64, t int, root *rng.Source) [4]float64 {
 
 	// Silenced area: sample the coverage disc; a spot is silenced
 	// when the sum of the active antennas' powers crosses CS.
-	field := m.Field()
+	b := m.Links().Budget
 	allAntennas := make([]geom.Point, len(dep.Antennas))
 	for i, a := range dep.Antennas {
 		allAntennas[i] = a.Pos
@@ -60,21 +61,21 @@ func BeamformingStudy(windowDB float64, t int, root *rng.Source) [4]float64 {
 	return [4]float64{
 		stats.DB(precoding.BeamformSNR(h, full, p.NoiseLinear())),
 		stats.DB(precoding.BeamformSNR(h, local, p.NoiseLinear())),
-		silencedFraction(p, field, allAntennas, cfg.CoverageRadius, csThreshold),
-		silencedFraction(p, field, localAntennas, cfg.CoverageRadius, csThreshold),
+		silencedFraction(b, allAntennas, cfg.CoverageRadius, csThreshold),
+		silencedFraction(b, localAntennas, cfg.CoverageRadius, csThreshold),
 	}
 }
 
 // silencedFraction returns the fraction of a radius-r disc (sampled on a
 // 2 m grid) where the transmitting antennas' aggregate power is at or
 // above the threshold.
-func silencedFraction(p channel.Params, f *channel.ShadowField, antennas []geom.Point, r float64, threshold float64) float64 {
+func silencedFraction(b channel.Budget, antennas []geom.Point, r float64, threshold float64) float64 {
 	total, busy := 0, 0
 	geom.Grid(geom.NewRect(-1.5*r, -1.5*r, 1.5*r, 1.5*r), 2.0, func(pt geom.Point) {
 		total++
 		sum := 0.0
 		for _, a := range antennas {
-			sum += p.PowerAtPoint(a, pt, p.TxPowerDBm) * f.Shadow(a, pt)
+			sum += b.Power(a, pt)
 		}
 		if sum >= threshold {
 			busy++
@@ -104,14 +105,12 @@ func PlacementStudy(candidates, t int, root *rng.Source) ([4]float64, error) {
 	defer putSolver(sv)
 	var out [4]float64
 	cfg := topology.DefaultConfig(topology.DAS)
-	fieldSeed := rng.SplitSeed(rng.SplitSeed(src.Seed(), "chan"), "shadow")
-	obj := &topology.PlacementObjective{
-		Params: p, Field: p.NewField(fieldSeed),
-		Spots: coverageGrid(cfg.CoverageRadius), Quantile: 0.05,
-	}
+	// The floor plan the deployments' channel models will see.
+	b := channel.Budget{P: p, Field: p.ModelField(rng.SplitSeed(src.Seed(), "chan"))}
+	obj := topology.CoverageObjective(b, cfg.CoverageRadius)
 
 	randDep := topology.SingleAP(cfg, src.Split("topo"))
-	optDep := topology.OptimizedSingleAP(cfg, p, fieldSeed, candidates, src.Split("topo"))
+	optDep := topology.OptimizedSingleAP(cfg, obj, candidates, src.Split("topo"))
 
 	for di, dep := range []*topology.Deployment{randDep, optDep} {
 		pos := make([]geom.Point, len(dep.Antennas))
@@ -133,15 +132,4 @@ func PlacementStudy(candidates, t int, root *rng.Source) ([4]float64, error) {
 		out[2*di+1] = sv.SumRate(prob.H, bal, prob.Noise)
 	}
 	return out, nil
-}
-
-// coverageGrid samples the coverage disc for the placement objective.
-func coverageGrid(radius float64) []geom.Point {
-	var spots []geom.Point
-	geom.Grid(geom.NewRect(-radius, -radius, radius, radius), 2.0, func(p geom.Point) {
-		if p.Norm() <= radius {
-			spots = append(spots, p)
-		}
-	})
-	return spots
 }

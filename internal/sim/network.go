@@ -23,9 +23,10 @@ type Network struct {
 
 	src *rng.Source
 
-	// antSite and clientSite are each antenna's and client's medium site
-	// (mac.Air.Site), interned once here: transmissions and data-plane
-	// queries name positions by site.
+	// antSite and clientSite are each antenna's and client's site in the
+	// network's link table (channel.Links), which the model and the
+	// medium share: transmissions and data-plane queries name positions
+	// by site.
 	antSite, clientSite []int
 
 	// noiseLin and txPowLin cache P.NoiseLinear()/P.TxPowerLinear() —
@@ -42,10 +43,12 @@ type Network struct {
 func NewNetwork(dep *topology.Deployment, p channel.Params, opts StationOpts, src *rng.Source) *Network {
 	eng := mac.NewEngine()
 	model := dep.Model(p, src.Split("model"))
+	links := model.Links()
 	n := &Network{
 		Eng: eng,
-		// Sensing and payload propagate through the same walls.
-		Air:      mac.NewAir(eng, p, model.Field()),
+		// Sensing and payload propagate through the same walls, and the
+		// medium reads the links the model already computed.
+		Air:      mac.NewAir(eng, links),
 		Dep:      dep,
 		Model:    model,
 		P:        p,
@@ -55,11 +58,11 @@ func NewNetwork(dep *topology.Deployment, p channel.Params, opts StationOpts, sr
 	}
 	n.antSite = make([]int, len(dep.Antennas))
 	for k, a := range dep.Antennas {
-		n.antSite[k] = n.Air.Site(a.Pos)
+		n.antSite[k] = links.Site(a.Pos)
 	}
 	n.clientSite = make([]int, len(dep.Clients))
 	for j, c := range dep.Clients {
-		n.clientSite[j] = n.Air.Site(c)
+		n.clientSite[j] = links.Site(c)
 	}
 	for ap := range dep.APs {
 		n.Stations = append(n.Stations, newStation(n, ap, opts))
@@ -117,20 +120,19 @@ func OverhearingSource(dep *topology.Deployment, p channel.Params, src *rng.Sour
 	var cand int64
 	for i := 0; i < tries; i++ {
 		cand = rng.SplitNSeed(src.Seed(), "overhear", i)
-		// Reproduce the field NewNetwork/Model will derive.
-		f := p.NewField(rng.SplitSeed(rng.SplitSeed(cand, "model"), "shadow"))
-		if allPairsOverhear(dep, p, f) {
+		// The field NewNetwork's model will derive.
+		b := channel.Budget{P: p, Field: p.ModelField(rng.SplitSeed(cand, "model"))}
+		if allPairsOverhear(dep, b) {
 			break
 		}
 	}
 	return rng.New(cand)
 }
 
-func allPairsOverhear(dep *topology.Deployment, p channel.Params, f *channel.ShadowField) bool {
+func allPairsOverhear(dep *topology.Deployment, b channel.Budget) bool {
 	for i := 0; i < len(dep.APs); i++ {
 		for j := i + 1; j < len(dep.APs); j++ {
-			pw := p.PowerAtPoint(dep.APs[i], dep.APs[j], p.TxPowerDBm) * f.Shadow(dep.APs[i], dep.APs[j])
-			if stats.DBm(pw) < mac.DefaultCSThresholdDBm {
+			if stats.DBm(b.Power(dep.APs[i], dep.APs[j])) < mac.DefaultCSThresholdDBm {
 				return false
 			}
 		}
@@ -149,7 +151,7 @@ const MinAssocSNRdB = 6.0
 // source will induce. Deployment geometry stays deterministic in
 // (deployment seed, model seed).
 func EnsureAssociated(dep *topology.Deployment, p channel.Params, modelSrc *rng.Source) {
-	f := p.NewField(rng.SplitSeed(modelSrc.Seed(), "shadow"))
+	b := channel.Budget{P: p, Field: p.ModelField(modelSrc.Seed())}
 	redraw := modelSrc.Split("assoc")
 	noise := p.NoiseLinear()
 	apAnts := make([][]int, len(dep.APs))
@@ -158,9 +160,7 @@ func EnsureAssociated(dep *topology.Deployment, p channel.Params, modelSrc *rng.
 	}
 	reachable := func(ap int, pos geom.Point) bool {
 		for _, k := range apAnts[ap] {
-			a := dep.Antennas[k].Pos
-			pw := p.PowerAtPoint(a, pos, p.TxPowerDBm) * f.Shadow(a, pos)
-			if stats.DB(pw/noise) >= MinAssocSNRdB {
+			if stats.DB(b.Power(dep.Antennas[k].Pos, pos)/noise) >= MinAssocSNRdB {
 				return true
 			}
 		}

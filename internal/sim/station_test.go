@@ -95,14 +95,12 @@ func TestEnsureAssociatedReachability(t *testing.T) {
 	dep := topology.SingleAP(cfg, src.Split("topo"))
 	modelSrc := src.Split("model")
 	EnsureAssociated(dep, p, modelSrc)
-	f := p.NewField(modelSrc.Split("shadow").Seed())
+	b := channel.Budget{P: p, Field: p.NewField(modelSrc.Split("shadow").Seed())}
 	noise := p.NoiseLinear()
 	for j, c := range dep.Clients {
 		best := -1e18
 		for _, k := range dep.AntennasOf(dep.ClientAP[j]) {
-			a := dep.Antennas[k].Pos
-			pw := p.PowerAtPoint(a, c, p.TxPowerDBm) * f.Shadow(a, c)
-			if snr := stats.DB(pw / noise); snr > best {
+			if snr := stats.DB(b.Power(dep.Antennas[k].Pos, c) / noise); snr > best {
 				best = snr
 			}
 		}
@@ -119,7 +117,7 @@ func TestOverhearingSourceFindsPlan(t *testing.T) {
 	dep := topology.ThreeAPTestbed(topology.DefaultConfig(topology.CAS), rng.New(41))
 	src := OverhearingSource(dep, p, rng.New(42), 64)
 	f := p.NewField(src.Split("model").Split("shadow").Seed())
-	if !allPairsOverhear(dep, p, f) {
+	if !allPairsOverhear(dep, channel.Budget{P: p, Field: f}) {
 		t.Error("OverhearingSource returned a non-overhearing plan (possible but should be rare at 15 m)")
 	}
 }

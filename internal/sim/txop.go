@@ -95,7 +95,7 @@ func (st *Station) soundingDone() {
 // antennas for airtime and records it as the station's own. On failure
 // it aborts the TXOP and returns false.
 func (st *Station) startTx(airtime, nav time.Duration) bool {
-	id, err := st.net.Air.StartTx(mac.Tx{Antennas: st.txSites, PowerDBm: st.net.P.TxPowerDBm, Airtime: airtime, NAV: nav})
+	id, err := st.net.Air.StartTx(mac.Tx{Antennas: st.txSites, Airtime: airtime, NAV: nav})
 	if err != nil {
 		st.abortTXOP()
 		return false

@@ -21,31 +21,53 @@ import (
 // q-quantile of best-antenna mean SNR over the sample spots (q = 0 gives
 // pure max-min; the default 0.05 ignores hopeless corners).
 type PlacementObjective struct {
-	Params   channel.Params
-	Field    *channel.ShadowField
+	Budget   channel.Budget
 	Spots    []geom.Point
 	Quantile float64
 }
 
+// CoverageObjective is the objective the placement study optimises: the
+// 5 %-quantile of best-antenna SNR over a 2 m grid of the radius-r
+// coverage disc.
+func CoverageObjective(b channel.Budget, r float64) *PlacementObjective {
+	return &PlacementObjective{Budget: b, Spots: coverageSpots(r, 2.0), Quantile: 0.05}
+}
+
 // Score returns the objective value for the antenna positions.
 func (o *PlacementObjective) Score(antennas []geom.Point) float64 {
-	qs := stats.NewSample()
-	noise := o.Params.NoiseLinear()
-	for _, s := range o.Spots {
+	return o.quantile(o.raise(nil, antennas...))
+}
+
+// raise returns each spot's best-antenna mean SNR (dB) over the antennas
+// and the column from, which holds each spot's best so far; nil starts
+// every spot at −Inf. max is exact, so raising a column one antenna at a
+// time gives the same values as scoring the whole set.
+func (o *PlacementObjective) raise(from []float64, antennas ...geom.Point) []float64 {
+	noise := o.Budget.P.NoiseLinear()
+	col := make([]float64, len(o.Spots))
+	for i, s := range o.Spots {
 		best := math.Inf(-1)
+		if from != nil {
+			best = from[i]
+		}
 		for _, a := range antennas {
-			pw := o.Params.PowerAtPoint(a, s, o.Params.TxPowerDBm) * o.Field.Shadow(a, s)
-			if snr := stats.DB(pw / noise); snr > best {
+			if snr := stats.DB(o.Budget.Power(a, s) / noise); snr > best {
 				best = snr
 			}
 		}
-		qs.Add(best)
+		col[i] = best
 	}
+	return col
+}
+
+// quantile returns the objective's quantile of a best-SNR column, or
+// −Inf for no spots.
+func (o *PlacementObjective) quantile(col []float64) float64 {
 	q := o.Quantile
 	if q <= 0 {
 		q = 0.05
 	}
-	v, err := qs.Quantile(q)
+	v, err := stats.NewSample(col...).Quantile(q)
 	if err != nil {
 		return math.Inf(-1)
 	}
@@ -75,6 +97,7 @@ func OptimizePlacement(cfg Config, apPos geom.Point, obj *PlacementObjective, ca
 		return true
 	}
 	var placed []geom.Point
+	var col []float64 // each spot's best SNR over placed; nil is −Inf
 	for slot := 0; slot < cfg.AntennasPerAP; slot++ {
 		bestScore := math.Inf(-1)
 		var best geom.Point
@@ -85,7 +108,7 @@ func OptimizePlacement(cfg Config, apPos geom.Point, obj *PlacementObjective, ca
 			if !valid(cand, placed) {
 				continue
 			}
-			score := obj.Score(append(placed, cand))
+			score := obj.quantile(obj.raise(col, cand))
 			if score > bestScore {
 				bestScore, best, found = score, cand, true
 			}
@@ -97,23 +120,17 @@ func OptimizePlacement(cfg Config, apPos geom.Point, obj *PlacementObjective, ca
 			best = geom.Pt(apPos.X+x, apPos.Y+y)
 		}
 		placed = append(placed, best)
+		col = obj.raise(col, best)
 	}
 	return placed
 }
 
 // OptimizedSingleAP builds a single-AP DAS deployment whose antennas are
-// placement-optimised against the given obstruction field, with clients
-// placed exactly as SingleAP would place them (so random-vs-optimised
-// comparisons are client-matched).
-func OptimizedSingleAP(cfg Config, p channel.Params, fieldSeed int64, candidates int, src *rng.Source) *Deployment {
+// placement-optimised for the objective, with clients placed exactly as
+// SingleAP would place them (so random-vs-optimised comparisons are
+// client-matched).
+func OptimizedSingleAP(cfg Config, obj *PlacementObjective, candidates int, src *rng.Source) *Deployment {
 	d := SingleAP(cfg, src) // gives antennas (replaced below) and clients
-	field := p.NewField(fieldSeed)
-	obj := &PlacementObjective{
-		Params:   p,
-		Field:    field,
-		Spots:    coverageSpots(cfg.CoverageRadius, 2.0),
-		Quantile: 0.05,
-	}
 	pos := OptimizePlacement(cfg, d.APs[0], obj, candidates, src.Split("optimize"))
 	best, bestScore := pos, obj.Score(pos)
 	// Multi-start: greedy can get trapped by its first slots, so also

@@ -12,8 +12,7 @@ import (
 func testObjective(seed int64) (*PlacementObjective, channel.Params) {
 	p := channel.Default()
 	return &PlacementObjective{
-		Params:   p,
-		Field:    p.NewField(seed),
+		Budget:   channel.Budget{P: p, Field: p.NewField(seed)},
 		Spots:    coverageSpots(13, 2.5),
 		Quantile: 0.05,
 	}, p
@@ -66,16 +65,14 @@ func TestOptimizedBeatsRandomPlacement(t *testing.T) {
 		cfg := DefaultConfig(DAS)
 		p := channel.Default()
 		fieldSeed := rng.New(seed).Split("field").Seed()
-		obj := &PlacementObjective{
-			Params: p, Field: p.NewField(fieldSeed),
-			Spots: coverageSpots(cfg.CoverageRadius, 2.5), Quantile: 0.05,
-		}
+		b := channel.Budget{P: p, Field: p.NewField(fieldSeed)}
+		obj := &PlacementObjective{Budget: b, Spots: coverageSpots(cfg.CoverageRadius, 2.5), Quantile: 0.05}
 		random := SingleAP(cfg, rng.New(seed))
 		var randomPos []geom.Point
 		for _, a := range random.Antennas {
 			randomPos = append(randomPos, a.Pos)
 		}
-		optimized := OptimizedSingleAP(cfg, p, fieldSeed, 30, rng.New(seed))
+		optimized := OptimizedSingleAP(cfg, CoverageObjective(b, cfg.CoverageRadius), 30, rng.New(seed))
 		var optPos []geom.Point
 		for _, a := range optimized.Antennas {
 			optPos = append(optPos, a.Pos)
@@ -93,7 +90,7 @@ func TestOptimizedSingleAPKeepsClients(t *testing.T) {
 	cfg := DefaultConfig(DAS)
 	p := channel.Default()
 	a := SingleAP(cfg, rng.New(9))
-	b := OptimizedSingleAP(cfg, p, 123, 10, rng.New(9))
+	b := OptimizedSingleAP(cfg, CoverageObjective(channel.Budget{P: p, Field: p.NewField(123)}, cfg.CoverageRadius), 10, rng.New(9))
 	if len(a.Clients) != len(b.Clients) {
 		t.Fatal("client counts differ")
 	}

@@ -117,9 +117,10 @@ func (d *Deployment) NumAPs() int { return len(d.APs) }
 // within AP antenna groups (true for CAS arrays).
 func (d *Deployment) Correlated() bool { return d.Mode == CAS }
 
-// Model builds a channel model for this deployment.
+// Model builds a channel model for this deployment, through the shadow
+// field p.ModelField(src.Seed()).
 func (d *Deployment) Model(p channel.Params, src *rng.Source) *channel.Model {
-	return channel.NewModel(p, d.Antennas, d.Clients, d.Correlated(), src)
+	return channel.NewModel(channel.Budget{P: p, Field: p.ModelField(src.Seed())}, d.Antennas, d.Clients, d.Correlated(), src)
 }
 
 // SingleAP generates a one-AP deployment at the origin with cfg.
