@@ -56,10 +56,11 @@ perf-gate-check:
 # The race detector over the packages that own concurrency: the worker
 # pool, the scenario engine dispatching expanded runs through it, the
 # experiment drivers, the serving layer's job pool + cache, the
-# dispatch coordinator's lease/requeue state machine, and the job
-# journal it checkpoints through.
+# dispatch coordinator's lease/requeue state machine, the job journal
+# it checkpoints through, and the random streams that goroutines split
+# from one shared parent.
 test-race:
-	$(GO) test -race ./internal/scenario ./internal/runner ./internal/sim ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api
+	$(GO) test -race ./internal/scenario ./internal/runner ./internal/sim ./internal/service ./internal/store ./internal/telemetry ./internal/dispatch ./internal/journal ./internal/api ./internal/rng
 
 # Short fuzzing pass beyond the seed corpora (which `test` already
 # replays): every Fuzz* target in the module runs for 3s. Go fuzzes
@@ -167,12 +168,13 @@ bench:
 # The zero-allocation guards for the precoding hot path, the DES event
 # engine and medium, a whole steady-state TXOP and a warmed channel
 # model's evolve-and-read, plus the guards that deriving a random stream
-# never seeds a generator, that deriving a child seed allocates nothing
-# and that a stream allocates at most twice however much it draws, run
-# explicitly so a CI log shows them even though `make test` also covers
-# them.
+# never seeds a generator, that deriving a child seed allocates nothing,
+# that a stream allocates at most twice however much it draws and that
+# the medium's power rows come from slabs rather than one allocation
+# each, run explicitly so a CI log shows them even though `make test`
+# also covers them.
 alloc-guard:
-	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestBackoffZeroAlloc|TestAirZeroAlloc|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
+	$(GO) test -run 'TestSolverZeroAlloc|TestWorkspaceZeroAlloc|TestEngineZeroAlloc|TestBackoffZeroAlloc|TestAirZeroAlloc|TestAirPowerRows|TestTXOPZeroAlloc|TestModelZeroAlloc|TestSplitDoesNotSeed|TestSplitSeedZeroAlloc|TestSourceAllocs' -v ./internal/precoding ./internal/matrix ./internal/mac ./internal/sim ./internal/channel ./internal/rng
 
 # Coverage floors for the layers whose bugs are subtle at runtime: the
 # engine's random streams, geometry, topology generators and placement,

@@ -71,13 +71,16 @@ type Tx struct {
 // SINRs from the full fading channel (see internal/sim).
 //
 // Antennas and clients do not move during a run, so the same positions
-// recur on every medium change. Link powers come from the network's
-// channel.Links table, which names positions by site; each
-// transmission's total and strongest-antenna power at each site it is
-// read at is cached, and a carrier-sense watcher keeps the running sum
-// of the active transmissions' power at its site. Every cache holds
-// exactly the value the direct computation returns, summed in the same
-// order, so answers are bit-identical to computing every link afresh.
+// recur on every medium change, and the same antenna lists recur on
+// transmission after transmission. Link powers come from the network's
+// channel.Links table, which names positions by site. The medium keeps
+// one power row per distinct antenna list: the list's total and
+// strongest-antenna power at each site, filled on first read. A
+// transmission record points at its list's row, and a carrier-sense
+// watcher keeps the running sum of the active transmissions' power at
+// its site. Every cache holds exactly the value the direct computation
+// returns, summed over the same antennas in the same order, so answers
+// are bit-identical to computing every link afresh.
 // Every transmission is at full per-antenna power, and the thresholds
 // are the Default* constants.
 type Air struct {
@@ -89,15 +92,22 @@ type Air struct {
 	noise, csThreshold, decodeMin, capture float64
 
 	// Registrations and transmissions are kept in ascending id order,
-	// which fixes float summation and delivery order. Unwatch and
-	// Unlisten tombstone their entry (nil fn); ids index the slices.
+	// which fixes float summation and delivery order.
 	watchers  []watcher
 	listeners []listener
 	active    []*activeTx
 	nextTx    int
-	// spare holds records that neither an active transmission nor a live
-	// overlap span names any more; StartTx reuses them.
+	// spare holds the records of ended transmissions; StartTx reuses
+	// them.
 	spare []*activeTx
+
+	// rowIndex finds an antenna list's power row by the list's hash.
+	// Rows, their lists and their powers are cut from the three slabs,
+	// so a new row seldom allocates and a row never moves.
+	rowIndex map[uint64]*powerRow
+	rowSlab  slab[powerRow]
+	antSlab  slab[int]
+	powSlab  slab[sitePower]
 }
 
 // CaptureSINR returns DefaultCaptureSINRdB as a linear ratio.
@@ -135,22 +145,22 @@ type listener struct {
 
 type activeTx struct {
 	id         int
-	ants       []int // transmitting antenna sites
+	row        *powerRow // the transmitting antenna list's powers
 	nav        time.Duration
 	start, end time.Duration
 	overlap    []overlapSpan // transmissions that overlapped this one, by id
 	fire       func()        // ends this transmission; bound once per record
-	// pow[site] is the receive power at site from ants, computed on
-	// first read.
-	pow []sitePower
-	// live is set while the transmission is on the air; refs counts the
-	// overlap spans of live transmissions that name this record. The
-	// record is reused only once both are clear.
-	live bool
-	refs int
 }
 
-// sitePower is one transmission's receive power at one site: the total
+// powerRow is one antenna list's receive power at each site; next
+// chains rows whose lists hash alike.
+type powerRow struct {
+	ants []int       // transmitting antenna sites, in transmit order
+	pow  []sitePower // by site
+	next *powerRow
+}
+
+// sitePower is an antenna list's receive power at one site: the total
 // over its antennas, or unsetPower until first read, and the strongest
 // single antenna's.
 type sitePower struct{ total, best float64 }
@@ -159,12 +169,30 @@ type sitePower struct{ total, best float64 }
 // negative.
 const unsetPower = -1.0
 
-// overlapSpan records an interfering transmission and the interval over
-// which it overlaps the owner. The interferer's record is held (refs)
-// while the span is live, so its antennas and cached powers stay valid
-// after it ends.
+// slab cuts pieces from chunks that double in size, so a piece never
+// moves and n pieces cost O(log n) allocations.
+type slab[T any] struct {
+	free []T // the current chunk's uncut tail
+	size int // the current chunk's length
+}
+
+// cut returns the next n entries, zeroed.
+func (s *slab[T]) cut(n int) []T {
+	if len(s.free) < n {
+		s.size = max(2*s.size, 8*n)
+		s.free = make([]T, s.size)
+	}
+	p := s.free[:n:n]
+	s.free = s.free[n:]
+	return p
+}
+
+// overlapSpan records an interfering transmission's power row and the
+// interval over which it overlaps the owner. Rows outlive transmissions,
+// so the span stays readable after the interferer ends and its record
+// is reused.
 type overlapSpan struct {
-	tx       *activeTx
+	row      *powerRow
 	from, to time.Duration
 }
 
@@ -180,6 +208,7 @@ func NewAir(eng *Engine, links *channel.Links) *Air {
 		csThreshold: stats.Milliwatt(DefaultCSThresholdDBm),
 		decodeMin:   stats.Milliwatt(DefaultDecodeMinDBm),
 		capture:     stats.Linear(DefaultCaptureSINRdB),
+		rowIndex:    map[uint64]*powerRow{},
 	}
 }
 
@@ -188,21 +217,13 @@ func (a *Air) linkPower(from, to int) float64 { return a.links.Power(from, to) }
 
 // Watch registers a physical carrier-sense watcher at pos: fn fires on
 // every busy/idle transition as transmissions start and end. The initial
-// state is reported immediately. Returns the watcher id.
-func (a *Air) Watch(pos geom.Point, fn func(busy bool)) int {
+// state is reported immediately.
+func (a *Air) Watch(pos geom.Point, fn func(busy bool)) {
 	w := watcher{site: a.links.Site(pos), fn: fn}
 	w.sum = a.powerAt(w.site, -1)
 	w.busy = w.sum >= a.csThreshold
 	a.watchers = append(a.watchers, w)
 	fn(w.busy)
-	return len(a.watchers) - 1
-}
-
-// Unwatch removes a watcher.
-func (a *Air) Unwatch(id int) {
-	if id >= 0 && id < len(a.watchers) {
-		a.watchers[id].fn = nil
-	}
 }
 
 // notifyWatchers re-evaluates every watcher after a medium change, in
@@ -215,19 +236,14 @@ func (a *Air) notifyWatchers(started *activeTx) {
 	n := len(a.watchers)
 	for i := 0; i < n; i++ {
 		w := &a.watchers[i]
-		switch {
-		case w.fn == nil:
-		case started != nil:
-			w.sum += a.txPower(started, w.site)
-		default:
+		if started != nil {
+			w.sum += a.power(started.row, w.site).total
+		} else {
 			w.sum = a.powerAt(w.site, -1)
 		}
 	}
 	for i := 0; i < n; i++ {
 		w := &a.watchers[i]
-		if w.fn == nil {
-			continue
-		}
 		if b := w.sum >= a.csThreshold; b != w.busy {
 			w.busy = b
 			w.fn(b)
@@ -235,41 +251,22 @@ func (a *Air) notifyWatchers(started *activeTx) {
 	}
 }
 
-// Listen registers a listener and returns its id.
-func (a *Air) Listen(l Listener) int {
+// Listen registers a listener.
+func (a *Air) Listen(l Listener) {
 	a.listeners = append(a.listeners, listener{site: a.links.Site(l.Pos), fn: l.Fn})
-	return len(a.listeners) - 1
 }
 
-// Unlisten removes a listener.
-func (a *Air) Unlisten(id int) {
-	if id >= 0 && id < len(a.listeners) {
-		a.listeners[id].fn = nil
+// power returns r's receive power (linear mW) at site to, computing it
+// on the row's first read at that site. Interference adds across the
+// antennas (total); a frame is received from the strongest (best).
+func (a *Air) power(r *powerRow, to int) sitePower {
+	if to >= len(r.pow) {
+		a.widen(r)
 	}
-}
-
-// txPower returns at's total receive power (linear mW) at site to:
-// interference adds across its antennas.
-func (a *Air) txPower(at *activeTx, to int) float64 {
-	return a.sitePower(at, to).total
-}
-
-// txSignal returns at's strongest-antenna receive power (linear mW) at
-// site to.
-func (a *Air) txSignal(at *activeTx, to int) float64 {
-	return a.sitePower(at, to).best
-}
-
-// sitePower returns at's power at site to, computing it on the record's
-// first read at that site.
-func (a *Air) sitePower(at *activeTx, to int) sitePower {
-	if to >= len(at.pow) {
-		at.pow = unsetRow(at.pow, len(at.pow), a.links.Sites())
-	}
-	p := &at.pow[to]
+	p := &r.pow[to]
 	if p.total == unsetPower {
 		p.total = 0
-		for _, ant := range at.ants {
+		for _, ant := range r.ants {
 			l := a.linkPower(ant, to)
 			p.total += l
 			if l > p.best {
@@ -280,14 +277,41 @@ func (a *Air) sitePower(at *activeTx, to int) sitePower {
 	return *p
 }
 
-// unsetRow returns row resized to n entries, marking entries from on
-// unset.
-func unsetRow(row []sitePower, from, n int) []sitePower {
-	row = slices.Grow(row[:from], n-from)[:n]
-	for i := from; i < n; i++ {
-		row[i] = sitePower{total: unsetPower}
+// row returns the power row of the antenna list ants, adding it on the
+// list's first transmission.
+func (a *Air) row(ants []int) *powerRow {
+	h := uint64(fnvOffset)
+	for _, s := range ants {
+		h = (h ^ uint64(s)) * fnvPrime
 	}
-	return row
+	for r := a.rowIndex[h]; r != nil; r = r.next {
+		if slices.Equal(r.ants, ants) {
+			return r
+		}
+	}
+	r := &a.rowSlab.cut(1)[0]
+	r.ants = a.antSlab.cut(len(ants))
+	copy(r.ants, ants)
+	a.widen(r)
+	r.next = a.rowIndex[h]
+	a.rowIndex[h] = r
+	return r
+}
+
+// FNV-1a over the antenna sites keys rowIndex.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// widen gives r an entry for every interned site, marking the new ones
+// unset.
+func (a *Air) widen(r *powerRow) {
+	pow := a.powSlab.cut(a.links.Sites())
+	for i := copy(pow, r.pow); i < len(pow); i++ {
+		pow[i] = sitePower{total: unsetPower}
+	}
+	r.pow = pow
 }
 
 // powerAt returns the aggregate active transmit power (linear mW) at
@@ -298,13 +322,10 @@ func (a *Air) powerAt(to, exclude int) float64 {
 		if at.id == exclude {
 			continue
 		}
-		sum += a.txPower(at, to)
+		sum += a.power(at.row, to).total
 	}
 	return sum
 }
-
-// ActiveCount returns the number of in-flight transmissions.
-func (a *Air) ActiveCount() int { return len(a.active) }
 
 // StartTx begins a transmission. Delivery to every listener is scheduled
 // at the end of the airtime; the SINR each listener sees uses the
@@ -329,15 +350,13 @@ func (a *Air) StartTx(tx Tx) (int, error) {
 	at := a.newActive()
 	at.id, at.nav = id, durationField(tx.NAV)
 	at.start, at.end = now, now+tx.Airtime
-	at.ants = append(at.ants[:0], tx.Antennas...)
-	at.pow = unsetRow(at.pow, 0, a.links.Sites())
-	at.live = true
+	at.row = a.row(tx.Antennas)
 	// Mutual overlap bookkeeping with everything currently active. Ids
 	// only grow, so appending keeps every overlap list in id order.
 	for _, other := range a.active {
 		to := min(at.end, other.end)
-		other.addOverlap(at, now, to)
-		at.addOverlap(other, now, to)
+		other.overlap = append(other.overlap, overlapSpan{row: at.row, from: now, to: to})
+		at.overlap = append(at.overlap, overlapSpan{row: other.row, from: now, to: to})
 	}
 	a.active = append(a.active, at)
 	a.Eng.Schedule(tx.Airtime, at.fire)
@@ -357,36 +376,17 @@ func (a *Air) newActive() *activeTx {
 	return at
 }
 
-// addOverlap appends a span naming other to at's overlap list and holds
-// other's record for it.
-func (at *activeTx) addOverlap(other *activeTx, from, to time.Duration) {
-	at.overlap = append(at.overlap, overlapSpan{tx: other, from: from, to: to})
-	other.refs++
-}
-
-// release returns at to the spare list once it is neither on the air nor
-// named by a live span.
-func (a *Air) release(at *activeTx) {
-	if !at.live && at.refs == 0 {
-		a.spare = append(a.spare, at)
-	}
-}
-
 func (a *Air) endTx(at *activeTx) {
 	if i := slices.Index(a.active, at); i >= 0 {
 		a.active = slices.Delete(a.active, i, i+1)
 	}
-	at.live = false
 	a.notifyWatchers(nil)
 	for i, n := 0, len(a.listeners); i < n; i++ {
 		l := a.listeners[i]
-		if l.fn == nil {
-			continue
-		}
-		sig := a.txSignal(at, l.site)
+		sig := a.power(at.row, l.site).best
 		interf := 0.0
 		for _, sp := range at.overlap {
-			interf += a.txPower(sp.tx, l.site)
+			interf += a.power(sp.row, l.site).total
 		}
 		sinr := sig / (a.noise + interf)
 		rx := Rx{
@@ -400,12 +400,8 @@ func (a *Air) endTx(at *activeTx) {
 		}
 		l.fn(rx)
 	}
-	for _, sp := range at.overlap {
-		sp.tx.refs--
-		a.release(sp.tx)
-	}
 	at.overlap = at.overlap[:0]
-	a.release(at)
+	a.spare = append(a.spare, at)
 }
 
 // OverlapInterference returns, for an active transmission id, the total
@@ -419,7 +415,7 @@ func (a *Air) OverlapInterference(id, to int) float64 {
 	}
 	sum := 0.0
 	for _, sp := range at.overlap {
-		sum += a.txPower(sp.tx, to)
+		sum += a.power(sp.row, to).total
 	}
 	return sum
 }
@@ -458,7 +454,7 @@ func (a *Air) WeightedInterference(id, to int) float64 {
 		if frac > 1 {
 			frac = 1
 		}
-		sum += a.txPower(sp.tx, to) * frac
+		sum += a.power(sp.row, to).total * frac
 	}
 	return sum
 }
@@ -470,5 +466,5 @@ func (a *Air) TxSignalAt(id, to int) float64 {
 	if at == nil {
 		return 0
 	}
-	return a.txSignal(at, to)
+	return a.power(at.row, to).best
 }

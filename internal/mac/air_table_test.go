@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,14 +19,14 @@ import (
 // the transmissions started, transmissions starting after probes were
 // interned, one antenna site in two live transmissions at once, overlap
 // spans naming a transmission that has ended while the span's owner is
-// still on the air, and records reused once nothing names them. After every
-// StartTx and every end of airtime, each watcher's running carrier-sense
-// sum must equal the in-order sum of the live transmissions' direct
-// powers, including a watcher registered while transmissions were live
-// and excluding one that was unwatched, and every total and
-// strongest-antenna power a live record has cached must equal the
-// direct one. Every delivered frame's power must equal its strongest
-// antenna's direct power.
+// still on the air, and records reused while such spans still name the
+// ended transmission's row. After every StartTx and every end of
+// airtime, each watcher's running carrier-sense sum must equal the
+// in-order sum of the live transmissions' direct powers, including a
+// watcher registered while transmissions were live, and every total and
+// strongest-antenna power a row has cached must equal the in-order
+// direct sum over the row's antennas. Every delivered frame's power must
+// equal its strongest antenna's direct power.
 func TestLinkTableMatchesDirect(t *testing.T) {
 	p := channel.Default()
 	field := p.NewField(7)
@@ -71,38 +72,37 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 		}
 		return best
 	}
-	// checkRows compares every power a live record has cached with the
-	// direct computation.
+	// checkRows compares every power a row has cached with the direct
+	// computation over the row's antennas, in order.
 	checkRows := func(when string) {
 		t.Helper()
-		for _, at := range a.active {
-			s := txs[at.id]
-			for site, p := range at.pow {
+		for _, r := range rows(a) {
+			var s sent
+			for _, ant := range r.ants {
+				s.ants = append(s.ants, posOf[ant])
+			}
+			for site, p := range r.pow {
 				if p.total == unsetPower {
 					continue
 				}
-				what := fmt.Sprintf("tx %d %s at %v: cached %%s at site %d", at.id, when, e.Now(), site)
+				what := fmt.Sprintf("row %v %s at %v: cached %%s at site %d", r.ants, when, e.Now(), site)
 				bits(fmt.Sprintf(what, "total"), p.total, sumFrom(s, posOf[site]))
 				bits(fmt.Sprintf(what, "strongest"), p.best, bestFrom(s, posOf[site]))
 			}
 		}
 	}
-	var watchPos []geom.Point // by watcher id
+	var watchPos []geom.Point // in registration order
 	var checkSums func(when string)
-	watch := func(pos geom.Point) int {
+	watch := func(pos geom.Point) {
 		watchPos = append(watchPos, pos)
 		intern(pos)
-		id := a.Watch(pos, func(bool) {})
+		a.Watch(pos, func(bool) {})
 		checkSums("after Watch")
-		return id
 	}
 	checkSums = func(when string) {
 		t.Helper()
 		checked := 0
 		for i, w := range a.watchers {
-			if w.fn == nil {
-				continue
-			}
 			want := 0.0
 			for _, s := range txs {
 				if live[s.id] {
@@ -147,17 +147,17 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		watch(pt())
 	}
-	unwatched := watch(shared)
+	watch(shared)
 	// tx0 and tx1 overlap for their whole lives; tx2 ends before the
-	// first probe while tx0 and tx1 still name it; tx3 starts after the
-	// first probe, from tx0's antenna too. All four records are free
-	// again once tx1 ends, so tx4 and tx5 reuse them.
+	// first probe while tx0 and tx1 still name its row; tx3 starts after
+	// the first probe, from tx0's antenna too, in tx2's record. No more
+	// than three transmissions are ever on the air, so tx4 and tx5 reuse
+	// records too.
 	e.At(0, func() { start(100*time.Microsecond, shared, pt()) })
 	e.At(10*time.Microsecond, func() { start(200*time.Microsecond, pt(), pt(), pt()) })
 	e.At(30*time.Microsecond, func() { start(20*time.Microsecond, pt()) })
 	e.At(40*time.Microsecond, func() { watch(pt()) })
 	e.At(70*time.Microsecond, func() { start(100*time.Microsecond, shared) })
-	e.At(85*time.Microsecond, func() { a.Unwatch(unwatched) })
 	e.At(220*time.Microsecond, func() { start(50*time.Microsecond, pt(), shared) })
 	e.At(230*time.Microsecond, func() { start(20*time.Microsecond, pt()) })
 
@@ -210,17 +210,29 @@ func TestLinkTableMatchesDirect(t *testing.T) {
 	if a.lookup(txs[1].id) != nil {
 		t.Error("ended transmission still active")
 	}
-	if len(a.spare) != 4 {
-		t.Errorf("%d records free after the run, want all 4", len(a.spare))
+	if len(a.spare) != 3 {
+		t.Errorf("%d records free after the run, want all 3", len(a.spare))
 	}
+}
+
+// rows returns every power row the medium holds.
+func rows(a *Air) []*powerRow {
+	var rs []*powerRow
+	for _, r := range a.rowIndex {
+		for ; r != nil; r = r.next {
+			rs = append(rs, r)
+		}
+	}
+	return rs
 }
 
 // TestAirZeroAlloc pins the steady state of the medium: with watchers and
 // listeners registered and the link table warm, three overlapping
 // transmissions from start to delivery allocate nothing (transmission
-// records, their overlap lists and power rows and their end-of-airtime
-// closures are reused). The first and second end while the third still
-// names them, so their records are held and then freed again.
+// records, their overlap lists and their end-of-airtime closures are
+// reused, and each antenna list's power row is found, not rebuilt). The
+// first and second end while the third's overlap spans still name their
+// rows.
 func TestAirZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	p := channel.Default()
@@ -256,7 +268,105 @@ func TestAirZeroAlloc(t *testing.T) {
 	if rxs != 12*102 || edges == 0 {
 		t.Errorf("delivered %d frames and %d edges, want %d and some", rxs, edges, 12*102)
 	}
-	if a.ActiveCount() != 0 || len(a.spare) != 3 {
-		t.Errorf("%d transmissions active and %d records free after the cycles, want 0 and 3", a.ActiveCount(), len(a.spare))
+	if len(a.active) != 0 || len(a.spare) != 3 {
+		t.Errorf("%d transmissions active and %d records free after the cycles, want 0 and 3", len(a.active), len(a.spare))
+	}
+}
+
+// TestAirPowerRows sends transmissions over K distinct antenna lists,
+// one antenna set among them in two orders, each list several times and
+// overlapping the others. The medium must hold exactly K rows, and
+// every total and strongest-antenna power a row has cached must have
+// the bits of the in-order direct sum over its list. Once every list
+// has its row, sending them all again allocates nothing, and adding 64
+// new lists allocates at most 32 times: rows, their lists and their
+// powers are cut from slabs that double, where a row allocated on its
+// own would cost 64 allocations at least.
+func TestAirPowerRows(t *testing.T) {
+	p := channel.Default()
+	field := p.NewField(5)
+	direct := func(from, to geom.Point) float64 {
+		return p.PowerAtPoint(from, to, p.TxPowerDBm) * field.Shadow(from, to)
+	}
+	e := NewEngine()
+	a := NewAir(e, &channel.Links{Budget: channel.Budget{P: p, Field: field}})
+	posOf := map[int]geom.Point{}
+	intern := func(pos geom.Point) int {
+		s := a.links.Site(pos)
+		posOf[s] = pos
+		return s
+	}
+	for i := 0; i < 4; i++ {
+		pos := geom.Pt(float64(7*i), 3)
+		intern(pos)
+		a.Watch(pos, func(bool) {})
+		a.Listen(Listener{Pos: pos, Fn: func(Rx) {}})
+	}
+	ant := func(i int) int { return intern(geom.Pt(float64(4*i), float64(i%3))) }
+	lists := [][]int{
+		{ant(0)}, {ant(1)}, {ant(0), ant(1), ant(2)}, {ant(2), ant(0), ant(1)},
+		{ant(3), ant(4)}, {ant(5), ant(3)}, {ant(1), ant(4), ant(5), ant(0)},
+	}
+	send := func() {
+		for i, ants := range lists {
+			airtime := time.Duration(20+7*i) * time.Microsecond
+			if _, err := a.StartTx(Tx{Antennas: ants, Airtime: airtime}); err != nil {
+				t.Fatal(err)
+			}
+			e.Run(e.Now() + 10*time.Microsecond)
+		}
+		e.Run(e.Now() + 100*time.Microsecond)
+	}
+	for round := 0; round < 3; round++ {
+		send()
+	}
+	rs := rows(a)
+	if len(rs) != len(lists) {
+		t.Fatalf("medium holds %d rows for %d distinct antenna lists", len(rs), len(lists))
+	}
+	filled := 0
+	for _, r := range rs {
+		for site, c := range r.pow {
+			if c.total == unsetPower {
+				continue
+			}
+			total, best := 0.0, 0.0
+			for _, s := range r.ants {
+				l := direct(posOf[s], posOf[site])
+				total += l
+				best = max(best, l)
+			}
+			if math.Float64bits(c.total) != math.Float64bits(total) || math.Float64bits(c.best) != math.Float64bits(best) {
+				t.Errorf("row %v at site %d caches (%v, %v), direct in-order (%v, %v)", r.ants, site, c.total, c.best, total, best)
+			}
+			filled++
+		}
+	}
+	if filled < len(lists)*4 {
+		t.Errorf("rows cache %d powers, want at least one per list and watcher site (%d)", filled, len(lists)*4)
+	}
+	if allocs := testing.AllocsPerRun(20, send); allocs != 0 {
+		t.Errorf("sending over known antenna lists allocates %v times, want 0", allocs)
+	}
+
+	const fresh = 64
+	var more [fresh][]int
+	for i := range more {
+		more[i] = []int{ant(6 + i), ant(i % 6)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ants := range more {
+		if _, err := a.StartTx(Tx{Antennas: ants, Airtime: 20 * time.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		e.Run(e.Now() + 30*time.Microsecond)
+	}
+	runtime.ReadMemStats(&after)
+	if n := len(rows(a)); n != len(lists)+fresh {
+		t.Errorf("medium holds %d rows, want %d", n, len(lists)+fresh)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > fresh/2 {
+		t.Errorf("%d new antenna lists allocated %d times, want at most %d", fresh, allocs, fresh/2)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // Scheduled functions live in a slot table recycled through a free list,
 // and the queue is a value-typed heap of (time, sequence, slot) keys, so
 // once the table and the heap have grown to a run's high-water mark,
-// scheduling and firing an event allocate nothing.
+// scheduling and firing an event allocate nothing. Each slot records its
+// event's heap index, so a cancelled event leaves the heap at once
+// instead of waiting there for its instant.
 //
 // A backoff countdown (Backoff) is one queued event, its grant, which
 // stands for a chain of per-slot ticks: the first at the end of AIFS,
@@ -50,16 +52,16 @@ type Engine struct {
 	cur   tie   // the firing event's tie data; afterAll outside Run
 }
 
-// eventSlot holds one queued event's function and tie data. gen counts
-// the slot's uses, so a Timer for an event that has left the queue no
-// longer matches it. An unused slot links to the next (free), so the
-// free list needs no storage of its own.
+// eventSlot holds one queued event's function, tie data and heap index.
+// gen counts the slot's uses, so a Timer for an event that has left the
+// queue no longer matches it. An unused slot links to the next (free),
+// so the free list needs no storage of its own.
 type eventSlot struct {
-	fn        func()
-	gen       uint64
-	tie       tie
-	free      int32
-	cancelled bool
+	fn   func()
+	gen  uint64
+	tie  tie
+	free int32
+	pos  int32
 }
 
 // grantBit marks a countdown grant's sequence number, in the heap key
@@ -167,7 +169,7 @@ func (e *Engine) queue(ev event, x tie, fn func()) Timer {
 		e.slots = append(e.slots, eventSlot{})
 	}
 	s := &e.slots[ev.slot]
-	s.fn, s.tie, s.cancelled = fn, x, false
+	s.fn, s.tie = fn, x
 	e.push(ev)
 	e.seq++
 	return Timer{eng: e, slot: ev.slot, gen: s.gen}
@@ -179,16 +181,10 @@ func (e *Engine) queue(ev event, x tie, fn func()) Timer {
 func (e *Engine) Run(until time.Duration) int {
 	n := 0
 	for len(e.pq) > 0 && e.pq[0].at <= until {
-		ev := e.pop()
-		s := &e.slots[ev.slot]
-		fn, cancelled := s.fn, s.cancelled
-		s.fn = nil
-		s.gen++
-		s.free, e.free = e.free, ev.slot+1
-		if cancelled {
-			continue
-		}
-		e.now, e.cur = ev.at, s.tie
+		ev := e.remove(0)
+		fn := e.slots[ev.slot].fn
+		e.now, e.cur = ev.at, e.slots[ev.slot].tie
+		e.release(ev.slot)
 		fn()
 		n++
 	}
@@ -199,7 +195,16 @@ func (e *Engine) Run(until time.Duration) int {
 	return n
 }
 
-// Pending returns the number of queued (possibly cancelled) events.
+// release returns the slot of an event that left the queue to the free
+// list.
+func (e *Engine) release(slot int32) {
+	s := &e.slots[slot]
+	s.fn = nil
+	s.gen++
+	s.free, e.free = e.free, slot+1
+}
+
+// Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // Timer is a handle to a scheduled event. The zero Timer refers to no
@@ -210,33 +215,18 @@ type Timer struct {
 	gen  uint64
 }
 
-// Cancel prevents the event from firing. Safe to call multiple times, on
-// the zero Timer, and after the event has fired (then it does nothing,
-// even if the engine has reused the event's slot).
+// Cancel takes the event out of the queue. Safe to call multiple times,
+// on the zero Timer, and after the event has fired (then it does
+// nothing, even if the engine has reused the event's slot).
 func (t *Timer) Cancel() {
-	if s := t.queued(); s != nil {
-		s.cancelled = true
-	}
-}
-
-// Cancelled reports whether Cancel was called while the event is still
-// queued.
-func (t *Timer) Cancelled() bool {
-	s := t.queued()
-	return s != nil && s.cancelled
-}
-
-// queued returns the slot of the handle's event, or nil once the event
-// has left the queue.
-func (t *Timer) queued() *eventSlot {
 	if t == nil || t.eng == nil {
-		return nil
+		return
 	}
-	s := &t.eng.slots[t.slot]
-	if s.gen != t.gen {
-		return nil
+	e := t.eng
+	if s := &e.slots[t.slot]; s.gen == t.gen {
+		e.remove(int(s.pos))
+		e.release(t.slot)
 	}
-	return s
 }
 
 // event is a queue key. Events fire in (at, seq) order, a strict total
@@ -268,47 +258,69 @@ func (e *Engine) tieBefore(a, b event) bool {
 }
 
 func (e *Engine) push(ev event) {
-	h := append(e.pq, ev)
-	i := len(h) - 1
+	e.pq = append(e.pq, ev)
+	e.up(len(e.pq)-1, ev)
+}
+
+// remove takes the event at heap index i out of the heap and returns it.
+func (e *Engine) remove(i int) event {
+	h := e.pq
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	e.pq = h[:n]
+	if i < n {
+		if i > 0 && e.before(last, h[(i-1)/4]) {
+			e.up(i, last)
+		} else {
+			e.down(i, last)
+		}
+	}
+	return ev
+}
+
+// up stores ev at index i or above it, moving down the ancestors it
+// fires before.
+func (e *Engine) up(i int, ev event) {
+	h := e.pq
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.before(ev, h[p]) {
 			break
 		}
-		h[i] = h[p]
+		e.set(i, h[p])
 		i = p
 	}
-	h[i] = ev
-	e.pq = h
+	e.set(i, ev)
 }
 
-func (e *Engine) pop() event {
+// down stores ev at index i or below it, moving up the descendants that
+// fire before it.
+func (e *Engine) down(i int, ev event) {
 	h := e.pq
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			for k := c + 1; k < c+4 && k < n; k++ {
-				if e.before(h[k], h[m]) {
-					m = k
-				}
-			}
-			if !e.before(h[m], last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		h[i] = last
+		m := c
+		for k := c + 1; k < c+4 && k < n; k++ {
+			if e.before(h[k], h[m]) {
+				m = k
+			}
+		}
+		if !e.before(h[m], ev) {
+			break
+		}
+		e.set(i, h[m])
+		i = m
 	}
-	e.pq = h
-	return top
+	e.set(i, ev)
+}
+
+// set stores ev at heap index i and records the index in its slot.
+func (e *Engine) set(i int, ev event) {
+	e.pq[i] = ev
+	e.slots[ev.slot].pos = int32(i)
 }

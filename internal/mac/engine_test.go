@@ -97,8 +97,8 @@ func TestTimerCancel(t *testing.T) {
 	fired := false
 	tm := e.Schedule(10*time.Microsecond, func() { fired = true })
 	tm.Cancel()
-	if !tm.Cancelled() {
-		t.Error("Cancelled() should be true")
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after cancelling the only event, want 0", e.Pending())
 	}
 	e.Run(time.Second)
 	if fired {
@@ -144,8 +144,9 @@ func TestEngineManyEvents(t *testing.T) {
 // the past, events scheduled from inside events and cancels of events
 // that already fired (whose slots the engine has since reused). The
 // oracle is the definition: events fire in (time, scheduling order),
-// a cancelled event never fires, a cancel after firing changes nothing,
-// Run counts what fired, and Pending counts what is still queued.
+// a cancelled event never fires and leaves the queue at once, a cancel
+// after firing changes nothing, Run counts what fired, and Pending
+// counts what is still queued.
 func TestEngineMatchesSortOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := rand.New(rand.NewPCG(seed, 7))
@@ -162,18 +163,18 @@ func TestEngineMatchesSortOracle(t *testing.T) {
 				return
 			}
 			x := recs[r.IntN(len(recs))]
-			queued := !x.fired && !x.cancelled
 			x.timer.Cancel()
-			switch {
-			case queued:
+			if !x.fired {
 				x.cancelled = true
-				if !x.timer.Cancelled() {
-					t.Fatalf("seed %d: Cancelled() false right after cancelling a queued event", seed)
+			}
+			live := 0
+			for _, y := range recs {
+				if !y.fired && !y.cancelled {
+					live++
 				}
-			case x.fired:
-				if x.timer.Cancelled() {
-					t.Fatalf("seed %d: Cancelled() true for an event that fired", seed)
-				}
+			}
+			if e.Pending() != live {
+				t.Fatalf("seed %d: Pending = %d after Cancel, oracle %d", seed, e.Pending(), live)
 			}
 		}
 		var schedule func()
@@ -225,9 +226,11 @@ func TestEngineMatchesSortOracle(t *testing.T) {
 			for i, x := range recs {
 				switch {
 				case x.at > until:
-					pending++
 					if x.fired {
 						t.Fatalf("seed %d: event %d at %v fired before Run(%v) reached it", seed, i, x.at, until)
+					}
+					if !x.cancelled {
+						pending++
 					}
 				case x.cancelled:
 				case !x.fired:
@@ -267,7 +270,7 @@ func TestTimerCancelAfterSlotReuse(t *testing.T) {
 		t.Fatalf("second event took slot %d, want the freed slot %d", second.slot, first.slot)
 	}
 	first.Cancel() // stale handle: must not touch the reused slot
-	if first.Cancelled() || second.Cancelled() {
+	if e.Pending() != 1 {
 		t.Error("a stale handle's Cancel reached the slot's new event")
 	}
 	e.Run(2 * time.Second)
@@ -276,9 +279,6 @@ func TestTimerCancelAfterSlotReuse(t *testing.T) {
 	}
 	var zero Timer
 	zero.Cancel() // the zero Timer refers to no event
-	if zero.Cancelled() {
-		t.Error("zero Timer reports cancelled")
-	}
 }
 
 // TestEngineZeroAlloc pins the steady state: once the slot table and the

@@ -17,22 +17,21 @@ import "math/rand"
 // stream that draws k values pays a few modular products per draw
 // instead of 1,841 products plus the register fill.
 //
-// The register itself is held in two phases. For its first histLen
-// draws a stream keeps only the words it has written, in draw order, in
-// the inline hist; since histLen < 273, none of those draws reads a
-// written word back. The draw after that allocates the 607-word
-// register, scatters the history to each draw's feed index
-// (333 − k for draw k+1) and goes on in it. A stream that draws a few
-// values therefore holds a few hundred bytes instead of 4.9 KB, and no
+// No draw before draw 274 reads a word an earlier draw wrote, so those
+// draws keep nothing: a stream that stops by then holds no register.
+// Draw 274 allocates the 607-word register (or reuses the one the
+// stream already holds) and refills the 273 words the draws so far
+// wrote, recomputing each from the seed: draw k+1 wrote
+// word(333−k) + word(606−k) at index 333−k. A stream that draws a few
+// hundred values therefore holds nothing beyond its Source, and no
 // stream allocates more than the register. Seed keeps a register once
-// allocated.
+// allocated; the next draw 274 refills it.
 type lagged struct {
 	x0    uint64 // the normalised seed, in [1, 2³¹−1); 0 before Seed
 	drawn int    // draws so far, counted up to lagLen
 	tap   int
 	feed  int
-	hist  [histLen]int64 // words written so far, while vec is nil
-	vec   *[lagLen]int64 // the register, from draw histLen+1 on
+	vec   *[lagLen]int64 // the register, from draw lagTap+1 on
 }
 
 const (
@@ -42,14 +41,7 @@ const (
 	int32max = 1<<31 - 1
 	// lagSteps is the largest n the seeding sequence x(n) reaches.
 	lagSteps = 23 + 3*(lagLen-1)
-	// histLen is how many draws a stream makes before it allocates the
-	// register. It must stay below lagTap: history draws read no
-	// written word back.
-	histLen = 16
 )
-
-// The history phase relies on histLen < lagTap.
-const _ = uint(lagTap - 1 - histLen)
 
 var (
 	// seedPow[n] is 48271ⁿ mod (2³¹−1), the multiplier of the seeding
@@ -67,7 +59,7 @@ var (
 func init() {
 	seedPow[0] = 1
 	for n := 1; n <= lagSteps; n++ {
-		seedPow[n] = seedPow[n-1] * 48271 % int32max
+		seedPow[n] = mod31(seedPow[n-1] * 48271)
 	}
 	ref := rand.NewSource(1).(rand.Source64)
 	g := lagged{vec: new([lagLen]int64)}
@@ -104,8 +96,19 @@ func (g *lagged) Seed(seed int64) {
 
 // seedPart is word i of the seeded register before the cooked XOR.
 func (g *lagged) seedPart(i int) int64 {
-	x := func(n int) int64 { return int64(g.x0 * seedPow[n] % int32max) }
+	x := func(n int) int64 { return int64(mod31(g.x0 * seedPow[n])) }
 	return x(21+3*i)<<40 ^ x(22+3*i)<<20 ^ x(23+3*i)
+}
+
+// mod31 returns p mod 2³¹−1 for p < 2⁶²: since 2³¹ ≡ 1, folding the
+// high bits onto the low ones keeps the residue and leaves at most one
+// modulus to subtract.
+func mod31(p uint64) uint64 {
+	p = p&int32max + p>>31
+	if p >= int32max {
+		p -= int32max
+	}
+	return p
 }
 
 // word is word i of the seeded register.
@@ -131,27 +134,31 @@ func (g *lagged) Uint64() uint64 {
 		g.vec[g.feed] = x
 		return uint64(x)
 	}
-	var t int64
+	var x int64
 	if g.drawn < lagTap {
-		t = g.word(g.tap)
+		x = g.word(g.feed) + g.word(g.tap)
 	} else {
-		t = g.vec[g.tap]
-	}
-	x := g.word(g.feed) + t
-	if g.vec == nil {
-		if g.drawn < histLen {
-			g.hist[g.drawn] = x
-			g.drawn++
-			return uint64(x)
+		if g.drawn == lagTap {
+			g.refill()
 		}
-		g.vec = new([lagLen]int64)
-		for k, h := range g.hist {
-			g.vec[lagLen-lagTap-1-k] = h
-		}
+		x = g.word(g.feed) + g.vec[g.tap]
+		g.vec[g.feed] = x
 	}
-	g.vec[g.feed] = x
 	g.drawn++
 	return uint64(x)
+}
+
+// refill writes into the register, allocating it if the stream holds
+// none, the words draws 1–273 wrote: draw k+1 added word(606−k) to
+// word(333−k) at index 333−k.
+func (g *lagged) refill() {
+	if g.vec == nil {
+		g.vec = new([lagLen]int64)
+	}
+	for k := 0; k < lagTap; k++ {
+		i := lagLen - lagTap - 1 - k
+		g.vec[i] = g.word(i) + g.word(lagLen-1-k)
+	}
 }
 
 // Int63 returns the next non-negative 63-bit value.

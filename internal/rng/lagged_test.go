@@ -104,12 +104,13 @@ func TestSplitDoesNotSeed(t *testing.T) {
 }
 
 // TestLaggedPhaseBoundaries stops streams on each side of the points
-// where the generator changes how it holds or reads its state (the end
-// of the inline history, the last tap read of an unwritten word, the
-// end of the first pass), then continues them and reseeds them, bit
-// for bit against rand.NewSource.
+// where the generator changes how it holds or reads its state (the last
+// draw that keeps nothing, the draw that fills the register, the end of
+// the first pass), then continues them and reseeds them, bit for bit
+// against rand.NewSource. A stream reseeded after draw 273 still holds
+// its register, so its next draw 274 must refill it.
 func TestLaggedPhaseBoundaries(t *testing.T) {
-	stops := []int{1, histLen - 1, histLen, histLen + 1, lagTap, lagTap + 1, lagLen, lagLen + 1}
+	stops := []int{1, lagTap - 1, lagTap, lagTap + 1, lagLen, lagLen + 1}
 	check := func(t *testing.T, what string, g *lagged, ref rand.Source64, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -124,6 +125,9 @@ func TestLaggedPhaseBoundaries(t *testing.T) {
 			g.Seed(seed)
 			ref := rand.NewSource(seed).(rand.Source64)
 			check(t, "first", &g, ref, n)
+			if held := g.vec != nil; held != (n > lagTap) {
+				t.Fatalf("seed %d: register held = %v after %d draws", seed, held, n)
+			}
 			check(t, "continued", &g, ref, 2*lagLen)
 
 			var h lagged
@@ -131,26 +135,29 @@ func TestLaggedPhaseBoundaries(t *testing.T) {
 			check(t, "before reseed", &h, rand.NewSource(seed).(rand.Source64), n)
 			h.Seed(seed + 1)
 			check(t, "reseeded", &h, rand.NewSource(seed+1).(rand.Source64), 2*lagLen)
+			h.Seed(seed)
+			check(t, "reseeded again", &h, rand.NewSource(seed).(rand.Source64), lagTap+2)
 		}
 	}
 }
 
-// TestSourceAllocs pins what a stream costs: building it and drawing a
-// few values allocates only the Source, and no number of draws makes it
-// allocate more than twice (the Source, then the register).
+// TestSourceAllocs pins what a stream costs: building it and drawing up
+// to 273 values allocates only the Source, and no number of draws makes
+// it allocate more than twice (the Source, then the register at draw
+// 274).
 func TestSourceAllocs(t *testing.T) {
 	for _, c := range []struct {
 		draws int
 		want  float64
-	}{{1, 1}, {16, 1}, {40, 2}, {700, 2}} {
+	}{{1, 1}, {272, 1}, {273, 1}, {274, 2}, {700, 2}} {
 		allocs := testing.AllocsPerRun(50, func() {
 			s := New(int64(c.draws))
 			for i := 0; i < c.draws; i++ {
 				s.Float64()
 			}
 		})
-		if allocs > c.want {
-			t.Errorf("building a stream and drawing %d values allocated %v times, want at most %v", c.draws, allocs, c.want)
+		if allocs != c.want {
+			t.Errorf("building a stream and drawing %d values allocated %v times, want %v", c.draws, allocs, c.want)
 		}
 	}
 }

@@ -21,11 +21,9 @@ import (
 // generator it holds inline (math/rand's own stream for that seed,
 // seeded on demand; see lagged). Splitting and reading Seed therefore
 // never seed one, and SplitSeed derives a child's seed without even
-// building the Source. The generator's register
-// grows with the draws: a stream that draws a few values lives in the
-// Source's one allocation, and a longer one adds the 4.9 KB register at
-// draw histLen+1, so a stream's state is never more than two
-// allocations.
+// building the Source. A stream that stops within 273 draws lives in
+// the Source's one allocation; a longer one adds the 4.9 KB register
+// at draw 274, so a stream's state is never more than two allocations.
 //
 // Concurrency: a Source's draw methods (Float64, Norm, Perm, …) seed
 // and then mutate the underlying stream and are NOT safe for concurrent
